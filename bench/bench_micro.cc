@@ -33,7 +33,6 @@
 #include "cpu/cpu.h"
 #include "cpu/ras.h"
 #include "isa/assembler.h"
-#include "mem/cow_store.h"
 #include "mem/phys_mem.h"
 #include "replay/checkpoint.h"
 #include "rnr/log_record.h"
@@ -185,18 +184,6 @@ BM_LogRecordSerialize(benchmark::State& state)
         static_cast<std::int64_t>(state.iterations() * out.size()));
 }
 BENCHMARK(BM_LogRecordSerialize);
-
-void
-BM_CheckpointPageCopy(benchmark::State& state)
-{
-    mem::CowStore store;
-    std::vector<std::uint8_t> page(kPageSize, 0x5a);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(store.store(page.data()));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * kPageSize));
-}
-BENCHMARK(BM_CheckpointPageCopy);
 
 void
 BM_MemContentHash(benchmark::State& state)

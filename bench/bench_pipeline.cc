@@ -117,7 +117,8 @@ serial_latency(const PipelineRun& run)
  * Concurrent simulated latency: record and CR overlap (the CR replays the
  * streamed log on the fly), then the alarm replays run on @p workers
  * workers, each claiming the next alarm in log order as it frees up —
- * the same greedy schedule run_alarm_pool() produces.
+ * the greedy schedule the framework's worker pool follows when the CR
+ * queues alarms faster than the workers finish them.
  */
 Cycles
 concurrent_latency(const PipelineRun& run, std::size_t workers)

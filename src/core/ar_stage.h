@@ -21,12 +21,11 @@
  * verdict: the VM factory, the base replay options, and the active
  * detector complement. It is stateless across calls (every analyze()
  * builds fresh VMs), so a single instance is safely shared by any number
- * of worker threads — the framework's private pool and the fleet's
- * shared work-stealing pool both call the same code.
+ * of worker threads — the fleet's shared work-stealing pool calls it from
+ * every worker.
  *
  * Two log access shapes:
- *  - a finished InputLog (the framework path: alarm replays run after
- *    the recording completed);
+ *  - a finished InputLog (offline analysis of a completed recording);
  *  - any LogSource resolving the [checkpoint, alarm] range — in the
  *    fleet, a SliceLogSource owning a copy of exactly that range, so a
  *    pool worker never reads a tenant's still-growing log.

@@ -1,111 +1,18 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
 #include <string>
-#include <thread>
+#include <utility>
 
 #include "common/log.h"
-#include "cpu/tb_engine.h"
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
-#include "rnr/log_source.h"
+#include "fleet/fleet.h"
 
 namespace rsafe::core {
 
 namespace {
 
-/**
- * Solo-mode health plane: the same monitor / flight recorder /
- * telemetry endpoint the fleet wires per tenant, watching the one
- * pipeline as a tenant named "pipeline". Declared after the stage on
- * run()'s stack so an unwinding exception stops the monitor before the
- * stage (its sampler target) is destroyed.
- */
-struct HealthPlane {
-    bool on = false;
-    obs::HealthProbe probe;
-    obs::FlightRecorder flight;
-    std::unique_ptr<obs::HealthMonitor> monitor;
-    std::unique_ptr<obs::TelemetryServer> telemetry;
-
-    void begin(const FrameworkConfig& config, SessionStage* stage)
-    {
-        on = config.health.enabled &&
-             std::getenv("RSAFE_NO_HEALTH") == nullptr;
-        if (!on)
-            return;
-        stage->set_health_probe(&probe);
-        monitor = std::make_unique<obs::HealthMonitor>(config.health);
-        obs::HealthProbe* probe_ptr = &probe;
-        monitor->add_tenant("pipeline", [probe_ptr, stage] {
-            obs::HealthSample sample;
-            sample.set(obs::HealthSignal::kReplayLag,
-                       probe_ptr->replay_lag.load(
-                           std::memory_order_relaxed));
-            sample.set(obs::HealthSignal::kQueueDepth,
-                       probe_ptr->queue_depth());
-            sample.set(obs::HealthSignal::kVerdictLatency,
-                       probe_ptr->verdict_cycles_peak.exchange(
-                           0, std::memory_order_relaxed));
-            sample.set(obs::HealthSignal::kChannelBackpressure,
-                       stage->live_channel_stats().producer_waits);
-            const std::uint64_t budget =
-                probe_ptr->ckpt_budget_bytes.load(
-                    std::memory_order_relaxed);
-            const std::uint64_t live = probe_ptr->ckpt_live_bytes.load(
-                std::memory_order_relaxed);
-            sample.set(obs::HealthSignal::kCkptOccupancy,
-                       budget != 0 ? live * 100 / budget : 0);
-            // No shared pool in solo mode; starvation stays zero.
-            return sample;
-        });
-        obs::FlightRecorder* flight_ptr = &flight;
-        monitor->add_listener([flight_ptr](const obs::HealthEvent& event) {
-            flight_ptr->record(obs::FlightEntryKind::kTransition,
-                               event.tenant,
-                               obs::health_signal_name(event.signal),
-                               event.value, event.to_string());
-            if (event.to == obs::HealthState::kCritical)
-                flight_ptr->dump("slo-breach:" + event.tenant);
-        });
-        monitor->start();
-        telemetry = std::make_unique<obs::TelemetryServer>(
-            config.telemetry,
-            obs::TelemetryProviders{
-                [this] { return monitor->metrics_prometheus(); },
-                [this] { return monitor->healthz_json(); },
-                [this] { return flight.latest(); },
-            });
-        telemetry->start();
-    }
-
-    /** Stop, dump, and fold the outputs into @p result. */
-    void finish(FrameworkResult* result)
-    {
-        if (!on)
-            return;
-        for (const AlarmReplayResult& ar : result->ar_results) {
-            if (ar.analysis.is_attack) {
-                flight.record(obs::FlightEntryKind::kVerdict, "pipeline",
-                              "attack", ar.analysis.analysis_cycles);
-                flight.dump("attack-verdict:pipeline");
-                break;
-            }
-        }
-        monitor->stop();
-        if (flight.dumps() == 0)
-            flight.dump("run-complete");
-        telemetry->stop();
-        // Gauges only: the deterministic counter snapshot is untouched.
-        monitor->export_metrics(&result->pipeline_stats);
-        result->healthz = monitor->healthz_json();
-        result->health_events = monitor->events();
-        result->flight_box = flight.latest();
-    }
-};
+/** The tenant a solo run reports as (health plane, metric namespace). */
+constexpr const char* kTenantName = "pipeline";
 
 }  // namespace
 
@@ -119,299 +26,50 @@ RnrSafeFramework::RnrSafeFramework(VmFactory factory, FrameworkConfig config)
 FrameworkResult
 RnrSafeFramework::run()
 {
-    switch (config_.pipeline) {
-      case PipelineMode::kSerial:
-        return run_serial();
-      case PipelineMode::kConcurrent:
-        return run_concurrent();
-    }
-    panic("RnrSafeFramework: bad pipeline mode");
+    return run_tenant(nullptr);
 }
 
-SessionOptions
-RnrSafeFramework::session_options(bool streamed) const
+FrameworkResult
+RnrSafeFramework::run_tenant(std::shared_ptr<const rnr::InputLog> log)
 {
-    SessionOptions options;
-    options.recorder = config_.recorder;
-    options.cr = config_.cr;
-    options.max_instructions = config_.max_instructions;
-    options.channel = config_.channel;
-    options.streamed = streamed;
-    return options;
-}
+    // A fresh fleet per call: ReplayFleet::run() runs once.
+    fleet::FleetOptions options;
+    options.workers = config_.pipeline == PipelineMode::kSerial
+                          ? 1
+                          : std::max<std::size_t>(1, config_.ar_workers);
+    options.tenant_inflight_cap = options.workers;
+    options.health = config_.health;
+    options.telemetry = config_.telemetry;
+    fleet::ReplayFleet fleet({{kTenantName, factory_, config_, std::move(log)}},
+                             options);
+    fleet::FleetResult out = fleet.run();
 
-void
-RnrSafeFramework::install_detectors(FrameworkResult* result)
-{
-    active_detectors_ = nullptr;
-    if (!config_.detectors || config_.detectors->empty())
-        return;
-    if (std::getenv("RSAFE_NO_DETECTORS") != nullptr)
-        return;  // runtime kill-switch: RAS-only baseline
-    result->detectors = config_.detectors;
-    active_detectors_ = config_.detectors.get();
-}
-
-void
-RnrSafeFramework::adopt_session(FrameworkResult* result, SessionStage* stage,
-                                const SessionResult& session)
-{
-    result->record_result = session.record_result;
-    result->cr_outcome = session.cr_outcome;
-    result->alarms_logged = session.alarms_logged;
-    result->channel_stats = session.channel_stats;
-    result->underflows_resolved = stage->cr()->underflows_resolved();
-    result->replay_lag = stage->cr()->lag();
-    if (stage->active_detectors() != nullptr)
-        result->detectors = config_.detectors;
-    active_detectors_ = stage->active_detectors();
-    result->recorded_vm = stage->release_recorded_vm();
-    result->recorder = stage->release_recorder();
-    result->cr_vm = stage->release_cr_vm();
-    result->cr = stage->release_cr();
-}
-
-std::vector<AlarmReplayResult>
-RnrSafeFramework::run_alarm_pool(
-    const std::vector<replay::PendingAlarm>& pending,
-    const rnr::InputLog* log, stats::StatRegistry* stats_out)
-{
-    std::vector<AlarmReplayResult> results(pending.size());
-    if (pending.empty())
-        return results;
-
-    const ArStage stage(factory_, config_.cr.replay, active_detectors_);
-
-    std::size_t workers = config_.ar_workers == 0 ? 1 : config_.ar_workers;
-    if (workers > pending.size())
-        workers = pending.size();
-
-    if (workers == 1) {
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            results[i] = stage.analyze(pending[i], log, stats_out);
-            if (live_probe_ != nullptr)
-                live_probe_->note_verdict(
-                    results[i].analysis.analysis_cycles);
-        }
-        return results;
-    }
-
-    // Each worker claims a batch of alarm indices from a shared counter
-    // and writes into its own result slots and its own stats registry:
-    // no shared mutation on the hot path, deterministic merge order at
-    // join. Batching the claims (K indices per fetch_add) keeps the
-    // counter cache line from ping-ponging when many short alarm replays
-    // meet many workers — the 2->4 worker wall-clock regression path.
-    // The batch is 1 until there are >= 8 alarms per worker, so small
-    // runs keep the exact claim order the scheduling model mirrors.
-    const std::size_t batch = std::clamp<std::size_t>(
-        pending.size() / (workers * 8), 1, 8);
-    std::atomic<std::size_t> next{0};
-    std::vector<stats::StatRegistry> worker_stats(workers);
-    std::vector<std::exception_ptr> worker_errors(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-            try {
-                if (obs::Tracer::instance().enabled())
-                    obs::Tracer::instance().attach_thread("ar-worker");
-                while (true) {
-                    const std::size_t begin =
-                        next.fetch_add(batch, std::memory_order_relaxed);
-                    if (begin >= pending.size())
-                        break;
-                    const std::size_t end =
-                        std::min(begin + batch, pending.size());
-                    for (std::size_t i = begin; i < end; ++i) {
-                        results[i] =
-                            stage.analyze(pending[i], log,
-                                          &worker_stats[w]);
-                        if (live_probe_ != nullptr)
-                            live_probe_->note_verdict(
-                                results[i].analysis.analysis_cycles);
-                    }
-                }
-            } catch (...) {
-                worker_errors[w] = std::current_exception();
-            }
-        });
-    }
-    for (auto& thread : threads)
-        thread.join();
-    for (const auto& error : worker_errors)
-        if (error)
-            std::rethrow_exception(error);
-    for (const auto& ws : worker_stats)
-        stats_out->merge(ws);
-    return results;
-}
-
-void
-finalize_result(FrameworkResult* result,
-                std::vector<AlarmReplayResult> ar_results)
-{
-    // Fold AR outputs back in alarm order: identical between the serial
-    // pipeline and any worker-pool schedule.
-    for (auto& ar : ar_results) {
-        result->alarm_replays += ar.deep_rerun ? 2 : 1;
-        result->alarms.add(ar.analysis);
-    }
-    result->ar_results = std::move(ar_results);
-
-    // Pipeline-wide counters. Only values that are bit-identical across
-    // pipeline modes belong here (the determinism A/B test compares the
-    // whole snapshot); lag and channel traffic stay in their own fields.
-    // Replay-only runs (replay_wire) have no recording stage.
-    auto& stats = result->pipeline_stats;
-    if (result->recorded_vm && result->recorder) {
-        stats.counter("record.instructions")
-            .inc(result->recorded_vm->cpu().icount());
-        stats.counter("record.log_records")
-            .inc(result->recorder->log().size());
-        stats.counter("record.log_bytes")
-            .inc(result->recorder->log().total_bytes());
-    }
-    stats.counter("record.alarms_logged").inc(result->alarms_logged);
-
-    // Per-detector hardware-alarm counts, scanned from whichever log this
-    // run replayed. Counts are a pure function of the log, so they stay
-    // bit-identical across pipeline modes.
-    const rnr::InputLog* scan_log = nullptr;
-    if (result->recorder)
-        scan_log = &result->recorder->log();
-    else if (result->shipped_log)
-        scan_log = result->shipped_log.get();
-    if (result->detectors && scan_log != nullptr) {
-        for (const std::size_t index :
-             scan_log->find_all(rnr::RecordType::kDetectorAlarm)) {
-            const auto id =
-                static_cast<DetectorId>(scan_log->at(index).value);
-            const Detector* detector = result->detectors->find(id);
-            const char* name = detector != nullptr ? detector->name()
-                                                   : "unknown";
-            stats.counter(std::string("detector.") + name + ".alarms")
-                .inc();
-        }
-    }
-    stats.counter("cr.instructions").inc(result->cr_vm->cpu().icount());
-    stats.counter("cr.checkpoints").inc(result->cr->checkpoints_taken());
-    stats.counter("cr.underflows_resolved").inc(result->underflows_resolved);
-    stats.counter("cr.single_steps").inc(result->cr->single_steps());
-
-    // The lag time series rides in a gauge: gauges (like histograms) are
-    // excluded from snapshot(), so the scheduling-dependent series never
-    // perturbs the bit-for-bit pipeline determinism comparison.
-    auto& lag_gauge = stats.gauge("cr.replay_lag");
-    for (const auto& sample : result->replay_lag.series())
-        lag_gauge.set(sample.icount, sample.lag);
-
-    // Translation-block engine telemetry, per pipeline stage. These also
-    // ride in gauges/histograms: an RSAFE_NO_TB A/B run must produce an
-    // identical counter snapshot, and TB event counts are zero with the
-    // engine disabled.
-    const auto export_tb = [&stats](const std::string& prefix,
-                                    const cpu::Cpu& cpu) {
-        const cpu::TbEngine& tb = cpu.tb_engine();
-        const cpu::TbEngineStats& s = tb.stats();
-        stats.gauge(prefix + ".translated").set(0, s.translated);
-        stats.gauge(prefix + ".chain_hits").set(0, s.chain_hits);
-        stats.gauge(prefix + ".chain_misses").set(0, s.chain_misses);
-        stats.gauge(prefix + ".invalidations").set(0, s.invalidations);
-        stats.gauge(prefix + ".flushes").set(0, s.flushes);
-        stats.gauge(prefix + ".exec_blocks").set(0, s.exec_blocks);
-        auto& hist = stats.histogram(prefix + ".block_len",
-                                     cpu::TbEngine::kMaxBlockInstrs, 16);
-        if (const Status st = hist.merge(tb.block_length_hist()); !st.ok())
-            fatal("tb block-length histogram geometry mismatch");
-    };
-    if (result->recorded_vm)
-        export_tb("record.tb", result->recorded_vm->cpu());
-    export_tb("cr.tb", result->cr_vm->cpu());
-
-    // Checkpoint-storage telemetry. Gauges again: stored bytes and
-    // compressed-page counts flip with RSAFE_NO_CKPT_COMPRESS (and dedup
-    // config), and the kill-switch A/B gate compares counter snapshots.
-    {
-        const replay::CheckpointStoreStats cs =
-            result->cr->checkpoints().stats();
-        stats.gauge("ckpt.bytes_raw").set(0, cs.bytes_raw);
-        stats.gauge("ckpt.bytes_stored").set(0, cs.bytes_stored);
-        stats.gauge("ckpt.dedup_hits").set(0, cs.dedup_hits);
-        stats.gauge("ckpt.compressed_pages").set(0, cs.compressed_pages);
-        stats.gauge("ckpt.live_bytes").set(0, cs.live_bytes);
-        stats.gauge("ckpt.live_pages").set(0, cs.live_pages);
-        stats.gauge("ckpt.budget_evictions").set(0, cs.budget_evictions);
-        stats.gauge("ckpt.count_evictions").set(0, cs.count_evictions);
-    }
-    if (const replay::ckpt::CkptWriteback* wb = result->cr->writeback()) {
-        // Writeback traffic is scheduling noise by construction (a
-        // background thread racing the CR), so it could never be a
-        // counter. lag() is the headline gauge: sealed checkpoints not
-        // yet serialized + delivered.
-        const replay::ckpt::WritebackStats ws = wb->stats();
-        stats.gauge("ckpt.writeback_lag").set(0, wb->lag());
-        stats.gauge("ckpt.writeback_submitted").set(0, ws.submitted);
-        stats.gauge("ckpt.writeback_written").set(0, ws.written);
-        stats.gauge("ckpt.writeback_bytes").set(0, ws.bytes_written);
-        stats.gauge("ckpt.writeback_dropped").set(0, ws.dropped);
-        stats.gauge("ckpt.writeback_producer_waits")
-            .set(0, ws.producer_waits);
-        stats.gauge("ckpt.writeback_max_queued").set(0, ws.max_queued);
-    }
+    FrameworkResult result = std::move(out.tenants.front().result);
+    // The health plane's outputs. Its tenant.pipeline.health.* entries are
+    // gauges, so the deterministic counter snapshot stays untouched.
+    const std::string health_prefix =
+        std::string("tenant.") + kTenantName + ".health.";
+    for (const auto& [name, gauge] : out.metrics.gauges())
+        if (name.compare(0, health_prefix.size(), health_prefix) == 0)
+            result.pipeline_stats.gauge(name).merge(gauge);
+    result.healthz = std::move(out.healthz);
+    result.health_events = std::move(out.health_events);
+    result.flight_box = std::move(out.flight_box);
+    return result;
 }
 
 FrameworkResult
 RnrSafeFramework::replay_wire(const std::vector<std::uint8_t>& bytes)
 {
-    FrameworkResult result;
-    auto& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.attach_thread("pipeline");
-    obs::ScopedSpan pipeline_span("pipeline.replay_wire", "pipeline");
-
     // Deserialize tolerantly: a damaged image yields its longest intact
-    // record prefix plus a forensic report of what was lost.
-    result.shipped_log = std::make_unique<rnr::InputLog>();
-    result.log_integrity =
-        rnr::InputLog::deserialize_tolerant(bytes, result.shipped_log.get());
-    const rnr::InputLog& log = *result.shipped_log;
-    result.alarms_logged =
-        log.find_all(rnr::RecordType::kRasAlarm).size() +
-        log.find_all(rnr::RecordType::kDetectorAlarm).size();
-
-    // No recording stage here, so there is nothing to arm — but the
-    // shipped log may carry kDetectorAlarm records, and the configured
-    // detector set supplies their classifiers.
-    install_detectors(&result);
-
-    // Checkpointing replay over the recovered prefix. The CR stops at the
-    // corruption boundary (the log simply ends there) instead of the
-    // whole pipeline aborting.
-    result.cr_vm = factory_();
-    result.cr = std::make_unique<replay::CheckpointReplayer>(
-        result.cr_vm.get(), &log, config_.cr);
-    {
-        obs::ScopedSpan span("cr.run", "cr");
-        result.cr_outcome = result.cr->run();
-    }
-    result.underflows_resolved = result.cr->underflows_resolved();
-    result.replay_lag = result.cr->lag();
-
-    // Alarm replays, scheduled per the configured pipeline mode.
-    std::vector<AlarmReplayResult> ar_results;
-    if (config_.pipeline == PipelineMode::kSerial) {
-        const ArStage ar_stage(factory_, config_.cr.replay,
-                               active_detectors_);
-        ar_results.reserve(result.cr->pending_alarms().size());
-        for (const auto& pending : result.cr->pending_alarms())
-            ar_results.push_back(
-                ar_stage.analyze(pending, &log, &result.pipeline_stats));
-    } else {
-        ar_results = run_alarm_pool(result.cr->pending_alarms(), &log,
-                                    &result.pipeline_stats);
-    }
-    finalize_result(&result, std::move(ar_results));
+    // record prefix plus a forensic report of what was lost. The CR then
+    // stops at the corruption boundary (the log simply ends there)
+    // instead of the whole pipeline aborting.
+    auto log = std::make_shared<rnr::InputLog>();
+    const rnr::wire::LoadReport report =
+        rnr::InputLog::deserialize_tolerant(bytes, log.get());
+    FrameworkResult result = run_tenant(std::move(log));
+    result.log_integrity = report;
 
     if (!result.log_integrity.intact()) {
         // Surface the damage as a first-class alarm: replay verdicts
@@ -425,75 +83,6 @@ RnrSafeFramework::replay_wire(const std::vector<std::uint8_t>& bytes)
         result.alarms.add(std::move(integrity));
         result.pipeline_stats.counter("log.integrity_failures").inc();
     }
-    return result;
-}
-
-FrameworkResult
-RnrSafeFramework::run_serial()
-{
-    FrameworkResult result;
-    auto& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.attach_thread("pipeline");
-    obs::ScopedSpan pipeline_span("pipeline.serial", "pipeline");
-
-    // 1+2. The session stage: monitored recording, then checkpointing
-    // replay, back to back on this thread.
-    SessionStage stage(factory_, session_options(/*streamed=*/false),
-                       config_.detectors);
-    HealthPlane plane;
-    plane.begin(config_, &stage);
-    live_probe_ = plane.on ? &plane.probe : nullptr;
-    const SessionResult session = stage.run();
-    adopt_session(&result, &stage, session);
-
-    // 3. Alarm replays, one per unresolved alarm, in alarm order.
-    const rnr::InputLog& log = result.recorder->log();
-    const ArStage ar_stage(factory_, config_.cr.replay, active_detectors_);
-    std::vector<AlarmReplayResult> ar_results;
-    ar_results.reserve(result.cr->pending_alarms().size());
-    for (const auto& pending : result.cr->pending_alarms()) {
-        ar_results.push_back(
-            ar_stage.analyze(pending, &log, &result.pipeline_stats));
-        if (live_probe_ != nullptr)
-            live_probe_->note_verdict(
-                ar_results.back().analysis.analysis_cycles);
-    }
-    finalize_result(&result, std::move(ar_results));
-    plane.finish(&result);
-    live_probe_ = nullptr;
-    return result;
-}
-
-FrameworkResult
-RnrSafeFramework::run_concurrent()
-{
-    FrameworkResult result;
-    auto& tracer = obs::Tracer::instance();
-    if (tracer.enabled())
-        tracer.attach_thread("pipeline");
-    obs::ScopedSpan pipeline_span("pipeline.concurrent", "pipeline");
-
-    // 1+2 concurrently: the recorder streams the log through the bounded
-    // channel; the CR consumes it on the fly (Figure 1's arrow is a live
-    // queue, not a file handed over after the fact).
-    SessionStage stage(factory_, session_options(/*streamed=*/true),
-                       config_.detectors);
-    HealthPlane plane;
-    plane.begin(config_, &stage);
-    live_probe_ = plane.on ? &plane.probe : nullptr;
-    const SessionResult session = stage.run();
-    adopt_session(&result, &stage, session);
-
-    // 3. Alarm replays across the worker pool. Each AR is independent
-    // given its originating checkpoint; results merge in alarm order.
-    const rnr::InputLog& log = result.recorder->log();
-    obs::ScopedSpan ar_span("ar.pool", "ar");
-    auto ar_results = run_alarm_pool(result.cr->pending_alarms(), &log,
-                                     &result.pipeline_stats);
-    finalize_result(&result, std::move(ar_results));
-    plane.finish(&result);
-    live_probe_ = nullptr;
     return result;
 }
 

@@ -35,24 +35,28 @@
  *     kernel-only tracing), the AR is re-run at the deeper analysis
  *     level, exactly as Section 4.6.2 envisions.
  *
- * Two pipeline shapes (FrameworkConfig::pipeline):
+ * Every call runs the stages as a ReplayFleet of one tenant named
+ * "pipeline" (fleet/fleet.h), so the single pipeline and the fleet share
+ * one alarm scheduler, one health-plane wiring and one result fold. Two
+ * pipeline shapes (FrameworkConfig::pipeline):
  *
- *  - kSerial runs the three stages back to back — simple, and the
+ *  - kSerial records, then replays the finished log, while one pool
+ *    worker replays the alarms in the order the CR queues them — the
  *    reference for determinism A/B testing;
  *  - kConcurrent is the paper's actual deployment shape: the recorder
  *    streams the log through a bounded LogChannel to the CR, which runs
  *    on its own thread *while recording is still in progress* (replay
  *    lag, not a post-hoc batch pass, bounds detection latency), and the
- *    pending alarms then fan out across a small worker pool of alarm
- *    replayers. Results are merged back in alarm order, so both shapes
+ *    pending alarms fan out across ar_workers pool workers as the CR
+ *    queues them. Results are merged back in alarm order, so both shapes
  *    produce bit-identical outcomes.
  *
  * The caller supplies a VmFactory that builds identically-configured VMs
  * (same images, tasks, and device seeds); the recorded VM, the CR VM, and
- * each AR VM are separate instances of it. In the concurrent pipeline the
- * factory is invoked from worker threads and must therefore be
- * thread-safe (the workloads::vm_factory() factories are: each call
- * derives everything from per-call seeded state).
+ * each AR VM are separate instances of it. The factory is invoked from
+ * session and pool threads and must therefore be thread-safe (the
+ * workloads::vm_factory() factories are: each call derives everything
+ * from per-call seeded state).
  */
 
 namespace rsafe::core {
@@ -62,7 +66,7 @@ namespace rsafe::core {
 
 /** Stage scheduling of the pipeline. */
 enum class PipelineMode {
-    kSerial,      ///< record, then replay, then analyze — one thread
+    kSerial,      ///< record, then replay; one alarm-replay worker
     kConcurrent,  ///< stream record->CR, fan alarm replays onto workers
 };
 
@@ -74,7 +78,10 @@ struct FrameworkConfig {
     InstrCount max_instructions = ~static_cast<InstrCount>(0);
     /** Stage scheduling (see PipelineMode). */
     PipelineMode pipeline = PipelineMode::kSerial;
-    /** Alarm-replayer worker threads (concurrent pipeline only). */
+    /**
+     * Width of the alarm-replay worker pool in the concurrent pipeline
+     * (0 counts as 1); the serial pipeline always uses one worker.
+     */
     std::size_t ar_workers = 2;
     /** Recorder->CR streaming channel shape (concurrent pipeline only). */
     rnr::ChannelOptions channel;
@@ -88,10 +95,10 @@ struct FrameworkConfig {
      */
     std::shared_ptr<DetectorSet> detectors;
     /**
-     * The live health plane for a solo run (off by default): one
-     * monitored tenant named "pipeline", same monitor / flight recorder
-     * / telemetry endpoint the fleet wires per tenant. Passive — the
-     * A/B gates hold with it on or off.
+     * The live health plane for a solo run (off by default): the
+     * fleet's monitor / flight recorder / telemetry endpoint watching
+     * the one tenant named "pipeline". Passive — the A/B gates hold
+     * with it on or off.
      */
     obs::HealthOptions health;
     obs::TelemetryOptions telemetry;
@@ -120,8 +127,8 @@ struct FrameworkResult {
     /** Recorder->CR channel traffic (concurrent pipeline only). */
     rnr::ChannelStats channel_stats;
 
-    /** Pipeline-wide counters, merged from per-component (and, in the
-     *  concurrent pipeline, per-worker) registries after join. */
+    /** Pipeline-wide counters, merged from per-component and per-alarm
+     *  registries after join. */
     stats::StatRegistry pipeline_stats;
 
     /**
@@ -145,7 +152,7 @@ struct FrameworkResult {
     std::unique_ptr<replay::CheckpointReplayer> cr;
 
     /** The deserialized shipped log (replay_wire() runs only). */
-    std::unique_ptr<rnr::InputLog> shipped_log;
+    std::shared_ptr<const rnr::InputLog> shipped_log;
 
     /** Health-plane outputs (empty when the plane was off). @{ */
     std::string healthz;
@@ -154,24 +161,13 @@ struct FrameworkResult {
     /** @} */
 };
 
-/**
- * Fold @p ar_results plus the component counters into @p result: alarm
- * verdicts land in alarm order, pipeline counters cover only values that
- * are bit-identical across pipeline shapes (the determinism A/B gates
- * compare the whole snapshot), and scheduling-dependent series (replay
- * lag, TB telemetry) ride in gauges/histograms, which snapshot()
- * excludes. Shared by the single framework and the replay fleet, so both
- * produce comparable results by construction.
- */
-void finalize_result(FrameworkResult* result,
-                     std::vector<AlarmReplayResult> ar_results);
-
-/** The RnR-Safe pipeline. */
+/** The RnR-Safe pipeline: a facade over a one-tenant ReplayFleet. */
 class RnrSafeFramework {
   public:
     RnrSafeFramework(VmFactory factory, FrameworkConfig config);
 
-    /** Run record -> checkpointing replay -> alarm replays. */
+    /** Run record -> checkpointing replay -> alarm replays. Each call
+     *  builds its VMs afresh, so repeated calls return identical results. */
     FrameworkResult run();
 
     /**
@@ -186,39 +182,12 @@ class RnrSafeFramework {
     FrameworkResult replay_wire(const std::vector<std::uint8_t>& bytes);
 
   private:
-    FrameworkResult run_serial();
-    FrameworkResult run_concurrent();
-
-    /** Build the session-stage half of config_ (streamed or not). */
-    SessionOptions session_options(bool streamed) const;
-
-    /** Move the stage's components + outputs into @p result. */
-    void adopt_session(FrameworkResult* result, SessionStage* stage,
-                       const SessionResult& session);
-
-    /** Fan pending alarms across workers; results land in alarm order. */
-    std::vector<AlarmReplayResult> run_alarm_pool(
-        const std::vector<replay::PendingAlarm>& pending,
-        const rnr::InputLog* log, stats::StatRegistry* stats_out);
-
-    /**
-     * Resolve the kill-switch: record the configured detector set in
-     * @p result and set active_detectors_ for the alarm-replay stage
-     * (replay_wire has no recording stage to arm, SessionStage arms the
-     * run() paths itself).
-     */
-    void install_detectors(FrameworkResult* result);
+    /** Run a fresh one-tenant fleet that records live, or replays @p log
+     *  when it is set, and return that tenant's result. */
+    FrameworkResult run_tenant(std::shared_ptr<const rnr::InputLog> log);
 
     VmFactory factory_;
     FrameworkConfig config_;
-
-    /** The in-effect detector set for the current run (kill-switch
-     *  applied); read-only while the AR worker pool executes. */
-    const DetectorSet* active_detectors_ = nullptr;
-
-    /** Live probe of the current run's health plane (null when off);
-     *  AR workers publish verdict completions through it. */
-    obs::HealthProbe* live_probe_ = nullptr;
 };
 
 }  // namespace rsafe::core

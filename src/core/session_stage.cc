@@ -11,6 +11,20 @@
 
 namespace rsafe::core {
 
+namespace {
+
+/** @p set unless it is empty or the RSAFE_NO_DETECTORS kill-switch (the
+ *  RAS-only baseline) is set. */
+const DetectorSet*
+in_effect(const std::shared_ptr<DetectorSet>& set)
+{
+    if (!set || set->empty() || std::getenv("RSAFE_NO_DETECTORS") != nullptr)
+        return nullptr;
+    return set.get();
+}
+
+}  // namespace
+
 SessionStage::SessionStage(VmFactory factory, SessionOptions options,
                            std::shared_ptr<DetectorSet> detectors)
     : factory_(std::move(factory)), options_(std::move(options)),
@@ -23,10 +37,9 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
     recorder_ = std::make_unique<rnr::Recorder>(recorded_vm_.get(),
                                                 options_.recorder);
 
-    if (detectors_ && !detectors_->empty() &&
-        std::getenv("RSAFE_NO_DETECTORS") == nullptr) {
-        active_detectors_ = detectors_.get();
-        for (const auto& detector : detectors_->all())
+    active_detectors_ = in_effect(detectors_);
+    if (active_detectors_ != nullptr) {
+        for (const auto& detector : active_detectors_->all())
             detector->arm(*recorded_vm_);
         recorder_->set_detectors(active_detectors_);
         detectors_armed_ = true;
@@ -42,6 +55,21 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
     }
     // Sequential shape: the CR is built by run() once recording is done,
     // so its source sees the finished log (lag = distance to the end).
+}
+
+SessionStage::SessionStage(VmFactory factory, SessionOptions options,
+                           std::shared_ptr<DetectorSet> detectors,
+                           std::shared_ptr<const rnr::InputLog> log)
+    : factory_(std::move(factory)), options_(std::move(options)),
+      detectors_(std::move(detectors)), shipped_log_(std::move(log))
+{
+    if (!factory_)
+        fatal("SessionStage: null VM factory");
+    if (!shipped_log_)
+        fatal("SessionStage: null shipped log");
+    // The log is complete already: nothing to stream, nothing to arm.
+    options_.streamed = false;
+    active_detectors_ = in_effect(detectors_);
 }
 
 void
@@ -102,7 +130,8 @@ SessionStage::request_stop()
 {
     std::lock_guard<std::mutex> lock(stop_mu_);
     stop_flag_ = true;
-    recorder_->request_stop();
+    if (recorder_)
+        recorder_->request_stop();
     if (cr_)
         cr_->request_stop();
 }
@@ -131,14 +160,14 @@ SessionStage::run_sequential()
 {
     SessionResult result;
 
-    // 1. Monitored recording.
-    {
+    // 1. Monitored recording (a replay-only session has its log already).
+    if (recorder_) {
         obs::ScopedSpan span("record.run", "record");
         result.record_result = recorder_->run(options_.max_instructions);
     }
     disarm_detectors();
 
-    const rnr::InputLog& log = recorder_->log();
+    const rnr::InputLog& log = recorder_ ? recorder_->log() : *shipped_log_;
     result.alarms_logged =
         log.find_all(rnr::RecordType::kRasAlarm).size() +
         log.find_all(rnr::RecordType::kDetectorAlarm).size();

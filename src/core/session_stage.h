@@ -29,8 +29,13 @@
  * as the CR reaches it, packaged with an owned copy of the log records
  * between the originating checkpoint and the alarm — a self-contained
  * job any alarm-replay worker can execute without touching this
- * session's log. RnrSafeFramework runs one stage and feeds its own AR
- * pool; ReplayFleet runs N stages over one shared work-stealing pool.
+ * session's log. ReplayFleet runs N stages over one shared work-stealing
+ * pool; RnrSafeFramework is a fleet of one.
+ *
+ * A stage built over a shipped log (the second constructor) has no
+ * recorded VM and no recorder: run() replays that log through the
+ * sequential CR, which is the replay-machine half of Figure 1 for a log
+ * that arrived over the wire.
  */
 
 namespace rsafe::core {
@@ -50,7 +55,7 @@ struct SessionOptions {
     /**
      * Tenant name used to prefix this session's trace-track names
      * ("<name>.recorder", "<name>.cr"). Empty keeps the bare stage names
-     * the single-framework pipeline has always used.
+     * ("recorder", "cr").
      */
     std::string name;
 };
@@ -90,13 +95,24 @@ class SessionStage {
                  std::shared_ptr<DetectorSet> detectors);
 
     /**
+     * A replay-only session over @p log (not null): nothing is recorded
+     * or armed, and run() drives the sequential CR over the log whatever
+     * options.streamed says. @p detectors still supplies the classifiers
+     * for the log's kDetectorAlarm records, kill-switch applied.
+     */
+    SessionStage(VmFactory factory, SessionOptions options,
+                 std::shared_ptr<DetectorSet> detectors,
+                 std::shared_ptr<const rnr::InputLog> log);
+
+    /**
      * Install the alarm sink, fired on the CR's thread for every alarm
      * the CR queues, mid-replay. Must be called before run().
      */
     using AlarmSink = std::function<void(const AlarmJob&)>;
     void set_alarm_sink(AlarmSink sink) { sink_ = std::move(sink); }
 
-    /** Record + checkpointing-replay this session (blocking). */
+    /** Record (unless replaying a shipped log) + checkpointing-replay
+     *  this session (blocking). */
     SessionResult run();
 
     /**
@@ -165,6 +181,8 @@ class SessionStage {
     std::mutex stop_mu_;
     bool stop_flag_ = false;
 
+    /** The shipped log a replay-only session runs over (else null). */
+    std::shared_ptr<const rnr::InputLog> shipped_log_;
     std::unique_ptr<hv::Vm> recorded_vm_;
     std::unique_ptr<rnr::Recorder> recorder_;
     std::unique_ptr<rnr::LogChannel> channel_;

@@ -1,6 +1,5 @@
 #include "fleet/fleet.h"
 
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -9,12 +8,139 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "cpu/tb_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "replay/ckpt_store/ckpt_image.h"
 #include "rnr/log_source.h"
 
 namespace rsafe::fleet {
+
+namespace {
+
+/**
+ * Fold @p ar_results plus the component counters into @p result: alarm
+ * verdicts land in alarm order, pipeline counters cover only values that
+ * are bit-identical across pipeline shapes (the determinism A/B gates
+ * compare the whole snapshot), and scheduling-dependent series (replay
+ * lag, TB telemetry) ride in gauges/histograms, which snapshot()
+ * excludes.
+ */
+void
+finalize_result(core::FrameworkResult* result,
+                std::vector<core::AlarmReplayResult> ar_results)
+{
+    // Fold AR outputs back in alarm order: identical between the serial
+    // pipeline and any worker-pool schedule.
+    for (auto& ar : ar_results) {
+        result->alarm_replays += ar.deep_rerun ? 2 : 1;
+        result->alarms.add(ar.analysis);
+    }
+    result->ar_results = std::move(ar_results);
+
+    // Pipeline-wide counters. Only values that are bit-identical across
+    // pipeline modes belong here (the determinism A/B test compares the
+    // whole snapshot); lag and channel traffic stay in their own fields.
+    // Replay-only runs (replay_wire) have no recording stage.
+    auto& stats = result->pipeline_stats;
+    if (result->recorded_vm && result->recorder) {
+        stats.counter("record.instructions")
+            .inc(result->recorded_vm->cpu().icount());
+        stats.counter("record.log_records")
+            .inc(result->recorder->log().size());
+        stats.counter("record.log_bytes")
+            .inc(result->recorder->log().total_bytes());
+    }
+    stats.counter("record.alarms_logged").inc(result->alarms_logged);
+
+    // Per-detector hardware-alarm counts, scanned from whichever log this
+    // run replayed. Counts are a pure function of the log, so they stay
+    // bit-identical across pipeline modes.
+    const rnr::InputLog* scan_log = nullptr;
+    if (result->recorder)
+        scan_log = &result->recorder->log();
+    else if (result->shipped_log)
+        scan_log = result->shipped_log.get();
+    if (result->detectors && scan_log != nullptr) {
+        for (const std::size_t index :
+             scan_log->find_all(rnr::RecordType::kDetectorAlarm)) {
+            const auto id =
+                static_cast<core::DetectorId>(scan_log->at(index).value);
+            const core::Detector* detector = result->detectors->find(id);
+            const char* name = detector != nullptr ? detector->name()
+                                                   : "unknown";
+            stats.counter(std::string("detector.") + name + ".alarms")
+                .inc();
+        }
+    }
+    stats.counter("cr.instructions").inc(result->cr_vm->cpu().icount());
+    stats.counter("cr.checkpoints").inc(result->cr->checkpoints_taken());
+    stats.counter("cr.underflows_resolved").inc(result->underflows_resolved);
+    stats.counter("cr.single_steps").inc(result->cr->single_steps());
+
+    // The lag time series rides in a gauge: gauges (like histograms) are
+    // excluded from snapshot(), so the scheduling-dependent series never
+    // perturbs the bit-for-bit pipeline determinism comparison.
+    auto& lag_gauge = stats.gauge("cr.replay_lag");
+    for (const auto& sample : result->replay_lag.series())
+        lag_gauge.set(sample.icount, sample.lag);
+
+    // Translation-block engine telemetry, per pipeline stage. These also
+    // ride in gauges/histograms: an RSAFE_NO_TB A/B run must produce an
+    // identical counter snapshot, and TB event counts are zero with the
+    // engine disabled.
+    const auto export_tb = [&stats](const std::string& prefix,
+                                    const cpu::Cpu& cpu) {
+        const cpu::TbEngine& tb = cpu.tb_engine();
+        const cpu::TbEngineStats& s = tb.stats();
+        stats.gauge(prefix + ".translated").set(0, s.translated);
+        stats.gauge(prefix + ".chain_hits").set(0, s.chain_hits);
+        stats.gauge(prefix + ".chain_misses").set(0, s.chain_misses);
+        stats.gauge(prefix + ".invalidations").set(0, s.invalidations);
+        stats.gauge(prefix + ".flushes").set(0, s.flushes);
+        stats.gauge(prefix + ".exec_blocks").set(0, s.exec_blocks);
+        auto& hist = stats.histogram(prefix + ".block_len",
+                                     cpu::TbEngine::kMaxBlockInstrs, 16);
+        if (const Status st = hist.merge(tb.block_length_hist()); !st.ok())
+            fatal("tb block-length histogram geometry mismatch");
+    };
+    if (result->recorded_vm)
+        export_tb("record.tb", result->recorded_vm->cpu());
+    export_tb("cr.tb", result->cr_vm->cpu());
+
+    // Checkpoint-storage telemetry. Gauges again: stored bytes and
+    // compressed-page counts flip with RSAFE_NO_CKPT_COMPRESS (and dedup
+    // config), and the kill-switch A/B gate compares counter snapshots.
+    {
+        const replay::CheckpointStoreStats cs =
+            result->cr->checkpoints().stats();
+        stats.gauge("ckpt.bytes_raw").set(0, cs.bytes_raw);
+        stats.gauge("ckpt.bytes_stored").set(0, cs.bytes_stored);
+        stats.gauge("ckpt.dedup_hits").set(0, cs.dedup_hits);
+        stats.gauge("ckpt.compressed_pages").set(0, cs.compressed_pages);
+        stats.gauge("ckpt.live_bytes").set(0, cs.live_bytes);
+        stats.gauge("ckpt.live_pages").set(0, cs.live_pages);
+        stats.gauge("ckpt.budget_evictions").set(0, cs.budget_evictions);
+        stats.gauge("ckpt.count_evictions").set(0, cs.count_evictions);
+    }
+    if (const replay::ckpt::CkptWriteback* wb = result->cr->writeback()) {
+        // Writeback traffic is scheduling noise by construction (a
+        // background thread racing the CR), so it could never be a
+        // counter. lag() is the headline gauge: sealed checkpoints not
+        // yet serialized + delivered.
+        const replay::ckpt::WritebackStats ws = wb->stats();
+        stats.gauge("ckpt.writeback_lag").set(0, wb->lag());
+        stats.gauge("ckpt.writeback_submitted").set(0, ws.submitted);
+        stats.gauge("ckpt.writeback_written").set(0, ws.written);
+        stats.gauge("ckpt.writeback_bytes").set(0, ws.bytes_written);
+        stats.gauge("ckpt.writeback_dropped").set(0, ws.dropped);
+        stats.gauge("ckpt.writeback_producer_waits")
+            .set(0, ws.producer_waits);
+        stats.gauge("ckpt.writeback_max_queued").set(0, ws.max_queued);
+    }
+}
+
+}  // namespace
 
 /**
  * Everything one tenant needs while its session runs and its alarm jobs
@@ -23,6 +149,7 @@ namespace rsafe::fleet {
  */
 struct ReplayFleet::TenantState {
     std::string name;
+    const FleetTenant* tenant = nullptr;
     std::size_t pool_id = 0;
     std::unique_ptr<core::SessionStage> stage;
     std::unique_ptr<core::ArStage> ar;
@@ -37,6 +164,8 @@ struct ReplayFleet::TenantState {
     std::size_t submitted = 0;
     std::vector<core::AlarmReplayResult> results;
     std::vector<char> done;
+    /** The first alarm job that threw; run() rethrows it. */
+    std::exception_ptr job_error;
     /** Ship-mode volume (under mu; workers ship concurrently). */
     std::size_t jobs_shipped = 0;
     std::uint64_t bytes_shipped = 0;
@@ -67,17 +196,6 @@ ReplayFleet::ReplayFleet(std::vector<FleetTenant> tenants,
     }
 }
 
-FleetResult
-ReplayFleet::run()
-{
-    if (ran_)
-        fatal("ReplayFleet: run() called twice");
-    ran_ = true;
-    if (std::getenv("RSAFE_NO_FLEET") != nullptr)
-        return run_fallback();
-    return run_fleet();
-}
-
 void
 ReplayFleet::shutdown(ShutdownMode mode)
 {
@@ -95,8 +213,11 @@ ReplayFleet::shutdown(ShutdownMode mode)
 }
 
 FleetResult
-ReplayFleet::run_fleet()
+ReplayFleet::run()
 {
+    if (ran_)
+        fatal("ReplayFleet: run() called twice");
+    ran_ = true;
     FleetResult out;
 
     // The health plane. Declaration order is lifetime order in reverse:
@@ -104,8 +225,6 @@ ReplayFleet::run_fleet()
     // it), the monitor and the endpoint follow it (their samplers and
     // providers read the pool and the stages, so they must be torn down
     // first).
-    const bool health_on = options_.health.enabled &&
-                           std::getenv("RSAFE_NO_HEALTH") == nullptr;
     obs::FlightRecorder flight;
 
     // States must outlive the pool (job closures hold raw TenantState
@@ -119,10 +238,12 @@ ReplayFleet::run_fleet()
     WorkStealingPool pool(pool_options);
 
     obs::HealthMonitor monitor(options_.health);
+    const bool health_on = monitor.live();
 
     for (const FleetTenant& tenant : tenants_) {
         auto state = std::make_unique<TenantState>();
         state->name = tenant.name;
+        state->tenant = &tenant;
         state->pool_id = pool.register_tenant(tenant.name);
 
         core::SessionOptions session;
@@ -133,8 +254,13 @@ ReplayFleet::run_fleet()
         session.streamed =
             tenant.config.pipeline == core::PipelineMode::kConcurrent;
         session.name = tenant.name;
-        state->stage = std::make_unique<core::SessionStage>(
-            tenant.factory, std::move(session), tenant.config.detectors);
+        state->stage =
+            tenant.log ? std::make_unique<core::SessionStage>(
+                             tenant.factory, std::move(session),
+                             tenant.config.detectors, tenant.log)
+                       : std::make_unique<core::SessionStage>(
+                             tenant.factory, std::move(session),
+                             tenant.config.detectors);
         state->ar = std::make_unique<core::ArStage>(
             tenant.factory, tenant.config.cr.replay,
             state->stage->active_detectors());
@@ -170,20 +296,29 @@ ReplayFleet::run_fleet()
                         ck ? ck->log_pos : owned->pending.log_index,
                         std::move(owned->slice));
                     core::AlarmReplayResult result;
-                    if (ship && ck) {
-                        // Ship mode: the worker sees exactly what a
-                        // remote AR tier would — the serialized image,
-                        // not the live object graph.
-                        const std::vector<std::uint8_t> image =
-                            replay::ckpt::serialize_checkpoint(*ck);
-                        result = raw->ar->analyze_image(
-                            owned->pending, image, &source, &local);
+                    try {
+                        if (ship && ck) {
+                            // Ship mode: the worker sees exactly what a
+                            // remote AR tier would — the serialized
+                            // image, not the live object graph.
+                            const std::vector<std::uint8_t> image =
+                                replay::ckpt::serialize_checkpoint(*ck);
+                            result = raw->ar->analyze_image(
+                                owned->pending, image, &source, &local);
+                            std::lock_guard<std::mutex> lock(raw->mu);
+                            ++raw->jobs_shipped;
+                            raw->bytes_shipped += image.size();
+                        } else {
+                            result = raw->ar->analyze(owned->pending,
+                                                      &source, &local);
+                        }
+                    } catch (...) {
+                        // The slot stays not-done; run() rethrows once
+                        // the pool has drained.
                         std::lock_guard<std::mutex> lock(raw->mu);
-                        ++raw->jobs_shipped;
-                        raw->bytes_shipped += image.size();
-                    } else {
-                        result = raw->ar->analyze(owned->pending, &source,
-                                                  &local);
+                        if (!raw->job_error)
+                            raw->job_error = std::current_exception();
+                        return;
                     }
                     if (flight_ptr != nullptr) {
                         raw->probe.note_verdict(
@@ -287,24 +422,25 @@ ReplayFleet::run_fleet()
                 state->stage->request_stop();
     }
 
-    // One thread per tenant session; streamed tenants spawn their
-    // recorder/CR pair inside SessionStage::run().
-    std::vector<std::thread> sessions;
-    sessions.reserve(states.size());
-    for (auto& state : states) {
-        TenantState* raw = state.get();
-        sessions.emplace_back([raw] {
-            try {
-                if (obs::Tracer::instance().enabled()) {
-                    const std::string track = raw->name + ".session";
-                    obs::Tracer::instance().attach_thread(track.c_str());
-                }
-                raw->session = raw->stage->run();
-            } catch (...) {
-                raw->error = std::current_exception();
+    // One thread per tenant session except the last, which runs on this
+    // thread (a fleet of one spawns no session thread at all); streamed
+    // tenants spawn their recorder/CR pair inside SessionStage::run().
+    const auto run_session = [](TenantState* raw) {
+        try {
+            if (obs::Tracer::instance().enabled()) {
+                const std::string track = raw->name + ".session";
+                obs::Tracer::instance().attach_thread(track.c_str());
             }
-        });
-    }
+            raw->session = raw->stage->run();
+        } catch (...) {
+            raw->error = std::current_exception();
+        }
+    };
+    std::vector<std::thread> sessions;
+    sessions.reserve(states.size() - 1);
+    for (std::size_t i = 0; i + 1 < states.size(); ++i)
+        sessions.emplace_back(run_session, states[i].get());
+    run_session(states.back().get());
     for (auto& session : sessions)
         session.join();
 
@@ -354,18 +490,21 @@ ReplayFleet::run_fleet()
     }
     telemetry.stop();
 
-    for (auto& state : states)
+    for (auto& state : states) {
         if (state->error) {
             pool.abandon();
             std::rethrow_exception(state->error);
         }
+        if (state->job_error)
+            std::rethrow_exception(state->job_error);
+    }
 
     for (auto& state : states) {
         TenantRunResult tenant;
         tenant.name = state->name;
         core::FrameworkResult& fr = tenant.result;
 
-        // Adopt the session outputs exactly as the framework does.
+        // Adopt the session's outputs and components.
         fr.record_result = state->session.record_result;
         fr.cr_outcome = state->session.cr_outcome;
         fr.alarms_logged = state->session.alarms_logged;
@@ -373,7 +512,8 @@ ReplayFleet::run_fleet()
         fr.underflows_resolved = state->stage->cr()->underflows_resolved();
         fr.replay_lag = state->stage->cr()->lag();
         if (state->stage->active_detectors() != nullptr)
-            fr.detectors = config_for(state->name).detectors;
+            fr.detectors = state->tenant->config.detectors;
+        fr.shipped_log = state->tenant->log;
         fr.recorded_vm = state->stage->release_recorded_vm();
         fr.recorder = state->stage->release_recorder();
         fr.cr_vm = state->stage->release_cr_vm();
@@ -395,7 +535,7 @@ ReplayFleet::run_fleet()
             tenant.bytes_shipped = state->bytes_shipped;
             fr.pipeline_stats.merge(state->ar_stats);
         }
-        core::finalize_result(&fr, std::move(ar_results));
+        finalize_result(&fr, std::move(ar_results));
         tenant.partial =
             state->session.stopped || tenant.jobs_dropped > 0;
         out.tenants.push_back(std::move(tenant));
@@ -410,34 +550,6 @@ ReplayFleet::run_fleet()
         out.telemetry_port = telemetry.port();
     }
     return out;
-}
-
-FleetResult
-ReplayFleet::run_fallback()
-{
-    // RSAFE_NO_FLEET: the pre-fleet world, one private framework per
-    // tenant, run sequentially. The A/B gate — a fleet of one tenant
-    // must equal this path bit for bit — keeps the fleet honest.
-    FleetResult out;
-    out.used_fallback = true;
-    for (const FleetTenant& tenant : tenants_) {
-        core::RnrSafeFramework framework(tenant.factory, tenant.config);
-        TenantRunResult result;
-        result.name = tenant.name;
-        result.result = framework.run();
-        out.tenants.push_back(std::move(result));
-    }
-    collect_metrics(&out);
-    return out;
-}
-
-const core::FrameworkConfig&
-ReplayFleet::config_for(const std::string& name) const
-{
-    for (const FleetTenant& tenant : tenants_)
-        if (tenant.name == name)
-            return tenant.config;
-    panic("ReplayFleet: unknown tenant '" + name + "'");
 }
 
 void

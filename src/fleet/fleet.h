@@ -17,24 +17,22 @@
  * @file
  * ReplayFleet: N concurrent guest sessions over one shared AR pool.
  *
- * The single RnrSafeFramework spins up a private alarm-replay worker pool
- * per run; deploy six monitored guests that way and the host runs six
- * pools' worth of threads, most of them idle. The fleet inverts that:
- * each tenant is a SessionStage (recorder + checkpointing replayer on
- * its own threads) that *submits* self-contained alarm-replay jobs — a
- * PendingAlarm plus an owned [checkpoint, alarm] log slice — to one
- * WorkStealingPool sized once for the whole machine. Fair-share
- * admission keeps an alarm storm in one tenant from starving the rest;
- * work stealing keeps the workers busy when alarms arrive unevenly.
+ * Deploy six monitored guests as six private pipelines and the host runs
+ * six alarm-replay pools' worth of threads, most of them idle. The fleet
+ * inverts that: each tenant is a SessionStage (recorder + checkpointing
+ * replayer on its own threads) that *submits* self-contained
+ * alarm-replay jobs — a PendingAlarm plus an owned [checkpoint, alarm]
+ * log slice — to one WorkStealingPool sized once for the whole machine.
+ * Fair-share admission keeps an alarm storm in one tenant from starving
+ * the rest; work stealing keeps the workers busy when alarms arrive
+ * unevenly. RnrSafeFramework is this fleet with one tenant.
  *
  * Determinism is preserved per tenant: jobs execute in any order on any
  * worker, but results are slotted by submission sequence (= alarm order,
  * the CR queues alarms in log order), per-job stat registries merge
- * commutatively, and finalize_result() is the same fold the framework
- * uses — so a fleet tenant's verdicts, counters, and state digests are
+ * commutatively, and every tenant's result goes through the same fold —
+ * so a fleet tenant's verdicts, counters, and state digests are
  * bit-identical to the same workload run through RnrSafeFramework alone.
- * The RSAFE_NO_FLEET environment kill-switch makes run() literally do
- * that: each tenant runs through a private framework, sequentially.
  *
  * Shutdown is two-mode (shutdown(), callable from any thread):
  * kDrain stops the sessions but lets every submitted alarm job finish;
@@ -55,6 +53,12 @@ struct FleetTenant {
      * shared between tenants (each is armed on its tenant's VM).
      */
     core::FrameworkConfig config;
+    /**
+     * A shipped log to replay instead of recording (null = record live).
+     * The session then runs the sequential CR over it, and the tenant's
+     * result carries it as FrameworkResult::shipped_log.
+     */
+    std::shared_ptr<const rnr::InputLog> log = nullptr;
 };
 
 /** Fleet-wide knobs. */
@@ -115,7 +119,7 @@ struct TenantRunResult {
 /** Everything a fleet run produced. */
 struct FleetResult {
     std::vector<TenantRunResult> tenants;
-    /** Shared-pool scheduling counters (zero in fallback mode). */
+    /** Shared-pool scheduling counters. */
     PoolStats pool;
     std::vector<TenantPoolStats> tenant_pool;
     /**
@@ -125,9 +129,6 @@ struct FleetResult {
      * Feed it to obs::MetricsExporter for JSON/Prometheus.
      */
     stats::StatRegistry metrics;
-    /** True if RSAFE_NO_FLEET routed this run through per-tenant
-     *  frameworks instead of the shared pool. */
-    bool used_fallback = false;
 
     /** Health-plane outputs (empty when the plane was off). @{ */
     std::string healthz;  ///< final /healthz JSON document
@@ -142,8 +143,9 @@ class ReplayFleet {
   public:
     ReplayFleet(std::vector<FleetTenant> tenants, FleetOptions options = {});
 
-    /** Run every tenant to completion (or until shutdown()). Blocking;
-     *  call at most once. */
+    /** Run every tenant to completion (or until shutdown()). Blocking
+     *  (the last tenant's session runs on the calling thread); call at
+     *  most once. */
     FleetResult run();
 
     /**
@@ -155,12 +157,6 @@ class ReplayFleet {
 
   private:
     struct TenantState;
-
-    FleetResult run_fleet();
-    FleetResult run_fallback();
-
-    /** The configuration of the tenant named @p name. */
-    const core::FrameworkConfig& config_for(const std::string& name) const;
 
     /** Fold per-tenant registries + pool stats into result->metrics. */
     static void collect_metrics(FleetResult* result);

@@ -15,7 +15,7 @@
  * The fleet's shared alarm-replay worker pool.
  *
  * One pool serves every tenant of a ReplayFleet, sized once (default:
- * hardware_concurrency) instead of per-framework — N tenants no longer
+ * hardware_concurrency) instead of per pipeline — N tenants no longer
  * mean N private pools oversubscribing the host. Scheduling is two
  * layers:
  *

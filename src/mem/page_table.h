@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "mem/cow_store.h"
 
 /**
  * @file
@@ -23,9 +22,8 @@
  * copying). An incremental checkpoint therefore costs
  * O(chunks + dirty pages) pointer work instead of O(all pages).
  *
- * The table is templated on the reference type: checkpoints hold
- * deduplicated, possibly-compressed pages (replay::ckpt::StoredPageRef)
- * while other users keep the raw PageRef shape.
+ * The table is templated on the reference type; checkpoints hold
+ * deduplicated, possibly-compressed pages (replay::ckpt::StoredPageRef).
  */
 
 namespace rsafe::mem {
@@ -86,9 +84,6 @@ class BasicPageTable {
     std::vector<std::shared_ptr<Chunk>> chunks_;
     std::size_t size_ = 0;
 };
-
-/** The raw-page shape used outside the checkpoint store. */
-using PageTable = BasicPageTable<PageRef>;
 
 }  // namespace rsafe::mem
 

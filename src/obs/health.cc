@@ -153,7 +153,8 @@ struct HealthMonitor::TenantRuntime {
 };
 
 HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)),
+      on_(options_.enabled && std::getenv("RSAFE_NO_HEALTH") == nullptr)
 {
     if (options_.rules.empty())
         options_.rules = default_slo_rules();
@@ -196,7 +197,7 @@ HealthMonitor::add_sample_listener(SampleListener listener)
 bool
 HealthMonitor::start()
 {
-    if (!options_.enabled || std::getenv("RSAFE_NO_HEALTH") != nullptr)
+    if (!on_)
         return false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -229,7 +230,7 @@ HealthMonitor::stop()
         stopped_ = true;
         // One final pass so the end-of-run state (the tick the breach
         // landed on, say) is captured even with a coarse cadence.
-        if (options_.enabled && std::getenv("RSAFE_NO_HEALTH") == nullptr)
+        if (on_)
             tick();
     }
 }

@@ -33,9 +33,10 @@
  * Passivity is the contract: the monitor only ever *reads* pipeline
  * state and only ever *writes* gauges (never counters), so stat
  * snapshots, verdicts and digests are bit-identical with the monitor on
- * or off. RSAFE_NO_HEALTH in the environment keeps start() from
- * spawning the thread regardless of configuration; tick() stays
- * callable directly for deterministic tests.
+ * or off. RSAFE_NO_HEALTH in the environment, read once when the
+ * monitor is built, keeps start() from spawning the thread regardless
+ * of configuration; tick() stays callable directly for deterministic
+ * tests.
  */
 
 namespace rsafe::obs {
@@ -169,9 +170,14 @@ class HealthMonitor {
     void add_sample_listener(SampleListener listener);
 
     /**
+     * @return whether this monitor may sample at all: the options enable
+     * it and RSAFE_NO_HEALTH was unset when it was built.
+     */
+    bool live() const { return on_; }
+
+    /**
      * Spawn the sampling thread. Returns false (and stays inert) when
-     * the options disable the monitor, RSAFE_NO_HEALTH is set, or no
-     * tenant is registered.
+     * the monitor is not live() or no tenant is registered.
      */
     bool start();
 
@@ -226,6 +232,7 @@ class HealthMonitor {
                          std::vector<HealthEvent>* fired);
 
     HealthOptions options_;
+    bool on_;  ///< live(): enabled and not killed at construction
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<TenantRuntime>> tenants_;

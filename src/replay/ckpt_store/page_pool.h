@@ -14,8 +14,9 @@
  * @file
  * Content-hash page dedup pool for checkpoint storage.
  *
- * The CowStore shares *unmodified* pages between consecutive checkpoints
- * by reference; the pool extends that to pages with *equal content*
+ * The copy-on-write page table (mem/page_table.h) shares *unmodified*
+ * pages between consecutive checkpoints by reference; the pool extends
+ * that to pages with *equal content*
  * anywhere in the chain. A freshly dirtied page that reverted to an
  * earlier value, or the thousands of identical zero pages in the initial
  * full checkpoint, intern to one StoredPage shared by every checkpoint

@@ -1,14 +1,12 @@
 /** @file ReplayFleet tests: a fleet tenant must be bit-identical to the
- *  same workload run through a private RnrSafeFramework (verdicts, state
- *  digests, counter snapshots — TB on and off, RSAFE_NO_FLEET fallback
- *  included), per-tenant metric namespaces must never alias, and both
- *  shutdown modes must wind a live fleet down without deadlocks or
- *  inconsistent bookkeeping. */
+ *  same workload run through RnrSafeFramework alone (verdicts, state
+ *  digests, counter snapshots — TB on and off), per-tenant metric
+ *  namespaces must never alias, and both shutdown modes must wind a live
+ *  fleet down without deadlocks or inconsistent bookkeeping. */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,8 +95,9 @@ digest(const core::FrameworkResult& result)
 
 TEST(Fleet, FleetOfOneMatchesTheFramework)
 {
-    // The RSAFE_NO_FLEET contract stated as an A/B gate: one tenant over
-    // the shared pool is bit-identical to the single-framework pipeline.
+    // One tenant over a three-worker pool is bit-identical to the
+    // framework's own fleet of one (two workers, tenant "pipeline"): pool
+    // width and tenant name change nothing the digest compares.
     const auto factory = attack_factory();
 
     core::RnrSafeFramework framework(factory, streamed_config());
@@ -109,7 +108,6 @@ TEST(Fleet, FleetOfOneMatchesTheFramework)
                            {/*workers=*/3});
     auto result = one.run();
     ASSERT_EQ(result.tenants.size(), 1u);
-    EXPECT_FALSE(result.used_fallback);
     EXPECT_FALSE(result.tenants[0].partial);
     EXPECT_EQ(digest(result.tenants[0].result), solo);
 
@@ -171,34 +169,6 @@ TEST(Fleet, TbOnOffAgreesThroughTheFleet)
     auto no_tb_result = no_tb.run();
     EXPECT_EQ(digest(tb_result.tenants[0].result),
               digest(no_tb_result.tenants[0].result));
-}
-
-TEST(Fleet, NoFleetKillSwitchFallsBackIdentically)
-{
-    const std::vector<fleet::FleetTenant> tenants = {
-        {"attack", attack_factory(), streamed_config()},
-        {"mysql", benign_factory("mysql", 100), streamed_config()},
-    };
-
-    ::setenv("RSAFE_NO_FLEET", "1", 1);
-    fleet::ReplayFleet fallback(tenants);
-    auto fb = fallback.run();
-    ::unsetenv("RSAFE_NO_FLEET");
-    EXPECT_TRUE(fb.used_fallback);
-    EXPECT_EQ(fb.pool.workers, 0u);
-
-    fleet::ReplayFleet fleet(tenants, {/*workers=*/2});
-    auto real = fleet.run();
-    EXPECT_FALSE(real.used_fallback);
-
-    ASSERT_EQ(fb.tenants.size(), real.tenants.size());
-    for (std::size_t i = 0; i < fb.tenants.size(); ++i)
-        EXPECT_EQ(digest(fb.tenants[i].result),
-                  digest(real.tenants[i].result))
-            << fb.tenants[i].name;
-    // Both paths namespace their metrics the same way.
-    EXPECT_EQ(fb.metrics.value("tenant.attack.ar.replays"),
-              real.metrics.value("tenant.attack.ar.replays"));
 }
 
 TEST(Fleet, TenantMetricNamespacesNeverAlias)

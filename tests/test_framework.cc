@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/attack_mounter.h"
 #include "core/framework.h"
@@ -455,6 +459,94 @@ TEST(FrameworkModes, BasicHardwareFloodsAlarmsButMissesNothing)
     }
     EXPECT_TRUE(full_sees_hijack);
     EXPECT_TRUE(basic_sees_hijack);
+}
+
+}  // namespace
+}  // namespace rsafe
+// Appended: the facade over a one-tenant fleet.
+namespace rsafe {
+namespace {
+
+/** What two runs of the same workload must agree on. */
+struct RunDigest {
+    std::uint64_t rec_hash = 0;
+    std::uint64_t cr_hash = 0;
+    std::vector<std::uint8_t> log_bytes;
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<int, bool>> verdicts;  ///< (cause, is_attack)
+
+    bool operator==(const RunDigest&) const = default;
+};
+
+RunDigest
+run_digest(const core::FrameworkResult& result)
+{
+    RunDigest d;
+    d.rec_hash = result.recorded_vm->state_hash();
+    d.cr_hash = result.cr_vm->state_hash();
+    d.log_bytes = result.recorder->log().serialize();
+    d.counters = result.pipeline_stats.snapshot();
+    for (const auto& ar : result.ar_results)
+        d.verdicts.emplace_back(static_cast<int>(ar.analysis.cause),
+                                ar.analysis.is_attack);
+    return d;
+}
+
+TEST(Framework, RunTwiceReturnsIdenticalDigests)
+{
+    // ReplayFleet::run() may be called only once, so each run() builds a
+    // fresh fleet; a second call must neither throw nor drift.
+    workloads::AttackMixOptions options;
+    options.iterations_per_task = 120;
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kConcurrent;
+    config.ar_workers = 2;
+    core::RnrSafeFramework framework(workloads::attack_mix(options).factory,
+                                     config);
+    const RunDigest first = run_digest(framework.run());
+    ASSERT_FALSE(first.verdicts.empty());
+    EXPECT_EQ(run_digest(framework.run()), first);
+}
+
+/** (cause, is_attack) per analysis, in the order the result lists them. */
+std::vector<std::pair<int, bool>>
+verdicts(const core::FrameworkResult& result)
+{
+    std::vector<std::pair<int, bool>> out;
+    for (const auto& analysis : result.alarms.analyses())
+        out.emplace_back(static_cast<int>(analysis.cause),
+                         analysis.is_attack);
+    return out;
+}
+
+TEST(Framework, GoldenAttackWireReplayAgreesAcrossPipelineModes)
+{
+    const std::string path =
+        std::string(RSAFE_CORPUS_DIR) + "/golden/attack.rnrlog";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing " << path;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+
+    const auto factory = workloads::attack_mix().factory;
+    core::FrameworkConfig serial_config;
+    serial_config.pipeline = core::PipelineMode::kSerial;
+    core::FrameworkConfig concurrent_config;
+    concurrent_config.pipeline = core::PipelineMode::kConcurrent;
+    concurrent_config.ar_workers = 2;
+
+    core::RnrSafeFramework serial(factory, serial_config);
+    core::RnrSafeFramework concurrent(factory, concurrent_config);
+    const auto a = serial.replay_wire(bytes);
+    const auto b = concurrent.replay_wire(bytes);
+
+    ASSERT_TRUE(a.log_integrity.intact());
+    ASSERT_TRUE(a.alarms.attack_detected());
+    EXPECT_FALSE(a.ar_results.empty());
+    EXPECT_EQ(verdicts(a), verdicts(b));
+    EXPECT_EQ(a.cr_vm->state_hash(), b.cr_vm->state_hash());
+    EXPECT_EQ(a.pipeline_stats.snapshot(), b.pipeline_stats.snapshot());
 }
 
 }  // namespace

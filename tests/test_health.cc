@@ -300,10 +300,12 @@ TEST(HealthMonitor, HealthzAndGaugesCoverEveryTenant)
 
 TEST(HealthMonitor, KillSwitchAndEmptyMonitorStayInert)
 {
-    MonitorHarness enabled(absolute_queue_rule(1, 1));
+    // The kill switch is read once, when the monitor is built.
     ::setenv("RSAFE_NO_HEALTH", "1", 1);
-    EXPECT_FALSE(enabled.monitor.start());
+    MonitorHarness enabled(absolute_queue_rule(1, 1));
     ::unsetenv("RSAFE_NO_HEALTH");
+    EXPECT_FALSE(enabled.monitor.live());
+    EXPECT_FALSE(enabled.monitor.start());
 
     HealthOptions off;
     off.enabled = false;
@@ -587,6 +589,30 @@ TEST(FrameworkHealth, SoloPipelineCarriesThePlane)
     FlightBox box;
     ASSERT_TRUE(FlightBox::deserialize(result.flight_box, &box).ok());
     EXPECT_NE(box.reason.find("attack-verdict"), std::string::npos);
+}
+
+TEST(FrameworkHealth, SoloGaugesLandInThePipelineStats)
+{
+    // The facade copies the fleet's tenant.pipeline.health.* gauges into
+    // the result it returns; the counter snapshot gains nothing.
+    auto profile = workloads::benchmark_profile("mysql");
+    profile.iterations_per_task = 100;
+    core::FrameworkConfig config = streamed_config();
+    core::RnrSafeFramework off(workloads::vm_factory(profile), config);
+    const core::FrameworkResult result_off = off.run();
+
+    config.health.enabled = true;
+    config.health.cadence_ms = 1;
+    core::RnrSafeFramework on(workloads::vm_factory(profile), config);
+    const core::FrameworkResult result_on = on.run();
+
+    const auto& gauges = result_on.pipeline_stats.gauges();
+    EXPECT_NE(gauges.count("tenant.pipeline.health.state"), 0u);
+    EXPECT_EQ(result_off.pipeline_stats.gauges().count(
+                  "tenant.pipeline.health.state"),
+              0u);
+    EXPECT_EQ(result_on.pipeline_stats.snapshot(),
+              result_off.pipeline_stats.snapshot());
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-/** @file Unit tests for guest memory, the virtual disk, and page copies. */
+/** @file Unit tests for guest memory and the virtual disk. */
 
 #include <gtest/gtest.h>
 
 #include "common/log.h"
-#include "mem/cow_store.h"
 #include "mem/disk.h"
 #include "mem/phys_mem.h"
 
@@ -182,28 +181,6 @@ TEST(Disk, ContentHashDetectsChanges)
     std::vector<std::uint8_t> block(kDiskBlockSize, 1);
     a.write_block(0, block.data());
     EXPECT_NE(a.content_hash(), b.content_hash());
-}
-
-TEST(CowStore, CopiesAreImmutableSnapshots)
-{
-    CowStore store;
-    std::vector<std::uint8_t> page(kPageSize, 1);
-    PageRef ref = store.store(page.data());
-    page[0] = 2;  // mutating the source must not affect the copy
-    EXPECT_EQ((*ref)[0], 1);
-    EXPECT_EQ(store.pages_copied(), 1u);
-    EXPECT_EQ(store.bytes_copied(), kPageSize);
-}
-
-TEST(CowStore, SharedOwnershipKeepsPagesAlive)
-{
-    CowStore store;
-    std::vector<std::uint8_t> page(kPageSize, 7);
-    PageRef a = store.store(page.data());
-    PageRef b = a;  // a later checkpoint sharing the page
-    a.reset();      // recycling the older checkpoint
-    ASSERT_TRUE(b != nullptr);
-    EXPECT_EQ((*b)[100], 7);
 }
 
 }  // namespace

@@ -36,6 +36,11 @@
 #                             # dump must round-trip through
 #                             # rsafe-report --flight, and the obs
 #                             # overhead gate must hold with the plane on.
+#   tools/check.sh e2e        # end-to-end correctness gate: run
+#                             # e2ebench/run.py over every workload for 2 s;
+#                             # every framework and fleet run must match its
+#                             # kSerial reference ("correct": true,
+#                             # "failed": 0 in the merged JSON).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -213,6 +218,23 @@ run_health() {
     echo "check.sh: health plane smoke ok ($snapdir/ artifacts)"
 }
 
+run_e2e() {
+    # The benchmark's own correctness checks as a gate: every run through
+    # RnrSafeFramework::run or ReplayFleet::run must reproduce the kSerial
+    # reference alarm by alarm (cause, is_attack), in both VM state hashes
+    # and in the counter snapshot. Wall-time figures are printed, not gated.
+    out="$(python3 e2ebench/run.py --workload all --seconds 2)"
+    echo "$out"
+    echo "$out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("check.sh: e2ebench: %d of %d checks failed"
+             % (result["failed"], result["attempted"]))
+'
+    echo "check.sh: e2e gate ok"
+}
+
 case "$mode" in
   release)  run_config build ;;
   sanitize) run_config build-asan -DRSAFE_SANITIZE=ON ;;
@@ -224,13 +246,14 @@ case "$mode" in
   fleet)    run_fleet ;;
   ckpt)     run_ckpt ;;
   health)   run_health ;;
+  e2e)      run_e2e ;;
   all)
     run_config build
     run_config build-asan -DRSAFE_SANITIZE=ON
     run_config build-tsan -DRSAFE_SANITIZE=thread
     ;;
   *)
-    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|all]" >&2
+    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|e2e|all]" >&2
     exit 2
     ;;
 esac
