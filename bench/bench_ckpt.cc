@@ -26,6 +26,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.h"
@@ -208,6 +209,8 @@ write_bench_json(const BenchResults& r, const char* path)
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"rsafe-bench-ckpt-v1\",\n");
+    std::fprintf(f, "  \"host_cpus\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"workloads\": {\n");
     for (std::size_t i = 0; i < r.workloads.size(); ++i) {
         const auto& w = r.workloads[i];

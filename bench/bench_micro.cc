@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <string>
 
 #include "cpu/cpu.h"
@@ -367,6 +368,8 @@ write_bench_json(const BenchResults& r, const char* path)
     };
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"rsafe-bench-micro-v2\",\n");
+    std::fprintf(f, "  \"host_cpus\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"tb\": {\n");
     metric("alu_loop", r.tb_alu, ",");
     metric("call_ret", r.tb_callret, "");

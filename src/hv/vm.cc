@@ -7,8 +7,20 @@ namespace rsafe::hv {
 
 namespace k = rsafe::kernel;
 
+namespace {
+
+/** The guest kernel, built once per process (the build is deterministic). */
+const k::GuestKernel&
+shared_kernel()
+{
+    static const k::GuestKernel kernel = k::build_kernel();
+    return kernel;
+}
+
+}  // namespace
+
 Vm::Vm(const VmConfig& config)
-    : config_(config), kernel_(k::build_kernel())
+    : config_(config), kernel_(shared_kernel())
 {
     mem_ = std::make_unique<mem::PhysMem>(config.ram_bytes);
     hub_ = std::make_unique<dev::DeviceHub>(config.devices, mem_.get());

@@ -77,7 +77,7 @@ class Vm {
 
   private:
     VmConfig config_;
-    kernel::GuestKernel kernel_;
+    const kernel::GuestKernel& kernel_;  ///< shared by every Vm
     std::unique_ptr<mem::PhysMem> mem_;
     std::unique_ptr<dev::DeviceHub> hub_;
     std::unique_ptr<cpu::Cpu> cpu_;

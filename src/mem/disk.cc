@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/fnv.h"
 #include "common/log.h"
 
 namespace rsafe::mem {
@@ -22,11 +23,11 @@ next_disk_id()
 }  // namespace
 
 Disk::Disk(std::size_t num_blocks)
-    : blocks_(num_blocks), id_(next_disk_id())
+    : blocks_(num_blocks), bytes_(num_blocks * kDiskBlockSize),
+      id_(next_disk_id())
 {
     if (num_blocks == 0)
         fatal("Disk: zero-sized disk");
-    bytes_.assign(num_blocks * kDiskBlockSize, 0);
     dirty_bits_.assign((num_blocks + 63) / 64, 0);
     block_epoch_.assign(num_blocks, 0);
 }
@@ -84,10 +85,11 @@ Disk::clear_dirty()
 std::uint64_t
 Disk::content_hash() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const auto byte : bytes_) {
-        hash ^= byte;
-        hash *= 0x100000001b3ULL;
+    std::uint64_t hash = kFnvOffset;
+    for (BlockNum block = 0; block < blocks_; ++block) {
+        hash = block_untouched(block)
+                   ? hash * kFnvZeroPageFactor
+                   : fnv1a64_update(hash, block_data(block), kDiskBlockSize);
     }
     return hash;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "mem/zeroed_buffer.h"
 
 /**
  * @file
@@ -15,7 +16,9 @@
  * log, so it must come from the checkpointed disk state. The disk therefore
  * tracks dirty blocks exactly like PhysMem tracks dirty pages — a bitmap
  * with a cached count, plus the epoch machinery that lets checkpoint
- * restore skip blocks that have not changed since the checkpoint.
+ * restore skip blocks that have not changed since the checkpoint. Like
+ * RAM, the bytes are lazily zeroed and a block with epoch 0 was never
+ * written (block_untouched()).
  */
 
 namespace rsafe::mem {
@@ -61,14 +64,20 @@ class Disk {
     }
     /** @} */
 
-    /** FNV-1a hash over the disk contents. */
+    /** @return true if nothing ever wrote @p block, so it is all zeros. */
+    bool block_untouched(BlockNum block) const
+    {
+        return block_epoch_[block] == 0;
+    }
+
+    /** FNV-1a hash over the disk contents; O(touched blocks). */
     std::uint64_t content_hash() const;
 
   private:
     void mark_dirty_block(BlockNum block);
 
     std::size_t blocks_;
-    std::vector<std::uint8_t> bytes_;
+    ZeroedBuffer bytes_;
     std::vector<std::uint64_t> dirty_bits_;
     std::size_t dirty_count_ = 0;
     std::vector<std::uint64_t> block_epoch_;

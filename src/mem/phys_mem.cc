@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/fnv.h"
 #include "common/log.h"
 
 namespace rsafe::mem {
@@ -27,12 +28,13 @@ next_phys_mem_id()
 
 }  // namespace
 
-PhysMem::PhysMem(std::size_t size) : id_(next_phys_mem_id())
+PhysMem::PhysMem(std::size_t size)
+    : bytes_((size + kPageSize - 1) / kPageSize * kPageSize),
+      id_(next_phys_mem_id())
 {
-    const std::size_t pages = (size + kPageSize - 1) / kPageSize;
+    const std::size_t pages = num_pages();
     if (pages == 0)
         fatal("PhysMem: zero-sized memory");
-    bytes_.assign(pages * kPageSize, 0);
     perms_.assign(pages, kPermRW);
     dirty_bits_.assign((pages + 63) / 64, 0);
     gen_.assign(pages, 0);
@@ -256,10 +258,12 @@ PhysMem::clear_dirty()
 std::uint64_t
 PhysMem::content_hash() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const auto byte : bytes_) {
-        hash ^= byte;
-        hash *= 0x100000001b3ULL;
+    std::uint64_t hash = kFnvOffset;
+    for (Addr page = 0; page < num_pages(); ++page) {
+        hash = page_untouched(page)
+                   ? hash * kFnvZeroPageFactor
+                   : fnv1a64_update(hash, bytes_.data() + page * kPageSize,
+                                    kPageSize);
     }
     return hash;
 }

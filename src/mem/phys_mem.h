@@ -6,6 +6,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
+#include "mem/zeroed_buffer.h"
 
 /**
  * @file
@@ -25,7 +26,11 @@
  *    cache validates against on every fetch,
  *  - clear_dirty() advances a global epoch, and each page remembers the
  *    last epoch it was dirtied in, which lets checkpoint restore touch
- *    only the pages that actually changed since the checkpoint was taken.
+ *    only the pages that actually changed since the checkpoint was taken,
+ *  - the bytes are lazily zeroed (ZeroedBuffer), and every writer marks
+ *    its page dirty, so a page whose epoch is still 0 was never written
+ *    and is all zeros: page_untouched() lets checkpoints and the content
+ *    hash skip it without reading it.
  */
 
 namespace rsafe::mem {
@@ -167,7 +172,16 @@ class PhysMem {
     std::uint64_t page_epoch(Addr page) const { return page_epoch_[page]; }
     /** @} */
 
-    /** FNV-1a hash over all RAM bytes; the determinism test oracle. */
+    /**
+     * @return true if nothing ever wrote @p page, so it is all zeros.
+     * Every writer marks its page dirty, which stamps an epoch >= 1.
+     */
+    bool page_untouched(Addr page) const { return page_epoch_[page] == 0; }
+
+    /**
+     * FNV-1a hash over all RAM bytes; the determinism test oracle.
+     * Untouched pages hash as zeros without being read: O(touched pages).
+     */
     std::uint64_t content_hash() const;
 
   private:
@@ -197,7 +211,7 @@ class PhysMem {
         }
     }
 
-    std::vector<std::uint8_t> bytes_;
+    ZeroedBuffer bytes_;
     std::vector<std::uint8_t> perms_;
     std::vector<std::uint64_t> dirty_bits_;   ///< one bit per page
     std::size_t dirty_count_ = 0;

@@ -61,16 +61,22 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     const auto prev = latest();
 
     if (!prev) {
-        // First checkpoint: full copy (the dedup pool collapses the
-        // mostly-identical zero pages into a handful of stored bytes).
+        // First checkpoint: every page and block. One the guest never
+        // wrote is all zeros and takes the pool's zero page unread, so
+        // this reads and hashes only the touched pages.
         ck->pages = ckpt::StoredPageTable(mem.num_pages());
         ck->blocks = ckpt::StoredPageTable(disk.num_blocks());
         for (Addr page = 0; page < mem.num_pages(); ++page) {
-            ck->pages.set(page, pool_.intern(mem.page_data(page)));
+            ck->pages.set(page, mem.page_untouched(page)
+                                    ? pool_.intern_zero()
+                                    : pool_.intern(mem.page_data(page)));
             ++ck->copies;
         }
         for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-            ck->blocks.set(block, pool_.intern(disk.block_data(block)));
+            ck->blocks.set(block,
+                           disk.block_untouched(block)
+                               ? pool_.intern_zero()
+                               : pool_.intern(disk.block_data(block)));
             ++ck->copies;
         }
     } else {
@@ -198,6 +204,8 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
     // a page can only differ from the checkpointed copy if it was
     // dirtied in this or a later epoch; everything older is untouched
     // RAM and need not be rewritten (or decode-cache invalidated).
+    // Likewise a zero slot over a page nothing ever wrote: it already
+    // holds zeros, so an AR's fresh VM decodes only non-zero pages.
     // Stored pages decode through a stack buffer: compressed, deduped,
     // and raw storage all restore the same raw bytes, which the A/B
     // determinism gates hold bit-identical.
@@ -209,6 +217,8 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
         const auto& ref = checkpoint.pages.at(page);
         if (!ref)
             continue;  // only possible in a hand-built partial image
+        if (ref->is_zero() && mem.page_untouched(page))
+            continue;
         ref->copy_to(raw);
         mem.restore_page(page, raw);
     }
@@ -217,7 +227,7 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
         if (disk_delta && disk.block_epoch(block) < checkpoint.disk_epoch)
             continue;
         const auto& ref = checkpoint.blocks.at(block);
-        if (!ref)
+        if (!ref || (ref->is_zero() && disk.block_untouched(block)))
             continue;
         ref->copy_to(raw);
         disk.write_block(block, raw);
@@ -244,7 +254,8 @@ namespace wire = rnr::wire;
 
 /** Hash one page table's raw contents in index order (nulls included).
  *  Hashing the decoded bytes keeps digests independent of how pages are
- *  stored: compressed, deduped, and raw chains digest identically. */
+ *  stored: compressed, deduped, and raw chains digest identically. The
+ *  zero page hashes as kPageSize zero bytes without being decoded. */
 std::uint64_t
 hash_page_table(const ckpt::StoredPageTable& table)
 {
@@ -254,6 +265,10 @@ hash_page_table(const ckpt::StoredPageTable& table)
         const auto& ref = table.at(i);
         if (!ref) {
             hash = wire::fnv1a64_u64(0x6e756c6cULL /* "null" */, hash);
+            continue;
+        }
+        if (ref->is_zero()) {
+            hash *= kFnvZeroPageFactor;
             continue;
         }
         ref->copy_to(raw);

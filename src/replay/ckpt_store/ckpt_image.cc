@@ -482,7 +482,6 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                               "checkpoint image page frame is empty");
             const auto encoding = static_cast<PageEncoding>(frame[0]);
             std::vector<std::uint8_t> encoded(frame + 1, frame + length);
-            std::uint8_t raw[kPageSize];
             if (encoding == PageEncoding::kRaw) {
                 if (encoded.size() != kPageSize) {
                     return Status(
@@ -491,8 +490,9 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                                     encoded.size(), " bytes, want ",
                                     kPageSize));
                 }
-                std::memcpy(raw, encoded.data(), kPageSize);
             } else if (encoding == PageEncoding::kRle) {
+                // Validate the stream; the decoded bytes are not kept.
+                std::uint8_t raw[kPageSize];
                 const Status status = rle_decompress(
                     encoded.data(), encoded.size(), raw, kPageSize);
                 if (!status.ok())
@@ -503,9 +503,7 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                                           frame[0], " is unknown"));
             }
             uniques.push_back(std::make_shared<const StoredPage>(
-                encoding, std::move(encoded),
-                wire::fnv1a64(raw, kPageSize),
-                wire::crc32c(raw, kPageSize)));
+                encoding, std::move(encoded)));
             return Status();
         });
     if (!report.intact())

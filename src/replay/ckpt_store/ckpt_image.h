@@ -33,8 +33,9 @@
  *
  * Process-local fields (mem/disk identity and dirty epochs) are
  * excluded: a deserialized checkpoint never matches a live memory's id,
- * so restore_checkpoint() takes the full-rewrite path — exactly right
- * for a checkpoint arriving from elsewhere.
+ * so restore_checkpoint() rewrites every slot except zero pages over
+ * never-written target pages — exactly right for a checkpoint arriving
+ * from elsewhere.
  *
  * deserialize_checkpoint() is strict and abort-free: truncation,
  * bit-flips, lying counts or lengths, out-of-range slot references, and

@@ -12,10 +12,40 @@ namespace rsafe::replay::ckpt {
 
 namespace wire = rnr::wire;
 
+namespace {
+
+/** The zero page's content. */
+constexpr std::uint8_t kZeroPage[kPageSize] = {};
+
+bool
+is_zero_page(const std::uint8_t* data)
+{
+    return std::memcmp(data, kZeroPage, kPageSize) == 0;
+}
+
+/**
+ * @return true if (@p encoding, @p bytes) is the canonical encoding of the
+ * zero page. The RLE encoder is canonical, so one stream spells it; a
+ * non-canonical stream that happens to decode to zeros is merely not
+ * flagged, which costs a restore rewrite, never correctness.
+ */
+bool
+encodes_zero_page(PageEncoding encoding,
+                  const std::vector<std::uint8_t>& bytes)
+{
+    if (encoding == PageEncoding::kRaw)
+        return bytes.size() == kPageSize && is_zero_page(bytes.data());
+    static const std::vector<std::uint8_t> zero_rle =
+        rle_compress(kZeroPage, kPageSize);
+    return bytes == zero_rle;
+}
+
+}  // namespace
+
 StoredPage::StoredPage(PageEncoding encoding,
-                       std::vector<std::uint8_t> bytes, std::uint64_t hash,
-                       std::uint32_t crc)
-    : encoding_(encoding), bytes_(std::move(bytes)), hash_(hash), crc_(crc)
+                       std::vector<std::uint8_t> bytes)
+    : encoding_(encoding), bytes_(std::move(bytes)),
+      zero_(encodes_zero_page(encoding_, bytes_))
 {
 }
 
@@ -53,32 +83,54 @@ PagePool::PagePool(const PagePoolOptions& options)
 StoredPageRef
 PagePool::intern(const std::uint8_t* data)
 {
+    if (is_zero_page(data))
+        return intern_zero();
     ++totals_.pages_interned;
     totals_.bytes_raw += kPageSize;
-    const std::uint64_t hash = wire::fnv1a64(data, kPageSize);
-    const std::uint32_t crc = wire::crc32c(data, kPageSize);
+    if (!options_.dedup)
+        return store(data);
 
-    std::vector<std::weak_ptr<const StoredPage>>* bucket = nullptr;
-    if (options_.dedup) {
-        bucket = &index_[hash];
-        // Drop entries whose pages were recycled, and look for a live
-        // equal-content page. The CRC pre-check plus the byte compare
-        // makes a hash collision a miss, never an aliasing bug.
-        bucket->erase(std::remove_if(bucket->begin(), bucket->end(),
-                                     [](const auto& weak) {
-                                         return weak.expired();
-                                     }),
-                      bucket->end());
-        for (const auto& weak : *bucket) {
-            const StoredPageRef page = weak.lock();
-            if (page && page->content_crc() == crc &&
-                page->content_equals(data)) {
-                ++totals_.dedup_hits;
-                return page;
-            }
+    const std::uint32_t crc = wire::crc32c(data, kPageSize);
+    auto& bucket = index_[crc];
+    // Drop entries whose pages were recycled, and look for a live
+    // equal-content page. Every entry shares the CRC; the byte compare
+    // makes a collision a miss, never an aliasing bug.
+    bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
+                                [](const auto& weak) {
+                                    return weak.expired();
+                                }),
+                 bucket.end());
+    for (const auto& weak : bucket) {
+        const StoredPageRef page = weak.lock();
+        if (page && page->content_equals(data)) {
+            ++totals_.dedup_hits;
+            return page;
         }
     }
+    StoredPageRef page = store(data);
+    bucket.push_back(page);
+    return page;
+}
 
+StoredPageRef
+PagePool::intern_zero()
+{
+    ++totals_.pages_interned;
+    totals_.bytes_raw += kPageSize;
+    if (!options_.dedup)
+        return store(kZeroPage);
+    if (StoredPageRef page = zero_.lock()) {
+        ++totals_.dedup_hits;
+        return page;
+    }
+    StoredPageRef page = store(kZeroPage);
+    zero_ = page;
+    return page;
+}
+
+StoredPageRef
+PagePool::store(const std::uint8_t* data)
+{
     PageEncoding encoding = PageEncoding::kRaw;
     std::vector<std::uint8_t> bytes;
     if (options_.compress) {
@@ -95,17 +147,14 @@ PagePool::intern(const std::uint8_t* data)
     live_->bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
     live_->pages.fetch_add(1, std::memory_order_relaxed);
     const auto live = live_;
-    StoredPageRef page(
-        new StoredPage(encoding, std::move(bytes), hash, crc),
-        [live](const StoredPage* p) {
-            live->bytes.fetch_sub(p->stored_bytes(),
-                                  std::memory_order_relaxed);
-            live->pages.fetch_sub(1, std::memory_order_relaxed);
-            delete p;
-        });
-    if (bucket != nullptr)
-        bucket->push_back(page);
-    return page;
+    return StoredPageRef(new StoredPage(encoding, std::move(bytes)),
+                         [live](const StoredPage* p) {
+                             live->bytes.fetch_sub(p->stored_bytes(),
+                                                   std::memory_order_relaxed);
+                             live->pages.fetch_sub(1,
+                                                   std::memory_order_relaxed);
+                             delete p;
+                         });
 }
 
 PagePoolStats

@@ -23,11 +23,18 @@
  * that holds it — so successive checkpoints own only their genuinely new
  * bytes (Section 4.6.1's recycling made byte-accurate).
  *
- * Pages are keyed by (FNV-1a 64, CRC32C) of their raw content and a hit
- * is confirmed with a full byte compare, so a hash collision can never
+ * Pages are keyed by the CRC32C of their raw content and a hit is
+ * confirmed with a full byte compare, so a hash collision can never
  * silently alias two different pages. Stored pages are RLE-compressed
  * (compress.h) unless that would grow them — or unless compression is
  * disabled, the RSAFE_NO_CKPT_COMPRESS A/B lever.
+ *
+ * All-zero content bypasses the index: every zero intern returns the
+ * pool's one zero page, and intern_zero() hands it out without reading
+ * or hashing anything (the checkpoint store calls it for pages the guest
+ * never wrote). Because the zero page is a single object, image
+ * serialization, which treats pointer identity as content identity,
+ * stays byte-identical.
  *
  * Thread contract: intern() is called from one thread (the CR); the
  * returned refs may be dropped from any thread (AR workers, the
@@ -50,11 +57,8 @@ class StoredPage {
      * @param encoding  how @p bytes are encoded (kRle streams must decode
      *                  to exactly kPageSize bytes — the constructors'
      *                  callers validate this).
-     * @param hash      FNV-1a 64 of the raw (decoded) content.
-     * @param crc       CRC32C of the raw (decoded) content.
      */
-    StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes,
-               std::uint64_t hash, std::uint32_t crc);
+    StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes);
 
     /** Decode the page into @p out (exactly kPageSize bytes). */
     void copy_to(std::uint8_t* out) const;
@@ -65,14 +69,18 @@ class StoredPage {
     PageEncoding encoding() const { return encoding_; }
     const std::vector<std::uint8_t>& encoded() const { return bytes_; }
     std::size_t stored_bytes() const { return bytes_.size(); }
-    std::uint64_t content_hash() const { return hash_; }
-    std::uint32_t content_crc() const { return crc_; }
+
+    /**
+     * @return true if the bytes are the canonical encoding of the zero
+     * page (the 64-byte RLE stream, or kPageSize raw zeros). Read off the
+     * encoding at construction, never by decoding.
+     */
+    bool is_zero() const { return zero_; }
 
   private:
     PageEncoding encoding_;
     std::vector<std::uint8_t> bytes_;
-    std::uint64_t hash_;
-    std::uint32_t crc_;
+    bool zero_;
 };
 
 /** Shared reference to an immutable stored page. */
@@ -119,6 +127,13 @@ class PagePool {
      */
     StoredPageRef intern(const std::uint8_t* data);
 
+    /**
+     * intern() of kPageSize zero bytes without the bytes: the pool's zero
+     * page (a fresh copy when dedup is off), counted in the stats exactly
+     * as intern() would count it.
+     */
+    StoredPageRef intern_zero();
+
     PagePoolStats stats() const;
 
   private:
@@ -128,12 +143,17 @@ class PagePool {
         std::atomic<std::uint64_t> pages{0};
     };
 
+    /** Encode and account one new unique page. */
+    StoredPageRef store(const std::uint8_t* data);
+
     PagePoolOptions options_;
     std::shared_ptr<Live> live_;
-    /** hash -> pages with that content hash (collision bucket). */
-    std::unordered_map<std::uint64_t,
+    /** CRC32C -> non-zero pages with that CRC (collision bucket). */
+    std::unordered_map<std::uint32_t,
                        std::vector<std::weak_ptr<const StoredPage>>>
         index_;
+    /** The zero page while any checkpoint holds it (dedup only). */
+    std::weak_ptr<const StoredPage> zero_;
     PagePoolStats totals_;
 };
 

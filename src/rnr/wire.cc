@@ -11,20 +11,27 @@ namespace {
 /** Castagnoli polynomial, bit-reflected. */
 constexpr std::uint32_t kCrc32cPoly = 0x82f63b78u;
 
-const std::array<std::uint32_t, 256>&
-crc32c_table()
+/** Slice-by-8 tables: t[k][b] is the CRC step of byte b followed by k
+ *  zero bytes, so eight input bytes fold in with eight lookups. */
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const Crc32cTables&
+crc32c_tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const Crc32cTables tables = [] {
+        Crc32cTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t crc = i;
             for (int bit = 0; bit < 8; ++bit)
                 crc = (crc >> 1) ^ ((crc & 1) ? kCrc32cPoly : 0);
-            t[i] = crc;
+            t[0][i] = crc;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
         return t;
     }();
-    return table;
+    return tables;
 }
 
 void
@@ -76,9 +83,19 @@ read_u64(const std::uint8_t* p)
 std::uint32_t
 crc32c_update(std::uint32_t crc, const std::uint8_t* data, std::size_t len)
 {
-    const auto& table = crc32c_table();
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+    const auto& t = crc32c_tables();
+    // Bytes are assembled explicitly (read_u32), so the result does not
+    // depend on host endianness.
+    for (; len >= 8; data += 8, len -= 8) {
+        const std::uint32_t lo = crc ^ read_u32(data);
+        const std::uint32_t hi = read_u32(data + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+              t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^
+              t[0][hi >> 24];
+    }
+    for (; len != 0; ++data, --len)
+        crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
     return crc;
 }
 
@@ -115,12 +132,7 @@ crc32c(const std::vector<std::uint8_t>& data)
 std::uint64_t
 fnv1a64(const std::uint8_t* data, std::size_t len, std::uint64_t seed)
 {
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
+    return fnv1a64_update(seed, data, len);
 }
 
 std::uint64_t

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/status.h"
 
 /**
@@ -51,7 +52,7 @@ std::uint32_t crc32c(const std::uint8_t* data, std::size_t len);
 std::uint32_t crc32c(const std::vector<std::uint8_t>& data);
 
 /** FNV-1a 64-bit over raw bytes (state digests). @{ */
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+using rsafe::kFnvOffset;
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t len,
                       std::uint64_t seed = kFnvOffset);
 std::uint64_t fnv1a64_u64(std::uint64_t value, std::uint64_t seed);

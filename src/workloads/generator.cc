@@ -311,14 +311,15 @@ generate_workload(const WorkloadProfile& profile)
     return workload;
 }
 
+namespace {
+
 std::unique_ptr<hv::Vm>
-make_vm(const WorkloadProfile& profile,
-        const std::vector<isa::Image>& extra_images,
-        const std::vector<Addr>& extra_entries)
+build_vm(const GeneratedWorkload& workload, const dev::DeviceConfig& devices,
+         const std::vector<isa::Image>& extra_images,
+         const std::vector<Addr>& extra_entries)
 {
-    const GeneratedWorkload workload = generate_workload(profile);
     hv::VmConfig config;
-    config.devices = profile.devices;
+    config.devices = devices;
     auto vm = std::make_unique<hv::Vm>(config);
     vm->load_user_image(workload.image);
     for (const auto& image : extra_images)
@@ -331,13 +332,28 @@ make_vm(const WorkloadProfile& profile,
     return vm;
 }
 
+}  // namespace
+
+std::unique_ptr<hv::Vm>
+make_vm(const WorkloadProfile& profile,
+        const std::vector<isa::Image>& extra_images,
+        const std::vector<Addr>& extra_entries)
+{
+    return build_vm(generate_workload(profile), profile.devices,
+                    extra_images, extra_entries);
+}
+
 std::function<std::unique_ptr<hv::Vm>()>
 vm_factory(const WorkloadProfile& profile,
            const std::vector<isa::Image>& extra_images,
            const std::vector<Addr>& extra_entries)
 {
-    return [profile, extra_images, extra_entries]() {
-        return make_vm(profile, extra_images, extra_entries);
+    // Generation is deterministic, so one image serves every VM.
+    auto workload = std::make_shared<const GeneratedWorkload>(
+        generate_workload(profile));
+    return [workload, devices = profile.devices, extra_images,
+            extra_entries]() {
+        return build_vm(*workload, devices, extra_images, extra_entries);
     };
 }
 

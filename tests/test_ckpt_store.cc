@@ -227,6 +227,161 @@ TEST(PagePool, CompressionIsOptionalAndLossless)
 }
 
 // ---------------------------------------------------------------------
+// The zero-page singleton and O(touched pages) take/restore.
+
+TEST(PagePool, PageWrittenBackToZeroInternsToTheZeroSingleton)
+{
+    replay::ckpt::PagePool pool;
+    std::vector<std::uint8_t> page(kPageSize, 0);
+    const auto untouched = pool.intern_zero();
+    page[100] = 7;
+    const auto dirty = pool.intern(page.data());
+    page[100] = 0;  // written back to all zeros
+    const auto reverted = pool.intern(page.data());
+
+    EXPECT_EQ(reverted.get(), untouched.get());
+    EXPECT_EQ(pool.intern_zero().get(), untouched.get());
+    EXPECT_TRUE(untouched->is_zero());
+    EXPECT_FALSE(dirty->is_zero());
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.pages_interned, 4u);
+    EXPECT_EQ(stats.dedup_hits, 2u);
+    EXPECT_EQ(stats.live_pages, 2u);
+}
+
+/** A booted VM plus an empty replay environment to checkpoint it with. */
+struct BootedVm {
+    std::unique_ptr<hv::Vm> vm;
+    rnr::InputLog empty_log;
+    std::unique_ptr<rnr::Replayer> env;
+
+    explicit BootedVm(std::unique_ptr<hv::Vm> built) : vm(std::move(built))
+    {
+        env = std::make_unique<rnr::Replayer>(vm.get(), &empty_log, 0,
+                                              rnr::ReplayOptions{});
+    }
+};
+
+TEST(CheckpointStore, InitialTakeMatchesInterningEveryPage)
+{
+    for (const bool compress : {true, false}) {
+        BootedVm booted(workloads::make_vm(small_profile()));
+        hv::Vm& vm = *booted.vm;
+        replay::CheckpointStoreOptions options;
+        options.compress = compress;
+        replay::CheckpointStore store(options);
+        if (store.options().compress != compress)
+            GTEST_SKIP() << "RSAFE_NO_CKPT_COMPRESS is set";
+        const auto ck = store.take(vm, *booted.env, 0);
+
+        // Reference: read and intern every page and block.
+        replay::ckpt::PagePool pool({/*dedup=*/true, compress});
+        replay::Checkpoint reference = *ck;
+        for (Addr p = 0; p < vm.mem().num_pages(); ++p)
+            reference.pages.set(p, pool.intern(vm.mem().page_data(p)));
+        for (BlockNum b = 0; b < vm.hub().disk().num_blocks(); ++b)
+            reference.blocks.set(b,
+                                 pool.intern(vm.hub().disk().block_data(b)));
+
+        const auto got = store.stats();
+        const auto want = pool.stats();
+        EXPECT_EQ(store.total_copies(), want.pages_interned);
+        EXPECT_EQ(got.dedup_hits, want.dedup_hits);
+        EXPECT_EQ(got.bytes_raw, want.bytes_raw);
+        EXPECT_EQ(got.bytes_stored, want.bytes_stored);
+        EXPECT_EQ(got.compressed_pages, want.compressed_pages);
+        EXPECT_EQ(got.live_pages, want.live_pages);
+        EXPECT_EQ(replay::ckpt::serialize_checkpoint(*ck),
+                  replay::ckpt::serialize_checkpoint(reference))
+            << "compress " << compress;
+    }
+}
+
+TEST(CheckpointStore, DedupOffStoresOneCopyPerPage)
+{
+    BootedVm booted(workloads::make_vm(small_profile()));
+    replay::CheckpointStoreOptions options;
+    options.dedup = false;
+    replay::CheckpointStore store(options);
+    const auto ck = store.take(*booted.vm, *booted.env, 0);
+
+    const std::size_t slots = ck->pages.size() + ck->blocks.size();
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.dedup_hits, 0u);
+    EXPECT_EQ(stats.live_pages, slots);
+    EXPECT_EQ(store.total_copies(), slots);
+    const Addr last = ck->pages.size() - 1;
+    ASSERT_TRUE(booted.vm->mem().page_untouched(last));
+    EXPECT_TRUE(ck->pages.at(last)->is_zero());
+    EXPECT_NE(ck->pages.at(last).get(), ck->pages.at(last - 1).get());
+}
+
+TEST(CheckpointStore, PageWrittenBackToZeroSharesTheZeroPage)
+{
+    BootedVm booted(workloads::make_vm(small_profile()));
+    auto& mem = booted.vm->mem();
+    const Addr last = mem.num_pages() - 1;
+    ASSERT_TRUE(mem.page_untouched(last));
+
+    replay::CheckpointStore store(0);
+    const auto first = store.take(*booted.vm, *booted.env, 0);
+    mem.write_raw(last * kPageSize, 8, 0xfeed);
+    const auto second = store.take(*booted.vm, *booted.env, 1);
+    mem.write_raw(last * kPageSize, 8, 0);
+    const auto third = store.take(*booted.vm, *booted.env, 2);
+
+    EXPECT_NE(second->pages.at(last), first->pages.at(last));
+    EXPECT_EQ(third->pages.at(last), first->pages.at(last));
+    EXPECT_EQ(third->pages.at(last), third->pages.at(0))
+        << "the null page is untouched too: one zero page for both";
+}
+
+TEST(CheckpointRestore, FreshVmRewritesOnlyNonZeroSlots)
+{
+    const auto factory = workloads::vm_factory(small_profile());
+    BootedVm src(factory());
+    auto& src_mem = src.vm->mem();
+    // A non-zero page where the fresh VM has none, and a zero page where
+    // the fresh VM's boot image has content: both must be rewritten.
+    const Addr last = src_mem.num_pages() - 1;
+    src_mem.write_raw(last * kPageSize, 8, 0xabc);
+    Addr booted_page = 0;
+    while (src_mem.page_untouched(booted_page))
+        ++booted_page;
+    const std::vector<std::uint8_t> zeros(kPageSize, 0);
+    src_mem.restore_page(booted_page, zeros.data());
+    std::vector<std::uint8_t> block(kDiskBlockSize, 0x5a);
+    src.vm->hub().disk().write_block(7, block.data());
+
+    replay::CheckpointStore store(0);
+    const auto ck = store.take(*src.vm, *src.env, 0);
+    ASSERT_TRUE(ck->pages.at(booted_page)->is_zero());
+
+    BootedVm dst(factory());
+    auto& mem = dst.vm->mem();
+    auto& disk = dst.vm->hub().disk();
+    std::vector<bool> page_untouched(mem.num_pages());
+    for (Addr p = 0; p < mem.num_pages(); ++p)
+        page_untouched[p] = mem.page_untouched(p);
+    ASSERT_FALSE(page_untouched[booted_page]);
+    const std::uint64_t epoch = mem.epoch();
+    const std::uint64_t disk_epoch = disk.epoch();
+    replay::restore_checkpoint(*ck, dst.vm.get(), dst.env.get());
+
+    // Restore stamps every page it rewrites with the current epoch.
+    std::size_t rewritten = 0;
+    for (Addr p = 0; p < mem.num_pages(); ++p) {
+        const bool skip = ck->pages.at(p)->is_zero() && page_untouched[p];
+        EXPECT_EQ(mem.page_epoch(p) == epoch, !skip) << "page " << p;
+        rewritten += skip ? 0 : 1;
+    }
+    EXPECT_LT(rewritten, 64u) << "O(non-zero pages), not O(RAM)";
+    for (BlockNum b = 0; b < disk.num_blocks(); ++b)
+        EXPECT_EQ(disk.block_epoch(b) == disk_epoch, b == 7) << "block " << b;
+    EXPECT_EQ(dst.vm->state_hash(), src.vm->state_hash());
+}
+
+// ---------------------------------------------------------------------
 // Byte-budget recycling.
 
 TEST(CheckpointStore, ByteBudgetRecyclesOldestFirstAndKeepsNewest)
@@ -408,6 +563,9 @@ TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
     EXPECT_EQ(replay::ckpt::serialize_checkpoint(shipped), image);
     EXPECT_EQ(shipped.mem_id, 0u);
     EXPECT_EQ(shipped.disk_id, 0u);
+    // The decoder flags the zero page from its encoding alone.
+    EXPECT_TRUE(shipped.pages.at(shipped.pages.size() - 1)->is_zero());
+    EXPECT_FALSE(shipped.pages.at(ck->cpu_state.pc / kPageSize)->is_zero());
 
     // A VM restored from the *deserialized* checkpoint replays to the
     // recorded machine's exact final state — the remote-AR property.

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <vector>
+
 #include "common/log.h"
+#include "isa/program.h"
 #include "mem/disk.h"
 #include "mem/phys_mem.h"
 
@@ -133,6 +139,124 @@ TEST(PhysMem, ContentHashDetectsChanges)
     EXPECT_NE(a.content_hash(), b.content_hash());
     b.write_raw(17, 1, 1);
     EXPECT_EQ(a.content_hash(), b.content_hash());
+}
+
+/** FNV-1a written out byte by byte: the reference content_hash must match. */
+std::uint64_t
+byte_loop_fnv(const std::vector<std::uint8_t>& bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** Every page nothing wrote must read back as zeros. */
+void
+expect_untouched_pages_read_zero(const PhysMem& mem, const char* writer)
+{
+    std::vector<std::uint8_t> page(kPageSize);
+    for (Addr p = 0; p < mem.num_pages(); ++p) {
+        if (!mem.page_untouched(p))
+            continue;
+        mem.read_block(p * kPageSize, page.data(), kPageSize);
+        EXPECT_EQ(std::count(page.begin(), page.end(), 0),
+                  static_cast<std::ptrdiff_t>(kPageSize))
+            << writer << ": untouched page " << p << " is not zero";
+    }
+}
+
+TEST(PhysMem, EveryWriterTouchesExactlyItsPages)
+{
+    const std::vector<std::uint8_t> ones(kPageSize, 0x11);
+    struct Writer {
+        const char* name;
+        std::function<void(PhysMem&)> write;
+        std::vector<Addr> pages;
+    };
+    const std::vector<Writer> writers = {
+        {"write", [](PhysMem& m) { m.write(2 * kPageSize + 8, 8, 7); }, {2}},
+        {"write straddling",
+         [](PhysMem& m) { m.write(3 * kPageSize - 4, 8, ~0ULL); },
+         {2, 3}},
+        // Writing zeros still touches: untouched implies zero, not the
+        // converse.
+        {"write_raw", [](PhysMem& m) { m.write_raw(kPageSize, 8, 0); }, {1}},
+        {"write_block",
+         [&](PhysMem& m) { m.write_block(4 * kPageSize - 16, ones.data(), 32); },
+         {3, 4}},
+        {"restore_page", [&](PhysMem& m) { m.restore_page(5, ones.data()); },
+         {5}},
+        {"load_image",
+         [&](PhysMem& m) {
+             m.load_image(isa::Image(6 * kPageSize + 64,
+                                     std::vector<std::uint8_t>(100, 0x22)));
+         },
+         {6}},
+    };
+    for (const Writer& w : writers) {
+        PhysMem mem(8 * kPageSize);
+        for (Addr p = 0; p < mem.num_pages(); ++p)
+            ASSERT_TRUE(mem.page_untouched(p));
+        w.write(mem);
+        for (Addr p = 0; p < mem.num_pages(); ++p) {
+            const bool written = std::find(w.pages.begin(), w.pages.end(),
+                                           p) != w.pages.end();
+            EXPECT_EQ(mem.page_untouched(p), !written)
+                << w.name << " page " << p;
+        }
+        // A new dirty epoch never makes a page untouched again.
+        mem.clear_dirty();
+        for (const Addr p : w.pages)
+            EXPECT_FALSE(mem.page_untouched(p)) << w.name;
+        expect_untouched_pages_read_zero(mem, w.name);
+    }
+}
+
+TEST(Disk, WriteBlockTouchesExactlyItsBlock)
+{
+    Disk disk(4);
+    const std::vector<std::uint8_t> zeros(kDiskBlockSize, 0);
+    disk.write_block(2, zeros.data());
+    disk.clear_dirty();
+    std::vector<std::uint8_t> out(kDiskBlockSize, 0xff);
+    for (BlockNum b = 0; b < disk.num_blocks(); ++b) {
+        EXPECT_EQ(disk.block_untouched(b), b != 2) << "block " << b;
+        disk.read_block(b, out.data());
+        EXPECT_EQ(out, zeros);
+    }
+}
+
+TEST(ContentHash, MatchesTheByteLoopOnSparseWrites)
+{
+    std::mt19937_64 rng(0x5eed);
+    for (int round = 0; round < 8; ++round) {
+        PhysMem mem(64 * kPageSize);
+        Disk disk(32);
+        std::vector<std::uint8_t> block(kDiskBlockSize);
+        const int writes = static_cast<int>(rng() % 24);
+        for (int i = 0; i < writes; ++i) {
+            // Half the writes store zeros: touched pages that stay zero.
+            const Word value = (rng() & 1) ? 0 : rng();
+            mem.write_raw(rng() % (mem.size() - 8), 8, value);
+            std::fill(block.begin(), block.end(),
+                      static_cast<std::uint8_t>(value));
+            disk.write_block(rng() % disk.num_blocks(), block.data());
+        }
+        std::vector<std::uint8_t> ram(mem.size());
+        mem.read_block(0, ram.data(), ram.size());
+        EXPECT_EQ(mem.content_hash(), byte_loop_fnv(ram)) << "round " << round;
+
+        std::vector<std::uint8_t> image;
+        for (BlockNum b = 0; b < disk.num_blocks(); ++b) {
+            disk.read_block(b, block.data());
+            image.insert(image.end(), block.begin(), block.end());
+        }
+        EXPECT_EQ(disk.content_hash(), byte_loop_fnv(image))
+            << "round " << round;
+    }
 }
 
 TEST(Disk, ReadWriteBlocks)
