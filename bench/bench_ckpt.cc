@@ -18,17 +18,14 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/log.h"
 #include "replay/checkpoint.h"
 #include "replay/checkpoint_replayer.h"
@@ -101,7 +98,7 @@ measure_workload(const std::string& name, const VmFactory& factory,
 
     replay::CrOptions options;
     options.checkpoint_interval = interval;
-    options.max_checkpoints = 0;
+    options.store.max_keep = 0;
     auto cr_vm = factory();
     replay::CheckpointReplayer cr(cr_vm.get(), &log, options);
     if (cr.run() != rnr::ReplayOutcome::kFinished)
@@ -250,17 +247,6 @@ write_bench_json(const BenchResults& r, const char* path)
                 r.min_restore_ratio() * 100.0);
 }
 
-/** Pull "key": <number> out of @p text; NaN when the key is absent. */
-double
-json_number(const std::string& text, const char* key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 /**
  * CI gate: the storage reductions carry hard floors (they are
  * deterministic functions of the log); the wall-clock restore ratio is
@@ -270,40 +256,16 @@ json_number(const std::string& text, const char* key)
 int
 run_gate(const BenchResults& r, const char* baseline_path)
 {
-    std::ifstream in(baseline_path);
-    if (!in) {
+    bench::BaselineGate gate(baseline_path);
+    if (!gate.loaded()) {
         std::fprintf(stderr, "gate: cannot read baseline %s\n",
                      baseline_path);
         return 2;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-
-    double tol_pct = 10.0;
-    if (const char* env = std::getenv("RSAFE_BENCH_GATE_TOLERANCE");
-        env != nullptr && env[0] != '\0') {
-        tol_pct = std::strtod(env, nullptr);
-    }
-    const double floor = 1.0 - tol_pct / 100.0;
-
-    bool ok = true;
-    const auto check = [&](const char* name, double fresh,
-                           double hard_floor) {
-        const double ref = json_number(base, name);
-        const double need =
-            std::isnan(ref) ? hard_floor : std::max(ref * floor, hard_floor);
-        const bool pass = fresh >= need;
-        std::printf(
-            "gate: %-22s %6.2fx (baseline %6.2fx, need >= %.2fx) %s\n",
-            name, fresh, std::isnan(ref) ? 0.0 : ref, need,
-            pass ? "ok" : "REGRESSION");
-        ok = ok && pass;
-    };
-    check("byte_reduction", r.min_byte_reduction(), 4.0);
-    check("image_reduction", r.min_image_reduction(), 4.0);
-    check("restore_image_ratio", r.min_restore_ratio(), 0.0);
-    return ok ? 0 : 1;
+    gate.at_least("byte_reduction", r.min_byte_reduction(), 4.0);
+    gate.at_least("image_reduction", r.min_image_reduction(), 4.0);
+    gate.at_least("restore_image_ratio", r.min_restore_ratio());
+    return gate.ok() ? 0 : 1;
 }
 
 }  // namespace

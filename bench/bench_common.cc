@@ -1,8 +1,11 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 #include "common/log.h"
 
@@ -95,7 +98,7 @@ run_checkpoint_replay(const workloads::WorkloadProfile& profile,
     replay::CrOptions options;
     options.checkpoint_interval = static_cast<Cycles>(
         interval_seconds * double(kCyclesPerSecond));
-    options.max_checkpoints = 0;
+    options.store.max_keep = 0;
     replay::CheckpointReplayer cr(vm.get(), &log, options);
     const auto outcome = cr.run();
     if (outcome != rnr::ReplayOutcome::kFinished)
@@ -128,6 +131,63 @@ emit(const stats::Table& table)
 {
     std::fputs(table.to_string().c_str(), stdout);
     std::fputc('\n', stdout);
+}
+
+double
+json_number(const std::string& text, const std::string& key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const auto pos = text.find(needle);
+    if (pos == std::string::npos)
+        return std::nan("");
+    return std::strtod(text.c_str() + pos + needle.size(), nullptr);
+}
+
+BaselineGate::BaselineGate(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    loaded_ = in.is_open();
+    text_.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    if (const char* env = std::getenv("RSAFE_BENCH_GATE_TOLERANCE");
+        env != nullptr && env[0] != '\0') {
+        tolerance_ = std::strtod(env, nullptr) / 100.0;
+    }
+}
+
+double
+BaselineGate::baseline(const std::string& key) const
+{
+    return json_number(text_, key);
+}
+
+void
+BaselineGate::at_least(const std::string& key, double fresh,
+                       double hard_floor)
+{
+    const double ref = baseline(key);
+    const double need = std::isnan(ref)
+                            ? hard_floor
+                            : std::max(ref * (1.0 - tolerance_), hard_floor);
+    report(key, fresh, ref, ">=", need, fresh >= need);
+}
+
+void
+BaselineGate::at_most(const std::string& key, double fresh)
+{
+    const double ref = baseline(key);
+    const double need = ref * (1.0 + tolerance_);
+    report(key, fresh, ref, "<=", need, fresh <= need);
+}
+
+void
+BaselineGate::report(const std::string& key, double fresh, double ref,
+                     const char* op, double need, bool pass)
+{
+    std::printf("gate: %-26s %10.2f (baseline %10.2f, need %s %.2f) %s\n",
+                key.c_str(), fresh, std::isnan(ref) ? 0.0 : ref, op, need,
+                pass ? "ok" : "REGRESSION");
+    ok_ = ok_ && pass;
 }
 
 }  // namespace rsafe::bench

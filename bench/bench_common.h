@@ -14,6 +14,10 @@
  * Environment knobs:
  *   RSAFE_BENCH_SCALE  multiply the per-benchmark iteration counts
  *                      (default 1; larger = longer, smoother runs).
+ *   RSAFE_BENCH_GATE_TOLERANCE
+ *                      relative slack, in percent, of every --gate
+ *                      check against a committed BENCH_*.json
+ *                      (default 10).
  */
 
 #include <memory>
@@ -77,6 +81,44 @@ double geo_mean(const std::vector<double>& values);
 
 /** Print the table and also write CSV next to the binary if asked. */
 void emit(const stats::Table& table);
+
+/** `"key": <number>` scanned out of @p text; NaN when the key is absent. */
+double json_number(const std::string& text, const std::string& key);
+
+/**
+ * A --gate run against one committed BENCH_*.json: each check prints
+ * one line and any failure makes ok() false. Relative checks use the
+ * RSAFE_BENCH_GATE_TOLERANCE slack.
+ */
+class BaselineGate {
+  public:
+    /** Reads @p path whole; loaded() says whether that worked. */
+    explicit BaselineGate(const std::string& path);
+
+    bool loaded() const { return loaded_; }
+
+    /** The baseline's `"key": <number>`; NaN when absent. */
+    double baseline(const std::string& key) const;
+
+    /** Require @p fresh >= max(baseline * (1 - tol), @p hard_floor); a
+     *  key absent from the baseline gates on @p hard_floor alone. */
+    void at_least(const std::string& key, double fresh,
+                  double hard_floor = 0.0);
+
+    /** Require @p fresh <= baseline * (1 + tol); fails when absent. */
+    void at_most(const std::string& key, double fresh);
+
+    bool ok() const { return ok_; }
+
+  private:
+    void report(const std::string& key, double fresh, double ref,
+                const char* op, double need, bool pass);
+
+    std::string text_;
+    double tolerance_ = 0.10;
+    bool loaded_ = false;
+    bool ok_ = true;
+};
 
 }  // namespace rsafe::bench
 

@@ -25,7 +25,8 @@
  *    must stay within 2x its solo p99;
  *  - fleet-vs-solo determinism must hold;
  *  - with --gate: the committed BENCH_fleet.json is the reference —
- *    throughput must not regress >10%, worst benign p99 not >10%.
+ *    neither throughput nor worst benign p99 may regress by more than
+ *    RSAFE_BENCH_GATE_TOLERANCE percent (default 10).
  *
  * Always writes BENCH_fleet.json (schema rsafe-bench-fleet-v1).
  */
@@ -491,17 +492,6 @@ write_json(const char* path, const std::vector<TenantMeasure>& measures,
     std::printf("wrote %s\n", path);
 }
 
-/** Scan @p text for `"key": <number>`; @return the number or -1. */
-double
-find_number(const std::string& text, const std::string& key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return -1.0;
-    return std::atof(text.c_str() + pos + needle.size());
-}
-
 }  // namespace
 }  // namespace rsafe::bench
 
@@ -533,17 +523,10 @@ main(int argc, char** argv)
     }
 
     // Load the committed reference before this run overwrites it.
-    std::string committed;
-    if (gate) {
-        if (std::FILE* f = std::fopen(reference, "rb")) {
-            char buf[1 << 16];
-            const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-            committed.assign(buf, n);
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr, "--gate: cannot read %s\n", reference);
-            return 1;
-        }
+    BaselineGate regression(gate ? reference : "");
+    if (gate && !regression.loaded()) {
+        std::fprintf(stderr, "--gate: cannot read %s\n", reference);
+        return 1;
     }
 
     // 1. Solo measurements (also the determinism reference digests).
@@ -611,23 +594,16 @@ main(int argc, char** argv)
 
     // 5. Regression gate against the committed reference.
     if (gate) {
-        const double ref_tp = find_number(committed, "throughput_n6");
-        const double ref_p99 =
-            find_number(committed, "benign_p99_worst_cycles");
-        if (ref_tp <= 0.0 || ref_p99 < 0.0) {
+        if (!(regression.baseline("throughput_n6") > 0.0) ||
+            !(regression.baseline("benign_p99_worst_cycles") >= 0.0)) {
             std::fprintf(stderr,
                          "--gate: reference lacks gate fields\n");
             return 1;
         }
-        const bool tp_ok = throughput_n6 >= 0.9 * ref_tp;
-        const bool p99_ok =
-            double(benign_p99_worst) <= 1.1 * ref_p99;
-        std::printf("regression: throughput %.2fx vs ref %.2fx -> %s; "
-                    "benign p99 %llu vs ref %.0f -> %s\n",
-                    throughput_n6, ref_tp, tp_ok ? "ok" : "REGRESSED",
-                    static_cast<unsigned long long>(benign_p99_worst),
-                    ref_p99, p99_ok ? "ok" : "REGRESSED");
-        pass = pass && tp_ok && p99_ok;
+        regression.at_least("throughput_n6", throughput_n6);
+        regression.at_most("benign_p99_worst_cycles",
+                           double(benign_p99_worst));
+        pass = pass && regression.ok();
     }
 
     write_json("BENCH_fleet.json", measures, real, sweep, throughput_n6,

@@ -23,14 +23,11 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <thread>
 #include <string>
 
+#include "bench_common.h"
 #include "cpu/cpu.h"
 #include "cpu/ras.h"
 #include "isa/assembler.h"
@@ -404,17 +401,6 @@ write_bench_json(const BenchResults& r, const char* path)
         r.interp_alu.instr_per_sec / 1e6, r.tb_speedup_alu());
 }
 
-/** Pull "key": <number> out of @p text; NaN when the key is absent. */
-double
-json_number(const std::string& text, const char* key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 /**
  * CI perf gate: compare the fresh speedup ratios against the checked-in
  * baseline. @return the process exit code (0 = pass).
@@ -422,40 +408,17 @@ json_number(const std::string& text, const char* key)
 int
 run_gate(const BenchResults& r, const char* baseline_path)
 {
-    std::ifstream in(baseline_path);
-    if (!in) {
+    bench::BaselineGate gate(baseline_path);
+    if (!gate.loaded()) {
         std::fprintf(stderr, "gate: cannot read baseline %s\n",
                      baseline_path);
         return 2;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-
-    double tol_pct = 10.0;
-    if (const char* env = std::getenv("RSAFE_BENCH_GATE_TOLERANCE");
-        env != nullptr && env[0] != '\0') {
-        tol_pct = std::strtod(env, nullptr);
-    }
-    const double floor = 1.0 - tol_pct / 100.0;
-
-    bool ok = true;
-    const auto check = [&](const char* name, double fresh,
-                           double hard_floor) {
-        const double ref = json_number(base, name);
-        const double need =
-            std::isnan(ref) ? hard_floor : std::max(ref * floor, hard_floor);
-        const bool pass = fresh >= need;
-        std::printf("gate: %-26s %6.2fx (baseline %6.2fx, need >= %.2fx) %s\n",
-                    name, fresh, std::isnan(ref) ? 0.0 : ref, need,
-                    pass ? "ok" : "REGRESSION");
-        ok = ok && pass;
-    };
     // The TB ALU speedup carries an absolute floor of 2.5x on top of the
     // relative check; the others only guard against relative regressions.
-    check("tb_speedup_alu", r.tb_speedup_alu(), 2.5);
-    check("decode_cache_speedup_alu", r.decode_cache_speedup_alu(), 0.0);
-    return ok ? 0 : 1;
+    gate.at_least("tb_speedup_alu", r.tb_speedup_alu(), 2.5);
+    gate.at_least("decode_cache_speedup_alu", r.decode_cache_speedup_alu());
+    return gate.ok() ? 0 : 1;
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -337,20 +338,6 @@ write_obs_json(const char* path, const ObsOverhead& obs, double gate_pct,
 }
 
 /**
- * Pull a numeric field out of a reference BENCH_obs.json (naive string
- * scan — the file is our own fixed shape). @return false if absent.
- */
-bool
-json_number(const std::string& text, const std::string& key, double* out)
-{
-    const auto pos = text.find("\"" + key + "\":");
-    if (pos == std::string::npos)
-        return false;
-    *out = std::atof(text.c_str() + pos + key.size() + 3);
-    return true;
-}
-
-/**
  * Sanity-check the committed baseline against this run: the schema
  * family must match (any rsafe-bench-obs-* version), and the delta is
  * printed so a drifting overhead is visible in the CI log even while
@@ -373,8 +360,8 @@ check_obs_reference(const std::string& path, const ObsOverhead& obs)
                      path.c_str());
         return false;
     }
-    double ref_overhead = 0.0;
-    if (json_number(text, "overhead_pct", &ref_overhead)) {
+    if (const double ref_overhead = json_number(text, "overhead_pct");
+        !std::isnan(ref_overhead)) {
         std::printf("obs reference %s: baseline overhead %.2f%%, "
                     "this run %+.2f%% (delta %+.2f)\n",
                     path.c_str(), ref_overhead, obs.overhead_pct,

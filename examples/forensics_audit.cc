@@ -37,7 +37,7 @@ main()
     auto cr_vm = factory();
     replay::CrOptions cr_options;
     cr_options.checkpoint_interval = 400'000;
-    cr_options.max_checkpoints = 0;  // keep the entire history
+    cr_options.store.max_keep = 0;  // keep the entire history
     replay::CheckpointReplayer cr(cr_vm.get(), &recorder.log(),
                                   cr_options);
     cr.run();

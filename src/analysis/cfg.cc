@@ -274,20 +274,6 @@ Cfg::block_starting(Addr addr) const
     return nullptr;
 }
 
-const BasicBlock*
-Cfg::block_containing(Addr addr) const
-{
-    auto it = std::upper_bound(
-        blocks_.begin(), blocks_.end(), addr,
-        [](Addr value, const BasicBlock& b) { return value < b.begin; });
-    if (it == blocks_.begin())
-        return nullptr;
-    --it;
-    if (addr >= it->begin && addr < it->end)
-        return &*it;
-    return nullptr;
-}
-
 void
 Cfg::mark_reachable_from(Addr root)
 {

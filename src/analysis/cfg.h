@@ -90,9 +90,6 @@ class Cfg {
     /** @return the block starting exactly at @p addr, or nullptr. */
     const BasicBlock* block_starting(Addr addr) const;
 
-    /** @return the block containing @p addr, or nullptr. */
-    const BasicBlock* block_containing(Addr addr) const;
-
     /** @return sorted unique in-image direct call targets. */
     const std::vector<Addr>& call_targets() const { return call_targets_; }
 

@@ -356,18 +356,6 @@ coalesce(std::vector<Region> regions)
 
 }  // namespace
 
-const IndirectSite*
-ValueSetResult::find_site(Addr pc) const
-{
-    auto it = std::lower_bound(sites.begin(), sites.end(), pc,
-                               [](const IndirectSite& s, Addr addr) {
-                                   return s.site < addr;
-                               });
-    if (it == sites.end() || it->site != pc)
-        return nullptr;
-    return &*it;
-}
-
 ValueSetResult
 analyze_value_sets(const std::vector<const Cfg*>& cfgs,
                    const ValueSetConfig& config)

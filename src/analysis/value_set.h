@@ -78,9 +78,6 @@ struct ValueSetResult {
      * @ref written to cover every declared writable region.
      */
     bool unbounded_store = false;
-
-    /** @return the site record for @p pc, or nullptr. */
-    const IndirectSite* find_site(Addr pc) const;
 };
 
 /** Declared memory shape consumed by the pass. */

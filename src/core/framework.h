@@ -90,8 +90,7 @@ struct FrameworkConfig {
      * framework arms every detector on the recorded VM before recording
      * starts and routes the resulting kDetectorAlarm records to the same
      * detectors' classifiers during alarm replay. Null keeps the
-     * RAS-only baseline. The RSAFE_NO_DETECTORS environment variable is
-     * a runtime kill-switch that ignores this field entirely.
+     * RAS-only baseline.
      */
     std::shared_ptr<DetectorSet> detectors;
     /**

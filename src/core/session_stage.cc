@@ -1,6 +1,5 @@
 #include "core/session_stage.h"
 
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -13,12 +12,11 @@ namespace rsafe::core {
 
 namespace {
 
-/** @p set unless it is empty or the RSAFE_NO_DETECTORS kill-switch (the
- *  RAS-only baseline) is set. */
+/** @p set unless it is null or empty (the RAS-only baseline). */
 const DetectorSet*
 in_effect(const std::shared_ptr<DetectorSet>& set)
 {
-    if (!set || set->empty() || std::getenv("RSAFE_NO_DETECTORS") != nullptr)
+    if (!set || set->empty())
         return nullptr;
     return set.get();
 }

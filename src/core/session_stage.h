@@ -88,8 +88,8 @@ class SessionStage {
   public:
     /**
      * Builds the session's VMs and engines. @p detectors (may be null)
-     * is armed on the recorded VM unless the RSAFE_NO_DETECTORS
-     * kill-switch is set; run() disarms it when recording finishes.
+     * is armed on the recorded VM unless it is empty; run() disarms it
+     * when recording finishes.
      */
     SessionStage(VmFactory factory, SessionOptions options,
                  std::shared_ptr<DetectorSet> detectors);
@@ -98,7 +98,7 @@ class SessionStage {
      * A replay-only session over @p log (not null): nothing is recorded
      * or armed, and run() drives the sequential CR over the log whatever
      * options.streamed says. @p detectors still supplies the classifiers
-     * for the log's kDetectorAlarm records, kill-switch applied.
+     * for the log's kDetectorAlarm records.
      */
     SessionStage(VmFactory factory, SessionOptions options,
                  std::shared_ptr<DetectorSet> detectors,
@@ -122,7 +122,7 @@ class SessionStage {
      */
     void request_stop();
 
-    /** The in-effect detector set (kill-switch applied; may be null). */
+    /** The in-effect detector set (null when none or empty). */
     const DetectorSet* active_detectors() const { return active_detectors_; }
 
     /**

@@ -1,7 +1,5 @@
 #include "cpu/cpu.h"
 
-#include <cstdlib>
-
 #include "common/log.h"
 #include "cpu/tb_engine.h"
 #include "dev/device_hub.h"
@@ -16,15 +14,7 @@ Cpu::Cpu(mem::PhysMem* mem, std::size_t ras_depth)
     if (mem_ == nullptr)
         fatal("Cpu: null memory");
     decode_cache_.resize(mem_->num_pages());
-    if (const char* env = std::getenv("RSAFE_NO_DECODE_CACHE");
-        env != nullptr && env[0] != '\0' && env[0] != '0') {
-        decode_cache_enabled_ = false;
-    }
     tb_ = std::make_unique<TbEngine>(mem_);
-    if (const char* env = std::getenv("RSAFE_NO_TB");
-        env != nullptr && env[0] != '\0' && env[0] != '0') {
-        tb_enabled_ = false;
-    }
 }
 
 Cpu::~Cpu() = default;

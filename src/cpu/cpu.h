@@ -31,9 +31,8 @@
  * a page's generation whenever its bytes or permissions may have changed
  * (set_perms, restore_page, write_block/write_raw, guest stores to X
  * pages), which invalidates the predecoded copy. The cache is
- * semantically invisible; set RSAFE_NO_DECODE_CACHE=1 (or call
- * set_decode_cache_enabled(false)) to force the fetch+decode slow path
- * for A/B determinism testing.
+ * semantically invisible; call set_decode_cache_enabled(false) to force
+ * the fetch+decode slow path for A/B determinism testing.
  */
 
 namespace rsafe::cpu {
@@ -244,9 +243,8 @@ class Cpu {
     const std::string& fault_reason() const { return fault_reason_; }
 
     /**
-     * Toggle the predecoded-instruction cache (on by default unless the
-     * RSAFE_NO_DECODE_CACHE environment variable is set). Execution is
-     * bit-identical either way; the toggle exists for A/B testing.
+     * Toggle the predecoded-instruction cache (on by default). Execution
+     * is bit-identical either way; the toggle exists for A/B testing.
      */
     void set_decode_cache_enabled(bool enabled)
     {
@@ -260,8 +258,7 @@ class Cpu {
     bool decode_cache_enabled() const { return decode_cache_enabled_; }
 
     /**
-     * Toggle the translation-block engine (on by default unless the
-     * RSAFE_NO_TB environment variable is set). Execution is
+     * Toggle the translation-block engine (on by default). Execution is
      * bit-identical either way; the toggle exists for A/B testing.
      */
     void set_tb_enabled(bool enabled) { tb_enabled_ = enabled; }

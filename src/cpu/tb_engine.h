@@ -61,9 +61,9 @@
  * canonical implementation. Replay barriers are respected by budget: a
  * block is only entered whole when the remaining instruction budget
  * covers it, so execution stops exactly at perf-counter stops,
- * interrupt-injection icounts and checkpoint boundaries. The
- * RSAFE_NO_TB environment variable (or Cpu::set_tb_enabled(false))
- * forces the predecoded-interpreter path for A/B testing.
+ * interrupt-injection icounts and checkpoint boundaries.
+ * Cpu::set_tb_enabled(false) forces the predecoded-interpreter path for
+ * A/B testing.
  */
 
 namespace rsafe::cpu {

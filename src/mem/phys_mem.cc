@@ -222,14 +222,6 @@ PhysMem::restore_page(Addr page, const std::uint8_t* data)
     bump_code_gen(page);
 }
 
-bool
-PhysMem::page_dirty(Addr page) const
-{
-    if (page >= num_pages())
-        panic("PhysMem::page_dirty out of range");
-    return (dirty_bits_[page >> 6] >> (page & 63)) & 1;
-}
-
 std::vector<Addr>
 PhysMem::dirty_pages() const
 {

@@ -125,9 +125,6 @@ class PhysMem {
     /** @return number of dirty pages (O(1)). */
     std::size_t dirty_count() const { return dirty_count_; }
 
-    /** @return true if @p page was written since the last clear_dirty(). */
-    bool page_dirty(Addr page) const;
-
     /** Forget dirty state (checkpoint interval boundary); bumps epoch(). */
     void clear_dirty();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -153,8 +152,7 @@ struct HealthMonitor::TenantRuntime {
 };
 
 HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(std::move(options)),
-      on_(options_.enabled && std::getenv("RSAFE_NO_HEALTH") == nullptr)
+    : options_(std::move(options))
 {
     if (options_.rules.empty())
         options_.rules = default_slo_rules();
@@ -197,7 +195,7 @@ HealthMonitor::add_sample_listener(SampleListener listener)
 bool
 HealthMonitor::start()
 {
-    if (!on_)
+    if (!options_.enabled)
         return false;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -230,7 +228,7 @@ HealthMonitor::stop()
         stopped_ = true;
         // One final pass so the end-of-run state (the tick the breach
         // landed on, say) is captured even with a coarse cadence.
-        if (on_)
+        if (options_.enabled)
             tick();
     }
 }

@@ -33,10 +33,8 @@
  * Passivity is the contract: the monitor only ever *reads* pipeline
  * state and only ever *writes* gauges (never counters), so stat
  * snapshots, verdicts and digests are bit-identical with the monitor on
- * or off. RSAFE_NO_HEALTH in the environment, read once when the
- * monitor is built, keeps start() from spawning the thread regardless
- * of configuration; tick() stays callable directly for deterministic
- * tests.
+ * or off. HealthOptions::enabled = false keeps start() from spawning
+ * the thread; tick() stays callable directly for deterministic tests.
  */
 
 namespace rsafe::obs {
@@ -169,11 +167,8 @@ class HealthMonitor {
     void add_listener(EventListener listener);
     void add_sample_listener(SampleListener listener);
 
-    /**
-     * @return whether this monitor may sample at all: the options enable
-     * it and RSAFE_NO_HEALTH was unset when it was built.
-     */
-    bool live() const { return on_; }
+    /** @return whether this monitor may sample at all (options.enabled). */
+    bool live() const { return options_.enabled; }
 
     /**
      * Spawn the sampling thread. Returns false (and stays inert) when
@@ -232,7 +227,6 @@ class HealthMonitor {
                          std::vector<HealthEvent>* fired);
 
     HealthOptions options_;
-    bool on_;  ///< live(): enabled and not killed at construction
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<TenantRuntime>> tenants_;

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -66,7 +65,7 @@ TelemetryServer::~TelemetryServer()
 bool
 TelemetryServer::start()
 {
-    if (!options_.enabled || std::getenv("RSAFE_NO_TELEMETRY") != nullptr)
+    if (!options_.enabled)
         return false;
     if (running_)
         return true;
@@ -194,7 +193,7 @@ TelemetryServer::stop()
     }
 
     // The offline twin: even when the endpoint never served (CI without
-    // loopback, kill switch), the snapshots capture the same content.
+    // loopback, disabled), the snapshots capture the same content.
     if (!snapshots_written_ && !options_.snapshot_dir.empty()) {
         snapshots_written_ = true;
         if (providers_.metrics) {

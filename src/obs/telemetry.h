@@ -22,7 +22,7 @@
  * state; it binds 127.0.0.1 only (this is an operator loopback port,
  * not a service); port 0 picks an ephemeral port, published both via
  * port() and a `telemetry.port` file in the snapshot directory so a
- * smoke test can find it. RSAFE_NO_TELEMETRY in the environment keeps
+ * smoke test can find it. TelemetryOptions::enabled = false keeps
  * start() from binding at all. For CI environments without a usable
  * loopback, stop() writes file snapshots of all three routes into the
  * snapshot directory — the endpoint's offline twin.
@@ -63,8 +63,8 @@ class TelemetryServer {
 
     /**
      * Bind, listen and spawn the accept thread. Returns false (and
-     * stays inert) when disabled, RSAFE_NO_TELEMETRY is set, or the
-     * bind fails — a failed endpoint must never fail the run.
+     * stays inert) when disabled or when the bind fails — a failed
+     * endpoint must never fail the run.
      */
     bool start();
 

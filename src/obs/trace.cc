@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -110,16 +109,6 @@ Tracer::instance()
 {
     static Tracer tracer;
     return tracer;
-}
-
-void
-Tracer::set_enabled(bool enabled)
-{
-    // The kill switch wins over every programmatic request, checked at
-    // call time (not cached) so one process can A/B both settings.
-    if (enabled && std::getenv("RSAFE_NO_TRACE") != nullptr)
-        enabled = false;
-    enabled_.store(enabled, std::memory_order_relaxed);
 }
 
 void

@@ -27,11 +27,9 @@
  * detection to verdict.
  *
  * Tracing is off by default. Components call Tracer::set_enabled(true)
- * (the `rsafe-report` CLI and benches do); the RSAFE_NO_TRACE
- * environment variable wins over everything and forces tracing off, so
- * any A/B overhead or determinism question can be answered without a
- * rebuild. Event names and categories must be string literals (or other
- * static-lifetime strings): buffers store the pointers, not copies.
+ * (the `rsafe-report` CLI and benches do). Event names and categories
+ * must be string literals (or other static-lifetime strings): buffers
+ * store the pointers, not copies.
  */
 
 namespace rsafe::obs {
@@ -109,12 +107,11 @@ class Tracer {
     /** @return the process singleton. */
     static Tracer& instance();
 
-    /**
-     * Turn tracing on or off. RSAFE_NO_TRACE in the environment forces
-     * tracing off regardless of @p enabled (checked here, at call time,
-     * so tests can flip it between runs).
-     */
-    void set_enabled(bool enabled);
+    /** Turn tracing on or off. */
+    void set_enabled(bool enabled)
+    {
+        enabled_.store(enabled, std::memory_order_relaxed);
+    }
 
     /** @return whether emit paths are live. */
     bool enabled() const

@@ -1,7 +1,6 @@
 #include "replay/checkpoint.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/log.h"
@@ -13,28 +12,11 @@ namespace rsafe::replay {
 namespace {
 
 CheckpointStoreOptions
-with_kill_switch(CheckpointStoreOptions options)
-{
-    if (std::getenv("RSAFE_NO_CKPT_COMPRESS") != nullptr)
-        options.compress = false;
-    return options;
-}
-
-CheckpointStoreOptions
 options_for_max_keep(std::size_t max_keep)
 {
     CheckpointStoreOptions options;
     options.max_keep = max_keep;
     return options;
-}
-
-ckpt::PagePoolOptions
-pool_options(const CheckpointStoreOptions& options)
-{
-    ckpt::PagePoolOptions pool;
-    pool.dedup = options.dedup;
-    pool.compress = options.compress;
-    return pool;
 }
 
 }  // namespace
@@ -45,7 +27,7 @@ CheckpointStore::CheckpointStore(std::size_t max_keep)
 }
 
 CheckpointStore::CheckpointStore(const CheckpointStoreOptions& options)
-    : options_(with_kill_switch(options)), pool_(pool_options(options_))
+    : options_(options), pool_(ckpt::PagePoolOptions{options.compress})
 {
 }
 

@@ -143,12 +143,9 @@ struct CheckpointStoreOptions {
      * checkpoint-unavailable verdict, not UB.
      */
     std::uint64_t byte_budget = 0;
-    /** Content-hash dedup of equal pages across the chain. */
-    bool dedup = true;
     /**
-     * RLE-compress stored pages. The RSAFE_NO_CKPT_COMPRESS environment
-     * variable is a runtime kill-switch that forces this off — the A/B
-     * lever for the bit-identical determinism gate.
+     * RLE-compress stored pages. Off is the A/B lever for the
+     * bit-identical determinism gate.
      */
     bool compress = true;
 };
@@ -171,7 +168,7 @@ class CheckpointStore {
     /** Keep at most @p max_keep checkpoints (0 = unlimited history). */
     explicit CheckpointStore(std::size_t max_keep);
 
-    /** Full configuration (kill-switch applied here). */
+    /** Full configuration. */
     explicit CheckpointStore(const CheckpointStoreOptions& options);
 
     /**
@@ -214,7 +211,7 @@ class CheckpointStore {
     /** Storage accounting (dedup, compression, recycling). */
     CheckpointStoreStats stats() const;
 
-    /** The in-effect configuration (kill-switch already applied). */
+    /** The configuration this store was built with. */
     const CheckpointStoreOptions& options() const { return options_; }
 
   private:

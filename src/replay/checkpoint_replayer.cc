@@ -7,23 +7,10 @@ namespace rsafe::replay {
 
 using cpu::Costs;
 
-namespace {
-
-CheckpointStoreOptions
-store_options(const CrOptions& options)
-{
-    CheckpointStoreOptions store;
-    store.max_keep = options.max_checkpoints;
-    store.byte_budget = options.checkpoint_byte_budget;
-    return store;
-}
-
-}  // namespace
-
 CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
                                        const CrOptions& options)
     : rnr::Replayer(vm, log, 0, options.replay), cr_options_(options),
-      store_(store_options(options))
+      store_(options.store)
 {
     take_initial_checkpoint();
 }
@@ -31,7 +18,7 @@ CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
 CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, rnr::LogSource* source,
                                        const CrOptions& options)
     : rnr::Replayer(vm, source, 0, options.replay), cr_options_(options),
-      store_(store_options(options))
+      store_(options.store)
 {
     take_initial_checkpoint();
 }
@@ -43,10 +30,8 @@ CheckpointReplayer::take_initial_checkpoint()
         // The initial full checkpoint: the baseline every later
         // incremental checkpoint chains from. Not charged to the replay
         // (it amounts to having the initial VM image on hand).
-        const auto ck = store_.take(*vm_, *this, log_pos());
+        store_.take(*vm_, *this, log_pos());
         last_checkpoint_cycles_ = vm_->cpu().cycles();
-        if (cr_options_.writeback)
-            cr_options_.writeback->submit(ck);
     }
 }
 
@@ -67,8 +52,6 @@ CheckpointReplayer::maybe_checkpoint()
     overhead_.chk += cost;
     last_checkpoint_cycles_ = cpu.cycles();
     ++checkpoints_taken_;
-    if (cr_options_.writeback)
-        cr_options_.writeback->submit(ck);
     obs::Tracer::instance().instant("cr.checkpoint.taken", "cr", "copies",
                                     ck->copies);
     publish_occupancy();
@@ -92,7 +75,7 @@ CheckpointReplayer::publish_occupancy()
     health_probe_->ckpt_live_bytes.store(store_.stats().live_bytes,
                                          std::memory_order_relaxed);
     health_probe_->ckpt_budget_bytes.store(
-        cr_options_.checkpoint_byte_budget, std::memory_order_relaxed);
+        cr_options_.store.byte_budget, std::memory_order_relaxed);
 }
 
 void

@@ -87,8 +87,6 @@ PagePool::intern(const std::uint8_t* data)
         return intern_zero();
     ++totals_.pages_interned;
     totals_.bytes_raw += kPageSize;
-    if (!options_.dedup)
-        return store(data);
 
     const std::uint32_t crc = wire::crc32c(data, kPageSize);
     auto& bucket = index_[crc];
@@ -117,8 +115,6 @@ PagePool::intern_zero()
 {
     ++totals_.pages_interned;
     totals_.bytes_raw += kPageSize;
-    if (!options_.dedup)
-        return store(kZeroPage);
     if (StoredPageRef page = zero_.lock()) {
         ++totals_.dedup_hits;
         return page;

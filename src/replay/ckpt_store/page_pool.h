@@ -27,7 +27,7 @@
  * confirmed with a full byte compare, so a hash collision can never
  * silently alias two different pages. Stored pages are RLE-compressed
  * (compress.h) unless that would grow them — or unless compression is
- * disabled, the RSAFE_NO_CKPT_COMPRESS A/B lever.
+ * disabled, the PagePoolOptions::compress A/B lever.
  *
  * All-zero content bypasses the index: every zero intern returns the
  * pool's one zero page, and intern_zero() hands it out without reading
@@ -37,9 +37,8 @@
  * stays byte-identical.
  *
  * Thread contract: intern() is called from one thread (the CR); the
- * returned refs may be dropped from any thread (AR workers, the
- * writeback thread), so the live-byte accounting rides in atomics
- * updated by the pages' deleters.
+ * returned refs may be dropped from any thread (AR workers), so the
+ * live-byte accounting rides in atomics updated by the pages' deleters.
  */
 
 namespace rsafe::replay::ckpt {
@@ -91,8 +90,6 @@ using StoredPageTable = mem::BasicPageTable<StoredPageRef>;
 
 /** PagePool configuration. */
 struct PagePoolOptions {
-    /** Share equal-content pages (off = every intern stores a copy). */
-    bool dedup = true;
     /** RLE-compress stored pages (off = raw; the A/B lever). */
     bool compress = true;
 };
@@ -129,8 +126,7 @@ class PagePool {
 
     /**
      * intern() of kPageSize zero bytes without the bytes: the pool's zero
-     * page (a fresh copy when dedup is off), counted in the stats exactly
-     * as intern() would count it.
+     * page, counted in the stats exactly as intern() would count it.
      */
     StoredPageRef intern_zero();
 
@@ -152,7 +148,7 @@ class PagePool {
     std::unordered_map<std::uint32_t,
                        std::vector<std::weak_ptr<const StoredPage>>>
         index_;
-    /** The zero page while any checkpoint holds it (dedup only). */
+    /** The zero page while any checkpoint holds it. */
     std::weak_ptr<const StoredPage> zero_;
     PagePoolStats totals_;
 };

@@ -4,20 +4,6 @@
 
 namespace rsafe::replay {
 
-const char*
-ret_verdict_name(RetVerdict verdict)
-{
-    switch (verdict) {
-      case RetVerdict::kMatch: return "match";
-      case RetVerdict::kWhitelistOk: return "whitelist-ok";
-      case RetVerdict::kWhitelistViolation: return "whitelist-violation";
-      case RetVerdict::kImperfectNesting: return "imperfect-nesting";
-      case RetVerdict::kUnderflowBenign: return "underflow-benign";
-      case RetVerdict::kRopDetected: return "ROP-DETECTED";
-    }
-    return "<bad>";
-}
-
 ShadowRas::ShadowRas(std::unordered_set<Addr> ret_whitelist,
                      std::unordered_set<Addr> tar_whitelist)
     : ret_whitelist_(std::move(ret_whitelist)),

@@ -36,9 +36,6 @@ enum class RetVerdict {
     kRopDetected,        ///< mismatch explainable only as a hijacked return
 };
 
-/** @return a short name for @p verdict. */
-const char* ret_verdict_name(RetVerdict verdict);
-
 /** Unbounded per-thread software return-address stack. */
 class ShadowRas {
   public:

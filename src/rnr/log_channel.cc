@@ -117,13 +117,6 @@ LogChannel::abandon()
 }
 
 bool
-LogChannel::closed() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-}
-
-bool
 LogChannel::poisoned() const
 {
     std::lock_guard<std::mutex> lock(mu_);

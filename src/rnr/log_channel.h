@@ -101,9 +101,6 @@ class LogChannel {
         return producer_icount_.load(std::memory_order_relaxed);
     }
 
-    /** @return true once close() ran. */
-    bool closed() const;
-
     /** @return true once poison() ran. */
     bool poisoned() const;
 

@@ -8,61 +8,6 @@
 
 namespace rsafe::rnr {
 
-namespace {
-
-/** The legacy (version 1) magic: bare count + records, no checksums. */
-constexpr std::uint64_t kLogMagicV1 = 0x52534146454C4F47ULL;  // "RSAFELOG"
-
-/**
- * Parse a legacy v1 image (magic + u64 count + packed records) into
- * @p out, tolerantly: keep everything parsed before the first defect.
- * v1 has no redundancy, so corruption classes beyond truncation and
- * malformed fields are indistinguishable.
- */
-wire::LoadReport
-parse_legacy_v1(const std::vector<std::uint8_t>& bytes, InputLog* out)
-{
-    wire::LoadReport report;
-    report.version = 1;
-    report.bytes_total = bytes.size();
-    if (bytes.size() < 16) {
-        report.status =
-            Status(StatusCode::kTruncated,
-                   strcat_args("legacy v1 image is ", bytes.size(),
-                               " bytes, header needs 16"));
-        return report;
-    }
-    std::uint64_t count = 0;
-    for (int i = 0; i < 8; ++i)
-        count |= static_cast<std::uint64_t>(bytes[8 + i]) << (8 * i);
-    report.frames_declared = count;
-    std::size_t pos = 16;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        report.corrupt_offset = pos;
-        LogRecord record;
-        const Status status = LogRecord::decode(bytes, &pos, &record);
-        if (!status.ok()) {
-            report.status =
-                Status(status.code(),
-                       strcat_args("legacy v1 record #", i, ": ",
-                                   status.message()));
-            return report;
-        }
-        out->append(std::move(record));
-        ++report.frames_recovered;
-    }
-    report.corrupt_offset = pos;
-    if (pos != bytes.size()) {
-        report.status = Status(
-            StatusCode::kTrailingBytes,
-            strcat_args(bytes.size() - pos,
-                        " bytes of trailing garbage after legacy v1 log"));
-    }
-    return report;
-}
-
-}  // namespace
-
 std::size_t
 InputLog::append(LogRecord record)
 {
@@ -135,23 +80,6 @@ InputLog::deserialize_tolerant(const std::vector<std::uint8_t>& bytes,
     obs::ScopedSpan span("wire.load", "wire");
     out->records_.clear();
     out->total_bytes_ = 0;
-
-    // Legacy v1 images carry their own magic; route them to the
-    // unchecksummed parser (and flag version 1 in the report).
-    if (bytes.size() >= 8) {
-        std::uint64_t magic = 0;
-        for (int i = 0; i < 8; ++i)
-            magic |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-        if (magic == kLogMagicV1) {
-            auto report = parse_legacy_v1(bytes, out);
-            if (!report.intact()) {
-                obs::Tracer::instance().instant(
-                    "wire.integrity_failure", "wire", "recovered",
-                    report.frames_recovered);
-            }
-            return report;
-        }
-    }
 
     auto report = wire::read_frames(
         bytes, wire::PayloadKind::kInputLog,

@@ -25,8 +25,8 @@
  * a Status, and the tolerant APIs recover every record before the first
  * defect so a replayer can run up to the corruption boundary while the
  * LoadReport says exactly what was lost. Legacy version-1 images (bare
- * magic + count + records, no checksums) are still read, flagged as
- * version 1 in the report.
+ * magic + count + records, no checksums) are no longer read: they fail
+ * the header check with kBadMagic.
  */
 
 namespace rsafe::rnr {

@@ -160,7 +160,7 @@ TEST(CheckpointRestore, RoundTripsFullMachineState)
     auto cr_vm = factory();
     replay::CrOptions options;
     options.checkpoint_interval = 1'500'000;
-    options.max_checkpoints = 0;  // keep everything
+    options.store.max_keep = 0;  // keep everything
     replay::CheckpointReplayer cr(cr_vm.get(), &log, options);
     ASSERT_EQ(cr.run(), rnr::ReplayOutcome::kFinished);
     ASSERT_GE(cr.checkpoints_taken(), 2u);
@@ -212,7 +212,7 @@ TEST(CheckpointContent, CarriesBackRasAndLogPtr)
     auto cr_vm = factory();
     replay::CrOptions options;
     options.checkpoint_interval = 400'000;
-    options.max_checkpoints = 0;
+    options.store.max_keep = 0;
     replay::CheckpointReplayer cr(cr_vm.get(), &log, options);
     ASSERT_EQ(cr.run(), rnr::ReplayOutcome::kFinished);
     ASSERT_GE(cr.checkpoints().size(), 2u);

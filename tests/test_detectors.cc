@@ -193,10 +193,8 @@ TEST(DosDetector, ZeroWindowRejected)
 }  // namespace
 }  // namespace rsafe::core
 // Appended: JopDetector boundary semantics plus the pluggable detector
-// framework — static-policy scenarios end to end, kill-switch, metrics,
+// framework — static-policy scenarios end to end, detectors off, metrics,
 // and pipeline-shape determinism with detectors registered.
-
-#include <cstdlib>
 
 #include "analysis/policy.h"
 #include "core/detector.h"
@@ -416,10 +414,12 @@ TEST(DetectorPipeline, Table3StaysCleanWithAllDetectorsArmed)
 
 TEST(DetectorPipeline, KillSwitchDisarmsEverything)
 {
-    ASSERT_EQ(setenv("RSAFE_NO_DETECTORS", "1", 1), 0);
+    // detectors = nullptr (the default) is the RAS-only baseline.
     const auto scenario = workloads::cfi_hijack_scenario();
-    const auto result = run_scenario(scenario);
-    unsetenv("RSAFE_NO_DETECTORS");
+    FrameworkConfig config;
+    ASSERT_EQ(config.detectors, nullptr);
+    RnrSafeFramework framework(scenario.factory, config);
+    const auto result = framework.run();
 
     // No detector armed: the hijack sails through unalarmed (the RAS
     // baseline does not see a forward-edge corruption).

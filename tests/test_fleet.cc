@@ -153,7 +153,7 @@ TEST(Fleet, TenantsMatchTheirSoloRunsBitForBit)
 
 TEST(Fleet, TbOnOffAgreesThroughTheFleet)
 {
-    // The RSAFE_NO_TB gate extended to the fleet path: interpreter-only
+    // The TB on/off gate extended to the fleet path: interpreter-only
     // tenants must produce the same digests as TB-enabled ones.
     const auto factory = attack_factory();
     const auto interp = [factory]() {

@@ -213,7 +213,7 @@ interpreter_only(std::function<std::unique_ptr<hv::Vm>()> factory)
     };
 }
 
-/** Everything the RSAFE_NO_TB A/B gate compares between two runs. */
+/** Everything the TB on/off A/B gate compares between two runs. */
 struct AbDigest {
     hv::RunResult record_result{};
     rnr::ReplayOutcome cr_outcome{};
@@ -258,7 +258,7 @@ run_ab(const std::function<std::unique_ptr<hv::Vm>()>& factory,
 
 TEST(Framework, TbEngineABDeterminismAcrossWorkloads)
 {
-    // The RSAFE_NO_TB A/B gate: the translation-block engine must be
+    // The TB on/off A/B gate: the translation-block engine must be
     // architecturally invisible. For each Table 3 workload the full
     // record→CR pipeline runs with the engine on and off and must agree
     // on outcomes, digests, clocks, and the counters-only stat snapshot.

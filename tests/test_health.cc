@@ -2,7 +2,7 @@
  * @file
  * Tests for the fleet health plane: the flight recorder's black-box
  * ring and wire codec, the HealthMonitor SLO state machine (driven
- * tick-by-tick, no wall clock), the telemetry endpoint, the kill
+ * tick-by-tick, no wall clock), the telemetry endpoint, the off
  * switches, and the fleet-level passivity gate (monitor on/off runs are
  * bit-identical).
  */
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -300,12 +299,12 @@ TEST(HealthMonitor, HealthzAndGaugesCoverEveryTenant)
 
 TEST(HealthMonitor, KillSwitchAndEmptyMonitorStayInert)
 {
-    // The kill switch is read once, when the monitor is built.
-    ::setenv("RSAFE_NO_HEALTH", "1", 1);
-    MonitorHarness enabled(absolute_queue_rule(1, 1));
-    ::unsetenv("RSAFE_NO_HEALTH");
-    EXPECT_FALSE(enabled.monitor.live());
-    EXPECT_FALSE(enabled.monitor.start());
+    // enabled = false wins over configured rules and a live tenant.
+    HealthOptions killed = absolute_queue_rule(1, 1);
+    killed.enabled = false;
+    MonitorHarness configured(killed);
+    EXPECT_FALSE(configured.monitor.live());
+    EXPECT_FALSE(configured.monitor.start());
 
     HealthOptions off;
     off.enabled = false;
@@ -417,17 +416,15 @@ TEST(Telemetry, ServesAllThreeRoutesAndSnapshotsOnStop)
 TEST(Telemetry, KillSwitchKeepsTheSocketClosed)
 {
     obs::TelemetryOptions options;
-    options.enabled = true;
+    options.enabled = false;
     obs::TelemetryProviders providers;
     providers.metrics = [] { return std::string(); };
     providers.healthz = [] { return std::string(); };
     providers.flight = [] { return std::vector<std::uint8_t>(); };
-    ::setenv("RSAFE_NO_TELEMETRY", "1", 1);
     obs::TelemetryServer server(options, providers);
     EXPECT_FALSE(server.start());
     EXPECT_FALSE(server.running());
     EXPECT_EQ(server.port(), 0);
-    ::unsetenv("RSAFE_NO_TELEMETRY");
     server.stop();
 }
 

@@ -1,11 +1,10 @@
 /** @file Observability subsystem tests: tracer + Chrome JSON export,
- *  flow correlation of alarms to AR workers, the RSAFE_NO_TRACE kill
- *  switch, metrics export, forensic-report wire roundtrips, and the
+ *  flow correlation of alarms to AR workers, tracing on/off A/B,
+ *  metrics export, forensic-report wire roundtrips, and the
  *  golden attack recording's where/who/what forensics. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -134,16 +133,13 @@ TEST(Tracer, NoTraceKillSwitchPreservesVerdictsAndSilencesEvents)
         EXPECT_GT(obs::Tracer::instance().event_count(), 0u);
     }
 
-    // Arm B: RSAFE_NO_TRACE wins over set_enabled(true).
-    ASSERT_EQ(setenv("RSAFE_NO_TRACE", "1", 1), 0);
+    // Arm B: tracing switched off.
     auto& tracer = obs::Tracer::instance();
-    tracer.set_enabled(true);
+    tracer.set_enabled(false);
     EXPECT_FALSE(tracer.enabled());
     tracer.begin_session();
     auto untraced = run_attack_pipeline(core::PipelineMode::kConcurrent, 2);
     EXPECT_EQ(tracer.event_count(), 0u);
-    ASSERT_EQ(unsetenv("RSAFE_NO_TRACE"), 0);
-    tracer.set_enabled(false);
 
     // Identical pipeline outcomes either way: tracing observes, never
     // participates.

@@ -1,5 +1,5 @@
 /** @file Wire-format hardening tests: header validation, CRC framing,
- *  truncation-tolerant recovery, legacy v1 compatibility, checkpoint
+ *  truncation-tolerant recovery, legacy v1 rejection, checkpoint
  *  digests, and the deterministic fault injector's aim. */
 
 #include <gtest/gtest.h>
@@ -230,10 +230,10 @@ TEST(LogWire, ForensicReportLocatesTheDamage)
     EXPECT_NE(report.to_string().find("record #3"), std::string::npos);
 }
 
-TEST(LogWire, LegacyV1ImagesStillLoad)
+TEST(LogWire, LegacyV1ImagesFailWithBadMagic)
 {
-    // A v1 image (bare magic + count + records) written by the previous
-    // format revision: still readable, flagged version 1.
+    // A v1 image (bare magic + count + records) written by a retired
+    // format revision: rejected at the header with a named status.
     const InputLog log = make_log(3);
     std::vector<std::uint8_t> v1;
     constexpr std::uint64_t kLogMagicV1 = 0x52534146454C4F47ULL;
@@ -246,21 +246,27 @@ TEST(LogWire, LegacyV1ImagesStillLoad)
     for (std::size_t i = 0; i < log.size(); ++i)
         log.at(i).serialize(&v1);
 
-    InputLog out;
-    const auto report = InputLog::deserialize_tolerant(v1, &out);
-    EXPECT_TRUE(report.intact());
-    EXPECT_EQ(report.version, 1u);
-    ASSERT_EQ(out.size(), log.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out.at(i).to_string(), log.at(i).to_string());
+    ASSERT_GT(v1.size(), wire::kHeaderSize);
 
-    // Truncated v1: still a prefix recovery, never an abort.
-    const std::vector<std::uint8_t> trunc(v1.begin(), v1.end() - 3);
-    InputLog partial;
-    const auto trunc_report =
-        InputLog::deserialize_tolerant(trunc, &partial);
-    EXPECT_EQ(trunc_report.status.code(), StatusCode::kTruncated);
-    EXPECT_EQ(partial.size(), log.size() - 1);
+    // Whole, and cut anywhere at or past the wire header: kBadMagic, no
+    // records, never an abort.
+    for (std::size_t len = wire::kHeaderSize; len <= v1.size(); ++len) {
+        const std::vector<std::uint8_t> prefix(v1.begin(), v1.begin() + len);
+        InputLog out = make_log(1);  // stale content must be cleared
+        const auto report = InputLog::deserialize_tolerant(prefix, &out);
+        EXPECT_EQ(report.status.code(), StatusCode::kBadMagic) << len;
+        EXPECT_EQ(report.frames_recovered, 0u) << len;
+        EXPECT_EQ(out.size(), 0u) << len;
+        EXPECT_EQ(InputLog::deserialize(prefix, &out).code(),
+                  StatusCode::kBadMagic);
+    }
+
+    // Shorter than a wire header: a named truncation, still no records.
+    const std::vector<std::uint8_t> stub(v1.begin(), v1.begin() + 16);
+    InputLog out;
+    EXPECT_EQ(InputLog::deserialize_tolerant(stub, &out).status.code(),
+              StatusCode::kTruncated);
+    EXPECT_EQ(out.size(), 0u);
 }
 
 TEST(LogWire, FutureVersionIsAnExplicitVersionError)

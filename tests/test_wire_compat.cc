@@ -5,9 +5,7 @@
  *  machine digest each must replay to. This suite re-reads those exact
  *  bytes with the current tree and replays them on a freshly built VM:
  *  any wire-format change that breaks old images, and any determinism
- *  drift that changes where a replay lands, fails here before it ships.
- *  The corpus also pins a legacy version-1 image, so the old-format
- *  loading path stays alive. */
+ *  drift that changes where a replay lands, fails here before it ships. */
 
 #include <gtest/gtest.h>
 
@@ -33,7 +31,7 @@ namespace rsafe {
 namespace {
 
 struct GoldenEntry {
-    std::string name;     ///< manifest row name ("fileio", "fileio-v1")
+    std::string name;     ///< manifest row name ("fileio", "attack")
     std::string file;     ///< file under golden/
     std::size_t records = 0;
     InstrCount icount = 0;
@@ -84,14 +82,6 @@ read_manifest()
     return entries;
 }
 
-/** The benchmark a manifest row replays ("fileio-v1" -> "fileio"). */
-std::string
-benchmark_of(const std::string& row_name)
-{
-    const auto dash = row_name.find('-');
-    return dash == std::string::npos ? row_name : row_name.substr(0, dash);
-}
-
 class GoldenCorpus : public ::testing::TestWithParam<GoldenEntry> {};
 
 TEST_P(GoldenCorpus, CheckedInBytesStillReplayToTheirDigest)
@@ -102,8 +92,8 @@ TEST_P(GoldenCorpus, CheckedInBytesStillReplayToTheirDigest)
            "rsafe-corpus from the repo root to regenerate "
         << golden_dir();
 
-    // The checked-in bytes must load with the current parser (a legacy
-    // v1 image included) — never abort, never quietly change meaning.
+    // The checked-in bytes must load with the current parser — never
+    // abort, never quietly change meaning.
     rnr::InputLog log;
     const Status status =
         rnr::InputLog::load(golden_dir() + "/" + entry.file, &log);
@@ -114,11 +104,10 @@ TEST_P(GoldenCorpus, CheckedInBytesStillReplayToTheirDigest)
     // the digest recorded when the corpus was generated. The "attack"
     // row replays on the shared attack-mix VM; everything else on its
     // golden Table 3 profile.
-    const std::string benchmark = benchmark_of(entry.name);
     auto factory =
-        benchmark == "attack"
+        entry.name == "attack"
             ? workloads::attack_mix().factory
-            : workloads::vm_factory(workloads::golden_profile(benchmark));
+            : workloads::vm_factory(workloads::golden_profile(entry.name));
     auto vm = factory();
     rnr::Replayer replayer(vm.get(), &log, 0, rnr::ReplayOptions{});
     ASSERT_EQ(replayer.run(), rnr::ReplayOutcome::kFinished);
@@ -131,11 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
         if (info.param.name == kMissing)
             return "corpus_missing_" + std::to_string(info.index);
-        std::string name = info.param.name;
-        for (auto& c : name)
-            if (c == '-')
-                c = '_';
-        return name;
+        return info.param.name;
     });
 
 // ---------------------------------------------------------------------
@@ -243,26 +228,18 @@ TEST(GoldenCkptManifest, CoversEveryBenchmarkPlusTheAttackMix)
     }
 }
 
-TEST(GoldenCorpusManifest, CoversEveryBenchmarkPlusALegacyImage)
+TEST(GoldenCorpusManifest, CoversEveryBenchmarkPlusTheAttackMix)
 {
     const auto entries = read_manifest();
-    for (const std::string& name : workloads::benchmark_names()) {
+    std::vector<std::string> wanted = workloads::benchmark_names();
+    wanted.push_back("attack");
+    for (const std::string& name : wanted) {
         bool found = false;
         for (const auto& entry : entries)
             if (entry.name == name)
                 found = true;
         EXPECT_TRUE(found) << "no golden log for " << name;
     }
-    bool legacy = false;
-    bool attack = false;
-    for (const auto& entry : entries) {
-        if (entry.name.find("-v1") != std::string::npos)
-            legacy = true;
-        if (entry.name == "attack")
-            attack = true;
-    }
-    EXPECT_TRUE(legacy) << "no legacy v1 image in the golden corpus";
-    EXPECT_TRUE(attack) << "no golden attack recording in the corpus";
 }
 
 }  // namespace

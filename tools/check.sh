@@ -23,10 +23,11 @@
 #                             # shutdown, metric namespacing) plus
 #                             # bench_fleet --gate against the committed
 #                             # BENCH_fleet.json (aggregate throughput and
-#                             # benign-tenant p99 regression thresholds).
+#                             # benign-tenant p99 regression thresholds;
+#                             # RSAFE_BENCH_GATE_TOLERANCE overrides 10%).
 #   tools/check.sh ckpt       # checkpoint-storage gate: test_ckpt_store
-#                             # (dedup, compression A/B, writeback, wire
-#                             # restore) plus bench_ckpt --gate against the
+#                             # (dedup, compression A/B, wire restore)
+#                             # plus bench_ckpt --gate against the
 #                             # committed BENCH_ckpt.json (>=4x byte and
 #                             # image reductions, restore-latency ratio).
 #   tools/check.sh health     # health-plane smoke: test_health, then an
@@ -145,8 +146,8 @@ run_fleet() {
 
 run_ckpt() {
     # The checkpoint-storage gate: the ckpt_store unit suite (dedup
-    # refcount lifecycle, RSAFE_NO_CKPT_COMPRESS A/B determinism, async
-    # writeback, AR-boots-from-wire-image equivalence) plus the storage
+    # refcount lifecycle, compress on/off A/B determinism,
+    # AR-boots-from-wire-image equivalence) plus the storage
     # benchmark measured fresh and compared against the committed
     # baseline. The byte/image reductions are deterministic functions of
     # the log and carry hard >=4x floors; only the restore-latency ratio

@@ -316,7 +316,7 @@ main(int argc, char** argv)
         core::RnrSafeFramework framework(factory, config);
 
         auto& tracer = obs::Tracer::instance();
-        tracer.set_enabled(true);  // RSAFE_NO_TRACE still wins
+        tracer.set_enabled(true);
         tracer.begin_session();
 
         core::FrameworkResult result;
