@@ -202,10 +202,14 @@ struct InterpResult {
     double ns_per_instr = 0.0;
 };
 
-/** Run @p instrs guest instructions of a loop program and time them. */
+/**
+ * Run @p instrs guest instructions of a loop program and time them.
+ * @p monitored programs the recorder's VMCS: RAS alarms, eviction exits
+ * and whitelists (one ret PC, three targets, none of them in the loop).
+ */
 InterpResult
 measure_interpreter(const isa::Image& image, bool tb, bool decode_cache,
-                    InstrCount instrs)
+                    InstrCount instrs, bool monitored = false)
 {
     mem::PhysMem mem(1 << 20);
     mem.load_image(image);
@@ -215,6 +219,13 @@ measure_interpreter(const isa::Image& image, bool tb, bool decode_cache,
     cpu.set_env(&env);
     cpu.set_tb_enabled(tb);
     cpu.set_decode_cache_enabled(decode_cache);
+    if (monitored) {
+        cpu.vmcs().controls.ras_alarm_enabled = true;
+        cpu.vmcs().controls.ras_evict_exit = true;
+        cpu.vmcs().controls.whitelist_enabled = true;
+        cpu.ras().set_ret_whitelist({0x800});
+        cpu.ras().set_tar_whitelist({0x900, 0x908, 0x910});
+    }
     cpu.state().pc = image.base();
     cpu.state().sp = 0x80000;
 
@@ -314,6 +325,8 @@ struct BenchResults {
     InterpResult interp_alu;
     InterpResult interp_alu_nocache;
     InterpResult interp_callret;
+    InterpResult tb_callret_mon;
+    InterpResult interp_callret_mon;
     CheckpointResult ck;
 
     double tb_speedup_alu() const
@@ -323,6 +336,11 @@ struct BenchResults {
     double tb_speedup_call_ret() const
     {
         return tb_callret.instr_per_sec / interp_callret.instr_per_sec;
+    }
+    double tb_speedup_call_ret_monitored() const
+    {
+        return tb_callret_mon.instr_per_sec /
+               interp_callret_mon.instr_per_sec;
     }
     double decode_cache_speedup_alu() const
     {
@@ -344,6 +362,10 @@ measure_all()
         measure_interpreter(call_ret_image(), true, true, 10000000);
     r.interp_callret =
         measure_interpreter(call_ret_image(), false, true, 10000000);
+    r.tb_callret_mon =
+        measure_interpreter(call_ret_image(), true, true, 10000000, true);
+    r.interp_callret_mon =
+        measure_interpreter(call_ret_image(), false, true, 10000000, true);
     r.ck = measure_checkpoint();
     return r;
 }
@@ -369,17 +391,21 @@ write_bench_json(const BenchResults& r, const char* path)
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"tb\": {\n");
     metric("alu_loop", r.tb_alu, ",");
-    metric("call_ret", r.tb_callret, "");
+    metric("call_ret", r.tb_callret, ",");
+    metric("call_ret_monitored", r.tb_callret_mon, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"interpreter\": {\n");
     metric("alu_loop", r.interp_alu, ",");
     metric("alu_loop_no_decode_cache", r.interp_alu_nocache, ",");
-    metric("call_ret", r.interp_callret, "");
+    metric("call_ret", r.interp_callret, ",");
+    metric("call_ret_monitored", r.interp_callret_mon, "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"ratios\": {\n");
     std::fprintf(f, "    \"tb_speedup_alu\": %.3f,\n", r.tb_speedup_alu());
     std::fprintf(f, "    \"tb_speedup_call_ret\": %.3f,\n",
                  r.tb_speedup_call_ret());
+    std::fprintf(f, "    \"tb_speedup_call_ret_monitored\": %.3f,\n",
+                 r.tb_speedup_call_ret_monitored());
     std::fprintf(f, "    \"decode_cache_speedup_alu\": %.3f\n",
                  r.decode_cache_speedup_alu());
     std::fprintf(f, "  },\n");
@@ -418,6 +444,8 @@ run_gate(const BenchResults& r, const char* baseline_path)
     // relative check; the others only guard against relative regressions.
     gate.at_least("tb_speedup_alu", r.tb_speedup_alu(), 2.5);
     gate.at_least("decode_cache_speedup_alu", r.decode_cache_speedup_alu());
+    gate.at_least("tb_speedup_call_ret_monitored",
+                  r.tb_speedup_call_ret_monitored());
     return gate.ok() ? 0 : 1;
 }
 

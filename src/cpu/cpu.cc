@@ -813,8 +813,7 @@ Cpu::run(Cycles stop_cycles, InstrCount stop_icount)
         if (vmcs_.pending_irq) [[unlikely]]
             deliver_pending_irq();
 
-        if (!vmcs_.breakpoints.empty() &&
-            vmcs_.breakpoints.count(state_.pc)) [[unlikely]] {
+        if (vmcs_.breakpoints.contains(state_.pc)) [[unlikely]] {
             cycles_ += Costs::kVmTransition;
             env_->on_breakpoint(state_.pc);
         }
@@ -873,7 +872,7 @@ Cpu::step()
 
     deliver_pending_irq();
 
-    if (!vmcs_.breakpoints.empty() && vmcs_.breakpoints.count(state_.pc)) {
+    if (vmcs_.breakpoints.contains(state_.pc)) {
         cycles_ += Costs::kVmTransition;
         env_->on_breakpoint(state_.pc);
     }

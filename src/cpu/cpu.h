@@ -163,6 +163,8 @@ struct CpuStats {
     std::uint64_t interrupts_delivered = 0;
     std::uint64_t io_accesses = 0;
     std::uint64_t rdtsc_reads = 0;
+
+    bool operator==(const CpuStats&) const = default;
 };
 
 /** Guest memory-layout constants shared with the kernel builder. */

@@ -11,39 +11,6 @@ Ras::Ras(std::size_t depth) : depth_(depth)
     stack_.reserve(depth);
 }
 
-std::optional<Addr>
-Ras::push(Addr addr)
-{
-    std::optional<Addr> evicted;
-    if (stack_.size() == depth_) {
-        evicted = stack_.front().addr;
-        stack_.erase(stack_.begin());
-    }
-    stack_.push_back(RasEntry{addr, false});
-    return evicted;
-}
-
-RasPredict
-Ras::predict(Addr ret_pc, Addr target, Addr* predicted)
-{
-    *predicted = 0;
-    if (whitelist_enabled_ && ret_whitelist_.count(ret_pc)) {
-        // Non-procedural return: the RAS holds no corresponding entry,
-        // so popping it would corrupt the stack (Section 4.4).
-        if (tar_whitelist_.count(target))
-            return RasPredict::kWhitelisted;
-        return RasPredict::kWhitelistMiss;
-    }
-    if (stack_.empty())
-        return RasPredict::kUnderflow;
-    const RasEntry top = stack_.back();
-    stack_.pop_back();
-    *predicted = top.addr;
-    if (top.addr != target)
-        return RasPredict::kMispredict;
-    return top.restored ? RasPredict::kHitRestored : RasPredict::kHit;
-}
-
 SavedRas
 Ras::save_and_clear()
 {

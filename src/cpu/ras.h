@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/flat_addr_set.h"
 #include "common/types.h"
 
 /**
@@ -64,11 +65,23 @@ class Ras {
     /** @return current number of valid entries. */
     std::size_t size() const { return stack_.size(); }
 
+    /** @return true when the next push() would evict the oldest entry. */
+    bool full() const { return stack_.size() == depth_; }
+
     /**
      * Push a return address (a call executed).
      * @return the evicted oldest entry if the stack was full.
      */
-    std::optional<Addr> push(Addr addr);
+    std::optional<Addr> push(Addr addr)
+    {
+        std::optional<Addr> evicted;
+        if (full()) [[unlikely]] {
+            evicted = stack_.front().addr;
+            stack_.erase(stack_.begin());
+        }
+        stack_.push_back(RasEntry{addr, false});
+        return evicted;
+    }
 
     /**
      * Predict at a return instruction.
@@ -76,22 +89,46 @@ class Ras {
      * @param target     the actual target (from the software stack).
      * @param predicted  out: the popped prediction (0 if none was popped).
      */
-    RasPredict predict(Addr ret_pc, Addr target, Addr* predicted);
+    RasPredict predict(Addr ret_pc, Addr target, Addr* predicted)
+    {
+        *predicted = 0;
+        if (whitelist_enabled_ && ret_whitelist_.contains(ret_pc)) {
+            // Non-procedural return: the RAS holds no corresponding entry,
+            // so popping it would corrupt the stack (Section 4.4).
+            return tar_whitelist_.contains(target)
+                       ? RasPredict::kWhitelisted
+                       : RasPredict::kWhitelistMiss;
+        }
+        if (stack_.empty())
+            return RasPredict::kUnderflow;
+        const RasEntry top = stack_.back();
+        stack_.pop_back();
+        *predicted = top.addr;
+        if (top.addr != target)
+            return RasPredict::kMispredict;
+        return top.restored ? RasPredict::kHitRestored : RasPredict::kHit;
+    }
+
+    /**
+     * @return true iff predict(@p ret_pc, @p target) would pass — hit,
+     * restored hit or whitelisted — so a monitored return raises no
+     * alarm. Changes nothing.
+     */
+    bool would_pass(Addr ret_pc, Addr target) const
+    {
+        if (whitelist_enabled_ && ret_whitelist_.contains(ret_pc))
+            return tar_whitelist_.contains(target);
+        return !stack_.empty() && stack_.back().addr == target;
+    }
 
     /** Enable/disable whitelist checking (ablation hook). */
     void set_whitelist_enabled(bool enabled) { whitelist_enabled_ = enabled; }
 
     /** Install the single-entry return whitelist (hypervisor only). */
-    void set_ret_whitelist(const std::unordered_set<Addr>& pcs)
-    {
-        ret_whitelist_ = pcs;
-    }
+    void set_ret_whitelist(FlatAddrSet pcs) { ret_whitelist_ = std::move(pcs); }
 
     /** Install the target whitelist (hypervisor only). */
-    void set_tar_whitelist(const std::unordered_set<Addr>& pcs)
-    {
-        tar_whitelist_ = pcs;
-    }
+    void set_tar_whitelist(FlatAddrSet pcs) { tar_whitelist_ = std::move(pcs); }
 
     /** Microcode: dump all entries into a BackRAS element and clear. */
     SavedRas save_and_clear();
@@ -109,8 +146,8 @@ class Ras {
     std::size_t depth_;
     std::vector<RasEntry> stack_;  ///< bottom at index 0
     bool whitelist_enabled_ = true;
-    std::unordered_set<Addr> ret_whitelist_;
-    std::unordered_set<Addr> tar_whitelist_;
+    FlatAddrSet ret_whitelist_;
+    FlatAddrSet tar_whitelist_;
 };
 
 }  // namespace rsafe::cpu

@@ -209,17 +209,12 @@ TbEngine::~TbEngine()
 }
 
 void
-TbEngine::sync_breakpoints(const std::unordered_set<Addr>& bps)
+TbEngine::adopt_breakpoints(const BreakpointSet& bps)
 {
-    // Called on every run_tb entry; the usual case is "unchanged", which
-    // must stay allocation-free (set equality is O(size), size is tiny).
-    if (bps == bp_set_)
-        return;
     // The cached blocks were cut against the old set; drop them all.
     flush();
-    bp_set_ = bps;
-    bp_pcs_.assign(bps.begin(), bps.end());
-    std::sort(bp_pcs_.begin(), bp_pcs_.end());
+    bp_gen_ = bps.gen();
+    bp_pcs_ = bps.pcs();
 }
 
 TransBlock*
@@ -565,10 +560,14 @@ Cpu::run_tb(InstrCount budget)
     // run() already fired the hook for the entry PC; only a later arrival
     // at a breakpoint returns control.
     bool progressed = false;
-    const bool callret_pure = !vmcs_.controls.ras_alarm_enabled &&
-                              !vmcs_.controls.ras_evict_exit &&
-                              !vmcs_.controls.trap_kernel_call_ret &&
-                              !vmcs_.controls.trap_user_call_ret;
+    // Traced call/ret (the alarm replayer) always exits, so it always
+    // bails. The recorder's RAS monitoring exits only on an eviction or a
+    // failed prediction: call/ret run inline and bail, before mutating
+    // anything, only when that exit is due.
+    const bool callret_traced = vmcs_.controls.trap_kernel_call_ret ||
+                                vmcs_.controls.trap_user_call_ret;
+    const bool evict_exit = vmcs_.controls.ras_evict_exit;
+    const bool ras_alarm = vmcs_.controls.ras_alarm_enabled;
     auto& regs = state_.regs;
     Addr pc = state_.pc;
     bool kernel = state_.mode == Mode::kKernel;
@@ -694,16 +693,15 @@ Cpu::run_tb(InstrCount budget)
 
     while (budget > 0) {
         if (tb == nullptr) {
-            // Reached a breakpoint: hand back to run(), which fires the
-            // hook before the instruction executes. (Chained TB→TB flow
-            // cannot land here — no block ever starts at a breakpoint.)
-            if (bp_active && progressed &&
-                vmcs_.breakpoints.count(pc) != 0) [[unlikely]] {
-                spill();
-                return StepResult::kOk;
-            }
             tb = eng.lookup(pc);
             if (tb == nullptr) [[unlikely]] {
+                // No block ever starts at a breakpoint, so only a lookup
+                // miss can be one. Hand back to run(), which fires the
+                // hook before the instruction executes.
+                if (bp_active && progressed && eng.is_breakpoint(pc)) {
+                    spill();
+                    return StepResult::kOk;
+                }
                 if (eng.should_flush()) {
                     // Safe point: no TransBlock pointers are live here.
                     prev = nullptr;
@@ -951,7 +949,8 @@ Cpu::run_tb(InstrCount budget)
             slot = -1;
             goto block_done;
         UOP(Call) {
-            if (!callret_pure) [[unlikely]]
+            // An eviction that must exit is exec_one's to report.
+            if (callret_traced || (evict_exit && ras_.full())) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             // Push the link without pre-decrementing sp so a stack fault
@@ -960,14 +959,14 @@ Cpu::run_tb(InstrCount budget)
                 mem::MemResult::kOk) [[unlikely]]
                 goto uop_bail;
             state_.sp -= 8;
-            ras_.push(link);  // evict exit off under callret_pure
+            ras_.push(link);  // evicts silently, or not at all
             ++stats_.calls;
             new_pc = zext32(u->imm);
             slot = kChainTaken;
             goto block_done;
         }
         UOP(Callr) {
-            if (!callret_pure) [[unlikely]]
+            if (callret_traced || (evict_exit && ras_.full())) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             if (mem_->write(state_.sp - 8, 8, link) !=
@@ -981,15 +980,20 @@ Cpu::run_tb(InstrCount budget)
             goto block_done;
         }
         UOP(Ret) {
-            if (!callret_pure) [[unlikely]]
+            if (callret_traced) [[unlikely]]
                 goto uop_bail;
             Word target;
             if (mem_->read(state_.sp, 8, &target) !=
                 mem::MemResult::kOk) [[unlikely]]
                 goto uop_bail;
+            // A return that would alarm is exec_one's to report.
+            ras_.set_whitelist_enabled(vmcs_.controls.whitelist_enabled);
+            if (ras_alarm &&
+                !ras_.would_pass(static_cast<Addr>(u->pc), target))
+                [[unlikely]]
+                goto uop_bail;
             state_.sp += 8;
             ++stats_.rets;
-            ras_.set_whitelist_enabled(vmcs_.controls.whitelist_enabled);
             Addr predicted = 0;
             switch (ras_.predict(static_cast<Addr>(u->pc), target,
                                  &predicted)) {
@@ -1004,7 +1008,7 @@ Cpu::run_tb(InstrCount budget)
                 ++stats_.ras_whitelisted;
                 break;
               default:
-                break;  // alarm disabled under callret_pure
+                break;  // reached only with ras_alarm off: no alarm
             }
             new_pc = target;
             slot = -1;
@@ -1082,7 +1086,8 @@ Cpu::run_tb(InstrCount budget)
 
       uop_bail:
         // The current uop cannot run in translated form (fault path,
-        // MMIO, call/ret with exits armed): nothing of it has retired.
+        // MMIO, traced call/ret, or a call/ret whose RAS eviction or
+        // alarm must exit): nothing of it has retired.
         done += u->icount_off;
         kdone += kernel ? u->icount_off : 0;
         budget -= u->icount_off;

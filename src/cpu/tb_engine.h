@@ -1,14 +1,14 @@
 #ifndef RSAFE_CPU_TB_ENGINE_H_
 #define RSAFE_CPU_TB_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_addr_set.h"
 #include "common/types.h"
+#include "cpu/vmcs.h"
 #include "mem/phys_mem.h"
 #include "stats/stats.h"
 
@@ -56,12 +56,17 @@
  * Determinism: a translated run retires exactly the same instruction
  * sequence, side effects, cycle charges (one per instruction in batch
  * mode) and RAS traffic as the interpreter; anything the flat trace
- * cannot reproduce exactly (privileged ops, I/O, traps, call/ret with
- * exits armed, faults, MMIO) bails out to Cpu::exec_one, the single
- * canonical implementation. Replay barriers are respected by budget: a
- * block is only entered whole when the remaining instruction budget
- * covers it, so execution stops exactly at perf-counter stops,
- * interrupt-injection icounts and checkpoint boundaries.
+ * cannot reproduce exactly (privileged ops, I/O, traps, faults, MMIO)
+ * bails out to Cpu::exec_one, the single canonical implementation.
+ * Call/ret run inside blocks even while the recorder monitors the RAS;
+ * they bail, before mutating anything, only when traced (the alarm
+ * replayer) or when the call would evict under an eviction exit or the
+ * return would fail its prediction under RAS alarms, so every exit
+ * still fires from exec_one at its usual icount. Replay barriers are
+ * respected by budget: a block is only entered whole when the remaining
+ * instruction budget covers it, so execution stops exactly at
+ * perf-counter stops, interrupt-injection icounts and checkpoint
+ * boundaries.
  * Cpu::set_tb_enabled(false) forces the predecoded-interpreter path for
  * A/B testing.
  */
@@ -280,15 +285,17 @@ class TbEngine : public mem::CodeWriteListener {
      * before the instruction executes) and cuts every block short of one,
      * so chained TB-to-TB flow can never sail past a breakpoint. A
      * changed set flushes the cache; callers must hold no TransBlock
-     * pointers across this call.
+     * pointers across this call. An unchanged set costs one compare of
+     * generations.
      */
-    void sync_breakpoints(const std::unordered_set<Addr>& bps);
+    void sync_breakpoints(const BreakpointSet& bps)
+    {
+        if (bps.gen() != bp_gen_) [[unlikely]]
+            adopt_breakpoints(bps);
+    }
 
     /** @return true when @p pc carries a breakpoint (synced view). */
-    bool is_breakpoint(Addr pc) const
-    {
-        return std::binary_search(bp_pcs_.begin(), bp_pcs_.end(), pc);
-    }
+    bool is_breakpoint(Addr pc) const { return bp_pcs_.contains(pc); }
 
     // mem::CodeWriteListener: eager invalidate + unchain on code writes.
     void on_code_page_touched(Addr page) override;
@@ -318,6 +325,7 @@ class TbEngine : public mem::CodeWriteListener {
     }
 
     void invalidate(TransBlock* tb);
+    void adopt_breakpoints(const BreakpointSet& bps);
 
     mem::PhysMem* mem_;
     std::vector<std::unique_ptr<TransBlock>> blocks_;
@@ -326,10 +334,10 @@ class TbEngine : public mem::CodeWriteListener {
     std::vector<std::vector<TransBlock*>> page_tbs_;
     TbEngineStats stats_;
     stats::Histogram block_len_;
-    /** Snapshot of the CPU's PC breakpoints (sync_breakpoints): the set
-     *  for cheap change detection, the sorted vector for is_breakpoint. */
-    std::unordered_set<Addr> bp_set_;
-    std::vector<Addr> bp_pcs_;
+    /** Snapshot of the CPU's PC breakpoints (sync_breakpoints): the
+     *  generation for change detection, the PCs for is_breakpoint. */
+    std::uint64_t bp_gen_ = 0;
+    FlatAddrSet bp_pcs_;
 };
 
 }  // namespace rsafe::cpu

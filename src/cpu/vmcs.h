@@ -5,6 +5,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/flat_addr_set.h"
 #include "common/types.h"
 
 /**
@@ -71,12 +72,40 @@ struct ExitControls {
     bool wx_fetch_exit = false;
 };
 
+/**
+ * The armed PC breakpoints. Every change bumps a generation counter, so
+ * the TB engine compares one number instead of whole sets to learn
+ * whether its block cuts are still valid.
+ */
+class BreakpointSet {
+  public:
+    /** Arm @p pc. @return false (and no new generation) if already armed. */
+    bool insert(Addr pc)
+    {
+        if (!pcs_.insert(pc))
+            return false;
+        ++gen_;
+        return true;
+    }
+
+    bool contains(Addr pc) const { return pcs_.contains(pc); }
+    bool empty() const { return pcs_.empty(); }
+    const FlatAddrSet& pcs() const { return pcs_; }
+
+    /** 0 for a set that was never changed (and is therefore empty). */
+    std::uint64_t gen() const { return gen_; }
+
+  private:
+    FlatAddrSet pcs_;
+    std::uint64_t gen_ = 0;
+};
+
 /** The per-VM control structure. */
 struct Vmcs {
     ExitControls controls;
 
     /** PC breakpoints (context-switch / thread-exit / thread-spawn). */
-    std::unordered_set<Addr> breakpoints;
+    BreakpointSet breakpoints;
 
     /**
      * Executable page numbers written since the W^X detector armed them

@@ -11,12 +11,6 @@ namespace rsafe::mem {
 
 namespace {
 
-/**
- * The interpreter's load/store fast path copies whole little-endian words
- * with memcpy; the byte-loop fallback keeps big-endian hosts correct.
- */
-constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
-
 std::uint64_t
 next_phys_mem_id()
 {
@@ -78,7 +72,7 @@ PhysMem::perms_at(Addr addr) const
 }
 
 MemResult
-PhysMem::read(Addr addr, std::size_t len, Word* out) const
+PhysMem::read_slow(Addr addr, std::size_t len, Word* out) const
 {
     if (!in_range(addr, len))
         return MemResult::kOutOfRange;
@@ -108,7 +102,7 @@ PhysMem::read(Addr addr, std::size_t len, Word* out) const
 }
 
 MemResult
-PhysMem::write(Addr addr, std::size_t len, Word value)
+PhysMem::write_slow(Addr addr, std::size_t len, Word value)
 {
     if (!in_range(addr, len))
         return MemResult::kOutOfRange;

@@ -1,7 +1,9 @@
 #ifndef RSAFE_MEM_PHYS_MEM_H_
 #define RSAFE_MEM_PHYS_MEM_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/types.h"
@@ -89,11 +91,42 @@ class PhysMem {
     /** @return the permission bits of the page containing @p addr. */
     std::uint8_t perms_at(Addr addr) const;
 
-    /** Guest data read of @p len <= 8 bytes (little-endian). */
-    MemResult read(Addr addr, std::size_t len, Word* out) const;
+    /**
+     * Guest data read of @p len <= 8 bytes (little-endian). The common
+     * case — a whole word inside one readable page — is inline; byte
+     * loads, page-straddling loads and faults take the out-of-line path.
+     */
+    MemResult read(Addr addr, std::size_t len, Word* out) const
+    {
+        if (kLittleEndianHost && len == 8 && addr < bytes_.size() &&
+            page_offset(addr) <= kPageSize - 8 &&
+            (perms_[page_of(addr)] & kPermRead) != 0) [[likely]] {
+            std::memcpy(out, bytes_.data() + addr, 8);
+            return MemResult::kOk;
+        }
+        return read_slow(addr, len, out);
+    }
 
-    /** Guest data write of @p len <= 8 bytes; honors W and marks dirty. */
-    MemResult write(Addr addr, std::size_t len, Word value);
+    /**
+     * Guest data write of @p len <= 8 bytes; honors W and marks dirty.
+     * Inline for a whole word inside one writable, non-executable page;
+     * stores to X pages (which must bump the code generation), byte
+     * stores, page-straddling stores and faults go out of line.
+     */
+    MemResult write(Addr addr, std::size_t len, Word value)
+    {
+        if (kLittleEndianHost && len == 8 && addr < bytes_.size() &&
+            page_offset(addr) <= kPageSize - 8) [[likely]] {
+            const Addr page = page_of(addr);
+            if ((perms_[page] & (kPermWrite | kPermExec)) ==
+                kPermWrite) [[likely]] {
+                std::memcpy(bytes_.data() + addr, &value, 8);
+                mark_dirty_page(page);
+                return MemResult::kOk;
+            }
+        }
+        return write_slow(addr, len, value);
+    }
 
     /** Instruction fetch: requires X permission on the page. */
     MemResult fetch(Addr addr, std::uint8_t out[kInstrBytes]) const;
@@ -182,6 +215,13 @@ class PhysMem {
     std::uint64_t content_hash() const;
 
   private:
+    /** Word accesses copy little-endian words with memcpy; the byte-loop
+     *  fallback keeps big-endian hosts correct. */
+    static constexpr bool kLittleEndianHost =
+        std::endian::native == std::endian::little;
+
+    MemResult read_slow(Addr addr, std::size_t len, Word* out) const;
+    MemResult write_slow(Addr addr, std::size_t len, Word value);
     bool in_range(Addr addr, std::size_t len) const
     {
         return addr + len <= bytes_.size() && addr + len >= addr;

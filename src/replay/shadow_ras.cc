@@ -1,11 +1,11 @@
 #include "replay/shadow_ras.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rsafe::replay {
 
-ShadowRas::ShadowRas(std::unordered_set<Addr> ret_whitelist,
-                     std::unordered_set<Addr> tar_whitelist)
+ShadowRas::ShadowRas(FlatAddrSet ret_whitelist, FlatAddrSet tar_whitelist)
     : ret_whitelist_(std::move(ret_whitelist)),
       tar_whitelist_(std::move(tar_whitelist))
 {
@@ -31,9 +31,10 @@ RetVerdict
 ShadowRas::on_ret(Addr ret_pc, Addr target, Addr* expected)
 {
     *expected = 0;
-    if (ret_whitelist_.count(ret_pc)) {
-        return tar_whitelist_.count(target) ? RetVerdict::kWhitelistOk
-                                            : RetVerdict::kWhitelistViolation;
+    if (ret_whitelist_.contains(ret_pc)) {
+        return tar_whitelist_.contains(target)
+                   ? RetVerdict::kWhitelistOk
+                   : RetVerdict::kWhitelistViolation;
     }
     auto& stack = stacks_[current_];
     if (stack.empty()) {

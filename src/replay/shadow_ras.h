@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_addr_set.h"
 #include "common/types.h"
 #include "cpu/ras.h"
 
@@ -39,8 +39,7 @@ enum class RetVerdict {
 /** Unbounded per-thread software return-address stack. */
 class ShadowRas {
   public:
-    ShadowRas(std::unordered_set<Addr> ret_whitelist,
-              std::unordered_set<Addr> tar_whitelist);
+    ShadowRas(FlatAddrSet ret_whitelist, FlatAddrSet tar_whitelist);
 
     /** Initialize thread @p tid's stack from a saved (Back)RAS. */
     void init_thread(ThreadId tid, const cpu::SavedRas& saved);
@@ -78,8 +77,8 @@ class ShadowRas {
     std::size_t num_threads() const { return stacks_.size(); }
 
   private:
-    std::unordered_set<Addr> ret_whitelist_;
-    std::unordered_set<Addr> tar_whitelist_;
+    FlatAddrSet ret_whitelist_;
+    FlatAddrSet tar_whitelist_;
     std::map<ThreadId, std::vector<Addr>> stacks_;
     std::map<ThreadId, std::vector<Addr>> evicted_;  ///< oldest first
     ThreadId current_ = 0;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/tb_engine.h"
 #include "replay/checkpoint_replayer.h"
 #include "rnr/recorder.h"
 #include "workloads/benchmarks.h"
@@ -193,6 +194,62 @@ TEST(CheckpointReplayer, TbEngineHonorsInjectionAndCheckpointBoundaries)
     }
     EXPECT_EQ(by_mode[0], by_mode[1]);
     EXPECT_EQ(by_mode[0].state_hash, rec_vm->state_hash());
+}
+
+TEST(Recorder, TbEngineRecordsByteIdenticalLog)
+{
+    // The recorder arms RAS alarms and eviction exits, and the TB engine
+    // runs monitored call/ret inside translated blocks, bailing to the
+    // interpreter only for an exit. Every Evict and alarm record must
+    // land at the same icount either way: the serialized logs must match
+    // byte for byte. User recursion deeper than the RAS and longjmp
+    // storms make sure both exits, evictions and alarms, happen.
+    auto profile = workloads::benchmark_profile("mysql");
+    profile.iterations_per_task = 200;
+    profile.rec_prob = 0.05;
+    profile.rec_depth_min = static_cast<int>(cpu::Ras::kDefaultDepth);
+    profile.rec_depth_max = static_cast<int>(cpu::Ras::kDefaultDepth) + 16;
+    profile.setjmp_prob = 0.02;
+    auto factory = workloads::vm_factory(profile);
+
+    struct Recording {
+        std::vector<std::uint8_t> log_bytes;
+        std::size_t evict_records = 0;
+        std::size_t alarm_records = 0;
+        std::uint64_t state_hash = 0;
+        cpu::CpuStats stats;
+        std::uint64_t exec_blocks = 0;
+    };
+    Recording by_mode[2];
+    for (const bool tb : {true, false}) {
+        auto vm = factory();
+        vm->cpu().set_tb_enabled(tb);
+        rnr::Recorder recorder(vm.get(), rnr::RecorderOptions{});
+        ASSERT_EQ(recorder.run(~static_cast<InstrCount>(0)),
+                  hv::RunResult::kHalted)
+            << "tb=" << tb;
+        Recording& r = by_mode[tb ? 0 : 1];
+        r.log_bytes = recorder.log().serialize();
+        r.evict_records =
+            recorder.log().find_all(rnr::RecordType::kRasEvict).size();
+        r.alarm_records =
+            recorder.log().find_all(rnr::RecordType::kRasAlarm).size();
+        r.state_hash = vm->state_hash();
+        r.stats = vm->cpu().stats();
+        r.exec_blocks = vm->cpu().tb_engine().stats().exec_blocks;
+    }
+    const Recording& on = by_mode[0];
+    const Recording& off = by_mode[1];
+    ASSERT_GT(on.evict_records, 0u) << "recording overflowed no RAS";
+    ASSERT_GT(on.alarm_records, 0u) << "recording raised no RAS alarm";
+    EXPECT_EQ(on.log_bytes, off.log_bytes);
+    EXPECT_EQ(on.state_hash, off.state_hash);
+    EXPECT_EQ(on.stats, off.stats);
+    // The engine ran under monitoring. That each exit-free call/ret
+    // completes a block is counted exactly on a synthetic guest
+    // (TbEngine.MonitoredCallRetMatchesInterpreterExitForExit).
+    EXPECT_GT(on.exec_blocks, on.stats.calls + on.stats.rets);
+    EXPECT_EQ(off.exec_blocks, 0u);
 }
 
 TEST(CheckpointReplayer, BenignWorkloadsProduceNoPendingAlarms)

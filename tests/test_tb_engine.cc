@@ -4,12 +4,13 @@
  *  test_framework, test_replay): every run must be bit-identical with
  *  the engine on and off. This file tests the machinery itself —
  *  translation shapes (jump folding, pair fusion, block caps), chaining
- *  and unchaining, write-driven invalidation, breakpoint cuts, and the
- *  event counters those behaviors feed.
+ *  and unchaining, write-driven invalidation, breakpoint cuts, call/ret
+ *  under RAS monitoring, and the event counters those behaviors feed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "cpu/cpu.h"
@@ -274,13 +275,159 @@ TEST(TbEngine, BreakpointSetChangeFlushesCache)
     const std::uint64_t flushes = m.eng().stats().flushes;
 
     // Arming a breakpoint invalidates every cut decision made so far.
-    m.eng().sync_breakpoints({kCode + kInstrBytes});
+    BreakpointSet& bps = m.cpu.vmcs().breakpoints;
+    EXPECT_TRUE(bps.insert(kCode + kInstrBytes));
+    m.eng().sync_breakpoints(bps);
     EXPECT_EQ(m.eng().lookup(kCode), nullptr);
     EXPECT_EQ(m.eng().stats().flushes, flushes + 1);
 
-    // Same set again: no extra flush.
-    m.eng().sync_breakpoints({kCode + kInstrBytes});
+    // Same set again, or re-arming a PC that is already armed: no extra
+    // flush.
+    m.eng().sync_breakpoints(bps);
+    EXPECT_FALSE(bps.insert(kCode + kInstrBytes));
+    m.eng().sync_breakpoints(bps);
     EXPECT_EQ(m.eng().stats().flushes, flushes + 1);
+}
+
+/** One RAS VM exit as the recorder sees it, clocks included. */
+struct RasExit {
+    bool alarm = false;  ///< on_ras_alarm; otherwise on_ras_evict
+    RasAlarmKind kind = RasAlarmKind::kMispredict;
+    Addr ret_pc = 0;
+    Addr predicted = 0;
+    Addr actual = 0;  ///< the alarm's target, or the evicted entry
+    Addr sp_after = 0;
+    InstrCount icount = 0;
+    Cycles cycles = 0;
+
+    bool operator==(const RasExit&) const = default;
+};
+
+/** Environment that logs every RAS exit with the CPU clocks at the call. */
+class RasExitEnv : public CountingEnv {
+  public:
+    explicit RasExitEnv(const Cpu* cpu) : cpu_(cpu) {}
+
+    void on_ras_alarm(const RasAlarm& alarm) override
+    {
+        exits.push_back({true, alarm.kind, alarm.ret_pc, alarm.predicted,
+                         alarm.actual, alarm.sp_after, cpu_->icount(),
+                         cpu_->cycles()});
+    }
+    void on_ras_evict(Addr evicted) override
+    {
+        RasExit e;
+        e.actual = evicted;
+        e.icount = cpu_->icount();
+        e.cycles = cpu_->cycles();
+        exits.push_back(e);
+    }
+
+    std::vector<RasExit> exits;
+
+  private:
+    const Cpu* cpu_;
+};
+
+/**
+ * A guest that drives every RAS exit the recorder arms, three rounds:
+ * recursion deeper than the RAS (evictions, then underflows on the way
+ * out), a hijacked return (mispredict) and a whitelisted return.
+ */
+isa::Image
+ras_exit_image()
+{
+    constexpr int kDepth = static_cast<int>(Ras::kDefaultDepth) + 12;
+    return assemble(kCode, [](Assembler& a) {
+        a.ldi(R4, 3);
+        a.label("round");
+        a.ldi(R1, kDepth);
+        a.call("rec");
+        a.call("hijack");
+        a.nop();  // skipped: the hijacked return lands past it
+        a.label("hijack_land");
+        a.ldi_label(R2, "wl_land");
+        a.push(R2);
+        a.label("wl_ret");
+        a.ret();
+        a.label("wl_land");
+        a.addi(R4, R4, -1);
+        a.bne(R4, R0, "round");
+        a.halt();
+
+        a.func_begin("rec");
+        a.beq(R1, R0, "rec_done");
+        a.addi(R1, R1, -1);
+        a.call("rec");
+        a.label("rec_done");
+        a.ret();
+        a.func_end();
+
+        a.func_begin("hijack");
+        a.getsp(R3);
+        a.ldi_label(R2, "hijack_land");
+        a.st(R3, 0, R2);
+        a.ret();
+        a.func_end();
+    });
+}
+
+TEST(TbEngine, MonitoredCallRetMatchesInterpreterExitForExit)
+{
+    // The recorder's VMCS: RAS alarms and eviction exits armed, whitelists
+    // on. Call/ret run inside translated blocks and bail to exec_one only
+    // when an exit is due, so every exit must fire with the same
+    // arguments at the same icount and cycle count as the interpreter's.
+    const isa::Image image = ras_exit_image();
+    struct Result {
+        std::vector<RasExit> exits;
+        CpuStats stats;
+        InstrCount icount = 0;
+        Cycles cycles = 0;
+        std::uint64_t mem_hash = 0;
+        std::uint64_t exec_blocks = 0;
+    };
+    const auto run = [&image](bool tb) {
+        Machine m(image);
+        RasExitEnv env(&m.cpu);
+        m.cpu.set_env(&env);
+        m.cpu.set_tb_enabled(tb);
+        m.cpu.vmcs().controls.ras_alarm_enabled = true;
+        m.cpu.vmcs().controls.ras_evict_exit = true;
+        m.cpu.ras().set_ret_whitelist({image.symbol("wl_ret")});
+        m.cpu.ras().set_tar_whitelist({image.symbol("wl_land")});
+        EXPECT_EQ(m.run(), StopReason::kHalt) << "tb=" << tb;
+        return Result{env.exits,      m.cpu.stats(),
+                      m.cpu.icount(), m.cpu.cycles(),
+                      m.mem.content_hash(), m.eng().stats().exec_blocks};
+    };
+    const Result on = run(true);
+    const Result off = run(false);
+
+    const CpuStats& s = on.stats;
+    EXPECT_EQ(s.ras_evictions, 3u * 13u);  // 61 pushes into 48 entries
+    EXPECT_EQ(s.ras_whitelisted, 3u);
+    EXPECT_EQ(s.ras_alarms, 3u * (13u + 1u));  // underflows + mispredict
+    const auto count = [&on](RasAlarmKind kind) {
+        return std::count_if(on.exits.begin(), on.exits.end(),
+                             [kind](const RasExit& e) {
+                                 return e.alarm && e.kind == kind;
+                             });
+    };
+    EXPECT_EQ(count(RasAlarmKind::kMispredict), 3);
+    EXPECT_EQ(count(RasAlarmKind::kUnderflow), 3 * 13);
+
+    EXPECT_EQ(on.exits, off.exits);
+    EXPECT_EQ(on.stats, off.stats);
+    EXPECT_EQ(on.icount, off.icount);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.mem_hash, off.mem_hash);
+
+    // Every call and return that raised no exit completed a translated
+    // block instead of bailing to the interpreter.
+    EXPECT_GE(on.exec_blocks,
+              s.calls + s.rets - s.ras_evictions - s.ras_alarms);
+    EXPECT_EQ(off.exec_blocks, 0u);
 }
 
 }  // namespace
