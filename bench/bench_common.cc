@@ -165,10 +165,10 @@ void
 BaselineGate::at_least(const std::string& key, double fresh,
                        double hard_floor)
 {
+    // A missing key fails in report() rather than gating on the floor
+    // alone, so renaming a key cannot switch its gate off.
     const double ref = baseline(key);
-    const double need = std::isnan(ref)
-                            ? hard_floor
-                            : std::max(ref * (1.0 - tolerance_), hard_floor);
+    const double need = std::max(ref * (1.0 - tolerance_), hard_floor);
     report(key, fresh, ref, ">=", need, fresh >= need);
 }
 
@@ -184,9 +184,16 @@ void
 BaselineGate::report(const std::string& key, double fresh, double ref,
                      const char* op, double need, bool pass)
 {
-    std::printf("gate: %-26s %10.2f (baseline %10.2f, need %s %.2f) %s\n",
-                key.c_str(), fresh, std::isnan(ref) ? 0.0 : ref, op, need,
-                pass ? "ok" : "REGRESSION");
+    // A key missing from the baseline always fails.
+    pass = pass && !std::isnan(ref);
+    if (std::isnan(ref)) {
+        std::printf("gate: %-26s %10.2f (baseline missing) REGRESSION\n",
+                    key.c_str(), fresh);
+    } else {
+        std::printf(
+            "gate: %-26s %10.2f (baseline %10.2f, need %s %.2f) %s\n",
+            key.c_str(), fresh, ref, op, need, pass ? "ok" : "REGRESSION");
+    }
     ok_ = ok_ && pass;
 }
 

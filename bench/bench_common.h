@@ -100,8 +100,8 @@ class BaselineGate {
     /** The baseline's `"key": <number>`; NaN when absent. */
     double baseline(const std::string& key) const;
 
-    /** Require @p fresh >= max(baseline * (1 - tol), @p hard_floor); a
-     *  key absent from the baseline gates on @p hard_floor alone. */
+    /** Require @p fresh >= max(baseline * (1 - tol), @p hard_floor);
+     *  fails when the key is absent from the baseline. */
     void at_least(const std::string& key, double fresh,
                   double hard_floor = 0.0);
 

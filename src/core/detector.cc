@@ -287,7 +287,7 @@ WxDetector::arm(hv::Vm& vm)
 void
 WxDetector::on_code_page_touched(Addr page)
 {
-    // The memory layer bumps generations for every privileged write as
+    // The memory layer reports every privileged write to a page as
     // well (DMA, checkpoint restore); the watch hardware only covers
     // pages the static W^X map calls executable.
     if (armed_vm_ == nullptr)

@@ -4,7 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "common/types.h"
 #include "cpu/ras.h"
@@ -24,15 +24,14 @@
  * charged by the CPU itself so that recording/replay overhead studies see
  * a consistent cost model.
  *
- * Instruction dispatch runs through a per-page predecoded instruction
- * cache: the first execution on a page decodes all of its fixed-width
- * slots into a flat array, and subsequent fetches cost one generation
- * check plus an index instead of a byte fetch and a decode. PhysMem bumps
- * a page's generation whenever its bytes or permissions may have changed
- * (set_perms, restore_page, write_block/write_raw, guest stores to X
- * pages), which invalidates the predecoded copy. The cache is
- * semantically invisible; call set_decode_cache_enabled(false) to force
- * the fetch+decode slow path for A/B determinism testing.
+ * Cpu::exec_one is the reference interpreter: it fetches each
+ * instruction through PhysMem::fetch (which enforces X permission),
+ * decodes it with isa::decode and executes it. It is the single source
+ * of truth for every instruction's semantics. The one fast tier is the
+ * translation-block engine (cpu/tb_engine.h), which must retire exactly
+ * what exec_one would and bails to it for anything complex;
+ * set_tb_enabled(false) single-steps exec_one for A/B determinism
+ * testing.
  */
 
 namespace rsafe::cpu {
@@ -245,23 +244,9 @@ class Cpu {
     const std::string& fault_reason() const { return fault_reason_; }
 
     /**
-     * Toggle the predecoded-instruction cache (on by default). Execution
-     * is bit-identical either way; the toggle exists for A/B testing.
-     */
-    void set_decode_cache_enabled(bool enabled)
-    {
-        decode_cache_enabled_ = enabled;
-        if (!enabled) {
-            cur_page_base_ = ~static_cast<Addr>(0);
-            cur_dp_ = nullptr;
-            cur_gen_ = nullptr;
-        }
-    }
-    bool decode_cache_enabled() const { return decode_cache_enabled_; }
-
-    /**
-     * Toggle the translation-block engine (on by default). Execution is
-     * bit-identical either way; the toggle exists for A/B testing.
+     * Toggle the translation-block engine (on by default). Off, run()
+     * single-steps the reference interpreter. Execution is bit-identical
+     * either way; the toggle exists for A/B testing.
      */
     void set_tb_enabled(bool enabled) { tb_enabled_ = enabled; }
     bool tb_enabled() const { return tb_enabled_; }
@@ -273,22 +258,8 @@ class Cpu {
   private:
     enum class StepResult { kOk, kHalt, kFault, kBadInstr };
 
-    /** Instruction slots per page (fixed-width encoding). */
-    static constexpr std::size_t kInstrsPerPage = kPageSize / kInstrBytes;
-
-    /** Predecoded copy of one executable page. */
-    struct DecodedPage {
-        std::uint64_t gen = 0;  ///< PhysMem::page_gen at predecode time
-        std::array<isa::Instr, kInstrsPerPage> instrs;
-        std::array<std::uint8_t, kInstrsPerPage> valid;  ///< decodable slot
-    };
-
     StepResult exec_one();
-    StepResult run_batch(InstrCount budget);
     StepResult run_tb(InstrCount budget);  // defined in tb_engine.cc
-    const isa::Instr* cached_instr(Addr pc);
-    const DecodedPage* cached_page(Addr page);
-    DecodedPage* predecode_page(Addr page);
     bool deliver_pending_irq();
     void deliver_interrupt_frame(Addr vector_slot);
     StepResult do_ret();
@@ -310,16 +281,8 @@ class Cpu {
     Cycles run_stop_cycles_ = ~static_cast<Cycles>(0);
     CpuStats stats_;
     std::string fault_reason_;
-    std::vector<std::unique_ptr<DecodedPage>> decode_cache_;
-    bool decode_cache_enabled_ = true;
     std::unique_ptr<TbEngine> tb_;
     bool tb_enabled_ = true;
-    // One-entry fetch cache: consecutive instructions almost always sit
-    // on the same page, so remember the last predecoded page and its
-    // generation-counter location for a two-compare fast path.
-    Addr cur_page_base_ = ~static_cast<Addr>(0);
-    const DecodedPage* cur_dp_ = nullptr;
-    const std::uint64_t* cur_gen_ = nullptr;
 };
 
 }  // namespace rsafe::cpu

@@ -220,8 +220,8 @@ TbEngine::adopt_breakpoints(const BreakpointSet& bps)
 TransBlock*
 TbEngine::translate(Addr pc)
 {
-    // Unaligned PCs (corrupted control flow) never translate; the
-    // interpreter's raw-fetch path reports the fault canonically.
+    // Unaligned PCs (corrupted control flow) never translate; exec_one
+    // fetches the same bytes and reports the fault canonically.
     if ((pc & (kInstrBytes - 1)) != 0)
         return nullptr;
 
@@ -260,15 +260,18 @@ TbEngine::translate(Addr pc)
         if (tb->len > 0 && is_breakpoint(cur))
             break;
 
+        // Fetch fault or undecodable slot: exec_one re-fetches at the exit
+        // PC to produce the canonical fault. A fetch fault covers no page,
+        // since cur may lie past the end of RAM.
+        std::uint8_t raw[kInstrBytes];
+        if (mem_->fetch(cur, raw) != mem::MemResult::kOk) {
+            bail_end = true;
+            break;
+        }
         if (!cover(page_of(cur)))
             break;  // page budget exhausted: side-exit (kFall), chainable
-
-        std::uint8_t raw[kInstrBytes];
         isa::Instr instr;
-        if (mem_->fetch(cur, raw) != mem::MemResult::kOk ||
-            !isa::decode(raw, &instr)) {
-            // Fetch fault or undecodable slot: the interpreter re-fetches
-            // at the exit PC to produce the canonical fault.
+        if (!isa::decode(raw, &instr)) {
             bail_end = true;
             break;
         }
@@ -530,23 +533,24 @@ TbEngine::flush()
 }
 
 /**
- * The translated-block dispatch loop. Drop-in replacement for
- * Cpu::run_batch with identical architectural effects: same preconditions
- * (no pending IRQ, indirect-branch trap off), same bail protocol
- * (exec_one is the single source of truth for everything complex, and
- * "cycles advanced by exactly 1" proves the instruction was pure), same
- * one-cycle-per-instruction accounting.
+ * The translated-block dispatch loop, the simulator's one fast tier. It
+ * has the same architectural effects as single-stepping Cpu::exec_one.
+ * Preconditions (established by run()): no pending IRQ, indirect-branch
+ * trap off, no W^X fetch watch. Anything complex bails to exec_one, the
+ * single source of truth, and "cycles advanced by exactly 1" proves the
+ * bailed instruction was pure (every VM exit charges extra cycles), so
+ * accounting stays at one cycle per instruction.
  *
  * A block is entered only when the remaining budget covers its whole
  * length; otherwise the tail up to the stop point executes through
  * exec_one, so replay barriers (perf stops, injection icounts, checkpoint
  * boundaries) are honored exactly, never overshot.
  *
- * Unlike run_batch this loop tolerates armed PC breakpoints: translation
- * cuts every block short of a breakpoint and refuses to start one at a
- * breakpoint, and the dispatch loop hands control back to run() — which
- * owns firing the hook — whenever execution reaches a breakpointed PC
- * after making progress (the entry PC's hook already fired).
+ * Armed PC breakpoints are tolerated: translation cuts every block short
+ * of a breakpoint and refuses to start one at a breakpoint, and the
+ * dispatch loop hands control back to run() — which owns firing the
+ * hook — whenever execution reaches a breakpointed PC after making
+ * progress (the entry PC's hook already fired).
  */
 Cpu::StepResult
 Cpu::run_tb(InstrCount budget)

@@ -17,11 +17,11 @@
  * The translation-block execution engine (QEMU-TCG structure, no host
  * code emitter).
  *
- * The predecoded interpreter (PR 1) still pays, per guest instruction,
- * for a page-cache probe, a generation check, a valid-slot check, and
- * program-counter bookkeeping. The TB engine removes all of that from
- * the hot path by decoding each guest *basic block* once into a flat
- * micro-op trace:
+ * The reference interpreter (Cpu::exec_one) pays, per guest
+ * instruction, for a permission-checked fetch, a decode, and
+ * program-counter and stop-condition bookkeeping. This engine, the
+ * simulator's one fast tier, removes all of that from the hot path by
+ * decoding each guest *basic block* once into a flat micro-op trace:
  *
  *  - operand kinds are pre-resolved at translation time: every single
  *    ALU form is its own micro-op opcode (reg-reg vs reg-imm vs
@@ -47,15 +47,15 @@
  *  - dispatch is direct-threaded (computed goto) where the compiler
  *    supports it, with a portable switch fallback,
  *  - validity is maintained eagerly: the engine registers a
- *    mem::CodeWriteListener, and any generation bump of a covered page
+ *    mem::CodeWriteListener, and any code write to a covered page
  *    invalidates the block, severs every chain link into and out of it,
  *    and removes it from the lookup table. A store executed *inside* a
  *    block re-checks its own block's validity, so self-modifying code
  *    exits at the store and re-translates (mid-block write safety).
  *
  * Determinism: a translated run retires exactly the same instruction
- * sequence, side effects, cycle charges (one per instruction in batch
- * mode) and RAS traffic as the interpreter; anything the flat trace
+ * sequence, side effects, cycle charges (one per instruction) and RAS
+ * traffic as the reference interpreter; anything the flat trace
  * cannot reproduce exactly (privileged ops, I/O, traps, faults, MMIO)
  * bails out to Cpu::exec_one, the single canonical implementation.
  * Call/ret run inside blocks even while the recorder monitors the RAS;
@@ -67,8 +67,8 @@
  * instruction budget covers it, so execution stops exactly at
  * perf-counter stops, interrupt-injection icounts and checkpoint
  * boundaries.
- * Cpu::set_tb_enabled(false) forces the predecoded-interpreter path for
- * A/B testing.
+ * Cpu::set_tb_enabled(false) single-steps exec_one instead, which is the
+ * reference every TB on/off A/B test holds this engine against.
  */
 
 namespace rsafe::cpu {

@@ -31,7 +31,6 @@ PhysMem::PhysMem(std::size_t size)
         fatal("PhysMem: zero-sized memory");
     perms_.assign(pages, kPermRW);
     dirty_bits_.assign((pages + 63) / 64, 0);
-    gen_.assign(pages, 0);
     page_epoch_.assign(pages, 0);
 }
 
@@ -44,8 +43,8 @@ PhysMem::set_perms(Addr addr, std::size_t len, std::uint8_t perms)
     const Addr last = page_of(addr + (len == 0 ? 0 : len - 1));
     for (Addr p = first; p <= last; ++p) {
         perms_[p] = perms;
-        // Fetchability changed: any predecoded copy of the page is stale.
-        bump_code_gen(p);
+        // Fetchability changed: any translation of the page is stale.
+        notify_code_write(p);
     }
 }
 
@@ -122,7 +121,7 @@ PhysMem::write_slow(Addr addr, std::size_t len, Word value)
         }
         mark_dirty_page(page);
         if (perms & kPermExec) [[unlikely]]
-            bump_code_gen(page);
+            notify_code_write(page);
         return MemResult::kOk;
     }
     // Page-straddling slow path.
@@ -213,7 +212,7 @@ PhysMem::restore_page(Addr page, const std::uint8_t* data)
         panic("PhysMem::restore_page out of range");
     std::memcpy(bytes_.data() + page * kPageSize, data, kPageSize);
     mark_dirty_page(page);
-    bump_code_gen(page);
+    notify_code_write(page);
 }
 
 std::vector<Addr>
@@ -268,11 +267,11 @@ PhysMem::touch_code_range(Addr addr, std::size_t len)
 {
     // Privileged writes bypass W^X, so they can change executable bytes
     // (DMA into a code page, checkpoint restore, introspection pokes):
-    // invalidate the decode cache for every page touched.
+    // invalidate translations of every page touched.
     const Addr first = page_of(addr);
     const Addr last = page_of(addr + (len == 0 ? 0 : len - 1));
     for (Addr p = first; p <= last; ++p)
-        bump_code_gen(p);
+        notify_code_write(p);
 }
 
 }  // namespace rsafe::mem

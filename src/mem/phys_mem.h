@@ -23,9 +23,9 @@
  * This is the simulator's hottest data structure, so the bookkeeping is
  * designed for the access pattern of a tight interpreter loop:
  *  - dirty pages live in a bitmap (one bit per page) with a cached count,
- *  - every content-changing operation on an executable page bumps that
- *    page's generation counter, which the CPU's predecoded-instruction
- *    cache validates against on every fetch,
+ *  - every content-changing operation on a page that is (or could
+ *    become) executable notifies the code-write listeners, which is how
+ *    the translation-block engine drops stale blocks eagerly,
  *  - clear_dirty() advances a global epoch, and each page remembers the
  *    last epoch it was dirtied in, which lets checkpoint restore touch
  *    only the pages that actually changed since the checkpoint was taken,
@@ -58,18 +58,17 @@ enum class MemResult {
 /**
  * Observer of code-page modifications.
  *
- * Invoked synchronously whenever a page's generation counter is bumped,
- * i.e., whenever the bytes or fetchability of a page that is (or could
- * become) executable may have changed. The translation-block engine
- * registers one of these to eagerly invalidate and unchain translated
- * blocks (the decode cache instead validates generations lazily on
- * fetch). Callbacks run on the owning VM's execution thread and must not
- * re-enter PhysMem.
+ * Invoked synchronously whenever the bytes or fetchability of a page
+ * that is (or could become) executable may have changed: on set_perms,
+ * restore_page, write_block/write_raw, and any guest store landing on an
+ * X page. The translation-block engine registers one of these to eagerly
+ * invalidate and unchain translated blocks. Callbacks run on the owning
+ * VM's execution thread and must not re-enter PhysMem.
  */
 class CodeWriteListener {
   public:
     virtual ~CodeWriteListener() = default;
-    /** Page @p page's generation was bumped (its code may have changed). */
+    /** Page @p page's code may have changed. */
     virtual void on_code_page_touched(Addr page) = 0;
 };
 
@@ -110,7 +109,7 @@ class PhysMem {
     /**
      * Guest data write of @p len <= 8 bytes; honors W and marks dirty.
      * Inline for a whole word inside one writable, non-executable page;
-     * stores to X pages (which must bump the code generation), byte
+     * stores to X pages (which must notify code-write listeners), byte
      * stores, page-straddling stores and faults go out of line.
      */
     MemResult write(Addr addr, std::size_t len, Word value)
@@ -162,27 +161,9 @@ class PhysMem {
     void clear_dirty();
 
     /**
-     * Decode-cache invalidation hook: a monotonic counter per page,
-     * incremented whenever the page's bytes may have changed while it is
-     * (or could become) executable — i.e., on set_perms, restore_page,
-     * write_block, write_raw, and any guest store landing on an X page.
-     * A predecoded copy of the page is valid only while this matches.
-     */
-    std::uint64_t page_gen(Addr page) const { return gen_[page]; }
-
-    /**
-     * Stable pointer to page_gen(page)'s storage (never reallocated for
-     * the lifetime of the PhysMem); the CPU's fetch fast path polls it.
-     */
-    const std::uint64_t* page_gen_ptr(Addr page) const
-    {
-        return &gen_[page];
-    }
-
-    /**
      * Register/unregister a code-write listener (see CodeWriteListener).
      * Multiple listeners may coexist (several CPUs can share one memory);
-     * each is notified once per generation bump.
+     * each is notified once per code write.
      * @{
      */
     void add_code_listener(CodeWriteListener* listener);
@@ -238,10 +219,9 @@ class PhysMem {
     }
     void mark_dirty_range(Addr addr, std::size_t len);
     void touch_code_range(Addr addr, std::size_t len);
-    /** Bump @p page's generation and notify code-write listeners. */
-    void bump_code_gen(Addr page)
+    /** Tell the code-write listeners that @p page's code may have changed. */
+    void notify_code_write(Addr page)
     {
-        ++gen_[page];
         if (!code_listeners_.empty()) [[unlikely]] {
             for (CodeWriteListener* listener : code_listeners_)
                 listener->on_code_page_touched(page);
@@ -252,7 +232,6 @@ class PhysMem {
     std::vector<std::uint8_t> perms_;
     std::vector<std::uint64_t> dirty_bits_;   ///< one bit per page
     std::size_t dirty_count_ = 0;
-    std::vector<std::uint64_t> gen_;          ///< decode-cache generations
     std::vector<std::uint64_t> page_epoch_;   ///< last dirtying epoch
     std::vector<CodeWriteListener*> code_listeners_;
     std::uint64_t epoch_ = 1;

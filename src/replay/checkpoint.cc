@@ -185,7 +185,7 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
     // When rolling back the same memory the checkpoint was taken from,
     // a page can only differ from the checkpointed copy if it was
     // dirtied in this or a later epoch; everything older is untouched
-    // RAM and need not be rewritten (or decode-cache invalidated).
+    // RAM and need not be rewritten (or its translations invalidated).
     // Likewise a zero slot over a page nothing ever wrote: it already
     // holds zeros, so an AR's fresh VM decodes only non-zero pages.
     // Stored pages decode through a stack buffer: compressed, deduped,

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "common/log.h"
 #include "cpu/cpu.h"
 #include "dev/device_hub.h"
 #include "isa/assembler.h"
@@ -582,12 +585,137 @@ TEST(CpuStats, KernelVsUserInstructionCounts)
     EXPECT_EQ(m.cpu.stats().kernel_instructions, 4u);
 }
 
+/** How a faulting run ended; TB on and off must agree on all of it. */
+struct FaultOutcome {
+    StopReason stop = StopReason::kHalt;
+    std::string reason;
+    Addr pc = 0;
+    InstrCount icount = 0;
+    Cycles cycles = 0;
+    CpuStats stats;
+    Word r3 = 0;
+};
+
+FaultOutcome
+run_fault_case(const isa::Image& image,
+               const std::function<void(Machine&)>& setup, bool tb)
+{
+    Machine m(image);
+    m.cpu.set_tb_enabled(tb);
+    setup(m);
+    FaultOutcome out;
+    out.stop = m.run();
+    out.reason = m.cpu.fault_reason();
+    out.pc = m.cpu.state().pc;
+    out.icount = m.cpu.icount();
+    out.cycles = m.cpu.cycles();
+    out.stats = m.cpu.stats();
+    out.r3 = m.cpu.reg(R3);
+    return out;
+}
+
+/**
+ * Run @p image with the TB engine on and off. Both arms reach the same
+ * fetch fault through exec_one, so every observable must match.
+ * @return the TB-on outcome, for the case's own expectations.
+ */
+FaultOutcome
+fetch_fault_ab(const isa::Image& image,
+               const std::function<void(Machine&)>& setup)
+{
+    const FaultOutcome on = run_fault_case(image, setup, true);
+    const FaultOutcome off = run_fault_case(image, setup, false);
+    EXPECT_EQ(on.stop, off.stop);
+    EXPECT_EQ(on.reason, off.reason);
+    EXPECT_EQ(on.pc, off.pc);
+    EXPECT_EQ(on.icount, off.icount);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_TRUE(on.stats == off.stats);
+    EXPECT_EQ(on.r3, off.r3);
+    return on;
+}
+
 TEST(CpuFault, UndecodableInstruction)
 {
-    Machine m(assemble([](Assembler& a) { a.nop(); a.halt(); }));
+    const auto image = assemble([](Assembler& a) {
+        a.ldi(R3, 5);
+        a.addi(R3, R3, 1);
+        a.nop();
+        a.halt();
+    });
     // Overwrite the nop with an invalid opcode (raw, bypassing W^X).
-    m.mem.write_raw(kCode, 1, 0xee);
-    EXPECT_EQ(m.run(), StopReason::kBadInstr);
+    const FaultOutcome out = fetch_fault_ab(image, [](Machine& m) {
+        m.mem.write_raw(kCode + 2 * kInstrBytes, 1, 0xee);
+    });
+    EXPECT_EQ(out.stop, StopReason::kBadInstr);
+    EXPECT_EQ(out.reason, "undecodable instruction at pc=0x2010");
+    EXPECT_EQ(out.pc, kCode + 2 * kInstrBytes);
+    EXPECT_EQ(out.icount, 2u);
+    EXPECT_EQ(out.r3, 6u);
+}
+
+TEST(CpuFault, JumpIntoNonExecutablePage)
+{
+    // A direct jump the TB folds into its trace; the target page is RW.
+    constexpr Addr kData = kCode + kPageSize;
+    const auto image = assemble([](Assembler& a) {
+        a.ldi(R3, 1);
+        a.addi(R3, R3, 1);
+        a.jmp("data");
+        a.align(kPageSize);
+        a.label("data");
+        a.halt();
+    });
+    const FaultOutcome out = fetch_fault_ab(image, [](Machine& m) {
+        m.mem.set_perms(kData, kPageSize, mem::kPermRW);
+    });
+    EXPECT_EQ(out.stop, StopReason::kMemFault);
+    EXPECT_EQ(out.reason, "fetch fault at pc=0x3000 (perm)");
+    EXPECT_EQ(out.pc, kData);
+    EXPECT_EQ(out.icount, 3u);
+    EXPECT_EQ(out.r3, 2u);
+}
+
+TEST(CpuFault, UnalignedJmprTarget)
+{
+    // The target is 4 bytes into a pair of data words. Read from there,
+    // the first slot is `ldi r3, 7` and the second an invalid opcode, so
+    // one instruction retires at an unaligned PC before the fault.
+    Addr words = 0;
+    const auto image = assemble([&](Assembler& a) {
+        a.ldi_label(R1, "words");
+        a.addi(R1, R1, 4);
+        a.jmpr(R1);
+        a.label("words");
+        words = a.here();
+        const Word ldi = static_cast<std::uint8_t>(Opcode::kLdi);
+        a.word((ldi << 32) | (static_cast<Word>(R3) << 40));
+        a.word(7 | (Word{0xee} << 32));
+        a.word(0);
+    });
+    const FaultOutcome out = fetch_fault_ab(image, [](Machine&) {});
+    EXPECT_EQ(out.stop, StopReason::kBadInstr);
+    EXPECT_EQ(out.pc, words + 12);
+    EXPECT_EQ(out.reason, strcat_args("undecodable instruction at pc=0x",
+                                      std::hex, words + 12));
+    EXPECT_EQ(out.icount, 4u);
+    EXPECT_EQ(out.r3, 7u);
+}
+
+TEST(CpuFault, PcPastEndOfRam)
+{
+    // The last three slots of RAM run, then the PC falls off the end.
+    constexpr Addr kRamEnd = 1 << 20;
+    Assembler a(kRamEnd - 3 * kInstrBytes);
+    a.ldi(R3, 1);
+    a.addi(R3, R3, 1);
+    a.addi(R3, R3, 1);
+    const FaultOutcome out = fetch_fault_ab(a.link(), [](Machine&) {});
+    EXPECT_EQ(out.stop, StopReason::kMemFault);
+    EXPECT_EQ(out.reason, "fetch fault at pc=0x100000 (range)");
+    EXPECT_EQ(out.pc, kRamEnd);
+    EXPECT_EQ(out.icount, 3u);
+    EXPECT_EQ(out.r3, 3u);
 }
 
 }  // namespace

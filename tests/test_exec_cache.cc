@@ -1,11 +1,15 @@
-/** @file Tests of the predecoded-instruction cache's invalidation rules.
+/** @file Tests that translated code never goes stale.
  *
- *  The cache must be semantically invisible: every scenario here runs
- *  twice, once with the cache enabled and once with it disabled
- *  (Cpu::set_decode_cache_enabled), and asserts bit-identical outcomes.
- *  The scenarios are exactly the ways a predecoded page can go stale:
- *  guest self-modifying stores (on W^X and on RWX pages), hypervisor
- *  permission flips, and checkpoint rollback.
+ *  The translation-block engine caches decoded guest code and drops it
+ *  eagerly when PhysMem reports a code write (mem::CodeWriteListener).
+ *  Every scenario here runs twice, once with the engine on and once with
+ *  it off (Cpu::set_tb_enabled), and asserts bit-identical outcomes. The
+ *  engine-off arm single-steps Cpu::exec_one, which fetches and decodes
+ *  every instruction from memory, so it cannot run stale code. The
+ *  scenarios are the ways a translation can go stale: guest
+ *  self-modifying stores (on W^X and on RWX pages, whole-word, mid-
+ *  instruction and across a page boundary), hypervisor permission flips,
+ *  and checkpoint rollback. Each also checks a hand-computed result.
  */
 
 #include <gtest/gtest.h>
@@ -77,14 +81,17 @@ struct Outcome {
     bool operator==(const Outcome&) const = default;
 };
 
+/** Run @p image; when @p tb_invalidations is set, store the TB engine's
+ *  invalidation count there. */
 Outcome
-run_machine(const isa::Image& image, std::uint8_t perms, bool cache)
+run_machine(const isa::Image& image, std::uint8_t perms, bool tb,
+            std::uint64_t* tb_invalidations = nullptr)
 {
     mem::PhysMem mem(1 << 20);
     Cpu cpu(&mem);
     NullEnv env;
     cpu.set_env(&env);
-    cpu.set_decode_cache_enabled(cache);
+    cpu.set_tb_enabled(tb);
     mem.load_image(image);
     mem.set_perms(image.base(), image.size(), perms);
     cpu.state().pc = image.base();
@@ -96,6 +103,8 @@ run_machine(const isa::Image& image, std::uint8_t perms, bool cache)
     out.icount = cpu.icount();
     out.cycles = cpu.cycles();
     out.mem_hash = mem.content_hash();
+    if (tb_invalidations != nullptr)
+        *tb_invalidations = cpu.tb_engine().stats().invalidations;
     return out;
 }
 
@@ -103,8 +112,8 @@ TEST(ExecCache, SmcStoreToWxPageFaultsAndCodeStaysIntact)
 {
     // A guest store aimed at the executing (RX) page must fault without
     // modifying anything — and must do so identically with and without
-    // the decode cache, even though the cache-on run predecoded the page
-    // the store targets.
+    // the TB engine, even though the TB-on run translated the page the
+    // store targets.
     const auto image = assemble(kCode, [](Assembler& a) {
         a.ldi(R1, static_cast<std::int64_t>(kCode));
         a.ldi(R2, 0x1bad);
@@ -123,8 +132,8 @@ TEST(ExecCache, SmcOnRwxPageExecutesNewCode)
 {
     // On an RWX page, a store that overwrites a not-yet-executed slot of
     // the *current* page must be visible to the very next fetch: the
-    // store bumps the page generation, so a predecoded copy may not be
-    // reused. A stale cache would execute the original `ldi r3, 111`.
+    // store is a code write, so the translated block may not be reused.
+    // A stale translation would execute the original `ldi r3, 111`.
     isa::Instr patch;
     patch.op = isa::Opcode::kLdi;
     patch.rd = R3;
@@ -150,8 +159,8 @@ TEST(ExecCache, SetPermsFlipRwToRxPicksUpRewrittenCode)
 {
     // Hypervisor-style code swap: execute a page, flip it RX -> RW,
     // rewrite its bytes while it is plain data, flip back RW -> RX and
-    // re-execute. Both flips and the rewrite bump the page generation,
-    // so the second run must execute the new bytes.
+    // re-execute. Both flips and the rewrite are code writes, so the
+    // second run must execute the new bytes.
     const auto image1 = assemble(kCode, [](Assembler& a) {
         a.ldi(R3, 1);
         a.halt();
@@ -161,19 +170,19 @@ TEST(ExecCache, SetPermsFlipRwToRxPicksUpRewrittenCode)
         a.halt();
     });
 
-    for (const bool cache : {true, false}) {
+    for (const bool tb : {true, false}) {
         mem::PhysMem mem(1 << 20);
         Cpu cpu(&mem);
         NullEnv env;
         cpu.set_env(&env);
-        cpu.set_decode_cache_enabled(cache);
+        cpu.set_tb_enabled(tb);
 
         mem.load_image(image1);
         mem.set_perms(kCode, kPageSize, mem::kPermRX);
         cpu.state().pc = kCode;
         cpu.state().sp = kStackTop;
         ASSERT_EQ(cpu.run(~static_cast<Cycles>(0), 100), StopReason::kHalt);
-        EXPECT_EQ(cpu.reg(R3), 1u) << "cache=" << cache;
+        EXPECT_EQ(cpu.reg(R3), 1u) << "tb=" << tb;
 
         mem.set_perms(kCode, kPageSize, mem::kPermRW);
         mem.load_image(image2);
@@ -181,47 +190,17 @@ TEST(ExecCache, SetPermsFlipRwToRxPicksUpRewrittenCode)
         cpu.state().halted = false;
         cpu.state().pc = kCode;
         ASSERT_EQ(cpu.run(~static_cast<Cycles>(0), 200), StopReason::kHalt);
-        EXPECT_EQ(cpu.reg(R3), 2u) << "cache=" << cache;
+        EXPECT_EQ(cpu.reg(R3), 2u) << "tb=" << tb;
     }
-}
-
-/** run_machine plus independent TB-engine toggle and its event counters. */
-struct SmcResult {
-    Outcome out;
-    std::uint64_t tb_invalidations = 0;
-};
-
-SmcResult
-run_smc(const isa::Image& image, bool tb, bool cache)
-{
-    mem::PhysMem mem(1 << 20);
-    Cpu cpu(&mem);
-    NullEnv env;
-    cpu.set_env(&env);
-    cpu.set_tb_enabled(tb);
-    cpu.set_decode_cache_enabled(cache);
-    mem.load_image(image);
-    mem.set_perms(image.base(), image.size(), mem::kPermRWX);
-    cpu.state().pc = image.base();
-    cpu.state().sp = kStackTop;
-
-    SmcResult r;
-    r.out.stop = cpu.run(~static_cast<Cycles>(0), 100000);
-    r.out.r3 = cpu.reg(R3);
-    r.out.icount = cpu.icount();
-    r.out.cycles = cpu.cycles();
-    r.out.mem_hash = mem.content_hash();
-    r.tb_invalidations = cpu.tb_engine().stats().invalidations;
-    return r;
 }
 
 TEST(ExecCache, MidInstructionByteWriteInvalidatesCachedPage)
 {
     // A one-byte store landing *inside* an instruction slot (offset 4 of
     // the 8-byte encoding holds the immediate's low byte) on the
-    // currently executing -- predecoded and translated -- page. Neither
-    // cache may serve the stale decode: the very next fetch of `patchme`
-    // must see the patched immediate, in all four engine combinations.
+    // currently executing -- translated -- page. No stale decode may
+    // run: the very next fetch of `patchme` must see the patched
+    // immediate, with the TB engine on and off.
     const auto image = assemble(kCode, [](Assembler& a) {
         a.ldi_label(R1, "patchme");
         a.ldi(R2, 222);
@@ -231,17 +210,14 @@ TEST(ExecCache, MidInstructionByteWriteInvalidatesCachedPage)
         a.halt();
     });
 
-    const SmcResult ref = run_smc(image, true, true);
-    EXPECT_EQ(ref.out.stop, StopReason::kHalt);
-    EXPECT_EQ(ref.out.r3, 222u);
-    EXPECT_GT(ref.tb_invalidations, 0u)
+    std::uint64_t invalidations = 0;
+    const Outcome ref =
+        run_machine(image, mem::kPermRWX, true, &invalidations);
+    EXPECT_EQ(ref.stop, StopReason::kHalt);
+    EXPECT_EQ(ref.r3, 222u);
+    EXPECT_GT(invalidations, 0u)
         << "mid-instruction store must invalidate the translation block";
-    for (const bool tb : {true, false}) {
-        for (const bool cache : {true, false}) {
-            EXPECT_EQ(run_smc(image, tb, cache).out, ref.out)
-                << "tb=" << tb << " cache=" << cache;
-        }
-    }
+    EXPECT_EQ(run_machine(image, mem::kPermRWX, false), ref);
 }
 
 TEST(ExecCache, SmcBlockSpanningPageBoundaryInvalidatesMidFlight)
@@ -250,8 +226,8 @@ TEST(ExecCache, SmcBlockSpanningPageBoundaryInvalidatesMidFlight)
     // starts in the last four slots of one page and falls through onto
     // the next, and its store patches the not-yet-executed instruction
     // in the *second* page of its own block. The write must invalidate
-    // the spanning block (and the second page's decode) mid-flight, so
-    // execution resumes on the fresh bytes.
+    // the spanning block mid-flight, so execution resumes on the fresh
+    // bytes.
     isa::Instr patch;
     patch.op = isa::Opcode::kLdi;
     patch.rd = R3;
@@ -272,28 +248,25 @@ TEST(ExecCache, SmcBlockSpanningPageBoundaryInvalidatesMidFlight)
     ASSERT_EQ(image.base() + image.size() - 2 * kInstrBytes,
               static_cast<Addr>(2 * kPageSize));
 
-    const SmcResult ref = run_smc(image, true, true);
-    EXPECT_EQ(ref.out.stop, StopReason::kHalt);
-    EXPECT_EQ(ref.out.r3, 222u);
-    EXPECT_GT(ref.tb_invalidations, 0u)
+    std::uint64_t invalidations = 0;
+    const Outcome ref =
+        run_machine(image, mem::kPermRWX, true, &invalidations);
+    EXPECT_EQ(ref.stop, StopReason::kHalt);
+    EXPECT_EQ(ref.r3, 222u);
+    EXPECT_GT(invalidations, 0u)
         << "cross-page store must invalidate the spanning block";
-    for (const bool tb : {true, false}) {
-        for (const bool cache : {true, false}) {
-            EXPECT_EQ(run_smc(image, tb, cache).out, ref.out)
-                << "tb=" << tb << " cache=" << cache;
-        }
-    }
+    EXPECT_EQ(run_machine(image, mem::kPermRWX, false), ref);
 }
 
 /** Roll a VM back via restore_checkpoint and re-run; returns the final
- *  memory hash + clocks, which must not depend on the decode cache. */
+ *  memory hash + clocks, which must not depend on the TB engine. */
 Outcome
-rollback_outcome(bool cache)
+rollback_outcome(bool tb)
 {
     auto profile = workloads::benchmark_profile("radiosity");
     profile.rdtsc_prob = 0.0;  // trap-free early segment (no injections)
     auto vm = workloads::make_vm(profile);
-    vm->cpu().set_decode_cache_enabled(cache);
+    vm->cpu().set_tb_enabled(tb);
     rnr::InputLog empty_log;
     rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
     replay::CheckpointStore store(4);
@@ -302,8 +275,9 @@ rollback_outcome(bool cache)
     const auto ck = store.take(*vm, env, 0);
 
     // Diverge past the checkpoint, then roll back and replay the same
-    // deterministic segment. The decode cache saw the post-checkpoint
-    // code/pages; after the rollback it must not serve any of it stale.
+    // deterministic segment. The TB engine translated the post-
+    // checkpoint code/pages; after the rollback it must not run any of
+    // it stale.
     vm->cpu().run(~static_cast<Cycles>(0), 3000);
     replay::restore_checkpoint(*ck, vm.get(), &env);
     EXPECT_EQ(vm->cpu().icount(), ck->icount);
@@ -323,7 +297,7 @@ TEST(ExecCache, RestoreCheckpointRollbackIsCacheInvisible)
     const Outcome without = rollback_outcome(false);
     EXPECT_EQ(with, without);
 
-    // And the rollback itself is repeatable: two cache-on runs agree.
+    // And the rollback itself is repeatable: two TB-on runs agree.
     EXPECT_EQ(rollback_outcome(true), with);
 }
 

@@ -17,7 +17,10 @@
 #                             # metrics and Prometheus artifacts.
 #   tools/check.sh bench      # perf gate: bench_micro --gate against the
 #                             # checked-in BENCH_micro.json baseline
-#                             # (machine-independent speedup ratios;
+#                             # (TB over single-stepped interpreter
+#                             # speedup ratios, each the median of 15
+#                             # in-process repetitions; a gated key
+#                             # missing from the baseline fails;
 #                             # RSAFE_BENCH_GATE_TOLERANCE overrides 10%).
 #   tools/check.sh fleet      # multi-tenant gate: test_fleet (determinism,
 #                             # shutdown, metric namespacing) plus
@@ -118,8 +121,8 @@ run_trace() {
 
 run_bench() {
     # The perf gate compares freshly measured machine-independent
-    # speedup ratios against the committed baseline; a Release build
-    # keeps the measurement honest.
+    # speedup ratios (medians of in-process repetitions) against the
+    # committed baseline; a Release build keeps the measurement honest.
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-rel -j "$(nproc)" --target bench_micro
     (cd build-rel && ./bench/bench_micro --gate ../BENCH_micro.json)
