@@ -34,6 +34,9 @@ enum class StatusCode : std::uint8_t {
     kDuplicateRecord,   ///< frame sequence number repeats
     kReorderedRecord,   ///< frame sequence number out of order
     kTrailingBytes,     ///< well-formed image followed by garbage
+    kUnknownKey,        ///< stream names a page key the receiver lacks
+    kRetiredKey,        ///< stream names a page key already retired
+    kWrongBase,         ///< stream image is not based on the last one
 };
 
 /** @return a short stable name for @p code (diagnostics, forensics). */
@@ -53,6 +56,9 @@ status_code_name(StatusCode code)
       case StatusCode::kDuplicateRecord: return "duplicate-record";
       case StatusCode::kReorderedRecord: return "reordered-record";
       case StatusCode::kTrailingBytes: return "trailing-bytes";
+      case StatusCode::kUnknownKey: return "unknown-key";
+      case StatusCode::kRetiredKey: return "retired-key";
+      case StatusCode::kWrongBase: return "wrong-base";
     }
     return "<bad>";
 }

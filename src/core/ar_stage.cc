@@ -58,11 +58,22 @@ ArStage::analyze_image(const replay::PendingAlarm& pending,
     auto shipped = std::make_shared<replay::Checkpoint>();
     const Status status =
         replay::ckpt::deserialize_checkpoint(image, shipped.get());
-    if (!status.ok())
-        return unavailable(pending, "image rejected: " + status.message(),
+    return analyze_shipped(pending, status, std::move(shipped), source,
+                           local_stats);
+}
+
+AlarmReplayResult
+ArStage::analyze_shipped(const replay::PendingAlarm& pending,
+                         const Status& decoded,
+                         std::shared_ptr<const replay::Checkpoint> checkpoint,
+                         rnr::LogSource* source,
+                         stats::StatRegistry* local_stats) const
+{
+    if (!decoded.ok())
+        return unavailable(pending, "image rejected: " + decoded.message(),
                            local_stats);
     replay::PendingAlarm booted = pending;
-    booted.checkpoint = std::move(shipped);
+    booted.checkpoint = std::move(checkpoint);
     return analyze(booted, source, local_stats);
 }
 

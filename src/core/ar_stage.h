@@ -101,6 +101,18 @@ class ArStage {
                                     rnr::LogSource* source,
                                     stats::StatRegistry* local_stats) const;
 
+    /**
+     * Boot from a checkpoint that arrived over the wire in any form:
+     * @p decoded is how decoding it went. A failed decode classifies as
+     * kCheckpointUnavailable with the error in the report (as
+     * analyze_image() does); otherwise this is analyze() of @p pending
+     * booted from @p checkpoint.
+     */
+    AlarmReplayResult analyze_shipped(
+        const replay::PendingAlarm& pending, const Status& decoded,
+        std::shared_ptr<const replay::Checkpoint> checkpoint,
+        rnr::LogSource* source, stats::StatRegistry* local_stats) const;
+
   private:
     /** The no-checkpoint verdict shared by the paths above. */
     AlarmReplayResult unavailable(const replay::PendingAlarm& pending,

@@ -565,16 +565,19 @@ Cpu::run_tb(InstrCount budget)
     // at a breakpoint returns control.
     bool progressed = false;
     // Traced call/ret (the alarm replayer) always exits, so it always
-    // bails. The recorder's RAS monitoring exits only on an eviction or a
-    // failed prediction: call/ret run inline and bail, before mutating
-    // anything, only when that exit is due.
-    const bool callret_traced = vmcs_.controls.trap_kernel_call_ret ||
-                                vmcs_.controls.trap_user_call_ret;
+    // bails — but only in a traced mode: under kernel-only tracing a
+    // user-mode call/ret runs inline. The recorder's RAS monitoring exits
+    // only on an eviction or a failed prediction: call/ret run inline and
+    // bail, before mutating anything, only when that exit is due.
+    const bool trace_kernel = vmcs_.controls.trap_kernel_call_ret;
+    const bool trace_user = vmcs_.controls.trap_user_call_ret;
     const bool evict_exit = vmcs_.controls.ras_evict_exit;
     const bool ras_alarm = vmcs_.controls.ras_alarm_enabled;
     auto& regs = state_.regs;
     Addr pc = state_.pc;
+    // The mode changes only in exec_one (below), which resets both.
     bool kernel = state_.mode == Mode::kKernel;
+    bool callret_traced = kernel ? trace_kernel : trace_user;
     InstrCount done = 0;
     InstrCount kdone = 0;
     // Engine event counters accumulate in locals; one RMW each at spill.
@@ -1113,6 +1116,7 @@ Cpu::run_tb(InstrCount budget)
                 return StepResult::kOk;  // VM exit: caller re-checks world
             pc = state_.pc;
             kernel = state_.mode == Mode::kKernel;
+            callret_traced = kernel ? trace_kernel : trace_user;
             progressed = true;
         }
     }

@@ -1,6 +1,7 @@
 #include "fleet/fleet.h"
 
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -11,7 +12,7 @@
 #include "cpu/tb_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "replay/ckpt_store/ckpt_image.h"
+#include "replay/ckpt_store/ckpt_stream.h"
 #include "rnr/log_source.h"
 
 namespace rsafe::fleet {
@@ -151,9 +152,13 @@ struct ReplayFleet::TenantState {
     std::vector<char> done;
     /** The first alarm job that threw; run() rethrows it. */
     std::exception_ptr job_error;
-    /** Ship-mode volume (under mu; workers ship concurrently). */
+    /** Ship-mode volume (under mu). */
     std::size_t jobs_shipped = 0;
     std::uint64_t bytes_shipped = 0;
+    /** Ship mode: this tenant's checkpoint stream. The sender encodes on
+     *  the CR thread, in alarm order; workers take from the receiver. */
+    std::unique_ptr<replay::ckpt::CheckpointStreamSender> sender;
+    replay::ckpt::CheckpointStreamReceiver receiver;
     /** Per-tenant AR counters, merged from per-job registries. Counter
      *  and histogram merges are commutative, so completion order does
      *  not perturb the totals. */
@@ -262,37 +267,56 @@ ReplayFleet::run()
         state->stage->set_alarm_sink(
             [raw, pool_ptr, flight_ptr, ship](const core::AlarmJob& job) {
                 auto owned = std::make_shared<core::AlarmJob>(job);
+                // A job can arrive without a checkpoint (interval 0, or
+                // the byte budget recycled past the alarm); its slice is
+                // based at the alarm itself and the AR returns a clean
+                // checkpoint-unavailable verdict.
+                auto& ck = owned->pending.checkpoint;
+                const std::size_t slice_base =
+                    ck ? ck->log_pos : owned->pending.log_index;
+                // Ship mode: the worker sees exactly what a remote AR
+                // tier would — the checkpoint the tenant's stream
+                // decodes, not the live object graph. Encoding here, on
+                // the CR thread, keeps the stream in alarm order.
+                std::optional<std::size_t> position;
+                std::size_t image_bytes = 0;
+                if (ship && ck) {
+                    if (!raw->sender)
+                        raw->sender = std::make_unique<
+                            replay::ckpt::CheckpointStreamSender>(
+                            &raw->stage->cr()->checkpoints().pool());
+                    std::vector<std::uint8_t> image =
+                        raw->sender->encode(ck);
+                    image_bytes = image.size();
+                    ck.reset();
+                    position = raw->receiver.enqueue(std::move(image));
+                }
                 std::size_t seq;
                 {
                     std::lock_guard<std::mutex> lock(raw->mu);
                     seq = raw->submitted++;
                     raw->results.resize(raw->submitted);
                     raw->done.resize(raw->submitted, 0);
+                    if (position) {
+                        ++raw->jobs_shipped;
+                        raw->bytes_shipped += image_bytes;
+                    }
                 }
-                pool_ptr->submit(raw->pool_id,
-                                 [raw, owned, seq, ship, flight_ptr] {
+                pool_ptr->submit(raw->pool_id, [raw, owned, seq,
+                                                slice_base, position,
+                                                flight_ptr] {
                     stats::StatRegistry local;
-                    // A job can arrive without a checkpoint (interval 0,
-                    // or the byte budget recycled past the alarm); its
-                    // slice is based at the alarm itself and the AR
-                    // returns a clean checkpoint-unavailable verdict.
-                    const auto& ck = owned->pending.checkpoint;
-                    rnr::SliceLogSource source(
-                        ck ? ck->log_pos : owned->pending.log_index,
-                        std::move(owned->slice));
+                    rnr::SliceLogSource source(slice_base,
+                                               std::move(owned->slice));
                     core::AlarmReplayResult result;
                     try {
-                        if (ship && ck) {
-                            // Ship mode: the worker sees exactly what a
-                            // remote AR tier would — the serialized
-                            // image, not the live object graph.
-                            const std::vector<std::uint8_t> image =
-                                replay::ckpt::serialize_checkpoint(*ck);
-                            result = raw->ar->analyze_image(
-                                owned->pending, image, &source, &local);
-                            std::lock_guard<std::mutex> lock(raw->mu);
-                            ++raw->jobs_shipped;
-                            raw->bytes_shipped += image.size();
+                        if (position) {
+                            std::shared_ptr<const replay::Checkpoint> booted;
+                            const Status status =
+                                raw->receiver.take(*position, &booted);
+                            result = raw->ar->analyze_shipped(
+                                owned->pending, status, std::move(booted),
+                                &source, &local);
                         } else {
                             result = raw->ar->analyze(owned->pending,
                                                       &source, &local);

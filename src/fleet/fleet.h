@@ -68,11 +68,14 @@ struct FleetOptions {
     /** Fair-share: max in-flight alarm jobs per tenant. */
     std::size_t tenant_inflight_cap = 2;
     /**
-     * Ship checkpoints: each pool worker serializes the job's checkpoint
-     * to a kCheckpointImage and boots the AR from the *deserialized*
-     * copy — exactly what a remote AR tier would execute. Verdicts,
-     * digests, and counters are gated bit-identical to in-memory jobs;
-     * shipped volume rides in gauges only.
+     * Ship checkpoints by content: each tenant's alarm sink encodes the
+     * job's checkpoint as the next image of the tenant's checkpoint
+     * stream (ckpt_stream.h: a kCheckpointDelta naming changed slots by
+     * page key and carrying only pages the receiver lacks), and the pool
+     * worker boots the AR from the checkpoint the stream *decodes* —
+     * exactly what a remote AR tier would execute. Verdicts, digests,
+     * and counters are gated bit-identical to in-memory jobs; shipped
+     * volume rides in gauges only.
      */
     bool ship_checkpoints = false;
     /**
@@ -109,9 +112,10 @@ struct TenantRunResult {
     bool partial = false;
     /** Alarm jobs submitted but discarded by an abandon shutdown. */
     std::size_t jobs_dropped = 0;
-    /** Ship mode: jobs whose checkpoint went through the wire image,
-     *  and the serialized bytes moved (scheduling-dependent detail —
-     *  exported as gauges, not counters). */
+    /** Ship mode: jobs whose checkpoint went through the stream, and
+     *  the image bytes it carried (a function of the log, counted at
+     *  submission; exported as gauges so shipped and in-memory runs
+     *  keep identical counter snapshots). */
     std::size_t jobs_shipped = 0;
     std::uint64_t bytes_shipped = 0;
 };

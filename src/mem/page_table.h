@@ -1,6 +1,7 @@
 #ifndef RSAFE_MEM_PAGE_TABLE_H_
 #define RSAFE_MEM_PAGE_TABLE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -44,6 +45,19 @@ class BasicPageTable {
             chunks_.push_back(std::make_shared<Chunk>());
     }
 
+    /**
+     * A table of @p size slots that all hold @p fill. Every position
+     * shares one chunk, and set() clones only the chunks it writes, so
+     * the table costs memory only for the chunks that end up holding
+     * something else.
+     */
+    BasicPageTable(std::size_t size, const Ref& fill) : size_(size)
+    {
+        auto chunk = std::make_shared<Chunk>();
+        chunk->refs.fill(fill);
+        chunks_.assign((size + kChunkSize - 1) / kChunkSize, chunk);
+    }
+
     /** @return number of slots. */
     std::size_t size() const { return size_; }
 
@@ -71,6 +85,30 @@ class BasicPageTable {
         if (chunk.use_count() > 1)
             chunk = std::make_shared<Chunk>(*chunk);
         chunk->refs[index & (kChunkSize - 1)] = std::move(ref);
+    }
+
+    /**
+     * Call @p fn(index, ref) for every slot whose ref differs, by
+     * identity, from @p base's, in index order. Chunks the two tables
+     * still share are skipped whole, so diffing two checkpoints of one
+     * chain costs O(chunks + slots of the chunks either one rewrote).
+     * Against a @p base of another size every slot counts as changed.
+     */
+    template <typename Fn>
+    void for_each_change(const BasicPageTable& base, Fn&& fn) const
+    {
+        const bool same_shape = base.size_ == size_;
+        for (std::size_t c = 0; c < chunks_.size(); ++c) {
+            if (same_shape && chunks_[c] == base.chunks_[c])
+                continue;
+            const std::size_t first = c << kChunkShift;
+            const std::size_t n = std::min(kChunkSize, size_ - first);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Ref& ref = chunks_[c]->refs[i];
+                if (!same_shape || ref != base.chunks_[c]->refs[i])
+                    fn(static_cast<std::uint64_t>(first + i), ref);
+            }
+        }
     }
 
   private:

@@ -44,23 +44,34 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
 
     if (!prev) {
         // First checkpoint: every page and block. One the guest never
-        // wrote is all zeros and takes the pool's zero page unread, so
-        // this reads and hashes only the touched pages.
-        ck->pages = ckpt::StoredPageTable(mem.num_pages());
-        ck->blocks = ckpt::StoredPageTable(disk.num_blocks());
-        for (Addr page = 0; page < mem.num_pages(); ++page) {
-            ck->pages.set(page, mem.page_untouched(page)
-                                    ? pool_.intern_zero()
-                                    : pool_.intern(mem.page_data(page)));
-            ++ck->copies;
-        }
-        for (BlockNum block = 0; block < disk.num_blocks(); ++block) {
-            ck->blocks.set(block,
-                           disk.block_untouched(block)
-                               ? pool_.intern_zero()
-                               : pool_.intern(disk.block_data(block)));
-            ++ck->copies;
-        }
+        // wrote is all zeros: all of those take the pool's zero page in
+        // one unread intern, and the table starts out as that page in
+        // one shared chunk, so this reads, hashes and stores only the
+        // touched pages.
+        const auto capture = [this](std::uint64_t n, const auto& untouched,
+                                    const auto& data) {
+            std::uint64_t zeros = 0;
+            for (std::uint64_t i = 0; i < n; ++i)
+                zeros += untouched(i) ? 1 : 0;
+            ckpt::StoredPageTable table(
+                n, zeros != 0 ? pool_.intern_zeros(zeros) : nullptr);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                if (untouched(i))
+                    continue;
+                ckpt::StoredPageRef ref = pool_.intern(data(i));
+                if (table.at(i) != ref)
+                    table.set(i, std::move(ref));
+            }
+            return table;
+        };
+        ck->pages = capture(
+            mem.num_pages(), [&](Addr p) { return mem.page_untouched(p); },
+            [&](Addr p) { return mem.page_data(p); });
+        ck->blocks = capture(
+            disk.num_blocks(),
+            [&](BlockNum b) { return disk.block_untouched(b); },
+            [&](BlockNum b) { return disk.block_data(b); });
+        ck->copies = mem.num_pages() + disk.num_blocks();
     } else {
         // Incremental: share unmodified pages with the previous
         // checkpoint and copy only what was dirtied in this interval.

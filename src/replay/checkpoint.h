@@ -214,6 +214,9 @@ class CheckpointStore {
     /** The configuration this store was built with. */
     const CheckpointStoreOptions& options() const { return options_; }
 
+    /** The page pool every checkpoint of this store interns into. */
+    ckpt::PagePool& pool() { return pool_; }
+
   private:
     /** Recycle oldest-first until count and byte budget both fit. */
     void enforce_budget();

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "isa/encoding.h"
@@ -157,12 +158,12 @@ get_saved_ras(Cursor* cursor, cpu::SavedRas* out)
 }
 
 // ---------------------------------------------------------------------
-// The meta frame (frame 0).
+// The machine state: the head of both image kinds' meta frame.
 
-std::vector<std::uint8_t>
-encode_meta(const Checkpoint& ck, std::uint64_t unique_count)
+void
+put_machine(std::vector<std::uint8_t>* out, const Checkpoint& ck)
 {
-    std::vector<std::uint8_t> meta;
+    std::vector<std::uint8_t>& meta = *out;
     put_u64(&meta, ck.id);
     put_u64(&meta, ck.icount);
     put_u64(&meta, ck.cycles);
@@ -198,18 +199,13 @@ encode_meta(const Checkpoint& ck, std::uint64_t unique_count)
     put_u64(&meta, ck.current_tid);
     put_flag(&meta, ck.have_current_tid);
     put_flag(&meta, ck.context_dying);
-
-    put_u64(&meta, ck.pages.size());
-    put_u64(&meta, ck.blocks.size());
-    put_u64(&meta, unique_count);
-    return meta;
 }
 
+/** Parse put_machine()'s fields into @p out (tables untouched). */
 Status
-decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
-            std::uint64_t* unique_count)
+get_machine(Cursor* in, Checkpoint* out)
 {
-    Cursor cursor(data, len);
+    Cursor& cursor = *in;
     Status status;
     if (!(status = cursor.u64(&out->id)).ok())
         return status;
@@ -335,21 +331,54 @@ decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
     out->current_tid = static_cast<ThreadId>(current_tid);
     if (!(status = cursor.flag(&out->have_current_tid)).ok())
         return status;
-    if (!(status = cursor.flag(&out->context_dying)).ok())
-        return status;
+    return cursor.flag(&out->context_dying);
+}
 
+/** Parse the page/block geometry, rejecting lying sizes. */
+Status
+get_geometry(Cursor* cursor, std::uint64_t* num_pages,
+             std::uint64_t* num_blocks)
+{
+    Status status;
+    if (!(status = cursor->u64(num_pages)).ok())
+        return status;
+    if (!(status = cursor->u64(num_blocks)).ok())
+        return status;
+    if (*num_pages > kMaxImageSlots || *num_blocks > kMaxImageSlots ||
+        *num_pages + *num_blocks > kMaxImageSlots)
+        return Status(StatusCode::kMalformedRecord,
+                      strcat_args("checkpoint image geometry ", *num_pages,
+                                  "+", *num_blocks, " slots exceeds the ",
+                                  kMaxImageSlots, "-slot bound"));
+    return Status();
+}
+
+// ---------------------------------------------------------------------
+// The full image's meta frame (frame 0).
+
+std::vector<std::uint8_t>
+encode_meta(const Checkpoint& ck, std::uint64_t unique_count)
+{
+    std::vector<std::uint8_t> meta;
+    put_machine(&meta, ck);
+    put_u64(&meta, ck.pages.size());
+    put_u64(&meta, ck.blocks.size());
+    put_u64(&meta, unique_count);
+    return meta;
+}
+
+Status
+decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
+            std::uint64_t* unique_count)
+{
+    Cursor cursor(data, len);
+    Status status;
+    if (!(status = get_machine(&cursor, out)).ok())
+        return status;
     std::uint64_t num_pages = 0;
     std::uint64_t num_blocks = 0;
-    if (!(status = cursor.u64(&num_pages)).ok())
+    if (!(status = get_geometry(&cursor, &num_pages, &num_blocks)).ok())
         return status;
-    if (!(status = cursor.u64(&num_blocks)).ok())
-        return status;
-    if (num_pages > kMaxImageSlots || num_blocks > kMaxImageSlots ||
-        num_pages + num_blocks > kMaxImageSlots)
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("checkpoint image geometry ", num_pages,
-                                  "+", num_blocks, " slots exceeds the ",
-                                  kMaxImageSlots, "-slot bound"));
     out->pages = StoredPageTable(static_cast<std::size_t>(num_pages));
     out->blocks = StoredPageTable(static_cast<std::size_t>(num_blocks));
     if (!(status = cursor.u64(unique_count)).ok())
@@ -362,6 +391,30 @@ decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
                                   " unique pages for ",
                                   num_pages + num_blocks, " slots"));
     return cursor.done();
+}
+
+/**
+ * Validate one stored page: a known encoding tag, kPageSize raw bytes or
+ * an RLE stream decoding to exactly kPageSize (decoded into @p scratch;
+ * raw pages leave it untouched).
+ */
+Status
+check_page(std::uint8_t tag, const std::uint8_t* data, std::size_t len,
+           std::uint8_t* scratch)
+{
+    const auto encoding = static_cast<PageEncoding>(tag);
+    if (encoding == PageEncoding::kRaw) {
+        if (len != kPageSize)
+            return Status(StatusCode::kMalformedRecord,
+                          strcat_args("checkpoint image raw page is ", len,
+                                      " bytes, want ", kPageSize));
+        return Status();
+    }
+    if (encoding == PageEncoding::kRle)
+        return rle_decompress(data, len, scratch, kPageSize);
+    return Status(StatusCode::kMalformedRecord,
+                  strcat_args("checkpoint image page encoding ", tag,
+                              " is unknown"));
 }
 
 }  // namespace
@@ -480,30 +533,15 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
             if (length < 1)
                 return Status(StatusCode::kMalformedRecord,
                               "checkpoint image page frame is empty");
-            const auto encoding = static_cast<PageEncoding>(frame[0]);
-            std::vector<std::uint8_t> encoded(frame + 1, frame + length);
-            if (encoding == PageEncoding::kRaw) {
-                if (encoded.size() != kPageSize) {
-                    return Status(
-                        StatusCode::kMalformedRecord,
-                        strcat_args("checkpoint image raw page is ",
-                                    encoded.size(), " bytes, want ",
-                                    kPageSize));
-                }
-            } else if (encoding == PageEncoding::kRle) {
-                // Validate the stream; the decoded bytes are not kept.
-                std::uint8_t raw[kPageSize];
-                const Status status = rle_decompress(
-                    encoded.data(), encoded.size(), raw, kPageSize);
-                if (!status.ok())
-                    return status;
-            } else {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("checkpoint image page encoding ",
-                                          frame[0], " is unknown"));
-            }
+            // Validate the stream; the decoded bytes are not kept.
+            std::uint8_t raw[kPageSize];
+            if (const Status status =
+                    check_page(frame[0], frame + 1, length - 1, raw);
+                !status.ok())
+                return status;
             uniques.push_back(std::make_shared<const StoredPage>(
-                encoding, std::move(encoded)));
+                static_cast<PageEncoding>(frame[0]),
+                std::vector<std::uint8_t>(frame + 1, frame + length)));
             return Status();
         });
     if (!report.intact())
@@ -526,6 +564,260 @@ deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
         else
             out->blocks.set(i - out->pages.size(), ref);
     }
+    return Status();
+}
+
+// ---------------------------------------------------------------------
+// The delta image (PayloadKind::kCheckpointDelta).
+
+namespace {
+
+/** Wire bytes of one slot run: u32 first slot, u32 count, u64 key. */
+constexpr std::size_t kRunBytes = 16;
+
+/** Wire bytes ahead of a carried page's encoding: u64 key, u32 CRC. */
+constexpr std::size_t kCarriedHeadBytes = 12;
+
+Status
+delta_malformed(std::string what)
+{
+    return Status(StatusCode::kMalformedRecord,
+                  "checkpoint delta " + std::move(what));
+}
+
+/** The counts frame 0 declares for the frames after it. */
+struct DeltaCounts {
+    std::uint64_t retired = 0;
+    std::uint64_t runs = 0;
+    std::uint64_t carried = 0;
+};
+
+Status
+decode_delta_meta(const std::uint8_t* data, std::size_t len,
+                  Checkpoint* machine, CheckpointDelta* delta,
+                  DeltaCounts* counts)
+{
+    Cursor cursor(data, len);
+    Status status;
+    if (!(status = cursor.u64(&delta->base_id)).ok())
+        return status;
+    if (!(status = get_machine(&cursor, machine)).ok())
+        return status;
+    if (!(status = get_geometry(&cursor, &delta->num_pages,
+                                &delta->num_blocks))
+             .ok())
+        return status;
+    if (!(status = cursor.u64(&counts->retired)).ok())
+        return status;
+    if (!(status = cursor.u64(&counts->runs)).ok())
+        return status;
+    if (!(status = cursor.u64(&counts->carried)).ok())
+        return status;
+    // Runs are disjoint and non-empty, and every carried page is named
+    // by a run, so neither count can exceed the one that bounds it.
+    const std::uint64_t slots = delta->num_pages + delta->num_blocks;
+    if (counts->runs > slots)
+        return delta_malformed(strcat_args("claims ", counts->runs,
+                                           " slot runs for ", slots,
+                                           " slots"));
+    if (counts->carried > counts->runs)
+        return delta_malformed(strcat_args("claims ", counts->carried,
+                                           " carried pages for ",
+                                           counts->runs, " slot runs"));
+    return cursor.done();
+}
+
+Status
+decode_retired(const std::uint8_t* data, std::size_t len,
+               std::uint64_t count, std::vector<std::uint64_t>* out)
+{
+    if (count > len / 8 || count * 8 != len)
+        return delta_malformed(strcat_args("retired-key frame is ", len,
+                                           " bytes for ", count, " keys"));
+    Cursor cursor(data, len);
+    out->reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t key = 0;
+        if (const Status status = cursor.u64(&key); !status.ok())
+            return status;
+        if (key == 0 || (!out->empty() && key <= out->back()))
+            return delta_malformed(strcat_args(
+                "retired key ", key, " is zero or out of order"));
+        out->push_back(key);
+    }
+    return Status();
+}
+
+Status
+decode_runs(const std::uint8_t* data, std::size_t len, std::uint64_t count,
+            std::uint64_t slots, std::vector<DeltaRun>* out,
+            std::unordered_set<std::uint64_t>* keys)
+{
+    if (count * kRunBytes != len)
+        return delta_malformed(strcat_args("slot-run frame is ", len,
+                                           " bytes for ", count, " runs"));
+    Cursor cursor(data, len);
+    out->reserve(static_cast<std::size_t>(count));
+    std::uint64_t end = 0;  // one past the previous run
+    for (std::uint64_t i = 0; i < count; ++i) {
+        DeltaRun run;
+        Status status;
+        if (!(status = cursor.u32(&run.first_slot)).ok() ||
+            !(status = cursor.u32(&run.count)).ok() ||
+            !(status = cursor.u64(&run.key)).ok())
+            return status;
+        if (run.count == 0 || run.first_slot < end)
+            return delta_malformed(strcat_args(
+                "slot run ", i, " is empty or overlaps its predecessor"));
+        end = std::uint64_t{run.first_slot} + run.count;
+        if (end > slots)
+            return delta_malformed(strcat_args("slot run ", i, " ends at ",
+                                               end, ", past the ", slots,
+                                               " slots"));
+        if (run.key != 0)
+            keys->insert(run.key);
+        out->push_back(run);
+    }
+    return Status();
+}
+
+Status
+decode_carried(const std::uint8_t* data, std::size_t len,
+               const std::unordered_set<std::uint64_t>& run_keys,
+               std::vector<StoredPageRef>* out)
+{
+    if (len < kCarriedHeadBytes + 1)
+        return delta_malformed("carried page frame is too short");
+    Cursor cursor(data, kCarriedHeadBytes);
+    std::uint64_t key = 0;
+    std::uint32_t crc = 0;
+    (void)cursor.u64(&key);
+    (void)cursor.u32(&crc);
+    if (key == 0 || (!out->empty() && key <= out->back()->key()))
+        return delta_malformed(strcat_args("carried key ", key,
+                                           " is zero or out of order"));
+    if (run_keys.count(key) == 0)
+        return delta_malformed(strcat_args("carried key ", key,
+                                           " is named by no slot run"));
+    const std::uint8_t tag = data[kCarriedHeadBytes];
+    const std::uint8_t* bytes = data + kCarriedHeadBytes + 1;
+    const std::size_t n = len - kCarriedHeadBytes - 1;
+    std::uint8_t scratch[kPageSize];
+    if (const Status status = check_page(tag, bytes, n, scratch);
+        !status.ok())
+        return status;
+    const auto encoding = static_cast<PageEncoding>(tag);
+    const std::uint32_t actual =
+        wire::crc32c(encoding == PageEncoding::kRaw ? bytes : scratch,
+                     kPageSize);
+    if (actual != crc)
+        return Status(StatusCode::kChecksumMismatch,
+                      strcat_args("checkpoint delta carried key ", key,
+                                  " has CRC32C ", actual, ", image says ",
+                                  crc));
+    out->push_back(std::make_shared<const StoredPage>(
+        encoding, std::vector<std::uint8_t>(bytes, bytes + n), key, crc));
+    return Status();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t>
+serialize_delta(const Checkpoint& machine, const CheckpointDelta& delta)
+{
+    std::vector<std::uint8_t> meta;
+    put_u64(&meta, delta.base_id);
+    put_machine(&meta, machine);
+    put_u64(&meta, delta.num_pages);
+    put_u64(&meta, delta.num_blocks);
+    put_u64(&meta, delta.retired.size());
+    put_u64(&meta, delta.runs.size());
+    put_u64(&meta, delta.carried.size());
+
+    std::vector<std::uint8_t> retired;
+    retired.reserve(delta.retired.size() * 8);
+    for (const std::uint64_t key : delta.retired)
+        put_u64(&retired, key);
+    std::vector<std::uint8_t> runs;
+    runs.reserve(delta.runs.size() * kRunBytes);
+    for (const DeltaRun& run : delta.runs) {
+        put_u32(&runs, run.first_slot);
+        put_u32(&runs, run.count);
+        put_u64(&runs, run.key);
+    }
+
+    // Sized exactly: images can wait in the receiver's queue.
+    std::size_t total = wire::kHeaderSize + 3 * wire::kFrameHeaderSize +
+                        meta.size() + retired.size() + runs.size();
+    for (const StoredPageRef& page : delta.carried)
+        total += wire::kFrameHeaderSize + kCarriedHeadBytes + 1 +
+                 page->stored_bytes();
+    std::vector<std::uint8_t> out;
+    out.reserve(total);
+    wire::Header header;
+    header.kind = wire::PayloadKind::kCheckpointDelta;
+    header.frame_count = 3 + delta.carried.size();
+    wire::encode_header(header, &out);
+    wire::append_frame(0, meta.data(), meta.size(), &out);
+    wire::append_frame(1, retired.data(), retired.size(), &out);
+    wire::append_frame(2, runs.data(), runs.size(), &out);
+    std::vector<std::uint8_t> frame;
+    for (std::size_t i = 0; i < delta.carried.size(); ++i) {
+        const StoredPage& page = *delta.carried[i];
+        frame.clear();
+        put_u64(&frame, page.key());
+        put_u32(&frame, page.crc());
+        frame.push_back(static_cast<std::uint8_t>(page.encoding()));
+        frame.insert(frame.end(), page.encoded().begin(),
+                     page.encoded().end());
+        wire::append_frame(static_cast<std::uint32_t>(3 + i), frame.data(),
+                           frame.size(), &out);
+    }
+    return out;
+}
+
+Status
+deserialize_delta(const std::vector<std::uint8_t>& bytes,
+                  Checkpoint* machine, CheckpointDelta* delta)
+{
+    *machine = Checkpoint();
+    *delta = CheckpointDelta();
+    DeltaCounts counts;
+    std::unordered_set<std::uint64_t> run_keys;
+    std::uint64_t frames = 0;
+    // read_frames() feeds frames in consecutive sequence order and stops
+    // at the first rejection, so each frame below follows accepted ones.
+    const wire::LoadReport report = wire::read_frames(
+        bytes, wire::PayloadKind::kCheckpointDelta,
+        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
+            const std::uint8_t* frame = bytes.data() + offset;
+            Status status;
+            if (seq == 0)
+                status = decode_delta_meta(frame, length, machine, delta,
+                                           &counts);
+            else if (seq == 1)
+                status = decode_retired(frame, length, counts.retired,
+                                        &delta->retired);
+            else if (seq == 2)
+                status = decode_runs(frame, length, counts.runs,
+                                     delta->num_pages + delta->num_blocks,
+                                     &delta->runs, &run_keys);
+            else if (seq - 3 >= counts.carried)
+                status = delta_malformed(strcat_args(
+                    "has more than ", counts.carried, " carried pages"));
+            else
+                status = decode_carried(frame, length, run_keys,
+                                        &delta->carried);
+            if (status.ok())
+                ++frames;
+            return status;
+        });
+    if (!report.intact())
+        return report.status;
+    if (frames < 3 || delta->carried.size() != counts.carried)
+        return Status(StatusCode::kTruncated,
+                      strcat_args("checkpoint delta has ", frames,
+                                  " frames, want ", 3 + counts.carried));
     return Status();
 }
 

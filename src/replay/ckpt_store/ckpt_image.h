@@ -5,10 +5,12 @@
 #include <vector>
 
 #include "common/status.h"
+#include "replay/ckpt_store/page_pool.h"
 
 /**
  * @file
- * Complete checkpoint serialization (PayloadKind::kCheckpointImage).
+ * Checkpoint serialization: complete images (PayloadKind::
+ * kCheckpointImage) and stream deltas (PayloadKind::kCheckpointDelta).
  *
  * The shippable-checkpoint primitive: a Checkpoint serialized here and
  * deserialized in another process restores the same machine — an
@@ -42,7 +44,30 @@
  * malformed RLE all land in the Status taxonomy (fuzzed by
  * tools/fuzz_ckpt_image.cc). Serialization is canonical — unique pages
  * appear in first-use order — so serialize(deserialize(serialize(x)))
- * == serialize(x).
+ * == serialize(x). This is the self-contained export format.
+ *
+ * The delta image (PayloadKind::kCheckpointDelta) is the same machine
+ * instant as one step of a stream: it names its base (the stream's
+ * previous checkpoint), lists only the slots whose page changed since
+ * that base as runs of (slot, page key), carries only the pages its
+ * receiver does not hold yet, and lists the keys the sender's pool has
+ * retired. Page keys are PagePool keys: never reused, so a key always
+ * names one content. ckpt_stream.h keeps the state on both ends.
+ *
+ *   frame 0   base id, the machine state above, the geometry, and the
+ *             counts R (retired keys), N (slot runs), C (carried pages);
+ *   frame 1   R retired keys, u64 each, strictly ascending;
+ *   frame 2   N slot runs: u32 first slot, u32 count, u64 key (0 = a
+ *             null slot), ascending and disjoint, slots numbered as in
+ *             the slot map above;
+ *   frame 3+i carried page i: u64 key, u32 CRC32C of the raw content, a
+ *             PageEncoding byte, the raw or RLE bytes; keys strictly
+ *             ascending, each named by some run.
+ *
+ * deserialize_delta() checks everything one image can check on its own
+ * (counts, order, slot range, RLE, each carried page's CRC) and is as
+ * strict and abort-free as deserialize_checkpoint() (fuzzed by
+ * tools/fuzz_ckpt_delta.cc); keys and bases are the receiver's to check.
  */
 
 namespace rsafe::replay {
@@ -72,6 +97,46 @@ std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
  */
 Status deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
                               Checkpoint* out);
+
+/** Delta-image base id of a stream's first image (no base). */
+inline constexpr std::uint64_t kNoBase = ~std::uint64_t{0};
+
+/** Consecutive slots that all take the page of one key (0 = null). */
+struct DeltaRun {
+    std::uint32_t first_slot = 0;  ///< pages first, then blocks
+    std::uint32_t count = 0;
+    std::uint64_t key = 0;
+
+    bool operator==(const DeltaRun&) const = default;
+};
+
+/** Everything a kCheckpointDelta image holds besides the machine state. */
+struct CheckpointDelta {
+    /** Id of the checkpoint this one is a delta against, or kNoBase. */
+    std::uint64_t base_id = kNoBase;
+    std::uint64_t num_pages = 0;
+    std::uint64_t num_blocks = 0;
+    /** Keys the receiver must forget, strictly ascending. */
+    std::vector<std::uint64_t> retired;
+    /** The changed slots, ascending and disjoint. */
+    std::vector<DeltaRun> runs;
+    /** Pages the receiver lacks, strictly ascending by key(); each
+     *  carries its key and CRC32C. */
+    std::vector<StoredPageRef> carried;
+};
+
+/** Encode @p machine's state (its page tables are ignored) and @p delta
+ *  as a kCheckpointDelta wire image. */
+std::vector<std::uint8_t> serialize_delta(const Checkpoint& machine,
+                                          const CheckpointDelta& delta);
+
+/**
+ * Strict parse of a kCheckpointDelta image: @p machine gets the machine
+ * state (empty page tables), @p delta the rest, every carried page
+ * checked against its CRC. On failure both are unspecified.
+ */
+Status deserialize_delta(const std::vector<std::uint8_t>& bytes,
+                         Checkpoint* machine, CheckpointDelta* delta);
 
 }  // namespace ckpt
 }  // namespace rsafe::replay

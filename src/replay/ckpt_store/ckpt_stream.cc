@@ -1,0 +1,207 @@
+#include "replay/ckpt_store/ckpt_stream.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "common/log.h"
+#include "obs/trace.h"
+#include "replay/checkpoint.h"
+#include "replay/ckpt_store/ckpt_image.h"
+
+namespace rsafe::replay::ckpt {
+
+std::vector<std::uint8_t>
+CheckpointStreamSender::encode(std::shared_ptr<const Checkpoint> checkpoint)
+{
+    obs::ScopedSpan span("ckpt_image.encode", "ckpt");
+    CheckpointDelta delta;
+    delta.base_id = base_ ? base_->id : kNoBase;
+    delta.num_pages = checkpoint->pages.size();
+    delta.num_blocks = checkpoint->blocks.size();
+
+    // The receiver holds every streamed page still alive: forget the
+    // ones the pool dropped since the last image.
+    delta.retired = pool_->take_retired();
+    std::sort(delta.retired.begin(), delta.retired.end());
+
+    const auto add = [&](std::uint64_t slot, const StoredPageRef& ref) {
+        std::uint64_t key = 0;
+        if (ref) {
+            key = ref->key();
+            if (key == 0)
+                panic("checkpoint stream: page was not stored by a pool");
+            if (!ref->streamed()) {
+                ref->mark_streamed();
+                delta.carried.push_back(ref);
+            }
+        }
+        if (!delta.runs.empty()) {
+            DeltaRun& last = delta.runs.back();
+            if (last.key == key && last.first_slot + last.count == slot) {
+                ++last.count;
+                return;
+            }
+        }
+        delta.runs.push_back({static_cast<std::uint32_t>(slot), 1, key});
+    };
+    // The first image diffs against empty tables: every slot changed.
+    const StoredPageTable none;
+    checkpoint->pages.for_each_change(base_ ? base_->pages : none, add);
+    const std::uint64_t pages = delta.num_pages;
+    checkpoint->blocks.for_each_change(
+        base_ ? base_->blocks : none,
+        [&](std::uint64_t block, const StoredPageRef& ref) {
+            add(pages + block, ref);
+        });
+    std::sort(delta.carried.begin(), delta.carried.end(),
+              [](const StoredPageRef& a, const StoredPageRef& b) {
+                  return a->key() < b->key();
+              });
+
+    base_ = std::move(checkpoint);
+    return serialize_delta(*base_, delta);
+}
+
+std::size_t
+CheckpointStreamReceiver::enqueue(std::vector<std::uint8_t> image)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    queued_.push_back(std::move(image));
+    return next_ + queued_.size() - 1;
+}
+
+Status
+CheckpointStreamReceiver::take(std::size_t position,
+                               std::shared_ptr<const Checkpoint>* out)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    while (next_ <= position && !queued_.empty()) {
+        Ingested& ingested = ready_[next_];
+        ingested.status = ingest(queued_.front(), &ingested.checkpoint);
+        queued_.pop_front();
+        ++next_;
+    }
+    const auto it = ready_.find(position);
+    if (it == ready_.end())
+        return Status(StatusCode::kInvalidArgument,
+                      strcat_args("checkpoint stream position ", position,
+                                  " was never queued or already taken"));
+    const Status status = it->second.status;
+    *out = std::move(it->second.checkpoint);
+    ready_.erase(it);
+    return status;
+}
+
+bool
+CheckpointStreamReceiver::holds(std::uint64_t key) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return pages_.count(key) != 0;
+}
+
+Status
+CheckpointStreamReceiver::missing_key(std::uint64_t key,
+                                      const char* what) const
+{
+    if (retired_.count(key) != 0)
+        return Status(StatusCode::kRetiredKey,
+                      strcat_args("checkpoint delta ", what, " key ", key,
+                                  ", which was retired"));
+    return Status(StatusCode::kUnknownKey,
+                  strcat_args("checkpoint delta ", what, " key ", key,
+                              ", which the receiver does not hold"));
+}
+
+Status
+CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
+                                 std::shared_ptr<const Checkpoint>* out)
+{
+    obs::ScopedSpan span("ckpt_image.decode", "ckpt");
+    auto ck = std::make_shared<Checkpoint>();
+    CheckpointDelta delta;
+    if (const Status status = deserialize_delta(image, ck.get(), &delta);
+        !status.ok())
+        return status;
+    const std::uint64_t want = last_ ? last_->id : kNoBase;
+    if (delta.base_id != want)
+        return Status(StatusCode::kWrongBase,
+                      strcat_args("checkpoint delta is based on ",
+                                  delta.base_id, ", the stream is at ",
+                                  want));
+
+    // Check every key before changing anything: a rejected image must
+    // leave the receiver exactly as it was.
+    for (const std::uint64_t key : delta.retired)
+        if (pages_.count(key) == 0)
+            return missing_key(key, "retires");
+    for (const StoredPageRef& page : delta.carried) {
+        if (retired_.count(page->key()) != 0)
+            return missing_key(page->key(), "carries");
+        if (pages_.count(page->key()) != 0)
+            return Status(StatusCode::kMalformedRecord,
+                          strcat_args("checkpoint delta carries key ",
+                                      page->key(), ", already held"));
+    }
+    const auto carries = [&delta](std::uint64_t key) {
+        const auto it = std::lower_bound(
+            delta.carried.begin(), delta.carried.end(), key,
+            [](const StoredPageRef& page, std::uint64_t k) {
+                return page->key() < k;
+            });
+        return it != delta.carried.end() && (*it)->key() == key;
+    };
+    for (const DeltaRun& run : delta.runs) {
+        if (run.key == 0 || carries(run.key))
+            continue;
+        if (std::binary_search(delta.retired.begin(), delta.retired.end(),
+                               run.key))
+            return Status(StatusCode::kRetiredKey,
+                          strcat_args("checkpoint delta names key ",
+                                      run.key, ", which it retires"));
+        if (pages_.count(run.key) == 0)
+            return missing_key(run.key, "names");
+    }
+
+    for (const std::uint64_t key : delta.retired) {
+        pages_.erase(key);
+        retired_.insert(key);
+    }
+    for (const StoredPageRef& page : delta.carried)
+        pages_.emplace(page->key(), page);
+    if (last_ && last_->pages.size() == delta.num_pages &&
+        last_->blocks.size() == delta.num_blocks) {
+        // Share the base's chunks; set() clones only those it touches.
+        ck->pages = last_->pages;
+        ck->blocks = last_->blocks;
+    } else {
+        // Fresh tables start as all zero pages sharing one chunk, so the
+        // stream's first image costs memory only for the chunks that
+        // hold other content.
+        StoredPageRef zero;
+        for (const DeltaRun& run : delta.runs) {
+            if (run.key != 0 && pages_.at(run.key)->is_zero()) {
+                zero = pages_.at(run.key);
+                break;
+            }
+        }
+        ck->pages = StoredPageTable(delta.num_pages, zero);
+        ck->blocks = StoredPageTable(delta.num_blocks, zero);
+    }
+    for (const DeltaRun& run : delta.runs) {
+        const StoredPageRef ref = run.key != 0 ? pages_.at(run.key) : nullptr;
+        for (std::uint64_t slot = run.first_slot;
+             slot < std::uint64_t{run.first_slot} + run.count; ++slot) {
+            StoredPageTable& table =
+                slot < delta.num_pages ? ck->pages : ck->blocks;
+            const std::uint64_t index =
+                slot < delta.num_pages ? slot : slot - delta.num_pages;
+            if (table.at(index) != ref)
+                table.set(index, ref);
+        }
+    }
+    last_ = ck;
+    *out = std::move(ck);
+    return Status();
+}
+
+}  // namespace rsafe::replay::ckpt

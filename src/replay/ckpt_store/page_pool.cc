@@ -43,9 +43,10 @@ encodes_zero_page(PageEncoding encoding,
 }  // namespace
 
 StoredPage::StoredPage(PageEncoding encoding,
-                       std::vector<std::uint8_t> bytes)
+                       std::vector<std::uint8_t> bytes, std::uint64_t key,
+                       std::uint32_t crc)
     : encoding_(encoding), bytes_(std::move(bytes)),
-      zero_(encodes_zero_page(encoding_, bytes_))
+      zero_(encodes_zero_page(encoding_, bytes_)), key_(key), crc_(crc)
 {
 }
 
@@ -105,7 +106,7 @@ PagePool::intern(const std::uint8_t* data)
             return page;
         }
     }
-    StoredPageRef page = store(data);
+    StoredPageRef page = store(data, crc);
     bucket.push_back(page);
     return page;
 }
@@ -113,19 +114,27 @@ PagePool::intern(const std::uint8_t* data)
 StoredPageRef
 PagePool::intern_zero()
 {
-    ++totals_.pages_interned;
-    totals_.bytes_raw += kPageSize;
+    return intern_zeros(1);
+}
+
+StoredPageRef
+PagePool::intern_zeros(std::uint64_t n)
+{
+    totals_.pages_interned += n;
+    totals_.bytes_raw += n * kPageSize;
     if (StoredPageRef page = zero_.lock()) {
-        ++totals_.dedup_hits;
+        totals_.dedup_hits += n;
         return page;
     }
-    StoredPageRef page = store(kZeroPage);
+    static const std::uint32_t zero_crc = wire::crc32c(kZeroPage, kPageSize);
+    StoredPageRef page = store(kZeroPage, zero_crc);
     zero_ = page;
+    totals_.dedup_hits += n - 1;
     return page;
 }
 
 StoredPageRef
-PagePool::store(const std::uint8_t* data)
+PagePool::store(const std::uint8_t* data, std::uint32_t crc)
 {
     PageEncoding encoding = PageEncoding::kRaw;
     std::vector<std::uint8_t> bytes;
@@ -143,14 +152,25 @@ PagePool::store(const std::uint8_t* data)
     live_->bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
     live_->pages.fetch_add(1, std::memory_order_relaxed);
     const auto live = live_;
-    return StoredPageRef(new StoredPage(encoding, std::move(bytes)),
-                         [live](const StoredPage* p) {
-                             live->bytes.fetch_sub(p->stored_bytes(),
-                                                   std::memory_order_relaxed);
-                             live->pages.fetch_sub(1,
-                                                   std::memory_order_relaxed);
-                             delete p;
-                         });
+    return StoredPageRef(
+        new StoredPage(encoding, std::move(bytes), next_key_++, crc),
+        [live](const StoredPage* p) {
+            live->bytes.fetch_sub(p->stored_bytes(),
+                                  std::memory_order_relaxed);
+            live->pages.fetch_sub(1, std::memory_order_relaxed);
+            if (p->streamed()) {
+                std::lock_guard<std::mutex> lock(live->retired_mu);
+                live->retired.push_back(p->key());
+            }
+            delete p;
+        });
+}
+
+std::vector<std::uint64_t>
+PagePool::take_retired()
+{
+    std::lock_guard<std::mutex> lock(live_->retired_mu);
+    return std::exchange(live_->retired, {});
 }
 
 PagePoolStats

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -36,9 +37,17 @@
  * serialization, which treats pointer identity as content identity,
  * stays byte-identical.
  *
+ * Every page the pool stores also gets a key: a 64-bit id assigned once
+ * per unique page and never reused, so unlike the CRC it names exactly
+ * one content for the pool's whole life. A pool feeds at most one
+ * checkpoint stream (ckpt_stream.h), which ships pages by key and marks
+ * each page it ships; when a marked page is dropped the pool logs its
+ * key (take_retired()) so the stream can tell its receiver to forget it.
+ *
  * Thread contract: intern() is called from one thread (the CR); the
  * returned refs may be dropped from any thread (AR workers), so the
- * live-byte accounting rides in atomics updated by the pages' deleters.
+ * live-byte accounting rides in atomics, and the retired-key log behind
+ * a mutex, updated by the pages' deleters.
  */
 
 namespace rsafe::replay::ckpt {
@@ -56,8 +65,12 @@ class StoredPage {
      * @param encoding  how @p bytes are encoded (kRle streams must decode
      *                  to exactly kPageSize bytes — the constructors'
      *                  callers validate this).
+     * @param key       the storing pool's key, also on a page a stream
+     *                  delivered (0 = none).
+     * @param crc       CRC32C of the raw content (meaningful with a key).
      */
-    StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes);
+    StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes,
+               std::uint64_t key = 0, std::uint32_t crc = 0);
 
     /** Decode the page into @p out (exactly kPageSize bytes). */
     void copy_to(std::uint8_t* out) const;
@@ -76,10 +89,33 @@ class StoredPage {
      */
     bool is_zero() const { return zero_; }
 
+    /** The storing pool's key (never reused by that pool), or 0 for a
+     *  page decoded from a full image. */
+    std::uint64_t key() const { return key_; }
+
+    /** CRC32C of the raw content, for a pool-stored page. */
+    std::uint32_t crc() const { return crc_; }
+
+    /** Mark the page as shipped on its pool's checkpoint stream: from
+     *  then on, dropping it logs its key (PagePool::take_retired()). */
+    void mark_streamed() const
+    {
+        streamed_.store(true, std::memory_order_relaxed);
+    }
+
+    /** @return true once mark_streamed() was called. */
+    bool streamed() const
+    {
+        return streamed_.load(std::memory_order_relaxed);
+    }
+
   private:
     PageEncoding encoding_;
     std::vector<std::uint8_t> bytes_;
     bool zero_;
+    std::uint64_t key_;
+    std::uint32_t crc_;
+    mutable std::atomic<bool> streamed_{false};
 };
 
 /** Shared reference to an immutable stored page. */
@@ -130,17 +166,29 @@ class PagePool {
      */
     StoredPageRef intern_zero();
 
+    /** intern_zero() @p n (>= 1) times in one call. */
+    StoredPageRef intern_zeros(std::uint64_t n);
+
     PagePoolStats stats() const;
 
+    /**
+     * @return the keys of streamed pages (StoredPage::mark_streamed())
+     * dropped since the last call, in drop order. Safe against deleters
+     * on other threads.
+     */
+    std::vector<std::uint64_t> take_retired();
+
   private:
-    /** Live accounting shared with page deleters (outlives the pool). */
+    /** State shared with page deleters (outlives the pool). */
     struct Live {
         std::atomic<std::uint64_t> bytes{0};
         std::atomic<std::uint64_t> pages{0};
+        std::mutex retired_mu;
+        std::vector<std::uint64_t> retired;  ///< under retired_mu
     };
 
-    /** Encode and account one new unique page. */
-    StoredPageRef store(const std::uint8_t* data);
+    /** Encode and account one new unique page of CRC32C @p crc. */
+    StoredPageRef store(const std::uint8_t* data, std::uint32_t crc);
 
     PagePoolOptions options_;
     std::shared_ptr<Live> live_;
@@ -151,6 +199,8 @@ class PagePool {
     /** The zero page while any checkpoint holds it. */
     std::weak_ptr<const StoredPage> zero_;
     PagePoolStats totals_;
+    /** The key the next stored page gets (0 is never a key). */
+    std::uint64_t next_key_ = 1;
 };
 
 }  // namespace rsafe::replay::ckpt

@@ -47,9 +47,21 @@
 
 namespace rsafe::rnr::wire {
 
-/** CRC32C (Castagnoli), bit-reflected, init/final XOR 0xffffffff. */
+/**
+ * CRC32C (Castagnoli), bit-reflected, init/final XOR 0xffffffff. Runs on
+ * the SSE4.2 crc32 instruction when the host has it (chosen once at
+ * first use), else on portable slice-by-8 tables; both give identical
+ * output.
+ */
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t len);
 std::uint32_t crc32c(const std::vector<std::uint8_t>& data);
+
+/** The two CRC32C paths, for testing them against each other. @{ */
+bool crc32c_hw_supported();
+std::uint32_t crc32c_sw(const std::uint8_t* data, std::size_t len);
+/** Panics when !crc32c_hw_supported(). */
+std::uint32_t crc32c_hw(const std::uint8_t* data, std::size_t len);
+/** @} */
 
 /** FNV-1a 64-bit over raw bytes (state digests). @{ */
 using rsafe::kFnvOffset;
@@ -78,6 +90,7 @@ enum class PayloadKind : std::uint16_t {
     kPolicyTable = 4,
     kCheckpointImage = 5,
     kFlightBox = 6,
+    kCheckpointDelta = 7,
 };
 
 /** Decoded wire header. */

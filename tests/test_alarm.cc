@@ -380,3 +380,90 @@ TEST(ExecutionAuditor, SpinningWorkloadShowsNoSwitches)
 
 }  // namespace
 }  // namespace rsafe
+// Appended: kernel-only alarm replay under the translation-block engine.
+namespace rsafe {
+namespace {
+
+/** An alarm replayer that logs every traced call/ret with the clocks. */
+class TracingAlarmReplayer : public replay::AlarmReplayer {
+  public:
+    using AlarmReplayer::AlarmReplayer;
+
+    struct Event {
+        bool is_call = false;
+        Addr pc = 0;
+        Addr target = 0;
+        cpu::Mode mode = cpu::Mode::kUser;
+        InstrCount icount = 0;
+        Cycles cycles = 0;
+
+        bool operator==(const Event&) const = default;
+    };
+
+    void on_call_ret(const cpu::CallRetEvent& event) override
+    {
+        events.push_back({event.is_call, event.pc, event.target, event.mode,
+                          vm().cpu().icount(), vm().cpu().cycles()});
+        AlarmReplayer::on_call_ret(event);
+    }
+
+    std::vector<Event> events;
+};
+
+TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
+{
+    // Every first AR pass traces kernel call/ret only. Under the TB a
+    // user-mode call/ret runs inside its block and only a traced one
+    // leaves it (TbEngine.KernelOnlyTracingLeavesUserCallRetInTheBlock),
+    // yet each traced event fires at the same icount and cycle count as
+    // single-stepping, with the same CPU stats and the same verdict.
+    auto profile = workloads::benchmark_profile("apache");
+    profile.iterations_per_task = 300;
+    profile.setjmp_prob = 0.05;  // benign user-mode alarms
+    profile.rec_prob = 0.3;      // deep user-level recursion
+    const auto factory = workloads::vm_factory(profile);
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kSerial;
+    config.cr.checkpoint_interval = 250'000;
+    core::RnrSafeFramework framework(factory, config);
+    const auto result = framework.run();
+    const auto& pending_alarms = result.cr->pending_alarms();
+    ASSERT_GE(pending_alarms.size(), 3u);
+
+    struct Run {
+        std::vector<TracingAlarmReplayer::Event> events;
+        cpu::CpuStats stats;
+        replay::AlarmAnalysis analysis;
+    };
+    const auto run = [&](const replay::PendingAlarm& pending, bool tb) {
+        auto vm = factory();
+        vm->cpu().set_tb_enabled(tb);
+        TracingAlarmReplayer ar(vm.get(), &result.recorder->log(),
+                                *pending.checkpoint, rnr::ReplayOptions{});
+        Run out;
+        out.analysis = ar.analyze(pending.log_index);
+        out.events = ar.events;
+        out.stats = vm->cpu().stats();
+        return out;
+    };
+    std::uint64_t user_call_rets = 0;
+    for (const auto& pending : pending_alarms) {
+        ASSERT_NE(pending.checkpoint, nullptr);
+        const Run on = run(pending, true);
+        const Run off = run(pending, false);
+        EXPECT_FALSE(on.events.empty());
+        EXPECT_EQ(on.events, off.events);
+        EXPECT_EQ(on.stats, off.stats);
+        EXPECT_EQ(on.analysis.cause, off.analysis.cause);
+        EXPECT_EQ(on.analysis.report, off.analysis.report);
+        EXPECT_EQ(on.analysis.analysis_cycles, off.analysis.analysis_cycles);
+        for (const auto& event : on.events)
+            EXPECT_EQ(event.mode, cpu::Mode::kKernel);
+        user_call_rets +=
+            on.stats.calls + on.stats.rets - on.stats.kernel_call_rets;
+    }
+    EXPECT_GT(user_call_rets, 1000u) << "profile is not call-heavy";
+}
+
+}  // namespace
+}  // namespace rsafe

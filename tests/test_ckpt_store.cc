@@ -1,21 +1,28 @@
 /** @file Checkpoint-store tests: the RLE codec, content-hash dedup and
  *  its refcounted live accounting, byte-budget recycling, the compress
- *  on/off A/B determinism gate, and the shippable-checkpoint path
- *  (ArStage booting from a deserialized kCheckpointImage with
- *  bit-identical verdicts, in the fleet too). */
+ *  on/off A/B determinism gate, the shippable-checkpoint path (ArStage
+ *  booting from a deserialized kCheckpointImage with bit-identical
+ *  verdicts), and checkpoint streams (kCheckpointDelta images by page
+ *  key, and the fleet shipping through them). */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include "common/log.h"
 #include "core/ar_stage.h"
 #include "core/framework.h"
 #include "fleet/fleet.h"
+#include "obs/trace.h"
 #include "replay/checkpoint.h"
 #include "replay/checkpoint_replayer.h"
 #include "replay/ckpt_store/ckpt_image.h"
+#include "replay/ckpt_store/ckpt_stream.h"
 #include "replay/ckpt_store/compress.h"
 #include "replay/ckpt_store/page_pool.h"
 #include "rnr/recorder.h"
@@ -581,6 +588,291 @@ TEST(CkptImage, DamageLandsInStatusNeverAborts)
 }
 
 // ---------------------------------------------------------------------
+// Checkpoint streams: delta images by page key.
+
+using replay::ckpt::CheckpointDelta;
+using replay::ckpt::CheckpointStreamReceiver;
+using replay::ckpt::CheckpointStreamSender;
+
+/** Ship @p ck through @p sender into @p receiver; @return the decoded
+ *  copy (and the image in @p image when asked). */
+std::shared_ptr<const replay::Checkpoint>
+ship(CheckpointStreamSender* sender, CheckpointStreamReceiver* receiver,
+     std::shared_ptr<const replay::Checkpoint> ck,
+     std::vector<std::uint8_t>* image = nullptr)
+{
+    std::vector<std::uint8_t> bytes = sender->encode(std::move(ck));
+    if (image != nullptr)
+        *image = bytes;
+    std::shared_ptr<const replay::Checkpoint> out;
+    const Status status =
+        receiver->take(receiver->enqueue(std::move(bytes)), &out);
+    EXPECT_TRUE(status.ok()) << status.to_string();
+    return out;
+}
+
+CheckpointDelta
+parse_delta(const std::vector<std::uint8_t>& image,
+            replay::Checkpoint* machine = nullptr)
+{
+    replay::Checkpoint scratch;
+    CheckpointDelta delta;
+    const Status status = replay::ckpt::deserialize_delta(
+        image, machine != nullptr ? machine : &scratch, &delta);
+    EXPECT_TRUE(status.ok()) << status.to_string();
+    return delta;
+}
+
+TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
+{
+    // A real CR chain shipped checkpoint by checkpoint: every decoded
+    // copy is the same machine instant with the same full image, later
+    // images carry only what changed, and a slot that did not change
+    // keeps the receiver's page object (decode copies no page).
+    const auto profile = small_profile("fileio", 200);
+    auto recorded = record(profile);
+    auto cr_vm = workloads::make_vm(profile);
+    replay::CrOptions options;
+    options.checkpoint_interval = 1'500'000;
+    options.store.max_keep = 0;
+    replay::CheckpointReplayer cr(cr_vm.get(), &recorded.recorder->log(),
+                                  options);
+    ASSERT_EQ(cr.run(), rnr::ReplayOutcome::kFinished);
+    const std::size_t n = cr.checkpoints().size();
+    ASSERT_GE(n, 3u);
+
+    CheckpointStreamSender sender(&cr.checkpoints().pool());
+    CheckpointStreamReceiver receiver;
+    std::uint64_t full_bytes = 0;
+    std::uint64_t delta_bytes = 0;
+    std::shared_ptr<const replay::Checkpoint> prev, prev_decoded;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto ck = cr.checkpoints().at(i);
+        std::vector<std::uint8_t> image;
+        const auto decoded = ship(&sender, &receiver, ck, &image);
+        ASSERT_NE(decoded, nullptr);
+        EXPECT_EQ(replay::digest_of(*decoded), replay::digest_of(*ck));
+        const auto full = replay::ckpt::serialize_checkpoint(*ck);
+        EXPECT_EQ(replay::ckpt::serialize_checkpoint(*decoded), full)
+            << "checkpoint " << i;
+        full_bytes += full.size();
+        delta_bytes += image.size();
+        if (prev) {
+            EXPECT_EQ(parse_delta(image).base_id, prev->id);
+            for (Addr p = 0; p < ck->pages.size(); ++p) {
+                if (ck->pages.at(p) == prev->pages.at(p)) {
+                    ASSERT_EQ(decoded->pages.at(p), prev_decoded->pages.at(p))
+                        << "page " << p << " of checkpoint " << i;
+                }
+            }
+        }
+        prev = ck;
+        prev_decoded = decoded;
+    }
+    EXPECT_LT(4 * delta_bytes, full_bytes);
+}
+
+/** A booted VM checkpointed into a max_keep-1 store and shipped. */
+struct RecyclingStream {
+    BootedVm booted{workloads::make_vm(small_profile())};
+    replay::CheckpointStore store{1};
+    CheckpointStreamSender sender{&store.pool()};
+    CheckpointStreamReceiver receiver;
+    std::vector<std::vector<std::uint8_t>> images;
+    std::size_t takes = 0;
+
+    static constexpr Addr kAddr = 0x100000;
+
+    /** Write @p value at @p addr, take a checkpoint and ship it. */
+    std::shared_ptr<const replay::Checkpoint>
+    step(Word value, Addr addr = kAddr)
+    {
+        booted.vm->mem().write_raw(addr, 8, value);
+        auto ck = store.take(*booted.vm, *booted.env, takes++);
+        images.emplace_back();
+        ship(&sender, &receiver, ck, &images.back());
+        return ck;
+    }
+};
+
+TEST(CkptStream, RecycledPagesRetireAndReturningContentShipsAnew)
+{
+    // With max_keep 1 the store recycles every checkpoint at the next
+    // take. Content X is shipped, overwritten, and recycled: the next
+    // image retires its key at the receiver. When X comes back it is a
+    // new page to the pool, so it ships again under a new key.
+    RecyclingStream stream;
+    constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
+    std::uint64_t x_key = stream.step(0x5eed0001)->pages.at(kPage)->key();
+    EXPECT_TRUE(stream.receiver.holds(x_key));
+    stream.step(0x5eed0002);  // X now lives only in the sender's base
+    EXPECT_TRUE(stream.receiver.holds(x_key));
+
+    const auto back = stream.step(0x5eed0001);
+    const std::uint64_t new_key = back->pages.at(kPage)->key();
+    EXPECT_NE(new_key, x_key);
+    const CheckpointDelta delta = parse_delta(stream.images.back());
+    EXPECT_EQ(delta.retired, std::vector<std::uint64_t>{x_key});
+    ASSERT_EQ(delta.carried.size(), 1u);
+    EXPECT_EQ(delta.carried.front()->key(), new_key);
+    EXPECT_FALSE(stream.receiver.holds(x_key));
+    EXPECT_TRUE(stream.receiver.holds(new_key));
+}
+
+/** Re-frame @p image with the @p back-th trailing u64 of its meta frame
+ *  (the counts) bumped by one. */
+std::vector<std::uint8_t>
+bump_meta_count(const std::vector<std::uint8_t>& image, std::size_t back)
+{
+    namespace wire = rnr::wire;
+    wire::Header header;
+    EXPECT_TRUE(wire::decode_header(image, &header).ok());
+    std::vector<std::vector<std::uint8_t>> frames;
+    wire::read_frames(image, header.kind,
+                      [&](std::uint64_t, std::size_t offset,
+                          std::size_t length) {
+                          frames.emplace_back(image.begin() + offset,
+                                              image.begin() + offset +
+                                                  length);
+                          return Status();
+                      });
+    ++frames[0][frames[0].size() - 8 * back];
+    std::vector<std::uint8_t> out;
+    wire::encode_header(header, &out);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        wire::append_frame(static_cast<std::uint32_t>(i), frames[i].data(),
+                           frames[i].size(), &out);
+    return out;
+}
+
+TEST(CkptStream, DefectsComeBackNamedAndChangeNothing)
+{
+    // Build a stream whose third image retires a key, then feed the
+    // receiver damaged versions of the fourth: each is rejected with its
+    // own Status, and none of them moves the receiver — the real fourth
+    // image still decodes to the sender's checkpoint.
+    RecyclingStream stream;
+    constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
+    const std::uint64_t retired =
+        stream.step(0x5eed0001)->pages.at(kPage)->key();
+    stream.step(0x5eed0002);
+    stream.step(0x5eed0003);
+    ASSERT_FALSE(stream.receiver.holds(retired));
+
+    // The fourth image: one new page, RLE-encoded, carried.
+    CheckpointStreamSender& sender = stream.sender;
+    stream.booted.vm->mem().write_raw(RecyclingStream::kAddr + kPageSize, 8,
+                                      0x77);
+    const auto fourth = stream.store.take(*stream.booted.vm,
+                                          *stream.booted.env, 3);
+    const std::vector<std::uint8_t> image = sender.encode(fourth);
+    replay::Checkpoint machine;
+    const CheckpointDelta good = parse_delta(image, &machine);
+    ASSERT_EQ(good.carried.size(), 1u);
+    ASSERT_EQ(good.carried.front()->encoding(),
+              replay::ckpt::PageEncoding::kRle);
+
+    const auto edited = [&](const std::function<void(CheckpointDelta*)>&
+                                edit) {
+        CheckpointDelta delta = good;
+        edit(&delta);
+        return replay::ckpt::serialize_delta(machine, delta);
+    };
+    const auto with_page = [](const replay::ckpt::StoredPageRef& page,
+                              std::vector<std::uint8_t> bytes,
+                              std::uint32_t crc) {
+        return std::make_shared<const replay::ckpt::StoredPage>(
+            page->encoding(), std::move(bytes), page->key(), crc);
+    };
+    const struct {
+        const char* what;
+        std::vector<std::uint8_t> bytes;
+        StatusCode code;
+    } cases[] = {
+        {"unknown key", edited([](CheckpointDelta* d) {
+             d->carried.clear();
+             d->runs.front().key = 0xdead0000;
+         }),
+         StatusCode::kUnknownKey},
+        {"retired key", edited([&](CheckpointDelta* d) {
+             d->carried.clear();
+             d->runs.front().key = retired;
+         }),
+         StatusCode::kRetiredKey},
+        {"retiring an unknown key", edited([](CheckpointDelta* d) {
+             d->retired.push_back(0xdead0000);
+         }),
+         StatusCode::kUnknownKey},
+        {"wrong base", edited([](CheckpointDelta* d) { d->base_id += 1; }),
+         StatusCode::kWrongBase},
+        {"slot out of range", edited([](CheckpointDelta* d) {
+             d->runs.back().count += 1u << 30;
+         }),
+         StatusCode::kMalformedRecord},
+        {"carried CRC", edited([&](CheckpointDelta* d) {
+             auto& page = d->carried.front();
+             page = with_page(page, page->encoded(), page->crc() ^ 1);
+         }),
+         StatusCode::kChecksumMismatch},
+        {"bad RLE", edited([&](CheckpointDelta* d) {
+             auto& page = d->carried.front();
+             std::vector<std::uint8_t> bytes = page->encoded();
+             bytes.pop_back();
+             page = with_page(page, std::move(bytes), page->crc());
+         }),
+         StatusCode::kMalformedRecord},
+        {"lying carried count", bump_meta_count(image, 1),
+         StatusCode::kMalformedRecord},
+        {"lying run count", bump_meta_count(image, 2),
+         StatusCode::kMalformedRecord},
+        {"lying retired count", bump_meta_count(image, 3),
+         StatusCode::kMalformedRecord},
+    };
+    for (const auto& c : cases) {
+        std::shared_ptr<const replay::Checkpoint> out;
+        const Status status =
+            stream.receiver.take(stream.receiver.enqueue(c.bytes), &out);
+        EXPECT_EQ(status.code(), c.code) << c.what << ": "
+                                         << status.to_string();
+        EXPECT_EQ(out, nullptr) << c.what;
+    }
+
+    std::shared_ptr<const replay::Checkpoint> out;
+    const Status status =
+        stream.receiver.take(stream.receiver.enqueue(image), &out);
+    ASSERT_TRUE(status.ok()) << status.to_string();
+    EXPECT_EQ(replay::digest_of(*out), replay::digest_of(*fourth));
+}
+
+TEST(CkptStream, TakeIngestsEveryEarlierImageFirst)
+{
+    // Jobs run out of order: taking image 3 first ingests 0..2 on the
+    // way, and their checkpoints wait for their own takes. Each position
+    // is handed out once.
+    BootedVm booted(workloads::make_vm(small_profile()));
+    replay::CheckpointStore store(0);
+    CheckpointStreamSender sender(&store.pool());
+    CheckpointStreamReceiver receiver;
+    std::vector<std::shared_ptr<const replay::Checkpoint>> sent;
+    for (int i = 0; i < 4; ++i) {
+        booted.vm->mem().write_raw(0x100000 + i * kPageSize, 8, 0x900 + i);
+        sent.push_back(store.take(*booted.vm, *booted.env, i));
+        EXPECT_EQ(receiver.enqueue(sender.encode(sent.back())),
+                  static_cast<std::size_t>(i));
+    }
+    for (const std::size_t position : {3, 1, 0, 2}) {
+        std::shared_ptr<const replay::Checkpoint> out;
+        const Status status = receiver.take(position, &out);
+        ASSERT_TRUE(status.ok()) << status.to_string();
+        EXPECT_EQ(replay::digest_of(*out),
+                  replay::digest_of(*sent[position]));
+    }
+    std::shared_ptr<const replay::Checkpoint> out;
+    EXPECT_EQ(receiver.take(2, &out).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(receiver.take(9, &out).code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
 // The AR side: clean checkpoint-unavailable verdicts and booting from a
 // deserialized image.
 
@@ -678,21 +970,39 @@ TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)
 // ---------------------------------------------------------------------
 // The fleet ship mode.
 
+/** @p base with the TB engine of every VM it builds set to @p tb. */
+core::VmFactory
+with_tb(core::VmFactory base, bool tb)
+{
+    return [base = std::move(base), tb]() {
+        auto vm = base();
+        vm->cpu().set_tb_enabled(tb);
+        return vm;
+    };
+}
+
+/**
+ * Two tenants, two checkpoint streams: the attack mix, and a benign
+ * longjmp storm with dense checkpoints whose alarms all need the deeper
+ * rerun.
+ */
 fleet::FleetResult
 run_fleet(bool ship, bool tb)
 {
     fleet::FleetOptions options;
     options.workers = 2;
     options.ship_checkpoints = ship;
-    core::FrameworkConfig config;
-    config.pipeline = core::PipelineMode::kConcurrent;
-    // Every VM the tenant builds (recorded, CR, AR) comes from here.
-    const auto factory = [base = attack_factory(), tb]() {
-        auto vm = base();
-        vm->cpu().set_tb_enabled(tb);
-        return vm;
-    };
-    fleet::ReplayFleet fleet({{"t", factory, config}}, options);
+    core::FrameworkConfig attack;
+    attack.pipeline = core::PipelineMode::kConcurrent;
+    auto profile = small_profile("apache", 200);
+    profile.setjmp_prob = 0.025;
+    core::FrameworkConfig benign;
+    benign.pipeline = core::PipelineMode::kSerial;
+    benign.cr.checkpoint_interval = 250'000;
+    fleet::ReplayFleet fleet(
+        {{"attack", with_tb(attack_factory(), tb), attack},
+         {"longjmp", with_tb(workloads::vm_factory(profile), tb), benign}},
+        options);
     return fleet.run();
 }
 
@@ -701,29 +1011,42 @@ expect_ship_matches_in_memory(bool tb)
 {
     const auto in_memory = run_fleet(false, tb);
     const auto shipped = run_fleet(true, tb);
-    ASSERT_EQ(in_memory.tenants.size(), 1u);
-    ASSERT_EQ(shipped.tenants.size(), 1u);
+    ASSERT_EQ(in_memory.tenants.size(), 2u);
+    ASSERT_EQ(shipped.tenants.size(), 2u);
 
-    const auto& a = in_memory.tenants[0].result;
-    const auto& b = shipped.tenants[0].result;
-    ASSERT_EQ(a.ar_results.size(), b.ar_results.size());
-    ASSERT_FALSE(a.ar_results.empty());
-    for (std::size_t i = 0; i < a.ar_results.size(); ++i) {
-        EXPECT_EQ(b.ar_results[i].analysis.cause,
-                  a.ar_results[i].analysis.cause);
-        EXPECT_EQ(b.ar_results[i].analysis.report,
-                  a.ar_results[i].analysis.report);
-        EXPECT_EQ(b.ar_results[i].analysis.analysis_cycles,
-                  a.ar_results[i].analysis.analysis_cycles);
+    for (std::size_t t = 0; t < 2; ++t) {
+        const auto& a = in_memory.tenants[t].result;
+        const auto& b = shipped.tenants[t].result;
+        const std::string& name = in_memory.tenants[t].name;
+        ASSERT_EQ(a.ar_results.size(), b.ar_results.size()) << name;
+        ASSERT_FALSE(a.ar_results.empty()) << name;
+        for (std::size_t i = 0; i < a.ar_results.size(); ++i) {
+            const auto& x = a.ar_results[i];
+            const auto& y = b.ar_results[i];
+            EXPECT_EQ(y.log_index, x.log_index) << name;
+            EXPECT_EQ(y.deep_rerun, x.deep_rerun) << name;
+            EXPECT_EQ(y.analysis.cause, x.analysis.cause) << name;
+            EXPECT_EQ(y.analysis.is_attack, x.analysis.is_attack) << name;
+            EXPECT_EQ(y.analysis.report, x.analysis.report) << name;
+            EXPECT_EQ(y.analysis.analysis_cycles, x.analysis.analysis_cycles)
+                << name;
+            EXPECT_EQ(y.analysis.forensic.serialize(),
+                      x.analysis.forensic.serialize())
+                << name;
+        }
+        EXPECT_EQ(b.alarms.attack_detected(), a.alarms.attack_detected());
+        EXPECT_EQ(b.recorded_vm->state_hash(), a.recorded_vm->state_hash());
+        EXPECT_EQ(b.cr_vm->state_hash(), a.cr_vm->state_hash());
+        EXPECT_EQ(b.pipeline_stats.snapshot(), a.pipeline_stats.snapshot())
+            << name;
+
+        // Ship-mode volume is visible, but only outside the counters.
+        EXPECT_EQ(in_memory.tenants[t].jobs_shipped, 0u);
+        EXPECT_EQ(shipped.tenants[t].jobs_shipped, a.ar_results.size());
+        EXPECT_GT(shipped.tenants[t].bytes_shipped, 0u);
     }
-    EXPECT_EQ(b.alarms.attack_detected(), a.alarms.attack_detected());
-    EXPECT_EQ(b.cr_vm->state_hash(), a.cr_vm->state_hash());
-    EXPECT_EQ(b.pipeline_stats.snapshot(), a.pipeline_stats.snapshot());
-
-    // Ship-mode volume is visible, but only outside the counters.
-    EXPECT_EQ(in_memory.tenants[0].jobs_shipped, 0u);
-    EXPECT_EQ(shipped.tenants[0].jobs_shipped, a.ar_results.size());
-    EXPECT_GT(shipped.tenants[0].bytes_shipped, 0u);
+    EXPECT_TRUE(shipped.tenants[0].result.alarms.attack_detected());
+    EXPECT_EQ(shipped.metrics.snapshot(), in_memory.metrics.snapshot());
 }
 
 TEST(FleetShip, ShippedCheckpointsMatchInMemoryJobsBitForBit)
@@ -734,6 +1057,93 @@ TEST(FleetShip, ShippedCheckpointsMatchInMemoryJobsBitForBit)
 TEST(FleetShip, ShippedCheckpointsMatchWithTranslationBlocksOff)
 {
     expect_ship_matches_in_memory(/*tb=*/false);
+}
+
+TEST(FleetShip, ShippedVolumeRepeatsExactly)
+{
+    // Images are encoded on each tenant's CR thread in alarm order, so
+    // what a stream carries is a function of the log alone, whatever
+    // the pool's schedule.
+    const auto first = run_fleet(true, true);
+    const auto second = run_fleet(true, true);
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(second.tenants[t].bytes_shipped,
+                  first.tenants[t].bytes_shipped);
+        EXPECT_EQ(second.tenants[t].jobs_shipped,
+                  first.tenants[t].jobs_shipped);
+    }
+}
+
+TEST(FleetShip, TracedRunShowsTheStreamCodecSpans)
+{
+    // Encode runs in the alarm sink and ingest on the pool workers; a
+    // traced fleet run shows both where they run.
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.set_enabled(true);
+    tracer.begin_session();
+    fleet::FleetOptions options;
+    options.workers = 1;
+    options.ship_checkpoints = true;
+    fleet::ReplayFleet fleet({{"t", attack_factory(), {}}}, options);
+    const auto result = fleet.run();
+    tracer.set_enabled(false);
+    ASSERT_GT(result.tenants[0].jobs_shipped, 0u);
+    const std::string json = tracer.export_chrome_json();
+    EXPECT_NE(json.find("\"ckpt_image.encode\""), std::string::npos);
+    EXPECT_NE(json.find("\"ckpt_image.decode\""), std::string::npos);
+}
+
+TEST(FleetShip, AbandonMidStreamNeverStrandsAKey)
+{
+    // A storm over two workers, abandoned at several points of its
+    // stream. Jobs run out of order and discarded jobs leave their
+    // images queued; whichever job takes next ingests every earlier
+    // image first, so each job that completes boots from a checkpoint
+    // that decoded, and gets the in-memory run's verdict.
+    workloads::AttackMixOptions mix;
+    mix.iterations_per_task = 120;
+    mix.attackers = 6;
+    const auto storm = workloads::attack_mix(mix).factory;
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kConcurrent;
+
+    fleet::FleetOptions options;
+    options.workers = 2;
+    options.tenant_inflight_cap = 2;
+    std::map<std::size_t, replay::AlarmAnalysis> reference;
+    {
+        fleet::ReplayFleet fleet({{"storm", storm, config}}, options);
+        const fleet::FleetResult result = fleet.run();
+        for (const auto& ar : result.tenants[0].result.ar_results)
+            reference.emplace(ar.log_index, ar.analysis);
+    }
+    ASSERT_GE(reference.size(), 6u);
+
+    options.ship_checkpoints = true;
+    for (const int delay_ms : {10, 20, 30}) {
+        fleet::ReplayFleet fleet({{"storm", storm, config}}, options);
+        fleet::FleetResult result;
+        std::thread runner([&] { result = fleet.run(); });
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        fleet.shutdown(fleet::ShutdownMode::kAbandon);
+        runner.join();
+
+        EXPECT_EQ(result.pool.submitted,
+                  result.pool.executed + result.pool.discarded);
+        const auto& tenant = result.tenants[0];
+        EXPECT_EQ(tenant.result.ar_results.size(), result.pool.executed);
+        for (const auto& ar : tenant.result.ar_results) {
+            EXPECT_NE(ar.analysis.cause,
+                      replay::AlarmCause::kCheckpointUnavailable)
+                << ar.analysis.report;
+            const auto it = reference.find(ar.log_index);
+            ASSERT_NE(it, reference.end()) << ar.log_index;
+            EXPECT_EQ(ar.analysis.cause, it->second.cause);
+            EXPECT_EQ(ar.analysis.report, it->second.report);
+            EXPECT_EQ(ar.analysis.analysis_cycles,
+                      it->second.analysis_cycles);
+        }
+    }
 }
 
 }  // namespace

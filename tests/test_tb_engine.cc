@@ -430,5 +430,100 @@ TEST(TbEngine, MonitoredCallRetMatchesInterpreterExitForExit)
     EXPECT_EQ(off.exec_blocks, 0u);
 }
 
+/** Environment that logs every traced call/ret with the CPU clocks. */
+class CallRetLogEnv : public CountingEnv {
+  public:
+    struct Event {
+        bool is_call = false;
+        Addr pc = 0;
+        Addr target = 0;
+        Mode mode = Mode::kUser;
+        InstrCount icount = 0;
+        Cycles cycles = 0;
+
+        bool operator==(const Event&) const = default;
+    };
+
+    explicit CallRetLogEnv(const Cpu* cpu) : cpu_(cpu) {}
+
+    void on_call_ret(const CallRetEvent& event) override
+    {
+        events.push_back({event.is_call, event.pc, event.target, event.mode,
+                          cpu_->icount(), cpu_->cycles()});
+    }
+
+    std::vector<Event> events;
+
+  private:
+    const Cpu* cpu_;
+};
+
+TEST(TbEngine, KernelOnlyTracingLeavesUserCallRetInTheBlock)
+{
+    // The first alarm-replay pass traps kernel call/ret only. A traced
+    // call/ret leaves the block for the interpreter, which reports it;
+    // an untraced one — any call/ret in user mode — runs inline. Both
+    // modes must match the interpreter event for event, clocks included.
+    const isa::Image image = assemble(kCode, [](Assembler& a) {
+        a.ldi(R4, 40);
+        a.label("loop");
+        a.ldi(R1, 6);
+        a.call("rec");
+        a.addi(R4, R4, -1);
+        a.bne(R4, R0, "loop");
+        a.halt();
+
+        a.func_begin("rec");
+        a.beq(R1, R0, "rec_done");
+        a.addi(R1, R1, -1);
+        a.call("rec");
+        a.label("rec_done");
+        a.ret();
+        a.func_end();
+    });
+    struct Result {
+        StopReason stop = StopReason::kHalt;
+        std::vector<CallRetLogEnv::Event> events;
+        CpuStats stats;
+        InstrCount icount = 0;
+        Cycles cycles = 0;
+        std::uint64_t exec_blocks = 0;
+    };
+    const auto run = [&image](Mode mode, bool tb) {
+        Machine m(image);
+        CallRetLogEnv env(&m.cpu);
+        m.cpu.set_env(&env);
+        m.cpu.set_tb_enabled(tb);
+        m.cpu.state().mode = mode;
+        m.cpu.vmcs().controls.trap_kernel_call_ret = true;
+        const StopReason stop = m.run();
+        return Result{stop,           env.events,     m.cpu.stats(),
+                      m.cpu.icount(), m.cpu.cycles(),
+                      m.eng().stats().exec_blocks};
+    };
+    for (const Mode mode : {Mode::kUser, Mode::kKernel}) {
+        const Result on = run(mode, true);
+        const Result off = run(mode, false);
+        // halt is privileged: the user-mode run ends in a fault there.
+        EXPECT_EQ(on.stop, mode == Mode::kKernel ? StopReason::kHalt
+                                                 : off.stop);
+        EXPECT_EQ(off.stop, on.stop);
+        EXPECT_EQ(on.events, off.events);
+        EXPECT_EQ(on.stats, off.stats);
+        EXPECT_EQ(on.icount, off.icount);
+        EXPECT_EQ(on.cycles, off.cycles);
+        EXPECT_EQ(on.stats.calls, 40u * 7u);
+        EXPECT_EQ(on.stats.rets, 40u * 7u);
+        if (mode == Mode::kUser) {
+            EXPECT_TRUE(on.events.empty());
+            // Every call and return completed a translated block.
+            EXPECT_GE(on.exec_blocks, on.stats.calls + on.stats.rets);
+        } else {
+            EXPECT_EQ(on.events.size(), on.stats.calls + on.stats.rets);
+            EXPECT_EQ(on.stats.kernel_call_rets, on.events.size());
+        }
+    }
+}
+
 }  // namespace
 }  // namespace rsafe::cpu

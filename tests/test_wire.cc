@@ -64,6 +64,38 @@ TEST(Crc32c, KnownAnswer)
                                    '6', '7', '8', '9'};
     EXPECT_EQ(wire::crc32c(digits, sizeof(digits)), 0xE3069283u);
     EXPECT_EQ(wire::crc32c(nullptr, 0), 0u);
+    EXPECT_EQ(wire::crc32c_sw(digits, sizeof(digits)), 0xE3069283u);
+    if (wire::crc32c_hw_supported()) {
+        EXPECT_EQ(wire::crc32c_hw(digits, sizeof(digits)), 0xE3069283u);
+    }
+}
+
+TEST(Crc32c, HardwarePathMatchesTablesAtEveryLengthAndAlignment)
+{
+    if (!wire::crc32c_hw_supported())
+        GTEST_SKIP() << "host has no SSE4.2 crc32";
+    // Lengths straddle the 8-byte fold and a whole page; alignments
+    // cover every offset of the unaligned 8-byte loads.
+    constexpr std::size_t kMaxLen = 4100;
+    std::vector<std::uint8_t> buffer(kMaxLen + 8);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (auto& byte : buffer) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        byte = static_cast<std::uint8_t>(x);
+    }
+    for (std::size_t align = 0; align < 8; ++align) {
+        const std::uint8_t* data = buffer.data() + align;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::uint32_t sw = wire::crc32c_sw(data, len);
+            const std::uint32_t hw = wire::crc32c_hw(data, len);
+            if (sw != hw) {
+                ADD_FAILURE() << "len " << len << " align " << align;
+                return;
+            }
+        }
+    }
 }
 
 TEST(WireHeader, RoundTrip)

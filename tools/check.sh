@@ -88,11 +88,14 @@ run_fuzz() {
     fi
     cmake --build build-fuzz -j "$(nproc)" \
         --target fuzz_wire --target fuzz_log --target fuzz_checkpoint \
-        --target fuzz_ckpt_image --target fuzz_flight
-    for target in wire log checkpoint ckpt_image flight; do
+        --target fuzz_ckpt_image --target fuzz_ckpt_delta \
+        --target fuzz_flight
+    for target in wire log checkpoint ckpt_image ckpt_delta flight; do
         corpus="$target"
-        # Full-image seeds live under corpus/ckpt.
+        # Full-image seeds live under corpus/ckpt, delta seeds under
+        # corpus/delta.
         [ "$target" = ckpt_image ] && corpus=ckpt
+        [ "$target" = ckpt_delta ] && corpus=delta
         echo "check.sh: fuzz_$target over tests/corpus/$corpus" \
              "(runs=$runs)"
         "./build-fuzz/tools/fuzz_$target" -runs="$runs" \

@@ -2,11 +2,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ckpt_delta_sample.h"
 #include "fault/injector.h"
 #include "obs/flight_recorder.h"
 #include "replay/checkpoint.h"
@@ -48,6 +50,7 @@ namespace rsafe {
 namespace {
 
 namespace fs = std::filesystem;
+namespace wire = rnr::wire;
 
 void
 write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes)
@@ -194,6 +197,50 @@ emit_fault_variants(const fs::path& dir, const std::string& stem,
     }
 }
 
+/** Re-encode the kCheckpointDelta @p image after @p edit changes it. */
+std::vector<std::uint8_t>
+edit_delta(const std::vector<std::uint8_t>& image,
+           const std::function<void(replay::ckpt::CheckpointDelta*)>& edit)
+{
+    replay::Checkpoint machine;
+    replay::ckpt::CheckpointDelta delta;
+    if (!replay::ckpt::deserialize_delta(image, &machine, &delta).ok()) {
+        std::fprintf(stderr, "rsafe-corpus: sample delta does not decode\n");
+        std::exit(1);
+    }
+    edit(&delta);
+    return replay::ckpt::serialize_delta(machine, delta);
+}
+
+/** Re-frame @p image with the last u64 field @p back of frame 0 (its
+ *  trailing counts) bumped by one: a count that lies. */
+std::vector<std::uint8_t>
+bump_meta_count(const std::vector<std::uint8_t>& image, std::size_t back)
+{
+    wire::Header header;
+    std::vector<std::vector<std::uint8_t>> frames;
+    if (!wire::decode_header(image, &header).ok() ||
+        !wire::read_frames(image, header.kind,
+                           [&](std::uint64_t, std::size_t offset,
+                               std::size_t length) {
+                               frames.emplace_back(
+                                   image.begin() + offset,
+                                   image.begin() + offset + length);
+                               return Status();
+                           })
+             .intact()) {
+        std::fprintf(stderr, "rsafe-corpus: sample delta does not frame\n");
+        std::exit(1);
+    }
+    ++frames[0][frames[0].size() - 8 * back];
+    std::vector<std::uint8_t> out;
+    wire::encode_header(header, &out);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        wire::append_frame(static_cast<std::uint32_t>(i), frames[i].data(),
+                           frames[i].size(), &out);
+    return out;
+}
+
 std::string
 hex64(std::uint64_t value)
 {
@@ -212,7 +259,8 @@ main(int argc, char** argv)
 
     const fs::path root = argc > 1 ? fs::path(argv[1]) : "tests/corpus";
     for (const char* sub :
-         {"wire", "log", "checkpoint", "ckpt", "flight", "golden"})
+         {"wire", "log", "checkpoint", "ckpt", "delta", "flight",
+          "golden"})
         fs::create_directories(root / sub);
 
     // ---- fuzz seeds -------------------------------------------------
@@ -241,6 +289,61 @@ main(int argc, char** argv)
     emit_fault_variants(root / "ckpt", "image", ckpt_image, 0x5EED0004);
     write_file(root / "ckpt" / "empty.bin",
                replay::ckpt::serialize_checkpoint(replay::Checkpoint()));
+
+    // delta/: checkpoint-stream images for the delta fuzzer, which
+    // decodes each as the next image of the sample stream: the real one
+    // plus one faulted variant per kind, the stream's first image (a
+    // wrong base there), and one image per defect the receiver names.
+    {
+        namespace ckpt = replay::ckpt;
+        const tools::DeltaSample sample = tools::make_delta_sample();
+        const fs::path dir = root / "delta";
+        emit_fault_variants(dir, "delta", sample.next, 0x5EED0006);
+        write_file(dir / "first.bin", sample.prefix.front());
+        write_file(root / "wire" / "ckpt_delta.bin", sample.next);
+        write_file(dir / "delta_unknown-key.bin",
+                   edit_delta(sample.next, [](ckpt::CheckpointDelta* d) {
+                       d->runs.front().key = 0xdead0000;
+                   }));
+        write_file(dir / "delta_retired-key.bin",
+                   edit_delta(sample.next,
+                              [&sample](ckpt::CheckpointDelta* d) {
+                                  d->runs.front().key = sample.retired_key;
+                              }));
+        write_file(dir / "delta_wrong-base.bin",
+                   edit_delta(sample.next, [](ckpt::CheckpointDelta* d) {
+                       d->base_id = 7;
+                   }));
+        write_file(dir / "delta_slot-range.bin",
+                   edit_delta(sample.next, [](ckpt::CheckpointDelta* d) {
+                       d->runs.back().count += 100;
+                   }));
+        write_file(dir / "delta_crc.bin",
+                   edit_delta(sample.next, [](ckpt::CheckpointDelta* d) {
+                       const ckpt::StoredPage& page = *d->carried.front();
+                       d->carried.front() =
+                           std::make_shared<const ckpt::StoredPage>(
+                               page.encoding(), page.encoded(), page.key(),
+                               page.crc() ^ 1);
+                   }));
+        write_file(dir / "delta_bad-rle.bin",
+                   edit_delta(sample.next, [](ckpt::CheckpointDelta* d) {
+                       for (auto& ref : d->carried) {
+                           if (ref->encoding() != ckpt::PageEncoding::kRle)
+                               continue;
+                           std::vector<std::uint8_t> bytes = ref->encoded();
+                           bytes.pop_back();
+                           ref = std::make_shared<const ckpt::StoredPage>(
+                               ref->encoding(), std::move(bytes),
+                               ref->key(), ref->crc());
+                           return;
+                       }
+                   }));
+        write_file(dir / "delta_lying-carried.bin",
+                   bump_meta_count(sample.next, 1));
+        write_file(dir / "delta_lying-runs.bin",
+                   bump_meta_count(sample.next, 2));
+    }
 
     // flight/: flight-recorder dumps for the black-box fuzzer — every
     // entry kind, one faulted variant per kind, and an empty box.
