@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "kernel/layout.h"
 #include "rnr/wire.h"
@@ -13,137 +14,32 @@ namespace {
 
 using rnr::wire::PayloadKind;
 
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
+constexpr const char* kLabel = "policy frame";
 
 void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t value)
+put_regions(ByteWriter* w, const std::vector<Region>& regions)
 {
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-void
-put_regions(std::vector<std::uint8_t>* out, const std::vector<Region>& regions)
-{
-    put_u32(out, static_cast<std::uint32_t>(regions.size()));
+    w->u32(static_cast<std::uint32_t>(regions.size()));
     for (const Region& r : regions) {
-        put_u64(out, r.begin);
-        put_u64(out, r.end);
+        w->u64(r.begin);
+        w->u64(r.end);
     }
 }
 
-/** Bounds-checked little-endian reader over one frame. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
+Status
+get_regions(ByteReader* in, std::vector<Region>* out)
+{
+    out->resize(in->count32(16, UINT32_MAX));
+    for (std::size_t i = 0; i < out->size(); ++i) {
+        Region& r = (*out)[i];
+        r.begin = in->u64();
+        r.end = in->u64();
+        if (r.end < r.begin)
+            return in->reject(
+                strcat_args("policy region ", i, " has inverted bounds"));
     }
-
-    Status
-    u8(std::uint8_t* out)
-    {
-        if (size_ - pos_ < 1)
-            return truncated("u8");
-        *out = data_[pos_++];
-        return Status();
-    }
-
-    Status
-    u32(std::uint32_t* out)
-    {
-        if (size_ - pos_ < 4)
-            return truncated("u32");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return Status();
-    }
-
-    Status
-    u64(std::uint64_t* out)
-    {
-        if (size_ - pos_ < 8)
-            return truncated("u64");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return Status();
-    }
-
-    Status
-    addr_list(std::vector<Addr>* out)
-    {
-        std::uint32_t count = 0;
-        Status s;
-        if (!(s = u32(&count)).ok())
-            return s;
-        if (static_cast<std::size_t>(count) * 8 > size_ - pos_) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("policy frame declares ", count,
-                                      " addresses but only ", size_ - pos_,
-                                      " bytes remain"));
-        }
-        out->resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            if (!(s = u64(&(*out)[i])).ok())
-                return s;
-        }
-        return Status();
-    }
-
-    Status
-    region_list(std::vector<Region>* out)
-    {
-        std::uint32_t count = 0;
-        Status s;
-        if (!(s = u32(&count)).ok())
-            return s;
-        if (static_cast<std::size_t>(count) * 16 > size_ - pos_) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("policy frame declares ", count,
-                                      " regions but only ", size_ - pos_,
-                                      " bytes remain"));
-        }
-        out->resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            if (!(s = u64(&(*out)[i].begin)).ok())
-                return s;
-            if (!(s = u64(&(*out)[i].end)).ok())
-                return s;
-            if ((*out)[i].end < (*out)[i].begin) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("policy region ", i,
-                                          " has inverted bounds"));
-            }
-        }
-        return Status();
-    }
-
-    bool exhausted() const { return pos_ == size_; }
-
-  private:
-    Status
-    truncated(const char* what) const
-    {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("policy frame ends mid-", what,
-                                  " at byte ", pos_, " of ", size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
+    return in->status();
+}
 
 constexpr std::uint8_t kFlagIsCall = 1u << 0;
 constexpr std::uint8_t kFlagResolved = 1u << 1;
@@ -192,37 +88,33 @@ StaticPolicy::serialize() const
     // Frame 0 carries the counts and the set/region tables; frames 1..N
     // carry one CFI site each, so a damaged site frame loses only that
     // site's policy.
-    std::vector<std::uint8_t> head;
-    put_u32(&head, static_cast<std::uint32_t>(sites.size()));
-    head.push_back(unbounded_store ? 1 : 0);
-    put_u32(&head, static_cast<std::uint32_t>(fallback.size()));
-    for (Addr addr : fallback)
-        put_u64(&head, addr);
-    put_regions(&head, code);
-    put_regions(&head, written);
-    put_regions(&head, jit);
-
     std::vector<std::uint8_t> out;
     rnr::wire::Header header;
     header.kind = PayloadKind::kPolicyTable;
     header.frame_count = 1 + sites.size();
     rnr::wire::encode_header(header, &out);
-    rnr::wire::append_frame(0, head.data(), head.size(), &out);
+    ByteWriter w(&out);
+    const std::size_t head = rnr::wire::begin_frame(0, &out);
+    w.u32(static_cast<std::uint32_t>(sites.size()));
+    w.u8(unbounded_store ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(fallback.size()));
+    for (Addr addr : fallback)
+        w.u64(addr);
+    put_regions(&w, code);
+    put_regions(&w, written);
+    put_regions(&w, jit);
+    rnr::wire::end_frame(head, &out);
     for (std::size_t i = 0; i < sites.size(); ++i) {
         const IndirectSite& site = sites[i];
-        std::vector<std::uint8_t> frame;
-        put_u64(&frame, site.site);
-        std::uint8_t flags = 0;
-        if (site.is_call)
-            flags |= kFlagIsCall;
-        if (site.resolved)
-            flags |= kFlagResolved;
-        frame.push_back(flags);
-        put_u32(&frame, static_cast<std::uint32_t>(site.targets.size()));
+        const std::size_t frame =
+            rnr::wire::begin_frame(static_cast<std::uint32_t>(i + 1), &out);
+        w.u64(site.site);
+        w.u8(static_cast<std::uint8_t>((site.is_call ? kFlagIsCall : 0) |
+                                       (site.resolved ? kFlagResolved : 0)));
+        w.u32(static_cast<std::uint32_t>(site.targets.size()));
         for (Addr target : site.targets)
-            put_u64(&frame, target);
-        rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
-                                frame.data(), frame.size(), &out);
+            w.u64(target);
+        rnr::wire::end_frame(frame, &out);
     }
     return out;
 }
@@ -238,76 +130,53 @@ StaticPolicy::deserialize(const std::vector<std::uint8_t>& bytes,
         bytes, PayloadKind::kPolicyTable,
         [&](std::uint64_t seq, std::size_t offset,
             std::size_t length) -> Status {
-            Cursor cursor(bytes.data() + offset, length);
-            Status s;
+            ByteReader in(bytes.data() + offset, length, kLabel);
             if (seq == 0) {
-                std::uint8_t unbounded = 0;
-                if (!(s = cursor.u32(&declared_sites)).ok())
-                    return s;
-                if (!(s = cursor.u8(&unbounded)).ok())
-                    return s;
-                if (!(s = cursor.addr_list(&out->fallback)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->code)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->written)).ok())
-                    return s;
-                if (!(s = cursor.region_list(&out->jit)).ok())
-                    return s;
-                if (!std::is_sorted(out->fallback.begin(),
-                                    out->fallback.end())) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  "policy fallback set is not sorted");
-                }
-                out->unbounded_store = unbounded != 0;
-                out->sites.reserve(declared_sites);
-            } else {
-                IndirectSite site;
-                std::uint8_t flags = 0;
-                std::uint32_t count = 0;
-                if (!(s = cursor.u64(&site.site)).ok())
-                    return s;
-                if (!(s = cursor.u8(&flags)).ok())
-                    return s;
-                if ((flags & ~(kFlagIsCall | kFlagResolved)) != 0) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": bad flags ", flags));
-                }
-                if (!(s = cursor.u32(&count)).ok())
-                    return s;
-                site.is_call = (flags & kFlagIsCall) != 0;
-                site.resolved = (flags & kFlagResolved) != 0;
-                site.targets.resize(count);
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    if (!(s = cursor.u64(&site.targets[i])).ok())
+                declared_sites = in.u32();
+                out->unbounded_store = in.u8() != 0;
+                out->fallback.resize(in.count32(8, UINT32_MAX));
+                for (Addr& addr : out->fallback)
+                    addr = in.u64();
+                for (std::vector<Region>* regions :
+                     {&out->code, &out->written, &out->jit})
+                    if (const Status s = get_regions(&in, regions); !s.ok())
                         return s;
-                }
-                if (!site.resolved && !site.targets.empty()) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": unresolved site carries "
-                                              "targets"));
-                }
-                if (!std::is_sorted(site.targets.begin(),
-                                    site.targets.end())) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": target set not sorted"));
-                }
-                if (!out->sites.empty() && site.site <= last_site) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("policy site frame ", seq,
-                                              ": sites out of order"));
-                }
-                last_site = site.site;
-                out->sites.push_back(std::move(site));
+                if (!std::is_sorted(out->fallback.begin(),
+                                    out->fallback.end()))
+                    return in.reject("policy fallback set is not sorted");
+                // Each site rides in a frame of its own, so the image
+                // bounds how many the count can honestly declare.
+                out->sites.reserve(std::min<std::size_t>(
+                    declared_sites,
+                    bytes.size() / rnr::wire::kFrameHeaderSize));
+                return in.done();
             }
-            if (!cursor.exhausted()) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("policy frame ", seq,
-                                          " carries trailing bytes"));
-            }
+            IndirectSite site;
+            site.site = in.u64();
+            const std::uint8_t flags = in.u8();
+            if ((flags & ~(kFlagIsCall | kFlagResolved)) != 0)
+                return in.reject(strcat_args("policy site frame ", seq,
+                                             ": bad flags ",
+                                             static_cast<unsigned>(flags)));
+            site.is_call = (flags & kFlagIsCall) != 0;
+            site.resolved = (flags & kFlagResolved) != 0;
+            site.targets.resize(in.count32(8, UINT32_MAX));
+            for (Addr& target : site.targets)
+                target = in.u64();
+            if (!site.resolved && !site.targets.empty())
+                return in.reject(strcat_args("policy site frame ", seq,
+                                             ": unresolved site carries "
+                                             "targets"));
+            if (!std::is_sorted(site.targets.begin(), site.targets.end()))
+                return in.reject(strcat_args("policy site frame ", seq,
+                                             ": target set not sorted"));
+            if (!out->sites.empty() && site.site <= last_site)
+                return in.reject(strcat_args("policy site frame ", seq,
+                                             ": sites out of order"));
+            if (const Status s = in.done(); !s.ok())
+                return s;
+            last_site = site.site;
+            out->sites.push_back(std::move(site));
             return Status();
         });
     if (!report.status.ok())

@@ -5,7 +5,6 @@
 #include "common/log.h"
 #include "core/detector.h"
 #include "obs/trace.h"
-#include "replay/ckpt_store/ckpt_image.h"
 
 namespace rsafe::core {
 
@@ -16,15 +15,6 @@ ArStage::ArStage(VmFactory factory, rnr::ReplayOptions base_options,
 {
     if (!factory_)
         fatal("ArStage: null VM factory");
-}
-
-AlarmReplayResult
-ArStage::analyze(const replay::PendingAlarm& pending,
-                 const rnr::InputLog* log,
-                 stats::StatRegistry* local_stats) const
-{
-    rnr::InputLogSource source(log);
-    return analyze(pending, &source, local_stats);
 }
 
 AlarmReplayResult
@@ -47,19 +37,6 @@ ArStage::unavailable(const replay::PendingAlarm& pending,
     obs::Tracer::instance().instant("ar.ckpt_unavailable", "ar",
                                     "log_index", pending.log_index);
     return out;
-}
-
-AlarmReplayResult
-ArStage::analyze_image(const replay::PendingAlarm& pending,
-                       const std::vector<std::uint8_t>& image,
-                       rnr::LogSource* source,
-                       stats::StatRegistry* local_stats) const
-{
-    auto shipped = std::make_shared<replay::Checkpoint>();
-    const Status status =
-        replay::ckpt::deserialize_checkpoint(image, shipped.get());
-    return analyze_shipped(pending, status, std::move(shipped), source,
-                           local_stats);
 }
 
 AlarmReplayResult

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "hv/vm.h"
 #include "replay/alarm_replayer.h"
@@ -24,11 +23,10 @@
  * of worker threads — the fleet's shared work-stealing pool calls it from
  * every worker.
  *
- * Two log access shapes:
- *  - a finished InputLog (offline analysis of a completed recording);
- *  - any LogSource resolving the [checkpoint, alarm] range — in the
- *    fleet, a SliceLogSource owning a copy of exactly that range, so a
- *    pool worker never reads a tenant's still-growing log.
+ * Records come from any LogSource resolving the [checkpoint, alarm]
+ * range: an InputLogSource over a finished recording, or, in the fleet,
+ * a SliceLogSource owning a copy of exactly that range, so a pool worker
+ * never reads a tenant's still-growing log.
  */
 
 namespace rsafe::core {
@@ -72,41 +70,26 @@ class ArStage {
 
     /**
      * Launch one alarm replayer (plus the deeper rerun if needed) for
-     * @p pending and account it into @p local_stats. Thread-safe.
+     * @p pending, reading records from @p source (both passes), and
+     * account it into @p local_stats. Thread-safe.
      *
      * A pending alarm with no checkpoint (checkpointing disabled, or the
      * store recycled past the alarm) yields a clean
      * AlarmCause::kCheckpointUnavailable verdict, never a crash.
      */
     AlarmReplayResult analyze(const replay::PendingAlarm& pending,
-                              const rnr::InputLog* log,
-                              stats::StatRegistry* local_stats) const;
-
-    /** As above, reading records from @p source (both passes). */
-    AlarmReplayResult analyze(const replay::PendingAlarm& pending,
                               rnr::LogSource* source,
                               stats::StatRegistry* local_stats) const;
 
     /**
-     * The remote-AR primitive: boot from a *serialized* checkpoint image
-     * (PayloadKind::kCheckpointImage) instead of @p pending's in-memory
-     * checkpoint, then run the standard analysis against @p source. A
-     * damaged image classifies as kCheckpointUnavailable (with the decode
-     * error in the report) — shipping corruption must surface as a
-     * verdict, not UB. Counter accounting is identical to analyze(), so
-     * shipped and in-memory paths stay A/B bit-identical.
-     */
-    AlarmReplayResult analyze_image(const replay::PendingAlarm& pending,
-                                    const std::vector<std::uint8_t>& image,
-                                    rnr::LogSource* source,
-                                    stats::StatRegistry* local_stats) const;
-
-    /**
-     * Boot from a checkpoint that arrived over the wire in any form:
+     * The remote-AR primitive: boot from a checkpoint that arrived over
+     * the wire in any form instead of @p pending's in-memory one;
      * @p decoded is how decoding it went. A failed decode classifies as
-     * kCheckpointUnavailable with the error in the report (as
-     * analyze_image() does); otherwise this is analyze() of @p pending
-     * booted from @p checkpoint.
+     * kCheckpointUnavailable with the error in the report: shipping
+     * corruption must surface as a verdict, not UB. Otherwise this is
+     * analyze() of @p pending booted from @p checkpoint, with identical
+     * counter accounting, so shipped and in-memory paths stay A/B
+     * bit-identical.
      */
     AlarmReplayResult analyze_shipped(
         const replay::PendingAlarm& pending, const Status& decoded,

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
+#include "obs/trace.h"
 #include "rnr/wire.h"
 
 namespace rsafe::obs {
@@ -15,113 +17,7 @@ using rnr::wire::PayloadKind;
 /** Upper bound on an embedded string (decode sanity check). */
 constexpr std::uint32_t kMaxStringLength = 1u << 16;
 
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_string(std::vector<std::uint8_t>* out, const std::string& s)
-{
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out->insert(out->end(), s.begin(), s.end());
-}
-
-/** A bounds-checked little-endian reader over one frame payload. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    Status u8(std::uint8_t* out)
-    {
-        if (pos_ + 1 > size_)
-            return truncated("u8");
-        *out = data_[pos_++];
-        return Status();
-    }
-
-    Status u32(std::uint32_t* out)
-    {
-        if (pos_ + 4 > size_)
-            return truncated("u32");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return Status();
-    }
-
-    Status u64(std::uint64_t* out)
-    {
-        if (pos_ + 8 > size_)
-            return truncated("u64");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return Status();
-    }
-
-    Status string(std::string* out)
-    {
-        std::uint32_t len = 0;
-        if (Status s = u32(&len); !s.ok())
-            return s;
-        if (len > kMaxStringLength) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("flight string length ", len,
-                                      " exceeds cap ", kMaxStringLength));
-        }
-        if (pos_ + len > size_)
-            return truncated("string body");
-        out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-        pos_ += len;
-        return Status();
-    }
-
-    bool exhausted() const { return pos_ == size_; }
-
-  private:
-    Status truncated(const char* what) const
-    {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("flight frame ends mid-", what,
-                                  " at byte ", pos_, " of ", size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
-/** Append @p text JSON-escaped. */
-void
-append_escaped(std::string* out, const std::string& text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': *out += "\\\""; break;
-          case '\\': *out += "\\\\"; break;
-          case '\n': *out += "\\n"; break;
-          case '\t': *out += "\\t"; break;
-          default: *out += c;
-        }
-    }
-}
+constexpr const char* kLabel = "flight frame";
 
 }  // namespace
 
@@ -143,27 +39,27 @@ FlightBox::serialize() const
 {
     // Frame 0 carries the dump scalars; frames 1..N carry one entry
     // each, so a damaged entry frame loses only that moment.
-    std::vector<std::uint8_t> head;
-    put_string(&head, reason);
-    put_u64(&head, total_appended);
-    put_u64(&head, dropped);
-
     std::vector<std::uint8_t> out;
     rnr::wire::Header header;
     header.kind = PayloadKind::kFlightBox;
     header.frame_count = 1 + entries.size();
     rnr::wire::encode_header(header, &out);
-    rnr::wire::append_frame(0, head.data(), head.size(), &out);
+    ByteWriter w(&out);
+    const std::size_t head = rnr::wire::begin_frame(0, &out);
+    w.string(reason);
+    w.u64(total_appended);
+    w.u64(dropped);
+    rnr::wire::end_frame(head, &out);
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        std::vector<std::uint8_t> frame;
-        frame.push_back(static_cast<std::uint8_t>(entries[i].kind));
-        put_u64(&frame, entries[i].t_ms);
-        put_u64(&frame, entries[i].value);
-        put_string(&frame, entries[i].tenant);
-        put_string(&frame, entries[i].label);
-        put_string(&frame, entries[i].detail);
-        rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
-                                frame.data(), frame.size(), &out);
+        const std::size_t frame =
+            rnr::wire::begin_frame(static_cast<std::uint32_t>(i + 1), &out);
+        w.u8(static_cast<std::uint8_t>(entries[i].kind));
+        w.u64(entries[i].t_ms);
+        w.u64(entries[i].value);
+        w.string(entries[i].tenant);
+        w.string(entries[i].label);
+        w.string(entries[i].detail);
+        rnr::wire::end_frame(frame, &out);
     }
     return out;
 }
@@ -177,36 +73,28 @@ FlightBox::deserialize(const std::vector<std::uint8_t>& bytes,
         bytes, PayloadKind::kFlightBox,
         [&](std::uint64_t seq, std::size_t offset,
             std::size_t length) -> Status {
-            Cursor cursor(bytes.data() + offset, length);
+            ByteReader in(bytes.data() + offset, length, kLabel);
             if (seq == 0) {
-                Status s;
-                if (!(s = cursor.string(&out->reason)).ok()) return s;
-                if (!(s = cursor.u64(&out->total_appended)).ok()) return s;
-                if (!(s = cursor.u64(&out->dropped)).ok()) return s;
-            } else {
-                FlightEntry entry;
-                std::uint8_t kind = 0;
-                Status s;
-                if (!(s = cursor.u8(&kind)).ok()) return s;
-                if (kind >
-                    static_cast<std::uint8_t>(FlightEntryKind::kShutdown)) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("flight frame ", seq,
-                                              ": bad entry kind ", kind));
-                }
-                if (!(s = cursor.u64(&entry.t_ms)).ok()) return s;
-                if (!(s = cursor.u64(&entry.value)).ok()) return s;
-                if (!(s = cursor.string(&entry.tenant)).ok()) return s;
-                if (!(s = cursor.string(&entry.label)).ok()) return s;
-                if (!(s = cursor.string(&entry.detail)).ok()) return s;
-                entry.kind = static_cast<FlightEntryKind>(kind);
-                out->entries.push_back(std::move(entry));
+                out->reason = in.string(kMaxStringLength);
+                out->total_appended = in.u64();
+                out->dropped = in.u64();
+                return in.done();
             }
-            if (!cursor.exhausted()) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("flight frame ", seq,
-                                          " carries trailing bytes"));
-            }
+            FlightEntry entry;
+            const std::uint8_t kind = in.u8();
+            if (kind > static_cast<std::uint8_t>(FlightEntryKind::kShutdown))
+                return in.reject(strcat_args("flight frame ", seq,
+                                             ": bad entry kind ",
+                                             static_cast<unsigned>(kind)));
+            entry.kind = static_cast<FlightEntryKind>(kind);
+            entry.t_ms = in.u64();
+            entry.value = in.u64();
+            entry.tenant = in.string(kMaxStringLength);
+            entry.label = in.string(kMaxStringLength);
+            entry.detail = in.string(kMaxStringLength);
+            if (const Status s = in.done(); !s.ok())
+                return s;
+            out->entries.push_back(std::move(entry));
             return Status();
         });
     return report.status;
@@ -238,7 +126,7 @@ std::string
 FlightBox::to_json() const
 {
     std::string out = "{\"reason\": \"";
-    append_escaped(&out, reason);
+    append_json_escaped(&out, reason);
     out += "\", \"total_appended\": " + std::to_string(total_appended);
     out += ", \"dropped\": " + std::to_string(dropped);
     out += ", \"entries\": [";
@@ -249,12 +137,12 @@ FlightBox::to_json() const
         out += ", \"kind\": \"";
         out += flight_entry_kind_name(entries[i].kind);
         out += "\", \"tenant\": \"";
-        append_escaped(&out, entries[i].tenant);
+        append_json_escaped(&out, entries[i].tenant);
         out += "\", \"label\": \"";
-        append_escaped(&out, entries[i].label);
+        append_json_escaped(&out, entries[i].label);
         out += "\", \"value\": " + std::to_string(entries[i].value);
         out += ", \"detail\": \"";
-        append_escaped(&out, entries[i].detail);
+        append_json_escaped(&out, entries[i].detail);
         out += "\"}";
     }
     out += "]}";

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
+#include "obs/trace.h"
 #include "rnr/wire.h"
 
 namespace rsafe::obs {
@@ -14,113 +16,7 @@ using rnr::wire::PayloadKind;
 /** Upper bound on an embedded string (decode sanity check). */
 constexpr std::uint32_t kMaxStringLength = 1u << 16;
 
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_string(std::vector<std::uint8_t>* out, const std::string& s)
-{
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out->insert(out->end(), s.begin(), s.end());
-}
-
-/** A bounds-checked little-endian reader over one frame payload. */
-class Cursor {
-  public:
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    Status u8(std::uint8_t* out)
-    {
-        if (pos_ + 1 > size_)
-            return truncated("u8");
-        *out = data_[pos_++];
-        return Status();
-    }
-
-    Status u32(std::uint32_t* out)
-    {
-        if (pos_ + 4 > size_)
-            return truncated("u32");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return Status();
-    }
-
-    Status u64(std::uint64_t* out)
-    {
-        if (pos_ + 8 > size_)
-            return truncated("u64");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return Status();
-    }
-
-    Status string(std::string* out)
-    {
-        std::uint32_t len = 0;
-        if (Status s = u32(&len); !s.ok())
-            return s;
-        if (len > kMaxStringLength) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("forensic string length ", len,
-                                      " exceeds cap ", kMaxStringLength));
-        }
-        if (pos_ + len > size_)
-            return truncated("string body");
-        out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-        pos_ += len;
-        return Status();
-    }
-
-    bool exhausted() const { return pos_ == size_; }
-
-  private:
-    Status truncated(const char* what) const
-    {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("forensic frame ends mid-", what,
-                                  " at byte ", pos_, " of ", size_));
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
-/** Append @p text JSON-escaped. */
-void
-append_escaped(std::string* out, const std::string& text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': *out += "\\\""; break;
-          case '\\': *out += "\\\\"; break;
-          case '\n': *out += "\\n"; break;
-          case '\t': *out += "\\t"; break;
-          default: *out += c;
-        }
-    }
-}
+constexpr const char* kLabel = "forensic frame";
 
 std::string
 hex(std::uint64_t value)
@@ -153,39 +49,39 @@ ForensicReport::serialize() const
 {
     // Frame 0 carries the scalar/string fields; frames 1..N carry one
     // gadget each, so a damaged gadget frame loses only that link.
-    std::vector<std::uint8_t> head;
-    put_u64(&head, log_index);
-    put_u64(&head, icount);
-    head.push_back(is_attack ? 1 : 0);
-    head.push_back(kernel_mode ? 1 : 0);
-    put_string(&head, cause);
-    put_u64(&head, ret_pc);
-    put_string(&head, faulting_function);
-    put_u64(&head, function_begin);
-    put_u64(&head, function_end);
-    put_u64(&head, expected_target);
-    put_string(&head, call_site_function);
-    put_u64(&head, actual_target);
-    put_string(&head, target_function);
-    put_u64(&head, static_cast<std::uint64_t>(tid));
-    put_u64(&head, shadow_depth);
-    put_u64(&head, static_cast<std::uint64_t>(shadow_delta));
-    put_u64(&head, threads_tracked);
-
     std::vector<std::uint8_t> out;
     rnr::wire::Header header;
     header.kind = PayloadKind::kForensicReport;
     header.frame_count = 1 + gadgets.size();
     rnr::wire::encode_header(header, &out);
-    rnr::wire::append_frame(0, head.data(), head.size(), &out);
+    ByteWriter w(&out);
+    const std::size_t head = rnr::wire::begin_frame(0, &out);
+    w.u64(log_index);
+    w.u64(icount);
+    w.u8(is_attack ? 1 : 0);
+    w.u8(kernel_mode ? 1 : 0);
+    w.string(cause);
+    w.u64(ret_pc);
+    w.string(faulting_function);
+    w.u64(function_begin);
+    w.u64(function_end);
+    w.u64(expected_target);
+    w.string(call_site_function);
+    w.u64(actual_target);
+    w.string(target_function);
+    w.u64(static_cast<std::uint64_t>(tid));
+    w.u64(shadow_depth);
+    w.u64(static_cast<std::uint64_t>(shadow_delta));
+    w.u64(threads_tracked);
+    rnr::wire::end_frame(head, &out);
     for (std::size_t i = 0; i < gadgets.size(); ++i) {
-        std::vector<std::uint8_t> frame;
-        put_u64(&frame, gadgets[i].pc);
-        frame.push_back(static_cast<std::uint8_t>(gadgets[i].cls));
-        put_string(&frame, gadgets[i].disasm);
-        put_string(&frame, gadgets[i].function);
-        rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
-                                frame.data(), frame.size(), &out);
+        const std::size_t frame =
+            rnr::wire::begin_frame(static_cast<std::uint32_t>(i + 1), &out);
+        w.u64(gadgets[i].pc);
+        w.u8(static_cast<std::uint8_t>(gadgets[i].cls));
+        w.string(gadgets[i].disasm);
+        w.string(gadgets[i].function);
+        rnr::wire::end_frame(frame, &out);
     }
     return out;
 }
@@ -199,58 +95,40 @@ ForensicReport::deserialize(const std::vector<std::uint8_t>& bytes,
         bytes, PayloadKind::kForensicReport,
         [&](std::uint64_t seq, std::size_t offset,
             std::size_t length) -> Status {
-            Cursor cursor(bytes.data() + offset, length);
+            ByteReader in(bytes.data() + offset, length, kLabel);
             if (seq == 0) {
-                std::uint8_t attack = 0;
-                std::uint8_t kernel = 0;
-                std::uint64_t tid64 = 0;
-                std::uint64_t delta64 = 0;
-                Status s;
-                if (!(s = cursor.u64(&out->log_index)).ok()) return s;
-                if (!(s = cursor.u64(&out->icount)).ok()) return s;
-                if (!(s = cursor.u8(&attack)).ok()) return s;
-                if (!(s = cursor.u8(&kernel)).ok()) return s;
-                if (!(s = cursor.string(&out->cause)).ok()) return s;
-                if (!(s = cursor.u64(&out->ret_pc)).ok()) return s;
-                if (!(s = cursor.string(&out->faulting_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&out->function_begin)).ok()) return s;
-                if (!(s = cursor.u64(&out->function_end)).ok()) return s;
-                if (!(s = cursor.u64(&out->expected_target)).ok()) return s;
-                if (!(s = cursor.string(&out->call_site_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&out->actual_target)).ok()) return s;
-                if (!(s = cursor.string(&out->target_function)).ok())
-                    return s;
-                if (!(s = cursor.u64(&tid64)).ok()) return s;
-                if (!(s = cursor.u64(&out->shadow_depth)).ok()) return s;
-                if (!(s = cursor.u64(&delta64)).ok()) return s;
-                if (!(s = cursor.u64(&out->threads_tracked)).ok()) return s;
-                out->is_attack = attack != 0;
-                out->kernel_mode = kernel != 0;
-                out->tid = static_cast<ThreadId>(tid64);
-                out->shadow_delta = static_cast<std::int64_t>(delta64);
-            } else {
-                GadgetInfo gadget;
-                std::uint8_t cls = 0;
-                Status s;
-                if (!(s = cursor.u64(&gadget.pc)).ok()) return s;
-                if (!(s = cursor.u8(&cls)).ok()) return s;
-                if (cls > static_cast<std::uint8_t>(GadgetClass::kSystem)) {
-                    return Status(StatusCode::kMalformedRecord,
-                                  strcat_args("gadget frame ", seq,
-                                              ": bad class ", cls));
-                }
-                if (!(s = cursor.string(&gadget.disasm)).ok()) return s;
-                if (!(s = cursor.string(&gadget.function)).ok()) return s;
-                gadget.cls = static_cast<GadgetClass>(cls);
-                out->gadgets.push_back(std::move(gadget));
+                out->log_index = in.u64();
+                out->icount = in.u64();
+                out->is_attack = in.u8() != 0;
+                out->kernel_mode = in.u8() != 0;
+                out->cause = in.string(kMaxStringLength);
+                out->ret_pc = in.u64();
+                out->faulting_function = in.string(kMaxStringLength);
+                out->function_begin = in.u64();
+                out->function_end = in.u64();
+                out->expected_target = in.u64();
+                out->call_site_function = in.string(kMaxStringLength);
+                out->actual_target = in.u64();
+                out->target_function = in.string(kMaxStringLength);
+                out->tid = static_cast<ThreadId>(in.u64());
+                out->shadow_depth = in.u64();
+                out->shadow_delta = static_cast<std::int64_t>(in.u64());
+                out->threads_tracked = in.u64();
+                return in.done();
             }
-            if (!cursor.exhausted()) {
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("forensic frame ", seq,
-                                          " carries trailing bytes"));
-            }
+            GadgetInfo gadget;
+            gadget.pc = in.u64();
+            const std::uint8_t cls = in.u8();
+            if (cls > static_cast<std::uint8_t>(GadgetClass::kSystem))
+                return in.reject(strcat_args("gadget frame ", seq,
+                                             ": bad class ",
+                                             static_cast<unsigned>(cls)));
+            gadget.cls = static_cast<GadgetClass>(cls);
+            gadget.disasm = in.string(kMaxStringLength);
+            gadget.function = in.string(kMaxStringLength);
+            if (const Status s = in.done(); !s.ok())
+                return s;
+            out->gadgets.push_back(std::move(gadget));
             return Status();
         });
     return report.status;
@@ -300,22 +178,22 @@ ForensicReport::to_json() const
     out += "\"log_index\": " + std::to_string(log_index);
     out += ", \"icount\": " + std::to_string(icount);
     out += ", \"cause\": \"";
-    append_escaped(&out, cause);
+    append_json_escaped(&out, cause);
     out += "\", \"is_attack\": ";
     out += is_attack ? "true" : "false";
     out += ", \"kernel_mode\": ";
     out += kernel_mode ? "true" : "false";
     out += ", \"where\": {\"ret_pc\": \"" + hex(ret_pc) + "\"";
     out += ", \"faulting_function\": \"";
-    append_escaped(&out, faulting_function);
+    append_json_escaped(&out, faulting_function);
     out += "\", \"function_begin\": \"" + hex(function_begin) + "\"";
     out += ", \"function_end\": \"" + hex(function_end) + "\"";
     out += ", \"expected_target\": \"" + hex(expected_target) + "\"";
     out += ", \"call_site_function\": \"";
-    append_escaped(&out, call_site_function);
+    append_json_escaped(&out, call_site_function);
     out += "\", \"actual_target\": \"" + hex(actual_target) + "\"";
     out += ", \"target_function\": \"";
-    append_escaped(&out, target_function);
+    append_json_escaped(&out, target_function);
     out += "\"}";
     out += ", \"who\": {\"tid\": " + std::to_string(tid);
     out += ", \"shadow_depth\": " + std::to_string(shadow_depth);
@@ -330,9 +208,9 @@ ForensicReport::to_json() const
         out += ", \"class\": \"";
         out += gadget_class_name(gadgets[i].cls);
         out += "\", \"disasm\": \"";
-        append_escaped(&out, gadgets[i].disasm);
+        append_json_escaped(&out, gadgets[i].disasm);
         out += "\", \"function\": \"";
-        append_escaped(&out, gadgets[i].function);
+        append_json_escaped(&out, gadgets[i].function);
         out += "\"}";
     }
     out += "]}}";

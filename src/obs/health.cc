@@ -465,7 +465,9 @@ HealthMonitor::healthz_json() const
         if (!first)
             out += ", ";
         first = false;
-        out += "\"" + tenant->name + "\": {";
+        out += "\"";
+        append_json_escaped(&out, tenant->name);
+        out += "\": {";
         out += "\"state\": \"";
         out += health_state_name(tenant->state);
         out += "\", \"worst\": \"";

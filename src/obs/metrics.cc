@@ -3,20 +3,11 @@
 #include <cctype>
 #include <cstdio>
 
+#include "obs/trace.h"
+
 namespace rsafe::obs {
 
 namespace {
-
-/** Append @p text with JSON string escaping for quotes and backslash. */
-void
-append_escaped(std::string* out, const std::string& text)
-{
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            *out += '\\';
-        *out += c;
-    }
-}
 
 /** Append a double with enough precision for metric values. */
 void
@@ -51,7 +42,7 @@ MetricsExporter::to_json() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"";
-        append_escaped(&out, name);
+        append_json_escaped(&out, name);
         out += "\": " + std::to_string(value);
     }
     out += first ? "}" : "\n  }";
@@ -62,7 +53,7 @@ MetricsExporter::to_json() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"";
-        append_escaped(&out, name);
+        append_json_escaped(&out, name);
         out += "\": {\"count\": " + std::to_string(histogram.count());
         out += ", \"sum\": " + std::to_string(histogram.sum());
         out += ", \"mean\": ";
@@ -92,7 +83,7 @@ MetricsExporter::to_json() const
         out += first ? "\n" : ",\n";
         first = false;
         out += "    \"";
-        append_escaped(&out, name);
+        append_json_escaped(&out, name);
         out += "\": {\"last\": " + std::to_string(gauge.last());
         out += ", \"observations\": " + std::to_string(gauge.observations());
         out += ", \"series\": [";

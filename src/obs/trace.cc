@@ -35,29 +35,6 @@ steady_now_ns()
             .count());
 }
 
-/** Append @p text JSON-escaped (quotes, backslash, control chars). */
-void
-append_escaped(std::string* out, const std::string& text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': *out += "\\\""; break;
-          case '\\': *out += "\\\\"; break;
-          case '\n': *out += "\\n"; break;
-          case '\t': *out += "\\t"; break;
-          case '\r': *out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                *out += buf;
-            } else {
-                *out += c;
-            }
-        }
-    }
-}
-
 /** Append a microsecond timestamp with nanosecond precision. */
 void
 append_ts_us(std::string* out, std::uint64_t ts_ns)
@@ -84,6 +61,28 @@ phase_letter(TraceEvent::Phase phase)
 }
 
 }  // namespace
+
+void
+append_json_escaped(std::string* out, const std::string& text)
+{
+    for (const char c : text) {
+        switch (c) {
+          case '"': *out += "\\\""; break;
+          case '\\': *out += "\\\\"; break;
+          case '\n': *out += "\\n"; break;
+          case '\t': *out += "\\t"; break;
+          case '\r': *out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                *out += buf;
+            } else {
+                *out += c;
+            }
+        }
+    }
+}
 
 TraceBuffer::TraceBuffer(std::string thread_name, std::size_t capacity)
     : name_(std::move(thread_name))
@@ -294,7 +293,7 @@ Tracer::export_chrome_json() const
         out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
         out += std::to_string(buffer->tid());
         out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        append_escaped(&out, buffer->thread_name());
+        append_json_escaped(&out, buffer->thread_name());
         out += "\"}}";
     }
     for (const auto& buffer : buffers_) {
@@ -309,17 +308,18 @@ Tracer::export_chrome_json() const
             out += ",\"ts\":";
             append_ts_us(&out, event.ts_ns);
             out += ",\"name\":\"";
-            append_escaped(&out, event.name != nullptr ? event.name : "");
+            append_json_escaped(&out,
+                                event.name != nullptr ? event.name : "");
             out += "\",\"cat\":\"";
-            append_escaped(&out,
-                           event.category != nullptr ? event.category : "");
+            append_json_escaped(
+                &out, event.category != nullptr ? event.category : "");
             out += "\"";
             switch (event.phase) {
               case TraceEvent::Phase::kInstant:
                 out += ",\"s\":\"t\"";
                 if (event.has_arg) {
                     out += ",\"args\":{\"";
-                    append_escaped(&out, event.arg_name);
+                    append_json_escaped(&out, event.arg_name);
                     out += "\":";
                     out += std::to_string(event.arg_value);
                     out += "}";

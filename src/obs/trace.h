@@ -199,6 +199,14 @@ class ScopedSpan {
 };
 
 /**
+ * Append @p text to @p out as the body of a JSON string: quote and
+ * backslash escaped, \n, \t and \r by name, any other control byte as
+ * \u00XX. Every obs JSON emitter (trace, metrics, forensic reports,
+ * flight boxes, /healthz) escapes through this one function.
+ */
+void append_json_escaped(std::string* out, const std::string& text);
+
+/**
  * Validate that @p json looks like a loadable Chrome trace_event
  * document: a traceEvents array of objects, every event carrying the
  * required fields for its phase, B/E balanced per thread, and every

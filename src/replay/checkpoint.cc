@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "obs/trace.h"
 #include "rnr/wire.h"
@@ -322,45 +323,20 @@ digest_of(const Checkpoint& checkpoint)
     return digest;
 }
 
-namespace {
-
-/** Field order of the digest's single wire frame. */
-constexpr std::size_t kDigestWords = 8;
-
-void
-digest_fields(const CheckpointDigest& digest,
-              std::uint64_t (&fields)[kDigestWords])
-{
-    fields[0] = digest.id;
-    fields[1] = digest.icount;
-    fields[2] = digest.cycles;
-    fields[3] = digest.log_pos;
-    fields[4] = digest.cpu_hash;
-    fields[5] = digest.pages_hash;
-    fields[6] = digest.blocks_hash;
-    fields[7] = digest.ras_hash;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t>
 CheckpointDigest::serialize() const
 {
-    std::uint64_t fields[kDigestWords];
-    digest_fields(*this, fields);
-    std::vector<std::uint8_t> payload;
-    payload.reserve(kDigestWords * 8);
-    for (const std::uint64_t field : fields)
-        for (int i = 0; i < 8; ++i)
-            payload.push_back(
-                static_cast<std::uint8_t>((field >> (8 * i)) & 0xff));
-
     std::vector<std::uint8_t> out;
     wire::Header header;
     header.kind = wire::PayloadKind::kCheckpointDigest;
     header.frame_count = 1;
     wire::encode_header(header, &out);
-    wire::append_frame(0, payload.data(), payload.size(), &out);
+    const std::size_t frame = wire::begin_frame(0, &out);
+    ByteWriter w(&out);
+    for (const std::uint64_t field : {id, icount, cycles, log_pos, cpu_hash,
+                                      pages_hash, blocks_hash, ras_hash})
+        w.u64(field);
+    wire::end_frame(frame, &out);
     return out;
 }
 
@@ -371,33 +347,18 @@ CheckpointDigest::deserialize(const std::vector<std::uint8_t>& bytes,
     bool seen = false;
     const wire::LoadReport report = wire::read_frames(
         bytes, wire::PayloadKind::kCheckpointDigest,
-        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
+        [&](std::uint64_t, std::size_t offset, std::size_t length) {
             if (seen)
                 return Status(StatusCode::kMalformedRecord,
                               "checkpoint digest has more than one frame");
-            if (length != kDigestWords * 8) {
-                return Status(
-                    StatusCode::kMalformedRecord,
-                    strcat_args("digest frame is ", length, " bytes, want ",
-                                kDigestWords * 8));
-            }
-            std::uint64_t fields[kDigestWords] = {};
-            for (std::size_t w = 0; w < kDigestWords; ++w)
-                for (int i = 0; i < 8; ++i)
-                    fields[w] |= static_cast<std::uint64_t>(
-                                     bytes[offset + w * 8 + i])
-                                 << (8 * i);
-            out->id = fields[0];
-            out->icount = fields[1];
-            out->cycles = fields[2];
-            out->log_pos = fields[3];
-            out->cpu_hash = fields[4];
-            out->pages_hash = fields[5];
-            out->blocks_hash = fields[6];
-            out->ras_hash = fields[7];
+            ByteReader in(bytes.data() + offset, length, "checkpoint digest");
+            for (std::uint64_t* field :
+                 {&out->id, &out->icount, &out->cycles, &out->log_pos,
+                  &out->cpu_hash, &out->pages_hash, &out->blocks_hash,
+                  &out->ras_hash})
+                *field = in.u64();
             seen = true;
-            (void)seq;
-            return Status();
+            return in.done();
         });
     if (!report.intact())
         return report.status;

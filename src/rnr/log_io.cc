@@ -63,12 +63,11 @@ InputLog::serialize() const
     header.kind = wire::PayloadKind::kInputLog;
     header.frame_count = records_.size();
     wire::encode_header(header, &out);
-    std::vector<std::uint8_t> payload;
     for (std::size_t i = 0; i < records_.size(); ++i) {
-        payload.clear();
-        records_[i].serialize(&payload);
-        wire::append_frame(static_cast<std::uint32_t>(i), payload.data(),
-                           payload.size(), &out);
+        const std::size_t frame =
+            wire::begin_frame(static_cast<std::uint32_t>(i), &out);
+        records_[i].serialize(&out);
+        wire::end_frame(frame, &out);
     }
     return out;
 }

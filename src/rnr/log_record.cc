@@ -2,71 +2,10 @@
 
 #include <sstream>
 
+#include "common/bytes.h"
 #include "common/log.h"
 
 namespace rsafe::rnr {
-
-namespace {
-
-void
-put_u8(std::vector<std::uint8_t>* out, std::uint8_t v)
-{
-    out->push_back(v);
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-bool
-get_u8(const std::vector<std::uint8_t>& in, std::size_t* pos,
-       std::uint8_t* v)
-{
-    if (*pos + 1 > in.size())
-        return false;
-    *v = in[(*pos)++];
-    return true;
-}
-
-bool
-get_u32(const std::vector<std::uint8_t>& in, std::size_t* pos,
-        std::uint32_t* v)
-{
-    if (*pos + 4 > in.size())
-        return false;
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i)
-        out |= static_cast<std::uint32_t>(in[*pos + i]) << (8 * i);
-    *pos += 4;
-    *v = out;
-    return true;
-}
-
-bool
-get_u64(const std::vector<std::uint8_t>& in, std::size_t* pos,
-        std::uint64_t* v)
-{
-    if (*pos + 8 > in.size())
-        return false;
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i)
-        out |= static_cast<std::uint64_t>(in[*pos + i]) << (8 * i);
-    *pos += 8;
-    *v = out;
-    return true;
-}
-
-}  // namespace
 
 const char*
 record_type_name(RecordType type)
@@ -126,48 +65,48 @@ LogRecord::serialized_size() const
 void
 LogRecord::serialize(std::vector<std::uint8_t>* out) const
 {
-    put_u8(out, static_cast<std::uint8_t>(type));
-    put_u64(out, icount);
+    ByteWriter w(out);
+    w.u8(static_cast<std::uint8_t>(type));
+    w.u64(icount);
     switch (type) {
       case RecordType::kRdtsc:
-        put_u64(out, value);
+        w.u64(value);
         break;
       case RecordType::kIoIn:
-        put_u8(out, static_cast<std::uint8_t>(addr & 0xff));
-        put_u8(out, static_cast<std::uint8_t>((addr >> 8) & 0xff));
-        put_u64(out, value);
+        w.u16(static_cast<std::uint16_t>(addr));
+        w.u64(value);
         break;
       case RecordType::kMmioRead:
-        put_u32(out, static_cast<std::uint32_t>(addr - 0xF0000000ULL));
-        put_u64(out, value);
+        w.u32(static_cast<std::uint32_t>(addr - 0xF0000000ULL));
+        w.u64(value);
         break;
       case RecordType::kNicDma:
-        put_u64(out, addr);
-        put_u32(out, static_cast<std::uint32_t>(payload.size()));
-        out->insert(out->end(), payload.begin(), payload.end());
+        w.u64(addr);
+        w.u32(static_cast<std::uint32_t>(payload.size()));
+        w.bytes(payload);
         break;
       case RecordType::kIrqInject:
-        put_u8(out, static_cast<std::uint8_t>(value));
+        w.u8(static_cast<std::uint8_t>(value));
         break;
       case RecordType::kRasAlarm:
-        put_u8(out, static_cast<std::uint8_t>(alarm.kind));
-        put_u64(out, alarm.ret_pc);
-        put_u64(out, alarm.predicted);
-        put_u64(out, alarm.actual);
-        put_u64(out, alarm.sp_after);
-        put_u8(out, alarm.kernel_mode ? 1 : 0);
-        put_u32(out, tid);
+        w.u8(static_cast<std::uint8_t>(alarm.kind));
+        w.u64(alarm.ret_pc);
+        w.u64(alarm.predicted);
+        w.u64(alarm.actual);
+        w.u64(alarm.sp_after);
+        w.u8(alarm.kernel_mode ? 1 : 0);
+        w.u32(tid);
         break;
       case RecordType::kRasEvict:
-        put_u64(out, addr);
-        put_u32(out, tid);
+        w.u64(addr);
+        w.u32(tid);
         break;
       case RecordType::kDetectorAlarm:
-        put_u8(out, static_cast<std::uint8_t>(value));
-        put_u64(out, alarm.ret_pc);
-        put_u64(out, alarm.actual);
-        put_u8(out, alarm.kernel_mode ? 1 : 0);
-        put_u32(out, tid);
+        w.u8(static_cast<std::uint8_t>(value));
+        w.u64(alarm.ret_pc);
+        w.u64(alarm.actual);
+        w.u8(alarm.kernel_mode ? 1 : 0);
+        w.u32(tid);
         break;
       case RecordType::kHalt:
       case RecordType::kDiskComplete:
@@ -179,22 +118,15 @@ Status
 LogRecord::decode(const std::vector<std::uint8_t>& data, std::size_t* pos,
                   LogRecord* out)
 {
-    const auto truncated = [&](const char* what) {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("record truncated at byte ", *pos,
-                                  " reading ", what));
-    };
-    std::uint8_t type_byte;
-    if (!get_u8(data, pos, &type_byte))
-        return truncated("type");
+    ByteReader in(data.data(), data.size(), "log record", *pos);
+    const std::uint8_t type_byte = in.u8();
     if (type_byte > static_cast<std::uint8_t>(RecordType::kDetectorAlarm)) {
-        return Status(StatusCode::kMalformedRecord,
-                      strcat_args("unknown record type ",
-                                  static_cast<unsigned>(type_byte)));
+        *pos = in.pos();
+        return in.reject(strcat_args("unknown record type ",
+                                     static_cast<unsigned>(type_byte)));
     }
     out->type = static_cast<RecordType>(type_byte);
-    if (!get_u64(data, pos, &out->icount))
-        return truncated("icount");
+    out->icount = in.u64();
     out->value = 0;
     out->addr = 0;
     out->tid = 0;
@@ -202,93 +134,58 @@ LogRecord::decode(const std::vector<std::uint8_t>& data, std::size_t* pos,
 
     switch (out->type) {
       case RecordType::kRdtsc:
-        if (!get_u64(data, pos, &out->value))
-            return truncated("rdtsc value");
-        return Status();
-      case RecordType::kIoIn: {
-        std::uint8_t lo, hi;
-        if (!get_u8(data, pos, &lo) || !get_u8(data, pos, &hi))
-            return truncated("pio port");
-        out->addr = lo | (static_cast<Addr>(hi) << 8);
-        if (!get_u64(data, pos, &out->value))
-            return truncated("pio value");
-        return Status();
-      }
-      case RecordType::kMmioRead: {
-        std::uint32_t offset;
-        if (!get_u32(data, pos, &offset))
-            return truncated("mmio offset");
-        out->addr = 0xF0000000ULL + offset;
-        if (!get_u64(data, pos, &out->value))
-            return truncated("mmio value");
-        return Status();
-      }
+        out->value = in.u64();
+        break;
+      case RecordType::kIoIn:
+        out->addr = in.u16();
+        out->value = in.u64();
+        break;
+      case RecordType::kMmioRead:
+        out->addr = 0xF0000000ULL + in.u32();
+        out->value = in.u64();
+        break;
       case RecordType::kNicDma: {
-        std::uint32_t len;
-        if (!get_u64(data, pos, &out->addr) || !get_u32(data, pos, &len))
-            return truncated("dma header");
-        if (*pos + len > data.size()) {
-            return Status(StatusCode::kTruncated,
-                          strcat_args("dma payload wants ", len,
-                                      " bytes, only ", data.size() - *pos,
-                                      " left"));
-        }
-        out->payload.assign(data.begin() + *pos, data.begin() + *pos + len);
-        *pos += len;
-        return Status();
+        out->addr = in.u64();
+        const std::uint32_t len = in.u32();
+        if (const std::uint8_t* bytes = in.bytes(len))
+            out->payload.assign(bytes, bytes + len);
+        break;
       }
-      case RecordType::kIrqInject: {
-        std::uint8_t vector;
-        if (!get_u8(data, pos, &vector))
-            return truncated("irq vector");
-        out->value = vector;
-        return Status();
-      }
+      case RecordType::kIrqInject:
+        out->value = in.u8();
+        break;
       case RecordType::kRasAlarm: {
-        std::uint8_t kind, kernel_mode;
-        if (!get_u8(data, pos, &kind) ||
-            !get_u64(data, pos, &out->alarm.ret_pc) ||
-            !get_u64(data, pos, &out->alarm.predicted) ||
-            !get_u64(data, pos, &out->alarm.actual) ||
-            !get_u64(data, pos, &out->alarm.sp_after) ||
-            !get_u8(data, pos, &kernel_mode) ||
-            !get_u32(data, pos, &out->tid)) {
-            return truncated("alarm fields");
-        }
+        const std::uint8_t kind = in.u8();
+        out->alarm.ret_pc = in.u64();
+        out->alarm.predicted = in.u64();
+        out->alarm.actual = in.u64();
+        out->alarm.sp_after = in.u64();
+        out->alarm.kernel_mode = in.u8() != 0;
+        out->tid = in.u32();
         if (kind > static_cast<std::uint8_t>(
-                       cpu::RasAlarmKind::kWhitelistMiss)) {
-            return Status(StatusCode::kMalformedRecord,
-                          strcat_args("unknown alarm kind ",
-                                      static_cast<unsigned>(kind)));
-        }
+                       cpu::RasAlarmKind::kWhitelistMiss))
+            in.reject(strcat_args("unknown alarm kind ",
+                                  static_cast<unsigned>(kind)));
         out->alarm.kind = static_cast<cpu::RasAlarmKind>(kind);
-        out->alarm.kernel_mode = kernel_mode != 0;
-        return Status();
+        break;
       }
       case RecordType::kRasEvict:
-        if (!get_u64(data, pos, &out->addr) ||
-            !get_u32(data, pos, &out->tid)) {
-            return truncated("evict fields");
-        }
-        return Status();
-      case RecordType::kDetectorAlarm: {
-        std::uint8_t id, kernel_mode;
-        if (!get_u8(data, pos, &id) ||
-            !get_u64(data, pos, &out->alarm.ret_pc) ||
-            !get_u64(data, pos, &out->alarm.actual) ||
-            !get_u8(data, pos, &kernel_mode) ||
-            !get_u32(data, pos, &out->tid)) {
-            return truncated("detector alarm fields");
-        }
-        out->value = id;
-        out->alarm.kernel_mode = kernel_mode != 0;
-        return Status();
-      }
+        out->addr = in.u64();
+        out->tid = in.u32();
+        break;
+      case RecordType::kDetectorAlarm:
+        out->value = in.u8();
+        out->alarm.ret_pc = in.u64();
+        out->alarm.actual = in.u64();
+        out->alarm.kernel_mode = in.u8() != 0;
+        out->tid = in.u32();
+        break;
       case RecordType::kHalt:
       case RecordType::kDiskComplete:
-        return Status();
+        break;
     }
-    return Status(StatusCode::kMalformedRecord, "unreachable record type");
+    *pos = in.pos();
+    return in.status();
 }
 
 bool

@@ -83,9 +83,10 @@ struct LogRecord {
 
     /**
      * Decode one record from @p data at offset @p pos (advanced past the
-     * record). On malformed input the status says which field of which
-     * record type was truncated or out of range — forensic detail the
-     * wire-level LoadReport carries up to the framework.
+     * record). On malformed input the status names the byte offset where
+     * decoding stopped and the field that overran or the value that is
+     * out of range — forensic detail the wire-level LoadReport carries
+     * up to the framework.
      */
     static Status decode(const std::vector<std::uint8_t>& data,
                          std::size_t* pos, LogRecord* out);

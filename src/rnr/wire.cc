@@ -7,6 +7,7 @@
 #include <nmmintrin.h>
 #endif
 
+#include "common/bytes.h"
 #include "common/log.h"
 
 namespace rsafe::rnr::wire {
@@ -39,62 +40,17 @@ crc32c_tables()
     return tables;
 }
 
-void
-put_u16(std::vector<std::uint8_t>* out, std::uint16_t v)
-{
-    out->push_back(static_cast<std::uint8_t>(v & 0xff));
-    out->push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-}
-
-void
-put_u32(std::vector<std::uint8_t>* out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void
-put_u64(std::vector<std::uint8_t>* out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-std::uint16_t
-read_u16(const std::uint8_t* p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-read_u32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-read_u64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /** Raw (no init/final XOR) slice-by-8 CRC update, for incremental use. */
 std::uint32_t
 crc32c_update_sw(std::uint32_t crc, const std::uint8_t* data,
                  std::size_t len)
 {
     const auto& t = crc32c_tables();
-    // Bytes are assembled explicitly (read_u32), so the result does not
+    // Bytes are assembled explicitly (load_le32), so the result does not
     // depend on host endianness.
     for (; len >= 8; data += 8, len -= 8) {
-        const std::uint32_t lo = crc ^ read_u32(data);
-        const std::uint32_t hi = read_u32(data + 4);
+        const std::uint32_t lo = crc ^ load_le32(data);
+        const std::uint32_t hi = load_le32(data + 4);
         crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
               t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
               t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^
@@ -155,20 +111,14 @@ crc32c_update(std::uint32_t crc, const std::uint8_t* data, std::size_t len)
     return update(crc, data, len);
 }
 
-/** CRC32C of (seq ++ length ++ payload), the per-frame checksum. */
+/** CRC32C of (seq ++ length ++ payload), the per-frame checksum, over
+ *  the frame starting at @p frame. */
 std::uint32_t
-frame_crc(std::uint32_t seq, std::uint32_t length,
-          const std::uint8_t* payload)
+frame_crc(const std::uint8_t* frame, std::size_t length)
 {
-    std::uint8_t prefix[8];
-    for (int i = 0; i < 4; ++i)
-        prefix[i] = static_cast<std::uint8_t>((seq >> (8 * i)) & 0xff);
-    for (int i = 0; i < 4; ++i)
-        prefix[4 + i] = static_cast<std::uint8_t>((length >> (8 * i)) & 0xff);
-    std::uint32_t crc = 0xffffffffu;
-    crc = crc32c_update(crc, prefix, sizeof(prefix));
-    crc = crc32c_update(crc, payload, length);
-    return crc ^ 0xffffffffu;
+    const std::uint32_t crc = crc32c_update(0xffffffffu, frame, 8);
+    return crc32c_update(crc, frame + kFrameHeaderSize, length) ^
+           0xffffffffu;
 }
 
 }  // namespace
@@ -216,22 +166,28 @@ std::uint64_t
 fnv1a64_u64(std::uint64_t value, std::uint64_t seed)
 {
     std::uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i)
-        bytes[i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
+    store_le(bytes, value, sizeof(bytes));
     return fnv1a64(bytes, sizeof(bytes), seed);
+}
+
+void
+encode_header(const Header& header, std::uint8_t* at)
+{
+    store_le(at, header.magic, 8);
+    store_le(at + 8, header.version, 2);
+    store_le(at + 10, static_cast<std::uint16_t>(header.kind), 2);
+    store_le(at + 12, header.flags, 4);
+    store_le(at + 16, header.frame_count, 8);
+    store_le(at + 24, 0, 4);  // reserved
+    store_le(at + 28, crc32c(at, kHeaderSize - 4), 4);
 }
 
 void
 encode_header(const Header& header, std::vector<std::uint8_t>* out)
 {
     const std::size_t base = out->size();
-    put_u64(out, header.magic);
-    put_u16(out, header.version);
-    put_u16(out, static_cast<std::uint16_t>(header.kind));
-    put_u32(out, header.flags);
-    put_u64(out, header.frame_count);
-    put_u32(out, 0);  // reserved
-    put_u32(out, crc32c(out->data() + base, kHeaderSize - 4));
+    out->resize(base + kHeaderSize);
+    encode_header(header, out->data() + base);
 }
 
 Status
@@ -242,44 +198,61 @@ decode_header(const std::vector<std::uint8_t>& bytes, Header* out)
                       strcat_args("image is ", bytes.size(),
                                   " bytes, wire header needs ", kHeaderSize));
     }
-    const std::uint8_t* p = bytes.data();
-    out->magic = read_u64(p);
+    ByteReader in(bytes.data(), kHeaderSize, "wire header");
+    out->magic = in.u64();
     if (out->magic != kMagic) {
         return Status(StatusCode::kBadMagic,
                       strcat_args("bad magic 0x", std::hex, out->magic,
                                   ", expected 0x", kMagic, std::dec));
     }
-    out->version = read_u16(p + 8);
+    out->version = in.u16();
     if (out->version != kVersion) {
         return Status(StatusCode::kBadVersion,
                       strcat_args("image is wire version ", out->version,
                                   "; this build reads version ", kVersion));
     }
-    const std::uint32_t stored_crc = read_u32(p + kHeaderSize - 4);
-    const std::uint32_t actual_crc = crc32c(p, kHeaderSize - 4);
+    out->kind = static_cast<PayloadKind>(in.u16());
+    out->flags = in.u32();
+    out->frame_count = in.u64();
+    (void)in.u32();  // reserved
+    const std::uint32_t stored_crc = in.u32();
+    const std::uint32_t actual_crc = crc32c(bytes.data(), kHeaderSize - 4);
     if (stored_crc != actual_crc) {
         return Status(StatusCode::kHeaderCorrupt,
                       strcat_args("header CRC 0x", std::hex, stored_crc,
                                   ", computed 0x", actual_crc, std::dec));
     }
-    out->kind = static_cast<PayloadKind>(read_u16(p + 10));
-    out->flags = read_u32(p + 12);
-    out->frame_count = read_u64(p + 16);
     return Status();
+}
+
+std::size_t
+begin_frame(std::uint32_t seq, std::vector<std::uint8_t>* image)
+{
+    const std::size_t frame = image->size();
+    image->resize(frame + kFrameHeaderSize);
+    store_le(image->data() + frame, seq, 4);
+    return frame;
+}
+
+void
+end_frame(std::size_t frame, std::size_t end, std::vector<std::uint8_t>* image)
+{
+    const std::size_t len = end - frame - kFrameHeaderSize;
+    if (len > kMaxFrameLength)
+        panic(strcat_args("wire frame payload of ", len, " bytes exceeds ",
+                          kMaxFrameLength));
+    std::uint8_t* p = image->data() + frame;
+    store_le(p + 4, len, 4);
+    store_le(p + 8, frame_crc(p, len), 4);
 }
 
 void
 append_frame(std::uint32_t seq, const std::uint8_t* payload, std::size_t len,
              std::vector<std::uint8_t>* out)
 {
-    if (len > kMaxFrameLength)
-        panic(strcat_args("wire frame payload of ", len, " bytes exceeds ",
-                          kMaxFrameLength));
-    const auto length = static_cast<std::uint32_t>(len);
-    put_u32(out, seq);
-    put_u32(out, length);
-    put_u32(out, frame_crc(seq, length, payload));
+    const std::size_t frame = begin_frame(seq, out);
     out->insert(out->end(), payload, payload + len);
+    end_frame(frame, out);
 }
 
 Status
@@ -288,12 +261,9 @@ set_header_version(std::vector<std::uint8_t>* image, std::uint16_t version)
     if (image->size() < kHeaderSize)
         return Status(StatusCode::kInvalidArgument,
                       "image too short to carry a wire header");
-    (*image)[8] = static_cast<std::uint8_t>(version & 0xff);
-    (*image)[9] = static_cast<std::uint8_t>((version >> 8) & 0xff);
-    const std::uint32_t crc = crc32c(image->data(), kHeaderSize - 4);
-    for (int i = 0; i < 4; ++i)
-        (*image)[kHeaderSize - 4 + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+    store_le(image->data() + 8, version, 2);
+    store_le(image->data() + kHeaderSize - 4,
+             crc32c(image->data(), kHeaderSize - 4), 4);
     return Status();
 }
 
@@ -350,9 +320,9 @@ read_frames(const std::vector<std::uint8_t>& bytes, PayloadKind expected_kind,
             return report;
         }
         const std::uint8_t* p = bytes.data() + pos;
-        const std::uint32_t seq = read_u32(p);
-        const std::uint32_t length = read_u32(p + 4);
-        const std::uint32_t stored_crc = read_u32(p + 8);
+        const std::uint32_t seq = load_le32(p);
+        const std::uint32_t length = load_le32(p + 4);
+        const std::uint32_t stored_crc = load_le32(p + 8);
         if (length > kMaxFrameLength) {
             report.status = Status(
                 StatusCode::kMalformedRecord,
@@ -368,8 +338,7 @@ read_frames(const std::vector<std::uint8_t>& bytes, PayloadKind expected_kind,
                             bytes.size() - pos - kFrameHeaderSize, " left"));
             return report;
         }
-        const std::uint8_t* payload = p + kFrameHeaderSize;
-        const std::uint32_t actual_crc = frame_crc(seq, length, payload);
+        const std::uint32_t actual_crc = frame_crc(p, length);
         if (stored_crc != actual_crc) {
             report.status = Status(
                 StatusCode::kChecksumMismatch,

@@ -105,6 +105,10 @@ struct Header {
 /** Append the 32-byte encoding of @p header (CRC computed here). */
 void encode_header(const Header& header, std::vector<std::uint8_t>* out);
 
+/** Write the 32-byte encoding of @p header at @p at (an image whose
+ *  frame count is known only once its frames are written). */
+void encode_header(const Header& header, std::uint8_t* at);
+
 /**
  * Decode and validate the header at the front of @p bytes.
  * Checks length, magic, version, and the header CRC — in that order, so
@@ -112,6 +116,22 @@ void encode_header(const Header& header, std::vector<std::uint8_t>* out);
  * checksum error.
  */
 Status decode_header(const std::vector<std::uint8_t>& bytes, Header* out);
+
+/**
+ * Frames written in place: begin_frame() appends frame @p seq's header
+ * with its length and CRC blank and returns the frame's offset; the
+ * caller appends the payload; end_frame() seals it, taking the payload
+ * to end at @p end (default: the end of @p image). @{
+ */
+std::size_t begin_frame(std::uint32_t seq, std::vector<std::uint8_t>* image);
+void end_frame(std::size_t frame, std::size_t end,
+               std::vector<std::uint8_t>* image);
+inline void
+end_frame(std::size_t frame, std::vector<std::uint8_t>* image)
+{
+    end_frame(frame, image->size(), image);
+}
+/** @} */
 
 /** Append one frame (sequence + length + CRC + payload) to @p out. */
 void append_frame(std::uint32_t seq, const std::uint8_t* payload,

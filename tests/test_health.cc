@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <netinet/in.h>
@@ -23,8 +24,11 @@
 #include "core/framework.h"
 #include "fleet/fleet.h"
 #include "obs/flight_recorder.h"
+#include "obs/forensic.h"
 #include "obs/health.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
 #include "workloads/generator.h"
@@ -295,6 +299,72 @@ TEST(HealthMonitor, HealthzAndGaugesCoverEveryTenant)
 
     EXPECT_NE(h.monitor.metrics_prometheus().find("rsafe_"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// JSON escaping: every obs emitter shares one escaper.
+
+TEST(ObsJson, EveryEmitterEscapesQuotesBackslashesAndControlBytes)
+{
+    // A quote, a backslash, a carriage return and a raw 0x01 byte.
+    const std::string nasty = "a\"b\\c\rd\x01" "e";
+    const std::string escaped = "a\\\"b\\\\c\\rd\\u0001e";
+    std::string direct;
+    obs::append_json_escaped(&direct, nasty);
+    EXPECT_EQ(direct, escaped);
+
+    // /healthz, keyed by tenant name.
+    HealthMonitor monitor(absolute_queue_rule(1, 1));
+    monitor.add_tenant(nasty, [] { return HealthSample(); });
+    monitor.tick();
+    EXPECT_NE(monitor.healthz_json().find("\"" + escaped + "\": {"),
+              std::string::npos)
+        << monitor.healthz_json();
+
+    // Metrics JSON, under the tenant's namespace.
+    stats::StatRegistry registry;
+    registry.counter("tenant." + nasty + ".ar.replays").inc();
+    const std::string metrics = obs::MetricsExporter(registry).to_json();
+    EXPECT_NE(metrics.find("\"tenant." + escaped + ".ar.replays\": 1"),
+              std::string::npos)
+        << metrics;
+
+    // The flight box: tenant and label.
+    FlightBox box;
+    obs::FlightEntry entry;
+    entry.tenant = nasty;
+    entry.label = nasty;
+    box.entries.push_back(entry);
+    const std::string flight = box.to_json();
+    EXPECT_NE(flight.find("\"tenant\": \"" + escaped + "\""),
+              std::string::npos)
+        << flight;
+    EXPECT_NE(flight.find("\"label\": \"" + escaped + "\""),
+              std::string::npos)
+        << flight;
+
+    // A forensic report naming the tenant's function.
+    obs::ForensicReport report;
+    report.faulting_function = nasty;
+    const std::string forensic = report.to_json();
+    EXPECT_NE(forensic.find("\"faulting_function\": \"" + escaped + "\""),
+              std::string::npos)
+        << forensic;
+
+    // The Chrome trace, on a thread named after the tenant.
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.set_enabled(true);
+    tracer.begin_session();
+    std::thread([&] {
+        tracer.attach_thread(nasty.c_str());
+        tracer.instant("tenant.tick", "test");
+    }).join();
+    const std::string trace = tracer.export_chrome_json();
+    tracer.set_enabled(false);
+    EXPECT_NE(trace.find("\"name\":\"" + escaped + "\""), std::string::npos)
+        << trace;
+    std::string error;
+    EXPECT_TRUE(obs::validate_trace_json(trace, &error)) << error;
 }
 
 TEST(HealthMonitor, KillSwitchAndEmptyMonitorStayInert)

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/policy.h"
+#include "common/bytes.h"
 #include "hv/hypervisor.h"
 #include "isa/assembler.h"
 #include "kernel/kernel_builder.h"
@@ -264,28 +265,55 @@ TEST(Policy, DeserializeRejectsForeignAndLyingPayloads)
     EXPECT_FALSE(
         analysis::StaticPolicy::deserialize(foreign, &decoded).ok());
 
-    // A policy that declares more sites than it carries is truncated
-    // even when every frame it does carry checks out.
-    std::vector<std::uint8_t> lying;
-    std::vector<std::uint8_t> head;
-    const auto put_u32 = [&head](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            head.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    // A policy image from hand-built frames: a head frame declaring
+    // @p sites sites, then @p site_frames.
+    const auto image = [](std::uint32_t sites,
+                          const std::vector<std::vector<std::uint8_t>>&
+                              site_frames) {
+        std::vector<std::uint8_t> head;
+        ByteWriter w(&head);
+        w.u32(sites);
+        w.u8(0);   // unbounded_store
+        w.u32(0);  // fallback
+        w.u32(0);  // code
+        w.u32(0);  // written
+        w.u32(0);  // jit
+        std::vector<std::uint8_t> out;
+        rnr::wire::Header header;
+        header.kind = rnr::wire::PayloadKind::kPolicyTable;
+        header.frame_count = 1 + site_frames.size();
+        rnr::wire::encode_header(header, &out);
+        rnr::wire::append_frame(0, head.data(), head.size(), &out);
+        for (std::size_t i = 0; i < site_frames.size(); ++i)
+            rnr::wire::append_frame(static_cast<std::uint32_t>(i + 1),
+                                    site_frames[i].data(),
+                                    site_frames[i].size(), &out);
+        return out;
     };
-    put_u32(2);          // declares two sites, ships none
-    head.push_back(0);   // unbounded_store
-    put_u32(0);          // fallback
-    put_u32(0);          // code
-    put_u32(0);          // written
-    put_u32(0);          // jit
-    rnr::wire::Header lying_header;
-    lying_header.kind = rnr::wire::PayloadKind::kPolicyTable;
-    lying_header.frame_count = 1;
-    rnr::wire::encode_header(lying_header, &lying);
-    rnr::wire::append_frame(0, head.data(), head.size(), &lying);
-    const Status status =
-        analysis::StaticPolicy::deserialize(lying, &decoded);
-    EXPECT_EQ(status.code(), StatusCode::kTruncated);
+
+    // A policy that declares more sites than it carries is truncated
+    // even when every frame it does carry checks out — also when the
+    // count is far beyond anything the image could hold.
+    for (const std::uint32_t declared : {2u, 0xffffffffu}) {
+        EXPECT_EQ(analysis::StaticPolicy::deserialize(image(declared, {}),
+                                                      &decoded)
+                      .code(),
+                  StatusCode::kTruncated)
+            << declared;
+    }
+
+    // A site frame whose target count the frame cannot hold is rejected
+    // before anything is allocated for it.
+    std::vector<std::uint8_t> site;
+    ByteWriter w(&site);
+    w.u64(0x1000);       // site
+    w.u8(2);             // resolved
+    w.u32(0xffffffffu);  // targets that never follow
+    w.u64(0x2000);
+    EXPECT_EQ(
+        analysis::StaticPolicy::deserialize(image(1, {site}), &decoded)
+            .code(),
+        StatusCode::kMalformedRecord);
 }
 
 TEST(Policy, CheckedInGoldensStayByteIdentical)

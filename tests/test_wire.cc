@@ -5,9 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "analysis/policy.h"
 #include "fault/injector.h"
+#include "obs/flight_recorder.h"
+#include "obs/forensic.h"
 #include "replay/checkpoint.h"
+#include "replay/ckpt_store/ckpt_image.h"
+#include "replay/ckpt_store/page_pool.h"
 #include "rnr/log_io.h"
 #include "rnr/wire.h"
 
@@ -342,6 +350,161 @@ TEST(LogRecordDecode, ErrorsNameFieldAndOffset)
     pos = 0;
     EXPECT_EQ(LogRecord::decode(bad_type, &pos, &out).code(),
               StatusCode::kMalformedRecord);
+}
+
+// ---------------------------------------------------------------------
+// Short frames under valid CRCs: only the in-frame decoder can notice.
+// ---------------------------------------------------------------------
+
+/** @p image with frame @p index's payload one byte shorter and every
+ *  frame re-sealed, so the envelope itself is intact. */
+std::vector<std::uint8_t>
+shorten_frame(const std::vector<std::uint8_t>& image, std::size_t index)
+{
+    wire::Header header;
+    std::vector<std::vector<std::uint8_t>> frames;
+    EXPECT_TRUE(wire::decode_header(image, &header).ok());
+    EXPECT_TRUE(wire::read_frames(image, header.kind,
+                                  [&](std::uint64_t, std::size_t offset,
+                                      std::size_t length) {
+                                      frames.emplace_back(
+                                          image.begin() + offset,
+                                          image.begin() + offset + length);
+                                      return Status();
+                                  })
+                    .intact());
+    frames.at(index).pop_back();
+    std::vector<std::uint8_t> out;
+    wire::encode_header(header, &out);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        wire::append_frame(static_cast<std::uint32_t>(i), frames[i].data(),
+                           frames[i].size(), &out);
+    return out;
+}
+
+TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
+{
+    using replay::ckpt::StoredPage;
+    replay::ckpt::PagePool pool;
+    std::vector<std::uint8_t> page(kPageSize, 0);
+    const auto zero = pool.intern(page.data());
+    for (std::size_t i = 0; i < kPageSize; ++i)
+        page[i] = static_cast<std::uint8_t>(7 * i + 13);
+    const auto raw = pool.intern(page.data());
+
+    replay::Checkpoint ck;
+    ck.id = 4;
+    ck.blockdev.write_payload = {1, 2, 3};
+    ck.ras.entries.push_back(cpu::RasEntry{0x2050, true});
+    ck.backras[2].entries.push_back(cpu::RasEntry{0x3000, false});
+    ck.pages = replay::ckpt::StoredPageTable(3);
+    ck.pages.set(0, zero);
+    ck.pages.set(1, raw);
+    ck.blocks = replay::ckpt::StoredPageTable(1);
+    ck.blocks.set(0, raw);
+
+    replay::ckpt::CheckpointDelta delta;
+    delta.num_pages = 3;
+    delta.num_blocks = 1;
+    delta.retired = {5};
+    delta.runs = {{0, 2, 7}, {3, 1, 0}};
+    delta.carried = {std::make_shared<const StoredPage>(
+        replay::ckpt::PageEncoding::kRaw,
+        std::vector<std::uint8_t>(page.begin(), page.end()), 7,
+        wire::crc32c(page))};
+
+    replay::CheckpointDigest digest;
+    digest.id = 9;
+
+    analysis::StaticPolicy policy;
+    policy.fallback = {0x1000, 0x2000};
+    policy.code = {{0x1000, 0x3000}};
+    policy.jit = {{0x8000, 0x9000}};
+    analysis::IndirectSite site;
+    site.site = 0x1100;
+    site.resolved = true;
+    site.targets = {0x1200, 0x1300};
+    policy.sites.push_back(site);
+    site.site = 0x1400;
+    site.resolved = false;
+    site.targets.clear();
+    policy.sites.push_back(site);
+
+    obs::ForensicReport report;
+    report.cause = "attack";
+    report.faulting_function = "k_vulnerable";
+    report.gadgets.push_back(
+        obs::GadgetInfo{0x6000, obs::GadgetClass::kLoad, "ld", "f"});
+
+    obs::FlightBox box;
+    box.reason = "dump";
+    obs::FlightEntry entry;
+    entry.tenant = "t";
+    entry.label = "l";
+    box.entries.push_back(entry);
+
+    using Decode = std::function<Status(const std::vector<std::uint8_t>&)>;
+    const struct {
+        const char* kind;
+        std::vector<std::uint8_t> image;
+        Decode decode;
+    } cases[] = {
+        {"input log", make_log(12).serialize(),
+         [](const auto& bytes) {
+             InputLog out;
+             return InputLog::deserialize(bytes, &out);
+         }},
+        {"checkpoint digest", digest.serialize(),
+         [](const auto& bytes) {
+             replay::CheckpointDigest out;
+             return replay::CheckpointDigest::deserialize(bytes, &out);
+         }},
+        {"checkpoint image", replay::ckpt::serialize_checkpoint(ck),
+         [](const auto& bytes) {
+             replay::Checkpoint out;
+             return replay::ckpt::deserialize_checkpoint(bytes, &out);
+         }},
+        {"checkpoint delta", replay::ckpt::serialize_delta(ck, delta),
+         [](const auto& bytes) {
+             replay::Checkpoint machine;
+             replay::ckpt::CheckpointDelta out;
+             return replay::ckpt::deserialize_delta(bytes, &machine, &out);
+         }},
+        {"policy table", policy.serialize(),
+         [](const auto& bytes) {
+             analysis::StaticPolicy out;
+             return analysis::StaticPolicy::deserialize(bytes, &out);
+         }},
+        {"forensic report", report.serialize(),
+         [](const auto& bytes) {
+             obs::ForensicReport out;
+             return obs::ForensicReport::deserialize(bytes, &out);
+         }},
+        {"flight box", box.serialize(),
+         [](const auto& bytes) {
+             obs::FlightBox out;
+             return obs::FlightBox::deserialize(bytes, &out);
+         }},
+    };
+    for (const auto& c : cases) {
+        ASSERT_TRUE(c.decode(c.image).ok()) << c.kind;
+        std::vector<wire::FrameSpan> spans;
+        ASSERT_TRUE(wire::index_frames(c.image, &spans).ok()) << c.kind;
+        std::size_t cut = 0;
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            if (spans[i].size == wire::kFrameHeaderSize)
+                continue;  // an empty frame has nothing to cut
+            const std::vector<std::uint8_t> damaged =
+                shorten_frame(c.image, i);
+            const Status status = c.decode(damaged);
+            EXPECT_TRUE(status.code() == StatusCode::kTruncated ||
+                        status.code() == StatusCode::kMalformedRecord)
+                << c.kind << " frame " << i << ": " << status.to_string();
+            EXPECT_FALSE(status.message().empty()) << c.kind;
+            ++cut;
+        }
+        EXPECT_GT(cut, 0u) << c.kind;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -89,8 +89,9 @@ run_fuzz() {
     cmake --build build-fuzz -j "$(nproc)" \
         --target fuzz_wire --target fuzz_log --target fuzz_checkpoint \
         --target fuzz_ckpt_image --target fuzz_ckpt_delta \
-        --target fuzz_flight
-    for target in wire log checkpoint ckpt_image ckpt_delta flight; do
+        --target fuzz_flight --target fuzz_forensic --target fuzz_policy
+    for target in wire log checkpoint ckpt_image ckpt_delta flight \
+            forensic policy; do
         corpus="$target"
         # Full-image seeds live under corpus/ckpt, delta seeds under
         # corpus/delta.

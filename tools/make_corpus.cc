@@ -11,6 +11,7 @@
 #include "ckpt_delta_sample.h"
 #include "fault/injector.h"
 #include "obs/flight_recorder.h"
+#include "obs/forensic.h"
 #include "replay/checkpoint.h"
 #include "replay/checkpoint_replayer.h"
 #include "replay/ckpt_store/ckpt_image.h"
@@ -29,10 +30,11 @@
  *
  * Emits two things:
  *
- *  - fuzz seed inputs under wire/, log/ and checkpoint/ — intact images
- *    of every artifact plus one deterministically-faulted variant per
- *    FaultKind, so the fuzzers start from inputs that reach deep into
- *    the decoders rather than dying at the magic check;
+ *  - fuzz seed inputs under wire/, log/, checkpoint/, ckpt/, delta/,
+ *    flight/ and forensic/ — intact images of every artifact plus one
+ *    deterministically-faulted variant per FaultKind, so the fuzzers
+ *    start from inputs that reach deep into the decoders rather than
+ *    dying at the magic check;
  *  - the golden replay corpus under golden/: one serialized recording of
  *    each Table 3 benchmark (golden_profile shape) plus manifest.txt
  *    with the machine digest each must replay to — the wire-compat CI
@@ -179,6 +181,38 @@ sample_flight_box()
     return box;
 }
 
+/**
+ * A small forensic report with two gadgets and strings that need
+ * escaping — seed material for the kForensicReport decoder fuzzer.
+ */
+obs::ForensicReport
+sample_forensic_report()
+{
+    obs::ForensicReport report;
+    report.log_index = 42;
+    report.icount = 987654;
+    report.cause = "attack";
+    report.is_attack = true;
+    report.kernel_mode = true;
+    report.ret_pc = 0x2048;
+    report.faulting_function = "k_vulnerable";
+    report.function_begin = 0x2000;
+    report.function_end = 0x2060;
+    report.expected_target = 0x2050;
+    report.call_site_function = "k_dispatch \"quoted\"";
+    report.actual_target = 0x6000;
+    report.target_function = "gadget\tzone";
+    report.tid = 3;
+    report.shadow_depth = 5;
+    report.shadow_delta = -2;
+    report.threads_tracked = 2;
+    report.gadgets.push_back(obs::GadgetInfo{
+        0x6000, obs::GadgetClass::kLoad, "ld r1, [sp+8]", "k_helper"});
+    report.gadgets.push_back(obs::GadgetInfo{
+        0x6100, obs::GadgetClass::kSystem, "syscall", ""});
+    return report;
+}
+
 /** Write @p image plus one faulted variant per FaultKind into @p dir. */
 void
 emit_fault_variants(const fs::path& dir, const std::string& stem,
@@ -260,7 +294,7 @@ main(int argc, char** argv)
     const fs::path root = argc > 1 ? fs::path(argv[1]) : "tests/corpus";
     for (const char* sub :
          {"wire", "log", "checkpoint", "ckpt", "delta", "flight",
-          "golden"})
+          "forensic", "golden"})
         fs::create_directories(root / sub);
 
     // ---- fuzz seeds -------------------------------------------------
@@ -351,6 +385,11 @@ main(int argc, char** argv)
     emit_fault_variants(root / "flight", "box", flight_image, 0x5EED0005);
     write_file(root / "flight" / "empty.bin",
                obs::FlightBox().serialize());
+
+    // forensic/: forensic reports for the report fuzzer — the sample
+    // plus one faulted variant per kind.
+    emit_fault_variants(root / "forensic", "report",
+                        sample_forensic_report().serialize(), 0x5EED0007);
 
     // wire/ mixes the payload kinds (the raw walker sees everything).
     emit_fault_variants(root / "wire", "log", small_image, 0x5EED0003);
