@@ -170,7 +170,7 @@ struct SimResult {
  * (excess parks in the tenant's FIFO); admitted jobs start on the
  * earliest-free of @p workers workers. Admission is FIFO over admit
  * times — with per-tenant caps this is the fair-share behaviour the real
- * pool's round-robin hand-off converges to, minus OS scheduling noise.
+ * pool's round-robin takes converge to, minus OS scheduling noise.
  */
 SimResult
 simulate_fleet(const std::vector<const TenantMeasure*>& tenants,
@@ -433,16 +433,12 @@ write_json(const char* path, const std::vector<TenantMeasure>& measures,
         f,
         "  \"fleet_run\": {\"workers\": %zu, \"wall_ms\": %.2f, "
         "\"determinism_ok\": %s, \"pool\": {\"submitted\": %llu, "
-        "\"executed\": %llu, \"discarded\": %llu, \"global_takes\": %llu, "
-        "\"steals\": %llu, \"stolen_jobs\": %llu, \"starved_waits\": "
+        "\"executed\": %llu, \"discarded\": %llu, \"starved_waits\": "
         "%llu, \"max_admitted\": %zu}},\n",
         kFleetWorkers, real.wall_ms, real.determinism_ok ? "true" : "false",
         static_cast<unsigned long long>(real.pool.submitted),
         static_cast<unsigned long long>(real.pool.executed),
         static_cast<unsigned long long>(real.pool.discarded),
-        static_cast<unsigned long long>(real.pool.global_takes),
-        static_cast<unsigned long long>(real.pool.steals),
-        static_cast<unsigned long long>(real.pool.stolen_jobs),
         static_cast<unsigned long long>(real.pool.starved_waits),
         real.pool.max_admitted);
 
@@ -551,11 +547,10 @@ main(int argc, char** argv)
 
     // 2. The real fleet (pool counters + A/B determinism).
     const FleetRun real = run_real_fleet(measures);
-    std::printf("fleet N=%zu W=%zu: %.0f ms, %llu jobs, %llu steals, "
+    std::printf("fleet N=%zu W=%zu: %.0f ms, %llu jobs, "
                 "%llu starved waits, determinism %s\n",
                 measures.size(), kFleetWorkers, real.wall_ms,
                 static_cast<unsigned long long>(real.pool.executed),
-                static_cast<unsigned long long>(real.pool.steals),
                 static_cast<unsigned long long>(real.pool.starved_waits),
                 real.determinism_ok ? "ok" : "BROKEN");
 

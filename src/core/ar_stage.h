@@ -20,8 +20,8 @@
  * verdict: the VM factory, the base replay options, and the active
  * detector complement. It is stateless across calls (every analyze()
  * builds fresh VMs), so a single instance is safely shared by any number
- * of worker threads — the fleet's shared work-stealing pool calls it from
- * every worker.
+ * of worker threads — the fleet's shared pool calls it from every
+ * worker.
  *
  * Records come from any LogSource resolving the [checkpoint, alarm]
  * range: an InputLogSource over a finished recording, or, in the fleet,

@@ -29,7 +29,7 @@
  * as the CR reaches it, packaged with an owned copy of the log records
  * between the originating checkpoint and the alarm — a self-contained
  * job any alarm-replay worker can execute without touching this
- * session's log. ReplayFleet runs N stages over one shared work-stealing
+ * session's log. ReplayFleet runs N stages over one shared fair-share
  * pool; RnrSafeFramework is a fleet of one.
  *
  * A stage built over a shipped log (the second constructor) has no

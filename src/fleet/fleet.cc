@@ -195,11 +195,9 @@ ReplayFleet::shutdown(ShutdownMode mode)
         abandon_requested_ = true;
     for (TenantState* state : live_states_)
         state->stage->request_stop();
-    // Discarding queued jobs waits out the ones already executing; fleet
-    // jobs never touch mu_, so holding it here only delays run()'s own
-    // brief bookkeeping sections.
+    // Discarding never blocks; run()'s drain() waits out the running jobs.
     if (abandon_requested_ && live_pool_ != nullptr)
-        live_pool_->abandon();
+        live_pool_->discard();
 }
 
 FleetResult
@@ -225,7 +223,7 @@ ReplayFleet::run()
     PoolOptions pool_options;
     pool_options.workers = options_.workers;
     pool_options.tenant_inflight_cap = options_.tenant_inflight_cap;
-    WorkStealingPool pool(pool_options);
+    FairSharePool pool(pool_options);
 
     obs::HealthMonitor monitor(options_.health);
     const bool health_on = monitor.live();
@@ -261,7 +259,7 @@ ReplayFleet::run()
         // the claimed slot, so out-of-order execution still lands in
         // alarm order.
         TenantState* raw = state.get();
-        WorkStealingPool* pool_ptr = &pool;
+        FairSharePool* pool_ptr = &pool;
         obs::FlightRecorder* flight_ptr = health_on ? &flight : nullptr;
         const bool ship = options_.ship_checkpoints;
         state->stage->set_alarm_sink(
@@ -460,9 +458,8 @@ ReplayFleet::run()
         abandon = abandon_requested_;
     }
     if (abandon)
-        pool.abandon();
-    else
-        pool.drain();
+        pool.discard();
+    pool.drain();
     out.pool = pool.stats();
     out.tenant_pool = pool.tenant_stats();
 
@@ -500,10 +497,8 @@ ReplayFleet::run()
     telemetry.stop();
 
     for (auto& state : states) {
-        if (state->error) {
-            pool.abandon();
+        if (state->error)
             std::rethrow_exception(state->error);
-        }
         if (state->job_error)
             std::rethrow_exception(state->job_error);
     }
@@ -584,14 +579,11 @@ ReplayFleet::collect_metrics(FleetResult* out)
             .set(0, tenant.bytes_shipped);
     }
     // Deterministic pool totals ride in counters; scheduling noise
-    // (steals, starvation, hand-off shapes) rides in gauges, which
-    // snapshot() excludes — same split the pipeline stats use.
+    // (starvation, high-water marks) rides in gauges, which snapshot()
+    // excludes — same split the pipeline stats use.
     metrics.counter("fleet.pool.submitted").inc(out->pool.submitted);
     metrics.counter("fleet.pool.executed").inc(out->pool.executed);
     metrics.counter("fleet.pool.discarded").inc(out->pool.discarded);
-    metrics.gauge("fleet.pool.global_takes").set(0, out->pool.global_takes);
-    metrics.gauge("fleet.pool.steals").set(0, out->pool.steals);
-    metrics.gauge("fleet.pool.stolen_jobs").set(0, out->pool.stolen_jobs);
     metrics.gauge("fleet.pool.starved_waits")
         .set(0, out->pool.starved_waits);
     metrics.gauge("fleet.pool.max_admitted").set(0, out->pool.max_admitted);

@@ -22,10 +22,10 @@
  * inverts that: each tenant is a SessionStage (recorder + checkpointing
  * replayer on its own threads) that *submits* self-contained
  * alarm-replay jobs — a PendingAlarm plus an owned [checkpoint, alarm]
- * log slice — to one WorkStealingPool sized once for the whole machine.
- * Fair-share admission keeps an alarm storm in one tenant from starving
- * the rest; work stealing keeps the workers busy when alarms arrive
- * unevenly. RnrSafeFramework is this fleet with one tenant.
+ * log slice — to one FairSharePool sized once for the whole machine.
+ * A per-tenant in-flight cap with round-robin takes keeps an alarm storm
+ * in one tenant from starving the rest. RnrSafeFramework is this fleet
+ * with one tenant.
  *
  * Determinism is preserved per tenant: jobs execute in any order on any
  * worker, but results are slotted by submission sequence (= alarm order,
@@ -37,6 +37,7 @@
  * Shutdown is two-mode (shutdown(), callable from any thread):
  * kDrain stops the sessions but lets every submitted alarm job finish;
  * kAbandon also discards queued jobs, flagging affected tenants partial.
+ * Neither blocks: run() is the one place that waits for the pool.
  */
 
 namespace rsafe::fleet {
@@ -142,7 +143,7 @@ struct FleetResult {
     /** @} */
 };
 
-/** N sessions, one shared work-stealing alarm-replay pool. */
+/** N sessions, one shared fair-share alarm-replay pool. */
 class ReplayFleet {
   public:
     ReplayFleet(std::vector<FleetTenant> tenants, FleetOptions options = {});
@@ -155,7 +156,8 @@ class ReplayFleet {
     /**
      * Wind down a run() in progress from any thread: every session gets
      * request_stop(); kAbandon additionally discards alarm jobs not yet
-     * executing. Idempotent; kAbandon wins if both modes are requested.
+     * executing. Never waits for running jobs. Idempotent; kAbandon wins
+     * if both modes are requested.
      */
     void shutdown(ShutdownMode mode);
 
@@ -174,7 +176,7 @@ class ReplayFleet {
     bool shutdown_requested_ = false;
     bool abandon_requested_ = false;
     std::vector<TenantState*> live_states_;
-    WorkStealingPool* live_pool_ = nullptr;
+    FairSharePool* live_pool_ = nullptr;
 };
 
 }  // namespace rsafe::fleet

@@ -37,8 +37,8 @@
  *
  * Images must be ingested in stream order. The receiver queues them and
  * take(n) first ingests every earlier image still queued, so jobs that
- * run out of order, are stolen, or are abandoned can never strand a key
- * a later image relies on.
+ * run out of order or are discarded can never strand a key a later
+ * image relies on.
  */
 
 namespace rsafe::replay {

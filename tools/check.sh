@@ -23,7 +23,9 @@
 #                             # missing from the baseline fails;
 #                             # RSAFE_BENCH_GATE_TOLERANCE overrides 10%).
 #   tools/check.sh fleet      # multi-tenant gate: test_fleet (determinism,
-#                             # shutdown, metric namespacing) plus
+#                             # shutdown, metric namespacing), every
+#                             # Abandon/Drain/FairSharePool test repeated
+#                             # until-fail:20, plus
 #                             # bench_fleet --gate against the committed
 #                             # BENCH_fleet.json (aggregate throughput and
 #                             # benign-tenant p99 regression thresholds;
@@ -142,8 +144,14 @@ run_fleet() {
     # themselves are simulated cycles and machine-independent.
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-rel -j "$(nproc)" --target test_fleet \
-        --target bench_fleet
+        --target test_work_pool --target test_ckpt_store \
+        --target test_log_channel --target bench_fleet
     ./build-rel/tests/test_fleet
+    # Shutdown races (a discard or abandon that fails to wake a waiter)
+    # surface as flakes, not as deterministic failures: repeat every
+    # shutdown test so a recurrence fails here.
+    ctest --test-dir build-rel --output-on-failure -j "$(nproc)" \
+        -R 'Abandon|Drain|FairSharePool' --repeat until-fail:20
     # Run inside build-rel so the freshly measured JSON lands there
     # instead of clobbering the committed baseline it is gated against.
     (cd build-rel &&
