@@ -73,7 +73,6 @@ struct PipelineRun {
     std::vector<Cycles> ar_cycles;  ///< per alarm replay, in alarm order
     std::size_t alarms_logged = 0;
     std::uint64_t max_replay_lag = 0;
-    std::uint64_t producer_waits = 0;
     std::uint64_t consumer_waits = 0;
 };
 
@@ -99,7 +98,6 @@ run_pipeline(const core::VmFactory& factory, core::PipelineMode mode,
         run.ar_cycles.push_back(ar.analysis.analysis_cycles);
     run.alarms_logged = result.alarms_logged;
     run.max_replay_lag = result.replay_lag.max_lag;
-    run.producer_waits = result.channel_stats.producer_waits;
     run.consumer_waits = result.channel_stats.consumer_waits;
     return run;
 }
@@ -193,13 +191,11 @@ write_json(const char* path, const std::vector<WorkloadReport>& reports)
                 f,
                 "        {\"ar_workers\": %zu, \"wall_ms\": %.2f, "
                 "\"sim_cycles\": %llu, \"sim_speedup\": %.2f, "
-                "\"max_replay_lag\": %llu, \"producer_waits\": %llu, "
-                "\"consumer_waits\": %llu}%s\n",
+                "\"max_replay_lag\": %llu, \"consumer_waits\": %llu}%s\n",
                 workers, run.wall_ms,
                 static_cast<unsigned long long>(sim),
                 sim > 0 ? double(serial_sim) / double(sim) : 0.0,
                 static_cast<unsigned long long>(run.max_replay_lag),
-                static_cast<unsigned long long>(run.producer_waits),
                 static_cast<unsigned long long>(run.consumer_waits),
                 j + 1 < report.concurrent.size() ? "," : "");
         }

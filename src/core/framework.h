@@ -13,7 +13,6 @@
 #include "obs/health.h"
 #include "obs/telemetry.h"
 #include "replay/checkpoint_replayer.h"
-#include "rnr/log_channel.h"
 #include "rnr/recorder.h"
 #include "rnr/wire.h"
 #include "stats/stats.h"
@@ -43,13 +42,13 @@
  *  - kSerial records, then replays the finished log, while one pool
  *    worker replays the alarms in the order the CR queues them — the
  *    reference for determinism A/B testing;
- *  - kConcurrent is the paper's actual deployment shape: the recorder
- *    streams the log through a bounded LogChannel to the CR, which runs
- *    on its own thread *while recording is still in progress* (replay
- *    lag, not a post-hoc batch pass, bounds detection latency), and the
- *    pending alarms fan out across ar_workers pool workers as the CR
- *    queues them. Results are merged back in alarm order, so both shapes
- *    produce bit-identical outcomes.
+ *  - kConcurrent is the paper's actual deployment shape: the CR runs on
+ *    its own thread and reads the recorder's one input log in place
+ *    *while recording is still in progress* (replay lag, not a post-hoc
+ *    batch pass, bounds detection latency; the recorder never waits for
+ *    the CR), and the pending alarms fan out across ar_workers pool
+ *    workers as the CR queues them. Results are merged back in alarm
+ *    order, so both shapes produce bit-identical outcomes.
  *
  * The caller supplies a VmFactory that builds identically-configured VMs
  * (same images, tasks, and device seeds); the recorded VM, the CR VM, and
@@ -83,8 +82,6 @@ struct FrameworkConfig {
      * (0 counts as 1); the serial pipeline always uses one worker.
      */
     std::size_t ar_workers = 2;
-    /** Recorder->CR streaming channel shape (concurrent pipeline only). */
-    rnr::ChannelOptions channel;
     /**
      * Pluggable detector complement (see core/detector.h). When set, the
      * framework arms every detector on the recorded VM before recording
@@ -123,7 +120,7 @@ struct FrameworkResult {
      *  against a finished log it is the distance to the recording end). */
     rnr::ReplayLag replay_lag;
 
-    /** Recorder->CR channel traffic (concurrent pipeline only). */
+    /** Recorder->CR traffic (concurrent pipeline only). */
     rnr::ChannelStats channel_stats;
 
     /** Pipeline-wide counters, merged from per-component and per-alarm

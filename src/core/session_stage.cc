@@ -1,7 +1,6 @@
 #include "core/session_stage.h"
 
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "common/log.h"
@@ -43,16 +42,13 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
         detectors_armed_ = true;
     }
 
+    // Streamed shape: the CR reads the recorder's log in place while it
+    // grows. Serial shape: the same log, read once recording is done.
     if (options_.streamed) {
-        // Streaming shape: both VMs and both engines are built up front
-        // on this thread; only run() executes on the component threads.
-        channel_ = std::make_unique<rnr::LogChannel>(options_.channel);
-        recorder_->attach_stream(channel_.get());
-        reader_ = std::make_unique<rnr::LogReader>(channel_.get());
-        build_cr(reader_.get());
+        stream_ = std::make_unique<rnr::LogStream>();
+        recorder_->attach_stream(stream_.get());
     }
-    // Sequential shape: the CR is built by run() once recording is done,
-    // so its source sees the finished log (lag = distance to the end).
+    build_cr(&recorder_->log());
 }
 
 SessionStage::SessionStage(VmFactory factory, SessionOptions options,
@@ -68,47 +64,33 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
     // The log is complete already: nothing to stream, nothing to arm.
     options_.streamed = false;
     active_detectors_ = in_effect(detectors_);
+    build_cr(shipped_log_.get());
 }
 
 void
-SessionStage::build_cr(rnr::LogSource* source)
+SessionStage::build_cr(const rnr::InputLog* log)
 {
+    source_ = std::make_unique<rnr::InputLogSource>(log, stream_.get());
     cr_vm_ = factory_();
-    {
-        std::lock_guard<std::mutex> lock(stop_mu_);
-        cr_ = std::make_unique<replay::CheckpointReplayer>(
-            cr_vm_.get(), source, options_.cr);
-        if (stop_flag_)
-            cr_->request_stop();
-    }
-    if (health_probe_ != nullptr)
-        cr_->set_health_probe(health_probe_);
-    install_cr_sink(source);
+    cr_ = std::make_unique<replay::CheckpointReplayer>(
+        cr_vm_.get(), source_.get(), options_.cr);
 }
 
 void
 SessionStage::set_health_probe(obs::HealthProbe* probe)
 {
-    health_probe_ = probe;
-    if (cr_)
-        cr_->set_health_probe(probe);
-}
-
-rnr::ChannelStats
-SessionStage::live_channel_stats() const
-{
-    return channel_ ? channel_->stats() : rnr::ChannelStats();
+    cr_->set_health_probe(probe);
 }
 
 void
-SessionStage::install_cr_sink(rnr::LogSource* source)
+SessionStage::install_cr_sink()
 {
     if (!sink_)
         return;
     // Runs on the CR's thread: every index up to the alarm has been
     // awaited by the CR already, so at() is immediate, and copying here
-    // keeps the job independent of this session's growing log.
-    cr_->set_alarm_sink([this, source](const replay::PendingAlarm& p) {
+    // makes the job a self-contained payload for any AR worker.
+    cr_->set_alarm_sink([this](const replay::PendingAlarm& p) {
         AlarmJob job;
         job.pending = p;
         // No checkpoint (interval 0, or recycled past the alarm): the job
@@ -118,7 +100,7 @@ SessionStage::install_cr_sink(rnr::LogSource* source)
             p.checkpoint ? p.checkpoint->log_pos : p.log_index;
         job.slice.reserve(p.log_index + 1 - base);
         for (std::size_t i = base; i <= p.log_index; ++i)
-            job.slice.push_back(source->at(i));
+            job.slice.push_back(source_->at(i));
         sink_(job);
     });
 }
@@ -126,12 +108,9 @@ SessionStage::install_cr_sink(rnr::LogSource* source)
 void
 SessionStage::request_stop()
 {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_flag_ = true;
     if (recorder_)
         recorder_->request_stop();
-    if (cr_)
-        cr_->request_stop();
+    cr_->request_stop();
 }
 
 void
@@ -150,102 +129,72 @@ SessionStage::run()
     if (ran_)
         fatal("SessionStage: run() called twice");
     ran_ = true;
-    return options_.streamed ? run_streamed() : run_sequential();
-}
+    // The caller installs its sink after construction; hook it up now.
+    install_cr_sink();
 
-SessionResult
-SessionStage::run_sequential()
-{
     SessionResult result;
-
-    // 1. Monitored recording (a replay-only session has its log already).
-    if (recorder_) {
+    const auto record = [&] {
         obs::ScopedSpan span("record.run", "record");
         result.record_result = recorder_->run(options_.max_instructions);
+    };
+    const auto replay = [&] {
+        obs::ScopedSpan span("cr.run", "cr");
+        result.cr_outcome = cr_->run();
+    };
+
+    if (!stream_) {
+        // Serial or replay-only: the log is complete when the CR starts.
+        if (recorder_)
+            record();
+        disarm_detectors();
+        replay();
+    } else {
+        // Record and replay concurrently: the CR reads the recorder's log
+        // in place while it grows (Figure 1's arrow is a live log, not a
+        // file handed over after the fact). The recorder never waits for
+        // the CR, so a CR that stops or throws cannot park it.
+        const std::string rec_thread =
+            options_.name.empty() ? "recorder" : options_.name + ".recorder";
+        const std::string cr_thread =
+            options_.name.empty() ? "cr" : options_.name + ".cr";
+        std::exception_ptr record_error, cr_error;
+        std::thread record_thread([&] {
+            try {
+                if (obs::Tracer::instance().enabled())
+                    obs::Tracer::instance().attach_thread(rec_thread.c_str());
+                record();
+                stream_->close();
+            } catch (...) {
+                record_error = std::current_exception();
+                stream_->poison();
+            }
+        });
+        std::thread cr_thread_obj([&] {
+            try {
+                if (obs::Tracer::instance().enabled())
+                    obs::Tracer::instance().attach_thread(cr_thread.c_str());
+                replay();
+            } catch (...) {
+                cr_error = std::current_exception();
+            }
+        });
+        record_thread.join();
+        cr_thread_obj.join();
+        // The stream belongs to this stage; the recorder must not keep a
+        // pointer to it once the run is over.
+        recorder_->attach_stream(nullptr);
+        disarm_detectors();
+        if (record_error)
+            std::rethrow_exception(record_error);
+        if (cr_error)
+            std::rethrow_exception(cr_error);
+        result.channel_stats.consumer_waits = stream_->consumer_waits();
     }
-    disarm_detectors();
 
     const rnr::InputLog& log = recorder_ ? recorder_->log() : *shipped_log_;
     result.alarms_logged =
         log.find_all(rnr::RecordType::kRasAlarm).size() +
         log.find_all(rnr::RecordType::kDetectorAlarm).size();
-
-    // 2. Checkpointing replay over the finished log.
-    seq_source_ = std::make_unique<rnr::InputLogSource>(&log);
-    build_cr(seq_source_.get());
-    {
-        obs::ScopedSpan span("cr.run", "cr");
-        result.cr_outcome = cr_->run();
-    }
-    result.stopped =
-        (result.record_result == hv::RunResult::kInstrLimit &&
-         recorder_->stop_requested()) ||
-        result.cr_outcome == rnr::ReplayOutcome::kStopRequested ||
-        result.cr_outcome == rnr::ReplayOutcome::kLogAborted;
-    return result;
-}
-
-SessionResult
-SessionStage::run_streamed()
-{
-    SessionResult result;
-    // The CR was built at construction, before the caller could install
-    // its sink; hook it up now.
-    install_cr_sink(reader_.get());
-    const std::string rec_thread =
-        options_.name.empty() ? "recorder" : options_.name + ".recorder";
-    const std::string cr_thread =
-        options_.name.empty() ? "cr" : options_.name + ".cr";
-
-    // Record and replay concurrently: the recorder streams the log
-    // through the bounded channel; the CR consumes it on the fly
-    // (Figure 1's arrow is a live queue, not a file handed over after
-    // the fact).
-    std::exception_ptr record_error, cr_error;
-    std::thread record_thread([&] {
-        try {
-            if (obs::Tracer::instance().enabled())
-                obs::Tracer::instance().attach_thread(rec_thread.c_str());
-            obs::ScopedSpan span("record.run", "record");
-            result.record_result =
-                recorder_->run(options_.max_instructions);
-            channel_->close();
-        } catch (...) {
-            record_error = std::current_exception();
-            channel_->poison();
-        }
-    });
-    std::thread cr_thread_obj([&] {
-        try {
-            if (obs::Tracer::instance().enabled())
-                obs::Tracer::instance().attach_thread(cr_thread.c_str());
-            obs::ScopedSpan span("cr.run", "cr");
-            result.cr_outcome = cr_->run();
-        } catch (...) {
-            cr_error = std::current_exception();
-        }
-        // Unblock the producer in every exit path: a CR that returned
-        // early (stop request, poisoned stream, exception) must not
-        // leave the recorder parked on backpressure forever. After a
-        // normal, fully-drained completion this is a no-op.
-        channel_->abandon();
-    });
-    record_thread.join();
-    cr_thread_obj.join();
-    // The channel belongs to this stage; the recorder must not keep a
-    // pointer to it once the run is over.
-    recorder_->attach_stream(nullptr);
-    disarm_detectors();
-    if (record_error)
-        std::rethrow_exception(record_error);
-    if (cr_error)
-        std::rethrow_exception(cr_error);
-
-    const rnr::InputLog& log = recorder_->log();
-    result.alarms_logged =
-        log.find_all(rnr::RecordType::kRasAlarm).size() +
-        log.find_all(rnr::RecordType::kDetectorAlarm).size();
-    result.channel_stats = channel_->stats();
     result.stopped =
         (result.record_result == hv::RunResult::kInstrLimit &&
          recorder_->stop_requested()) ||

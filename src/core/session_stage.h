@@ -2,14 +2,12 @@
 #define RSAFE_CORE_SESSION_STAGE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/ar_stage.h"
 #include "hv/vm.h"
 #include "replay/checkpoint_replayer.h"
-#include "rnr/log_channel.h"
 #include "rnr/log_source.h"
 #include "rnr/recorder.h"
 
@@ -18,10 +16,12 @@
  * The recorder+CR front half of the pipeline as a detachable stage.
  *
  * One SessionStage owns one guest session: the recorded VM with its
- * Recorder, and the checkpointing-replayer VM consuming the log — either
- * streamed through a bounded LogChannel while recording is still in
+ * Recorder, and the checkpointing-replayer VM consuming the recorder's
+ * log in place — either on its own thread while recording is still in
  * progress (the paper's deployment shape) or back-to-back over the
  * finished log (the serial reference used for determinism A/B testing).
+ * Both shapes build the CR at construction over the same one log; the
+ * recorder never waits for the CR.
  *
  * What makes it a *stage* rather than a whole pipeline is what it does
  * with alarms: it does not replay them. Every alarm the CR cannot
@@ -33,9 +33,9 @@
  * pool; RnrSafeFramework is a fleet of one.
  *
  * A stage built over a shipped log (the second constructor) has no
- * recorded VM and no recorder: run() replays that log through the
- * sequential CR, which is the replay-machine half of Figure 1 for a log
- * that arrived over the wire.
+ * recorded VM and no recorder: run() replays that log on the calling
+ * thread, which is the replay-machine half of Figure 1 for a log that
+ * arrived over the wire.
  */
 
 namespace rsafe::core {
@@ -48,9 +48,7 @@ struct SessionOptions {
     replay::CrOptions cr;
     /** Stop the recorded run after this many guest instructions. */
     InstrCount max_instructions = ~static_cast<InstrCount>(0);
-    /** Recorder->CR streaming channel shape (streamed mode only). */
-    rnr::ChannelOptions channel;
-    /** true = stream record->CR on two threads; false = back-to-back. */
+    /** true = record and replay on two threads; false = back-to-back. */
     bool streamed = true;
     /**
      * Tenant name used to prefix this session's trace-track names
@@ -66,7 +64,7 @@ struct SessionResult {
     rnr::ReplayOutcome cr_outcome = rnr::ReplayOutcome::kFinished;
     /** Raw alarm markers in the log. */
     std::size_t alarms_logged = 0;
-    /** Recorder->CR channel traffic (streamed mode only). */
+    /** Recorder->CR traffic (streamed mode only). */
     rnr::ChannelStats channel_stats;
     /** True if a request_stop() cut recording or replay short. */
     bool stopped = false;
@@ -96,7 +94,7 @@ class SessionStage {
 
     /**
      * A replay-only session over @p log (not null): nothing is recorded
-     * or armed, and run() drives the sequential CR over the log whatever
+     * or armed, and run() replays the log on the calling thread whatever
      * options.streamed says. @p detectors still supplies the classifiers
      * for the log's kDetectorAlarm records.
      */
@@ -125,20 +123,9 @@ class SessionStage {
     /** The in-effect detector set (null when none or empty). */
     const DetectorSet* active_detectors() const { return active_detectors_; }
 
-    /**
-     * Attach the live health probe this session publishes into. Applies
-     * to the CR immediately when it already exists (streamed shape) and
-     * is re-applied when the sequential shape builds it lazily. Call
-     * before run().
-     */
+    /** Attach the live health probe the CR publishes into. Call before
+     *  run(). */
     void set_health_probe(obs::HealthProbe* probe);
-
-    /**
-     * Live recorder->CR channel statistics (streamed shape; zeros
-     * before the channel exists). LogChannel::stats() is mutex-guarded,
-     * so the health monitor may call this mid-run.
-     */
-    rnr::ChannelStats live_channel_stats() const;
 
     /** Component access (valid until the matching release_*()). @{ */
     hv::Vm* recorded_vm() { return recorded_vm_.get(); }
@@ -155,15 +142,12 @@ class SessionStage {
     /** @} */
 
   private:
-    SessionResult run_streamed();
-    SessionResult run_sequential();
+    /** Build the CR (+VM) reading @p log in place. */
+    void build_cr(const rnr::InputLog* log);
 
-    /** Build the CR (+VM) over @p source and hook up the alarm sink. */
-    void build_cr(rnr::LogSource* source);
-
-    /** Wrap sink_: copy the [checkpoint, alarm] slice out of @p source
+    /** Wrap sink_: copy the [checkpoint, alarm] slice out of the log
      *  (on the CR thread) and forward the job. */
-    void install_cr_sink(rnr::LogSource* source);
+    void install_cr_sink();
 
     void disarm_detectors();
 
@@ -175,19 +159,15 @@ class SessionStage {
 
     AlarmSink sink_;
     bool ran_ = false;
-    obs::HealthProbe* health_probe_ = nullptr;
-
-    /** Guards cr_ against a request_stop() racing its lazy build. */
-    std::mutex stop_mu_;
-    bool stop_flag_ = false;
 
     /** The shipped log a replay-only session runs over (else null). */
     std::shared_ptr<const rnr::InputLog> shipped_log_;
     std::unique_ptr<hv::Vm> recorded_vm_;
     std::unique_ptr<rnr::Recorder> recorder_;
-    std::unique_ptr<rnr::LogChannel> channel_;
-    std::unique_ptr<rnr::LogReader> reader_;
-    std::unique_ptr<rnr::InputLogSource> seq_source_;
+    /** Wakes the CR as the recorder appends (streamed shape; else null). */
+    std::unique_ptr<rnr::LogStream> stream_;
+    /** The CR's view of the one log (recorder's or shipped). */
+    std::unique_ptr<rnr::InputLogSource> source_;
     std::unique_ptr<hv::Vm> cr_vm_;
     std::unique_ptr<replay::CheckpointReplayer> cr_;
 };

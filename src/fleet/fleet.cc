@@ -41,7 +41,7 @@ finalize_result(core::FrameworkResult* result,
 
     // Pipeline-wide counters. Only values that are bit-identical across
     // pipeline modes belong here (the determinism A/B test compares the
-    // whole snapshot); lag and channel traffic stay in their own fields.
+    // whole snapshot); lag and stream traffic stay in their own fields.
     // Replay-only runs (replay_wire) have no recording stage.
     auto& stats = result->pipeline_stats;
     if (result->recorded_vm && result->recorder) {
@@ -238,7 +238,6 @@ ReplayFleet::run()
         session.recorder = tenant.config.recorder;
         session.cr = tenant.config.cr;
         session.max_instructions = tenant.config.max_instructions;
-        session.channel = tenant.config.channel;
         session.streamed =
             tenant.config.pipeline == core::PipelineMode::kConcurrent;
         session.name = tenant.name;
@@ -348,9 +347,8 @@ ReplayFleet::run()
             });
 
         if (health_on) {
-            // The sampler runs on the monitor thread: probe atomics,
-            // the mutex-guarded live channel stats, and the pool's
-            // locked stats are the only live state it touches.
+            // The sampler runs on the monitor thread: probe atomics and
+            // the pool's locked stats are the only live state it touches.
             state->stage->set_health_probe(&raw->probe);
             monitor.add_tenant(raw->name, [raw, pool_ptr] {
                 obs::HealthSample sample;
@@ -362,8 +360,6 @@ ReplayFleet::run()
                 sample.set(obs::HealthSignal::kVerdictLatency,
                            raw->probe.verdict_cycles_peak.exchange(
                                0, std::memory_order_relaxed));
-                sample.set(obs::HealthSignal::kChannelBackpressure,
-                           raw->stage->live_channel_stats().producer_waits);
                 const std::uint64_t budget =
                     raw->probe.ckpt_budget_bytes.load(
                         std::memory_order_relaxed);

@@ -19,8 +19,7 @@ constexpr std::size_t kLatencyHistBuckets = 64;
 bool
 is_cumulative(HealthSignal signal)
 {
-    return signal == HealthSignal::kChannelBackpressure ||
-           signal == HealthSignal::kPoolStarvation;
+    return signal == HealthSignal::kPoolStarvation;
 }
 
 }  // namespace
@@ -32,7 +31,6 @@ health_signal_name(HealthSignal signal)
       case HealthSignal::kReplayLag: return "replay_lag";
       case HealthSignal::kVerdictLatency: return "verdict_latency";
       case HealthSignal::kQueueDepth: return "queue_depth";
-      case HealthSignal::kChannelBackpressure: return "channel_backpressure";
       case HealthSignal::kCkptOccupancy: return "ckpt_occupancy";
       case HealthSignal::kPoolStarvation: return "pool_starvation";
     }
@@ -85,18 +83,6 @@ default_slo_rules()
         r.signal = HealthSignal::kVerdictLatency;
         r.degraded_at = 8ull << 20;
         r.critical_at = 32ull << 20;
-        rules.push_back(r);
-    }
-
-    // Producer waits per tick: the recorder blocking on the channel is
-    // the pipeline's backpressure signal. Relative with a floor so a
-    // handful of waits around chunk boundaries stays quiet.
-    {
-        SloRule r;
-        r.signal = HealthSignal::kChannelBackpressure;
-        r.degraded_x = 4.0;
-        r.critical_x = 16.0;
-        r.baseline_floor = 8;
         rules.push_back(r);
     }
 

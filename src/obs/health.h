@@ -44,12 +44,11 @@ enum class HealthSignal : std::uint8_t {
     kReplayLag = 0,           ///< CR instructions behind the recorder
     kVerdictLatency = 1,      ///< AR analysis latency p99 (sim cycles)
     kQueueDepth = 2,          ///< alarms queued but not yet decided
-    kChannelBackpressure = 3, ///< log-channel producer waits (per tick)
-    kCkptOccupancy = 4,       ///< checkpoint-store budget occupancy (%)
-    kPoolStarvation = 5,      ///< pool starved waits (per tick)
+    kCkptOccupancy = 3,       ///< checkpoint-store budget occupancy (%)
+    kPoolStarvation = 4,      ///< pool starved waits (per tick)
 };
 
-inline constexpr std::size_t kNumHealthSignals = 6;
+inline constexpr std::size_t kNumHealthSignals = 5;
 
 /** @return a short stable name for @p signal ("replay_lag", …). */
 const char* health_signal_name(HealthSignal signal);

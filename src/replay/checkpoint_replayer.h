@@ -56,7 +56,7 @@ class CheckpointReplayer : public rnr::Replayer {
                        const CrOptions& options);
 
     /** Streaming variant: consume records on the fly from @p source
-     *  (a LogReader draining the recorder's channel, Figure 1's arrow). */
+     *  (the recorder's log read in place, Figure 1's arrow). */
     CheckpointReplayer(hv::Vm* vm, rnr::LogSource* source,
                        const CrOptions& options);
 

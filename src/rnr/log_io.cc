@@ -1,54 +1,109 @@
 #include "rnr/log_io.h"
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <new>
+#include <utility>
 
 #include "common/log.h"
 #include "obs/trace.h"
 
 namespace rsafe::rnr {
 
+InputLog::~InputLog()
+{
+    clear();
+}
+
+InputLog::InputLog(InputLog&& other) noexcept
+{
+    *this = std::move(other);
+}
+
+InputLog&
+InputLog::operator=(InputLog&& other) noexcept
+{
+    if (this == &other)
+        return *this;
+    clear();
+    segments_ = std::move(other.segments_);
+    size_.store(other.size_.exchange(0, std::memory_order_relaxed),
+                std::memory_order_relaxed);
+    total_bytes_ = std::exchange(other.total_bytes_, 0);
+    return *this;
+}
+
+void
+InputLog::FreeSegment::operator()(LogRecord* segment) const
+{
+    ::operator delete(segment);
+}
+
+std::pair<std::size_t, std::size_t>
+InputLog::locate(std::size_t index)
+{
+    // Segment k starts at kFirstSegment * (2^k - 1).
+    const std::size_t k =
+        std::bit_width((index >> kFirstSegmentBits) + 1) - 1;
+    return {k, index + kFirstSegment - (kFirstSegment << k)};
+}
+
+LogRecord*
+InputLog::slot(std::size_t index) const
+{
+    const auto [segment, offset] = locate(index);
+    return segments_[segment].get() + offset;
+}
+
+void
+InputLog::clear()
+{
+    const std::size_t n = size_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i)
+        slot(i)->~LogRecord();
+    for (Segment& segment : segments_)
+        segment.reset();
+    size_.store(0, std::memory_order_relaxed);
+    total_bytes_ = 0;
+}
+
 std::size_t
 InputLog::append(LogRecord record)
 {
+    const std::size_t index = size_.load(std::memory_order_relaxed);
+    const auto [segment, offset] = locate(index);
+    if (segment >= kSegments)
+        panic("InputLog::append: log full");
+    if (offset == 0) {
+        const std::size_t records = kFirstSegment << segment;
+        segments_[segment].reset(static_cast<LogRecord*>(
+            ::operator new(records * sizeof(LogRecord))));
+    }
     total_bytes_ += record.serialized_size();
-    records_.push_back(std::move(record));
-    return records_.size() - 1;
+    new (segments_[segment].get() + offset) LogRecord(std::move(record));
+    // Publish: a reader that sees the new size sees the whole record.
+    size_.store(index + 1, std::memory_order_release);
+    return index;
 }
 
 const LogRecord&
 InputLog::at(std::size_t index) const
 {
-    if (index >= records_.size())
+    const std::size_t n = size();
+    if (index >= n)
         panic(strcat_args("InputLog::at(", index, ") out of range (size=",
-                          records_.size(), ")"));
-    return records_[index];
-}
-
-std::uint64_t
-InputLog::bytes_in_range(std::size_t first, std::size_t last) const
-{
-    std::uint64_t bytes = 0;
-    for (std::size_t i = first; i < last && i < records_.size(); ++i)
-        bytes += records_[i].serialized_size();
-    return bytes;
-}
-
-std::size_t
-InputLog::find_next(RecordType type, std::size_t from) const
-{
-    for (std::size_t i = from; i < records_.size(); ++i)
-        if (records_[i].type == type)
-            return i;
-    return records_.size();
+                          n, ")"));
+    return *slot(index);
 }
 
 std::vector<std::size_t>
 InputLog::find_all(RecordType type) const
 {
     std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        if (records_[i].type == type)
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i)
+        if (slot(i)->type == type)
             out.push_back(i);
     return out;
 }
@@ -57,16 +112,17 @@ std::vector<std::uint8_t>
 InputLog::serialize() const
 {
     std::vector<std::uint8_t> out;
+    const std::size_t n = size();
     out.reserve(wire::kHeaderSize + total_bytes_ +
-                records_.size() * wire::kFrameHeaderSize);
+                n * wire::kFrameHeaderSize);
     wire::Header header;
     header.kind = wire::PayloadKind::kInputLog;
-    header.frame_count = records_.size();
+    header.frame_count = n;
     wire::encode_header(header, &out);
-    for (std::size_t i = 0; i < records_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const std::size_t frame =
             wire::begin_frame(static_cast<std::uint32_t>(i), &out);
-        records_[i].serialize(&out);
+        slot(i)->serialize(&out);
         wire::end_frame(frame, &out);
     }
     return out;
@@ -77,8 +133,7 @@ InputLog::deserialize_tolerant(const std::vector<std::uint8_t>& bytes,
                                InputLog* out)
 {
     obs::ScopedSpan span("wire.load", "wire");
-    out->records_.clear();
-    out->total_bytes_ = 0;
+    out->clear();
 
     auto report = wire::read_frames(
         bytes, wire::PayloadKind::kInputLog,
@@ -114,8 +169,7 @@ InputLog::deserialize(const std::vector<std::uint8_t>& bytes, InputLog* out)
 {
     const wire::LoadReport report = deserialize_tolerant(bytes, out);
     if (!report.intact()) {
-        out->records_.clear();
-        out->total_bytes_ = 0;
+        out->clear();
         return report.status;
     }
     return Status();

@@ -1,20 +1,79 @@
 #include "rnr/log_source.h"
 
 #include "common/log.h"
+#include "obs/trace.h"
 
 namespace rsafe::rnr {
 
-InputLogSource::InputLogSource(const InputLog* log) : log_(log)
+void
+LogStream::notify()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (waiting_)
+        cv_.notify_one();
+}
+
+void
+LogStream::close()
+{
+    end(State::kClosed);
+}
+
+void
+LogStream::poison()
+{
+    end(State::kPoisoned);
+}
+
+void
+LogStream::end(State state)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    // A poisoned stream stays poisoned.
+    if (state_.load(std::memory_order_relaxed) != State::kPoisoned)
+        state_.store(state, std::memory_order_release);
+    cv_.notify_all();
+}
+
+bool
+LogStream::await(const InputLog& log, std::size_t index)
+{
+    // The state is read before the size: once it says closed, the size
+    // read after it is final.
+    State state = State::kOpen;
+    const auto settled = [&] {
+        state = state_.load(std::memory_order_acquire);
+        return state != State::kOpen || index < log.size();
+    };
+    if (!settled()) {
+        std::unique_lock<std::mutex> lock(mu_);
+        // notify() takes mu_ after the append, so a record appended once
+        // settled() has failed here finds waiting_ set and wakes us.
+        while (!settled()) {
+            consumer_waits_.fetch_add(1, std::memory_order_relaxed);
+            obs::Tracer::instance().instant("log.starved", "replay",
+                                            "index", index);
+            waiting_ = true;
+            cv_.wait(lock);
+            waiting_ = false;
+        }
+    }
+    // An abort outranks records already appended.
+    return state != State::kPoisoned && index < log.size();
+}
+
+InputLogSource::InputLogSource(const InputLog* log, LogStream* stream)
+    : log_(log), stream_(stream)
 {
     if (log_ == nullptr)
         fatal("InputLogSource: null log");
-    if (log_->size() > 0)
-        last_icount_ = log_->at(log_->size() - 1).icount;
 }
 
 bool
 InputLogSource::await(std::size_t index)
 {
+    if (stream_ != nullptr)
+        return stream_->await(*log_, index);
     return index < log_->size();
 }
 
@@ -28,6 +87,19 @@ std::size_t
 InputLogSource::visible() const
 {
     return log_->size();
+}
+
+bool
+InputLogSource::aborted() const
+{
+    return stream_ != nullptr && stream_->aborted();
+}
+
+InstrCount
+InputLogSource::producer_icount() const
+{
+    const std::size_t size = log_->size();
+    return size > 0 ? log_->at(size - 1).icount : 0;
 }
 
 SliceLogSource::SliceLogSource(std::size_t base,
@@ -52,47 +124,6 @@ SliceLogSource::at(std::size_t index) const
                           " outside slice [", base_, ", ",
                           base_ + records_.size(), ")"));
     return records_[index - base_];
-}
-
-LogReader::LogReader(LogChannel* channel) : channel_(channel)
-{
-    if (channel_ == nullptr)
-        fatal("LogReader: null channel");
-}
-
-bool
-LogReader::await(std::size_t index)
-{
-    std::vector<LogRecord> chunk;
-    while (index >= buffer_.size() && !ended_) {
-        switch (channel_->pop(&chunk)) {
-          case LogChannel::PopResult::kData:
-            for (auto& record : chunk)
-                buffer_.append(std::move(record));
-            chunk.clear();
-            break;
-          case LogChannel::PopResult::kClosed:
-            ended_ = true;
-            break;
-          case LogChannel::PopResult::kPoisoned:
-            ended_ = true;
-            aborted_ = true;
-            break;
-        }
-    }
-    return index < buffer_.size();
-}
-
-const LogRecord&
-LogReader::at(std::size_t index) const
-{
-    return buffer_.at(index);
-}
-
-std::size_t
-LogReader::visible() const
-{
-    return buffer_.size();
 }
 
 }  // namespace rsafe::rnr

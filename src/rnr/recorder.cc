@@ -1,5 +1,7 @@
 #include "rnr/recorder.h"
 
+#include <utility>
+
 #include "core/detector.h"
 #include "obs/trace.h"
 
@@ -32,9 +34,9 @@ Recorder::charge_log_write(LogRecord record)
         Costs::kLogRecord +
         Costs::kLogPer8Bytes * (record.serialized_size() / 8);
     vm_->cpu().add_cycles(cost);
-    if (stream_ != nullptr)
-        stream_->push(record);
     log_.append(std::move(record));
+    if (stream_ != nullptr)
+        stream_->notify();
     return cost;
 }
 
@@ -47,7 +49,7 @@ Recorder::hook_rdtsc(Word value)
     record.value = value;
     // NoRec does not trap rdtsc at all, so the whole VM transition plus
     // the log write is recording overhead.
-    overhead_.rdtsc += Costs::kVmTransition + charge_log_write(record);
+    overhead_.rdtsc += Costs::kVmTransition + charge_log_write(std::move(record));
 }
 
 void
@@ -60,7 +62,7 @@ Recorder::hook_io_in(std::uint16_t port, Word value)
     record.value = value;
     // The trap itself exists under plain mediated I/O too; only the log
     // write is recording overhead.
-    overhead_.pio_mmio += charge_log_write(record);
+    overhead_.pio_mmio += charge_log_write(std::move(record));
 }
 
 void
@@ -71,7 +73,7 @@ Recorder::hook_mmio_read(Addr addr, Word value)
     record.icount = vm_->cpu().icount();
     record.addr = addr;
     record.value = value;
-    overhead_.pio_mmio += charge_log_write(record);
+    overhead_.pio_mmio += charge_log_write(std::move(record));
 }
 
 void
@@ -83,7 +85,7 @@ Recorder::hook_nic_dma(Addr addr, const std::vector<std::uint8_t>& data)
     record.addr = addr;
     record.payload = data;
     // Packet contents dominate the log (Section 8.1).
-    overhead_.network += charge_log_write(record);
+    overhead_.network += charge_log_write(std::move(record));
 }
 
 void
@@ -93,7 +95,7 @@ Recorder::hook_irq_inject(std::uint8_t vector)
     record.type = RecordType::kIrqInject;
     record.icount = vm_->cpu().icount();
     record.value = vector;
-    overhead_.interrupt += charge_log_write(record);
+    overhead_.interrupt += charge_log_write(std::move(record));
 }
 
 void
@@ -102,7 +104,7 @@ Recorder::hook_disk_complete()
     LogRecord record;
     record.type = RecordType::kDiskComplete;
     record.icount = vm_->cpu().icount();
-    overhead_.interrupt += charge_log_write(record);
+    overhead_.interrupt += charge_log_write(std::move(record));
 }
 
 void
@@ -120,7 +122,7 @@ Recorder::hook_ras_alarm(const cpu::RasAlarm& alarm)
     record.alarm.kernel_mode = alarm.mode == cpu::Mode::kKernel;
     obs::Tracer::instance().instant("record.ras_alarm", "record", "icount",
                                     record.icount);
-    overhead_.ras += Costs::kVmTransition + charge_log_write(record);
+    overhead_.ras += Costs::kVmTransition + charge_log_write(std::move(record));
     if (rec_options_.stop_on_alarm) {
         alarm_stop_ = true;
         // Freeze the VM before the next instruction retires: the gadget
@@ -147,7 +149,7 @@ Recorder::log_detector_alarm(const core::Detector& detector, Addr site,
     obs::Tracer::instance().instant("record.detector_alarm",
                                     detector.name(), "icount",
                                     record.icount);
-    overhead_.detectors += Costs::kVmTransition + charge_log_write(record);
+    overhead_.detectors += Costs::kVmTransition + charge_log_write(std::move(record));
     if (rec_options_.stop_on_alarm) {
         alarm_stop_ = true;
         vm_->cpu().vmcs().perf_stop = 0;
@@ -186,7 +188,7 @@ Recorder::hook_ras_evict(Addr evicted)
     record.tid = have_current_tid() ? current_tid() : 0;
     obs::Tracer::instance().instant("record.ras_evict", "record", "icount",
                                     record.icount);
-    overhead_.ras += Costs::kVmTransition + charge_log_write(record);
+    overhead_.ras += Costs::kVmTransition + charge_log_write(std::move(record));
 }
 
 void
@@ -197,7 +199,7 @@ Recorder::hook_halt()
     record.icount = vm_->cpu().icount();
     obs::Tracer::instance().instant("record.halt", "record", "icount",
                                     record.icount);
-    charge_log_write(record);
+    charge_log_write(std::move(record));
 }
 
 void

@@ -2,8 +2,8 @@
 #define RSAFE_RNR_RECORDER_H_
 
 #include "hv/hypervisor.h"
-#include "rnr/log_channel.h"
 #include "rnr/log_io.h"
+#include "rnr/log_source.h"
 
 /**
  * @file
@@ -62,16 +62,18 @@ class Recorder : public hv::Hypervisor {
   public:
     Recorder(hv::Vm* vm, const RecorderOptions& options);
 
-    /** The input log built so far (streamed to the replayers on the fly). */
+    /**
+     * The input log built so far: the one copy, which an on-the-fly
+     * checkpointing replayer reads in place while recording continues.
+     */
     const InputLog& log() const { return log_; }
 
     /**
-     * Tee every appended record into @p channel as well, so an on-the-fly
-     * checkpointing replayer can consume the log while this recorder is
-     * still producing it. The caller keeps ownership of the channel and
-     * is responsible for close()/poison() when the recording ends.
+     * notify() @p stream after every append, so a replayer awaiting the
+     * log on another thread wakes. The caller keeps ownership of the
+     * stream and close()s or poison()s it when the recording ends.
      */
-    void attach_stream(LogChannel* channel) { stream_ = channel; }
+    void attach_stream(LogStream* stream) { stream_ = stream; }
 
     /** Per-category overhead attribution (Figure 5b). */
     const RecordOverhead& overhead() const { return overhead_; }
@@ -118,7 +120,7 @@ class Recorder : public hv::Hypervisor {
 
     RecorderOptions rec_options_;
     InputLog log_;
-    LogChannel* stream_ = nullptr;
+    LogStream* stream_ = nullptr;
     RecordOverhead overhead_;
     const core::DetectorSet* detectors_ = nullptr;
     bool alarm_stop_ = false;

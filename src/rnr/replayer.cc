@@ -275,7 +275,7 @@ Replayer::run()
         const std::size_t pos = next_positional();
         if (pos == kNoMore) {
             if (source_->aborted()) {
-                // The recorder died mid-stream (poisoned channel): the
+                // The recorder died mid-stream (poisoned stream): the
                 // recording is invalid, stop where we are.
                 return ReplayOutcome::kLogAborted;
             }

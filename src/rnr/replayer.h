@@ -148,9 +148,10 @@ class Replayer : public hv::VmEnvBase {
              const ReplayOptions& options);
 
     /**
-     * Streaming variant: records come from @p source (e.g. a LogReader
-     * draining the recorder's LogChannel on the fly). @p source must
-     * outlive the replayer and be consumed by this replayer only.
+     * Streaming variant: records come from @p source (e.g. an
+     * InputLogSource reading the recorder's log in place while it
+     * grows). @p source must outlive the replayer and be consumed by
+     * this replayer only.
      */
     Replayer(hv::Vm* vm, LogSource* source, std::size_t start_pos,
              const ReplayOptions& options);
@@ -162,8 +163,8 @@ class Replayer : public hv::VmEnvBase {
      * Ask a run() in progress to stop at the next positional-segment
      * boundary; run() returns kStopRequested. Callable from any thread
      * (fleet shutdown). A replayer blocked in a streaming source's
-     * await() wakes only when the producer side closes or poisons the
-     * channel — stop the recorder first.
+     * await() wakes only when the recorder appends or its stream is
+     * closed or poisoned — stop the recorder first.
      */
     void request_stop()
     {
@@ -178,6 +179,9 @@ class Replayer : public hv::VmEnvBase {
 
     /** @return the current log cursor (the InputLogPtr). */
     std::size_t log_pos() const { return cursor_; }
+
+    /** @return where this replayer's records come from. */
+    const LogSource& source() const { return *source_; }
 
     /** @return instructions-behind-the-recorder statistics. */
     const ReplayLag& lag() const { return lag_; }

@@ -6,7 +6,11 @@
 #   tools/check.sh            # release + asan + tsan test configurations
 #   tools/check.sh release    # normal configuration only
 #   tools/check.sh sanitize   # ASan+UBSan configuration only
-#   tools/check.sh tsan       # ThreadSanitizer configuration only
+#   tools/check.sh tsan       # ThreadSanitizer configuration only, then
+#                             # the one-log stream tests, every
+#                             # ConcurrentPipeline test and the fleet
+#                             # Drain/Abandon tests repeated
+#                             # until-fail:20 under TSan.
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
 #                             # falls back to corpus replay under gcc.
@@ -58,6 +62,16 @@ run_config() {
     cmake -B "$dir" -S . "$@"
     cmake --build "$dir" -j "$(nproc)"
     ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
+}
+
+run_tsan() {
+    run_config build-tsan -DRSAFE_SANITIZE=thread
+    # A race between the recorder appending and the CR reading the same
+    # log in place, or a lost wakeup, shows up as a rare flake: repeat
+    # the streaming and shutdown tests so a recurrence fails here.
+    ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
+        -R 'LogStream|StreamedSession|ConcurrentPipeline|Fleet\.(Drain|Abandon)' \
+        --repeat until-fail:20
 }
 
 run_tidy() {
@@ -145,7 +159,7 @@ run_fleet() {
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-rel -j "$(nproc)" --target test_fleet \
         --target test_work_pool --target test_ckpt_store \
-        --target test_log_channel --target bench_fleet
+        --target test_log_stream --target bench_fleet
     ./build-rel/tests/test_fleet
     # Shutdown races (a discard or abandon that fails to wake a waiter)
     # surface as flakes, not as deterministic failures: repeat every
@@ -254,7 +268,7 @@ if result["correct"] is not True or result["failed"] != 0:
 case "$mode" in
   release)  run_config build ;;
   sanitize) run_config build-asan -DRSAFE_SANITIZE=ON ;;
-  tsan)     run_config build-tsan -DRSAFE_SANITIZE=thread ;;
+  tsan)     run_tsan ;;
   tidy)     run_tidy ;;
   fuzz)     run_fuzz ;;
   trace)    run_trace ;;
@@ -266,7 +280,7 @@ case "$mode" in
   all)
     run_config build
     run_config build-asan -DRSAFE_SANITIZE=ON
-    run_config build-tsan -DRSAFE_SANITIZE=thread
+    run_tsan
     ;;
   *)
     echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|e2e|all]" >&2
