@@ -61,7 +61,7 @@ constexpr double kFairnessGate = 2.0;       ///< benign p99 vs solo p99
 /** One alarm-replay job as the scheduling model sees it. */
 struct SimJob {
     Cycles arrive = 0;  ///< CR replay clock when the alarm was queued
-    Cycles cost = 0;    ///< measured analysis cycles (deep rerun incl.)
+    Cycles cost = 0;    ///< measured analysis cycles of its one AR pass
 };
 
 /** Everything one solo run measured about a tenant. */

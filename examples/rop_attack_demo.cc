@@ -54,7 +54,7 @@ main()
                 "%llu underflow alarms auto-resolved\n",
                 (unsigned long long)result.cr->checkpoints_taken(),
                 (unsigned long long)result.underflows_resolved);
-    std::printf("alarm replays launched: %zu\n\n", result.alarm_replays);
+    std::printf("alarm replays launched: %zu\n\n", result.ar_results.size());
 
     std::printf("%s\n", result.alarms.summary().c_str());
 

@@ -62,8 +62,6 @@ ArStage::analyze(const replay::PendingAlarm& pending,
     if (!pending.checkpoint)
         return unavailable(pending, "no checkpoint at or before the alarm",
                            local_stats);
-    rnr::ReplayOptions ar_options = base_options_;
-    ar_options.trap_kernel_call_ret = true;
 
     AlarmReplayResult out;
     out.log_index = pending.log_index;
@@ -77,26 +75,10 @@ ArStage::analyze(const replay::PendingAlarm& pending,
 
     auto ar_vm = factory_();
     replay::AlarmReplayer ar(ar_vm.get(), source, *pending.checkpoint,
-                             ar_options);
+                             base_options_);
     ar.set_detectors(detectors_);
     local_stats->counter("ar.replays").inc();
     out.analysis = ar.analyze(pending.log_index);
-
-    if (out.analysis.cause == replay::AlarmCause::kNeedsDeeperAnalysis) {
-        // Re-run with more instrumentation (Section 4.6.2): trace
-        // user-mode call/ret as well.
-        ar_options.trap_user_call_ret = true;
-        obs::Tracer::instance().instant("ar.deep_rerun", "ar", "log_index",
-                                        pending.log_index);
-        auto deep_vm = factory_();
-        replay::AlarmReplayer deep_ar(deep_vm.get(), source,
-                                      *pending.checkpoint, ar_options);
-        deep_ar.set_detectors(detectors_);
-        local_stats->counter("ar.replays").inc();
-        local_stats->counter("ar.deep_reruns").inc();
-        out.analysis = deep_ar.analyze(pending.log_index);
-        out.deep_rerun = true;
-    }
     if (out.analysis.is_attack)
         local_stats->counter("ar.attacks").inc();
     if (pending.record.type == rnr::RecordType::kDetectorAlarm &&

@@ -19,8 +19,8 @@
  * One ArStage holds everything needed to turn a PendingAlarm into a
  * verdict: the VM factory, the base replay options, and the active
  * detector complement. It is stateless across calls (every analyze()
- * builds fresh VMs), so a single instance is safely shared by any number
- * of worker threads — the fleet's shared pool calls it from every
+ * builds one fresh VM), so a single instance is safely shared by any
+ * number of worker threads — the fleet's shared pool calls it from every
  * worker.
  *
  * Records come from any LogSource resolving the [checkpoint, alarm]
@@ -40,9 +40,6 @@ using VmFactory = std::function<std::unique_ptr<hv::Vm>()>;
 struct AlarmReplayResult {
     /** Index of the alarm record in the input log. */
     std::size_t log_index = 0;
-    /** True if the first AR pass lacked instrumentation and a deeper
-     *  rerun (user-mode call/ret tracing) produced the final analysis. */
-    bool deep_rerun = false;
     /** The final classification, forensics, and report. */
     replay::AlarmAnalysis analysis;
 };
@@ -59,9 +56,10 @@ class ArStage {
     /**
      * @param factory       builds the AR VMs; must be thread-safe when
      *                      analyze() is called from worker threads.
-     * @param base_options  the CR's replay options; analyze() layers the
-     *                      AR instrumentation (kernel call/ret traps, and
-     *                      user traps for the deep rerun) on top.
+     * @param base_options  the CR's replay options; the alarm replayer
+     *                      layers its instrumentation on top (kernel
+     *                      call/ret traps, plus user traps for a user-mode
+     *                      RAS alarm).
      * @param detectors     the active detector complement (may be null);
      *                      must outlive this stage.
      */
@@ -69,9 +67,10 @@ class ArStage {
             const DetectorSet* detectors);
 
     /**
-     * Launch one alarm replayer (plus the deeper rerun if needed) for
-     * @p pending, reading records from @p source (both passes), and
-     * account it into @p local_stats. Thread-safe.
+     * Launch one alarm replayer for @p pending on a fresh VM, reading
+     * records from @p source, and account it into @p local_stats. The
+     * replayer picks its tracing level from the alarm record, so every
+     * alarm takes exactly one pass. Thread-safe.
      *
      * A pending alarm with no checkpoint (checkpointing disabled, or the
      * store recycled past the alarm) yields a clean

@@ -28,11 +28,11 @@
  *  2. checkpointing replay — a CheckpointReplayer re-executes the log,
  *     takes periodic incremental checkpoints, and auto-resolves
  *     underflow alarms against Evict records;
- *  3. alarm replay — for every remaining alarm, an AlarmReplayer is
- *     launched from the checkpoint preceding it; if the first pass lacks
- *     instrumentation for the alarm's context (a user-mode alarm under
- *     kernel-only tracing), the AR is re-run at the deeper analysis
- *     level, exactly as Section 4.6.2 envisions.
+ *  3. alarm replay — for every remaining alarm, one AlarmReplayer is
+ *     launched from the checkpoint preceding it, tracing kernel call/ret
+ *     and, for a user-mode RAS alarm, user call/ret too: the alarm record
+ *     names the mode, so the one analysis level of Section 4.6.2 that
+ *     can classify it is chosen up front.
  *
  * Every call runs the stages as a ReplayFleet of one tenant named
  * "pipeline" (fleet/fleet.h), so the single pipeline and the fleet share
@@ -110,10 +110,8 @@ struct FrameworkResult {
     std::size_t alarms_logged = 0;
     /** Underflow alarms the CR resolved itself. */
     std::uint64_t underflows_resolved = 0;
-    /** Alarm replays that were launched (deep reruns count separately). */
-    std::size_t alarm_replays = 0;
-
-    /** Per-alarm AR outputs, ordered by alarm position in the log. */
+    /** Per-alarm AR outputs, ordered by alarm position in the log: one
+     *  alarm replay per entry. */
     std::vector<AlarmReplayResult> ar_results;
 
     /** How far the CR trailed the recorder (meaningful when streaming;

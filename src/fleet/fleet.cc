@@ -33,10 +33,8 @@ finalize_result(core::FrameworkResult* result,
 {
     // Fold AR outputs back in alarm order: identical between the serial
     // pipeline and any worker-pool schedule.
-    for (auto& ar : ar_results) {
-        result->alarm_replays += ar.deep_rerun ? 2 : 1;
+    for (auto& ar : ar_results)
         result->alarms.add(ar.analysis);
-    }
     result->ar_results = std::move(ar_results);
 
     // Pipeline-wide counters. Only values that are bit-identical across

@@ -76,8 +76,8 @@ default_slo_rules()
         rules.push_back(r);
     }
 
-    // Verdict latency p99 in sim cycles; deep reruns on attack alarms
-    // are orders of magnitude above the benign shallow-rerun cost.
+    // Verdict latency p99 in sim cycles; replays of attack alarms cost
+    // orders of magnitude more than those of benign ones.
     {
         SloRule r;
         r.signal = HealthSignal::kVerdictLatency;

@@ -185,11 +185,21 @@ AlarmReplayer::analyze(std::size_t alarm_log_index)
 {
     target_index_ = alarm_log_index;
     reached_target_ = false;
+    if (!source_->await(alarm_log_index))
+        panic("AlarmReplayer: the log holds no target alarm record");
+    // The alarm record names the mode its return ran in, so it picks the
+    // one analysis level that can classify it: a user-mode RAS alarm
+    // needs user call/ret traced too (Section 4.6.2's deeper level).
+    // The CPU reads the control at run time, so it is set after the
+    // restore.
+    const rnr::LogRecord& record = source_->at(alarm_log_index);
+    if (record.type == rnr::RecordType::kRasAlarm &&
+        !record.alarm.kernel_mode)
+        vm_->cpu().vmcs().controls.trap_user_call_ret = true;
     const auto outcome = run();
     if (!reached_target_ || outcome != rnr::ReplayOutcome::kStopRequested) {
         panic("AlarmReplayer: did not reach the target alarm record");
     }
-    const rnr::LogRecord& record = source_->at(alarm_log_index);
     if (record.type == rnr::RecordType::kDetectorAlarm)
         return classify_detector(record);
     return build_analysis(record);
@@ -267,18 +277,13 @@ AlarmReplayer::build_analysis(const rnr::LogRecord& record)
     analysis.analysis_cycles = vm_->cpu().cycles() - start_cycles_;
 
     const bool kernel_alarm = record.alarm.kernel_mode;
-    const bool traced = vm_->cpu().vmcs().controls.trap_user_call_ret ||
-                        kernel_alarm;
-    if (!traced || !last_ret_verdict_ ||
-        last_ret_event_.pc != record.alarm.ret_pc) {
-        // The analysis level did not instrument the faulting context
-        // (e.g., a user-mode alarm under kernel-only tracing): rerun me
-        // with deeper instrumentation (Section 4.6.2 allows multiple AR
-        // runs at increasing levels).
+    if (!last_ret_verdict_ || last_ret_event_.pc != record.alarm.ret_pc) {
+        // The last traced return is not the one the alarm names, so the
+        // shadow RAS has nothing to classify.
         analysis.cause = AlarmCause::kNeedsDeeperAnalysis;
         analysis.is_attack = false;
-        analysis.report = "alarm context not instrumented at this "
-                          "analysis level; rerun with user tracing";
+        analysis.report = "traced replay did not end on the alarm's "
+                          "return; left unclassified (benign)";
         return analysis;
     }
 

@@ -39,7 +39,8 @@ enum class AlarmCause {
     kBenignUnderflow,   ///< matched an Evict record (false positive)
     kHardwareArtifact,  ///< software RAS predicted correctly (false pos.)
     kWhitelistViolation,///< non-procedural return to an illegal target
-    kNeedsDeeperAnalysis, ///< needs a rerun with more instrumentation
+    kNeedsDeeperAnalysis, ///< a fully traced replay did not end on the
+                          ///< alarm's return (unclassified, benign)
     kLogIntegrity,      ///< the input log itself failed integrity checks
     kJopTableMiss,      ///< legal under the full table/policy (false pos.)
     kJopAttack,         ///< stray transfer no table or policy explains
@@ -86,8 +87,8 @@ class AlarmReplayer : public rnr::Replayer {
      * @param log         the input log.
      * @param checkpoint  the AR's start point.
      * @param options     replay options; trap_kernel_call_ret is forced
-     *                    on (that is what an AR is), trap_user_call_ret
-     *                    selects the deeper analysis level.
+     *                    on (that is what an AR is), and analyze() adds
+     *                    trap_user_call_ret for a user-mode RAS alarm.
      */
     AlarmReplayer(hv::Vm* vm, const rnr::InputLog* log,
                   const Checkpoint& checkpoint,
@@ -104,11 +105,13 @@ class AlarmReplayer : public rnr::Replayer {
                   const rnr::ReplayOptions& options);
 
     /**
-     * Replay up to the alarm record at @p alarm_log_index and classify it.
-     * kRasAlarm records go through the shadow-RAS analysis; kDetectorAlarm
-     * records are routed to the registered detector's classifier (see
-     * set_detectors), which runs with the replayed machine stopped exactly
-     * at the alarm.
+     * Replay up to the alarm record at @p alarm_log_index and classify it,
+     * in one pass. The record picks the tracing level: a user-mode
+     * kRasAlarm also traces user call/ret, every other alarm kernel
+     * call/ret only. kRasAlarm records go through the shadow-RAS
+     * analysis; kDetectorAlarm records are routed to the registered
+     * detector's classifier (see set_detectors), which runs with the
+     * replayed machine stopped exactly at the alarm.
      */
     AlarmAnalysis analyze(std::size_t alarm_log_index);
 

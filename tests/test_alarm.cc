@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/log.h"
 #include "attack/attack_mounter.h"
 #include "core/framework.h"
@@ -162,10 +164,11 @@ longjmp_image()
     });
 }
 
-TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
+/** VMs running the longjmp workload as their only user task. */
+core::VmFactory
+longjmp_factory()
 {
-    auto image = longjmp_image();
-    auto factory = [&image]() {
+    return [image = longjmp_image()]() {
         hv::VmConfig config;
         config.devices = test::quiet_devices();
         auto vm = std::make_unique<hv::Vm>(config);
@@ -174,6 +177,11 @@ TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
         vm->finalize();
         return vm;
     };
+}
+
+TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
+{
+    const auto factory = longjmp_factory();
 
     auto rec_vm = factory();
     rnr::Recorder recorder(rec_vm.get(), rnr::RecorderOptions{});
@@ -184,15 +192,18 @@ TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
     // The alarms are user-mode mispredicts.
     EXPECT_FALSE(recorder.log().at(alarms[0]).alarm.kernel_mode);
 
-    // Run the full pipeline: the CR queues them, ARs resolve them; the
-    // first AR pass (kernel tracing) must escalate, the deep pass must
-    // classify every alarm as a false positive.
+    // Run the full pipeline: the CR queues them, ARs resolve them. Each
+    // alarm takes one AR pass, traced at the level its record names
+    // (user call/ret included), and classifies as a false positive.
     core::FrameworkConfig config;
     core::RnrSafeFramework framework(factory, config);
     auto result = framework.run();
     EXPECT_EQ(result.alarms_logged, alarms.size());
     EXPECT_FALSE(result.alarms.attack_detected());
-    EXPECT_GT(result.alarm_replays, result.alarms.analyses().size());
+    EXPECT_EQ(result.pipeline_stats.value("ar.replays"),
+              result.alarms.analyses().size());
+    EXPECT_EQ(result.alarms.count(replay::AlarmCause::kNeedsDeeperAnalysis),
+              0u);
     std::size_t benign = 0;
     for (const auto& analysis : result.alarms.analyses()) {
         EXPECT_FALSE(analysis.is_attack) << analysis.report;
@@ -208,9 +219,8 @@ TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
 
     // Per-AR outputs survive in the result (they used to be discarded):
     // one entry per launched alarm replay, ordered by log position, each
-    // carrying its verdict, audit report, and the deep-rerun flag.
+    // carrying its verdict and audit report.
     ASSERT_EQ(result.ar_results.size(), result.alarms.analyses().size());
-    std::size_t deep_reruns = 0;
     std::size_t previous_index = 0;
     for (const auto& ar : result.ar_results) {
         EXPECT_EQ(recorder.log().at(ar.log_index).type,
@@ -219,12 +229,66 @@ TEST(AlarmReplay, LongjmpClassifiedAsFalsePositive)
         previous_index = ar.log_index;
         EXPECT_FALSE(ar.analysis.is_attack);
         EXPECT_FALSE(ar.analysis.report.empty());
-        // User-mode alarms under kernel-only tracing force the deep pass.
-        EXPECT_TRUE(ar.deep_rerun);
-        deep_reruns += ar.deep_rerun ? 1 : 0;
     }
-    EXPECT_EQ(result.alarm_replays,
-              result.ar_results.size() + deep_reruns);
+}
+
+/** The serial pipeline over @p factory, checkpointing every 250k
+ *  instructions. */
+core::FrameworkResult
+run_checkpointed(const core::VmFactory& factory)
+{
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kSerial;
+    config.cr.checkpoint_interval = 250'000;
+    return core::RnrSafeFramework(factory, config).run();
+}
+
+/** The apache profile with benign user-mode longjmp alarms and deep
+ *  user-level recursion. */
+core::VmFactory
+setjmp_apache_factory()
+{
+    auto profile = workloads::benchmark_profile("apache");
+    profile.iterations_per_task = 300;
+    profile.setjmp_prob = 0.05;  // benign user-mode alarms
+    profile.rec_prob = 0.3;      // deep user-level recursion
+    return workloads::vm_factory(profile);
+}
+
+TEST(AlarmReplay, RecordChosenLevelMatchesTheDeepPass)
+{
+    // analyze() turns user call/ret tracing on for a user-mode alarm, as
+    // its record says. That one pass must conclude exactly what the deep
+    // pass, a replayer built with user tracing from the start, concluded.
+    std::size_t compared = 0;
+    for (const auto& factory : {longjmp_factory(), setjmp_apache_factory()}) {
+        const auto result = run_checkpointed(factory);
+        for (const auto& pending : result.cr->pending_alarms()) {
+            ASSERT_NE(pending.checkpoint, nullptr);
+            if (pending.record.type != rnr::RecordType::kRasAlarm ||
+                pending.record.alarm.kernel_mode)
+                continue;
+            const auto replay = [&](bool deep) {
+                auto vm = factory();
+                rnr::ReplayOptions options;
+                options.trap_user_call_ret = deep;
+                replay::AlarmReplayer ar(vm.get(), &result.recorder->log(),
+                                         *pending.checkpoint, options);
+                return ar.analyze(pending.log_index);
+            };
+            const auto chosen = replay(false);
+            const auto deep = replay(true);
+            EXPECT_NE(chosen.cause, replay::AlarmCause::kNeedsDeeperAnalysis)
+                << chosen.report;
+            EXPECT_EQ(chosen.cause, deep.cause);
+            EXPECT_EQ(chosen.is_attack, deep.is_attack);
+            EXPECT_EQ(chosen.report, deep.report);
+            EXPECT_EQ(chosen.forensic.serialize(), deep.forensic.serialize());
+            EXPECT_EQ(chosen.analysis_cycles, deep.analysis_cycles);
+            ++compared;
+        }
+    }
+    EXPECT_GE(compared, 3u) << "too few user-mode longjmp alarms";
 }
 
 }  // namespace
@@ -412,57 +476,83 @@ class TracingAlarmReplayer : public replay::AlarmReplayer {
 
 TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
 {
-    // Every first AR pass traces kernel call/ret only. Under the TB a
-    // user-mode call/ret runs inside its block and only a traced one
-    // leaves it (TbEngine.KernelOnlyTracingLeavesUserCallRetInTheBlock),
-    // yet each traced event fires at the same icount and cycle count as
-    // single-stepping, with the same CPU stats and the same verdict.
-    auto profile = workloads::benchmark_profile("apache");
-    profile.iterations_per_task = 300;
-    profile.setjmp_prob = 0.05;  // benign user-mode alarms
-    profile.rec_prob = 0.3;      // deep user-level recursion
-    const auto factory = workloads::vm_factory(profile);
-    core::FrameworkConfig config;
-    config.pipeline = core::PipelineMode::kSerial;
-    config.cr.checkpoint_interval = 250'000;
-    core::RnrSafeFramework framework(factory, config);
-    const auto result = framework.run();
+    // Two tracing levels, each with the TB on and off. Under the TB a
+    // call/ret of an untraced mode runs inside its block and only a
+    // traced one leaves it
+    // (TbEngine.KernelOnlyTracingLeavesUserCallRetInTheBlock), yet each
+    // traced event fires at the same icount and cycle count as
+    // single-stepping, with the same CPU stats:
+    //  - kernel-only: run() replays the log from each alarm checkpoint
+    //    to its end, as Figure 9 does;
+    //  - user-traced: analyze() of a user-mode alarm also traces user
+    //    call/ret, and its verdict agrees as well.
+    const auto factory = setjmp_apache_factory();
+    const auto result = run_checkpointed(factory);
     const auto& pending_alarms = result.cr->pending_alarms();
     ASSERT_GE(pending_alarms.size(), 3u);
 
     struct Run {
         std::vector<TracingAlarmReplayer::Event> events;
         cpu::CpuStats stats;
+        Cycles cycles = 0;
         replay::AlarmAnalysis analysis;
     };
-    const auto run = [&](const replay::PendingAlarm& pending, bool tb) {
+    const auto replay = [&](const replay::PendingAlarm& pending, bool tb,
+                            bool analyze) {
         auto vm = factory();
         vm->cpu().set_tb_enabled(tb);
         TracingAlarmReplayer ar(vm.get(), &result.recorder->log(),
                                 *pending.checkpoint, rnr::ReplayOptions{});
         Run out;
-        out.analysis = ar.analyze(pending.log_index);
+        if (analyze)
+            out.analysis = ar.analyze(pending.log_index);
+        else
+            EXPECT_EQ(ar.run(), rnr::ReplayOutcome::kFinished);
         out.events = ar.events;
         out.stats = vm->cpu().stats();
+        out.cycles = vm->cpu().cycles();
         return out;
     };
-    std::uint64_t user_call_rets = 0;
+    const auto user_events = [](const Run& run) {
+        std::uint64_t n = 0;
+        for (const auto& event : run.events)
+            n += event.mode == cpu::Mode::kUser ? 1 : 0;
+        return n;
+    };
+
+    std::uint64_t untraced_user_call_rets = 0;
+    std::uint64_t traced_user_call_rets = 0;
+    std::set<std::size_t> kernel_only_replayed;  // by checkpoint position
     for (const auto& pending : pending_alarms) {
         ASSERT_NE(pending.checkpoint, nullptr);
-        const Run on = run(pending, true);
-        const Run off = run(pending, false);
+        if (kernel_only_replayed.insert(pending.checkpoint->log_pos).second) {
+            const Run on = replay(pending, true, false);
+            const Run off = replay(pending, false, false);
+            EXPECT_FALSE(on.events.empty());
+            EXPECT_EQ(on.events, off.events);
+            EXPECT_EQ(on.stats, off.stats);
+            EXPECT_EQ(on.cycles, off.cycles);
+            EXPECT_EQ(user_events(on), 0u);
+            untraced_user_call_rets +=
+                on.stats.calls + on.stats.rets - on.stats.kernel_call_rets;
+        }
+
+        const Run on = replay(pending, true, true);
+        const Run off = replay(pending, false, true);
         EXPECT_FALSE(on.events.empty());
         EXPECT_EQ(on.events, off.events);
         EXPECT_EQ(on.stats, off.stats);
+        EXPECT_EQ(on.cycles, off.cycles);
         EXPECT_EQ(on.analysis.cause, off.analysis.cause);
         EXPECT_EQ(on.analysis.report, off.analysis.report);
         EXPECT_EQ(on.analysis.analysis_cycles, off.analysis.analysis_cycles);
-        for (const auto& event : on.events)
-            EXPECT_EQ(event.mode, cpu::Mode::kKernel);
-        user_call_rets +=
-            on.stats.calls + on.stats.rets - on.stats.kernel_call_rets;
+        if (!pending.record.alarm.kernel_mode) {
+            EXPECT_GT(user_events(on), 0u) << "user mode left untraced";
+            traced_user_call_rets += user_events(on);
+        }
     }
-    EXPECT_GT(user_call_rets, 1000u) << "profile is not call-heavy";
+    EXPECT_GT(untraced_user_call_rets, 1000u) << "profile is not call-heavy";
+    EXPECT_GT(traced_user_call_rets, 1000u) << "profile is not call-heavy";
 }
 
 }  // namespace

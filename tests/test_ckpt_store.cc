@@ -972,7 +972,6 @@ TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)
         EXPECT_EQ(shipped.analysis.report, direct.analysis.report);
         EXPECT_EQ(shipped.analysis.analysis_cycles,
                   direct.analysis.analysis_cycles);
-        EXPECT_EQ(shipped.deep_rerun, direct.deep_rerun);
         EXPECT_EQ(shipped_stats.snapshot(), direct_stats.snapshot());
     }
 }
@@ -1034,7 +1033,6 @@ expect_ship_matches_in_memory(bool tb)
             const auto& x = a.ar_results[i];
             const auto& y = b.ar_results[i];
             EXPECT_EQ(y.log_index, x.log_index) << name;
-            EXPECT_EQ(y.deep_rerun, x.deep_rerun) << name;
             EXPECT_EQ(y.analysis.cause, x.analysis.cause) << name;
             EXPECT_EQ(y.analysis.is_attack, x.analysis.is_attack) << name;
             EXPECT_EQ(y.analysis.report, x.analysis.report) << name;

@@ -537,7 +537,7 @@ digest(const core::FrameworkResult& result)
 {
     Digest d;
     d.alarms_logged = result.alarms_logged;
-    d.alarm_replays = result.alarm_replays;
+    d.alarm_replays = result.ar_results.size();
     d.attack = result.alarms.attack_detected();
     d.rec_hash = result.recorded_vm->state_hash();
     d.cr_hash = result.cr_vm->state_hash();

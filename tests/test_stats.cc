@@ -280,7 +280,7 @@ TEST(StatRegistry, MergeFoldsByNameAndOrderIsIrrelevant)
     w1.counter("ar.replays").inc(3);
     w1.counter("ar.attacks").inc(1);
     w2.counter("ar.replays").inc(2);
-    w2.counter("ar.deep_reruns").inc(4);
+    w2.counter("ar.ckpt_unavailable").inc(4);
 
     order_a.merge(w1);
     order_a.merge(w2);
@@ -289,7 +289,7 @@ TEST(StatRegistry, MergeFoldsByNameAndOrderIsIrrelevant)
 
     EXPECT_EQ(order_a.value("ar.replays"), 5u);
     EXPECT_EQ(order_a.value("ar.attacks"), 1u);
-    EXPECT_EQ(order_a.value("ar.deep_reruns"), 4u);
+    EXPECT_EQ(order_a.value("ar.ckpt_unavailable"), 4u);
     // Counter sums are commutative: any join order, identical snapshot.
     EXPECT_EQ(order_a.snapshot(), order_b.snapshot());
 }

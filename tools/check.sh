@@ -46,6 +46,11 @@
 #                             # dump must round-trip through
 #                             # rsafe-report --flight, and the obs
 #                             # overhead gate must hold with the plane on.
+#   tools/check.sh paper      # re-record tests/paper/*.txt, the tables
+#                             # the nine paper binaries print, which the
+#                             # paper_shape ctest compares byte for byte.
+#                             # Only for a deliberate cost-model change;
+#                             # say so in CHANGES.md when it moves them.
 #   tools/check.sh e2e        # end-to-end correctness gate: run
 #                             # e2ebench/run.py over every workload for 2 s;
 #                             # every framework and fleet run must match its
@@ -248,6 +253,19 @@ run_health() {
     echo "check.sh: health plane smoke ok ($snapdir/ artifacts)"
 }
 
+run_paper() {
+    # Re-record the paper-shape tables. The binary list lives in
+    # tests/paper_shape.cmake; RECORD=ON copies each fresh table over
+    # its recorded copy instead of comparing. Review the result with
+    # git diff tests/paper.
+    cmake -B build -S .
+    cmake --build build -j "$(nproc)"
+    cmake -DBENCH_DIR="$PWD/build/bench" -DPAPER_DIR="$PWD/tests/paper" \
+        -DOUT_DIR="$PWD/build/tests/paper_shape" -DRECORD=ON \
+        -P tests/paper_shape.cmake
+    echo "check.sh: paper tables re-recorded (tests/paper)"
+}
+
 run_e2e() {
     # The benchmark's own correctness checks as a gate: every run through
     # RnrSafeFramework::run or ReplayFleet::run must reproduce the kSerial
@@ -276,6 +294,7 @@ case "$mode" in
   fleet)    run_fleet ;;
   ckpt)     run_ckpt ;;
   health)   run_health ;;
+  paper)    run_paper ;;
   e2e)      run_e2e ;;
   all)
     run_config build
@@ -283,7 +302,7 @@ case "$mode" in
     run_tsan
     ;;
   *)
-    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|e2e|all]" >&2
+    echo "usage: tools/check.sh [release|sanitize|tsan|tidy|fuzz|trace|bench|fleet|ckpt|health|paper|e2e|all]" >&2
     exit 2
     ;;
 esac
