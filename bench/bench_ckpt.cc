@@ -5,10 +5,10 @@
  * Measures what the ckpt_store subsystem actually buys on real
  * workloads: a checkpointing replay of a fileio recording and of the
  * attack mix, reporting the dedup+RLE byte reduction across the whole
- * checkpoint chain, the size of a complete serialized checkpoint image
- * (PayloadKind::kCheckpointImage) against the raw state it carries, and
- * the latency of booting a fresh VM from the wire image versus from the
- * in-memory checkpoint.
+ * checkpoint chain, the size of a standalone serialized checkpoint (the
+ * export image: a one-image kCheckpointDelta stream) against the raw
+ * state it carries, and the latency of booting a fresh VM from the wire
+ * image versus from the in-memory checkpoint.
  *
  * Pass --gate <baseline.json> to run as a CI gate: the storage
  * reductions are deterministic functions of the log, so they are gated

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/bytes.h"
 #include "common/log.h"
 #include "obs/trace.h"
 #include "rnr/wire.h"
@@ -323,49 +322,14 @@ digest_of(const Checkpoint& checkpoint)
     return digest;
 }
 
-std::vector<std::uint8_t>
-CheckpointDigest::serialize() const
+std::uint64_t
+CheckpointDigest::hash() const
 {
-    std::vector<std::uint8_t> out;
-    wire::Header header;
-    header.kind = wire::PayloadKind::kCheckpointDigest;
-    header.frame_count = 1;
-    wire::encode_header(header, &out);
-    const std::size_t frame = wire::begin_frame(0, &out);
-    ByteWriter w(&out);
+    std::uint64_t hash = wire::kFnvOffset;
     for (const std::uint64_t field : {id, icount, cycles, log_pos, cpu_hash,
                                       pages_hash, blocks_hash, ras_hash})
-        w.u64(field);
-    wire::end_frame(frame, &out);
-    return out;
-}
-
-Status
-CheckpointDigest::deserialize(const std::vector<std::uint8_t>& bytes,
-                              CheckpointDigest* out)
-{
-    bool seen = false;
-    const wire::LoadReport report = wire::read_frames(
-        bytes, wire::PayloadKind::kCheckpointDigest,
-        [&](std::uint64_t, std::size_t offset, std::size_t length) {
-            if (seen)
-                return Status(StatusCode::kMalformedRecord,
-                              "checkpoint digest has more than one frame");
-            ByteReader in(bytes.data() + offset, length, "checkpoint digest");
-            for (std::uint64_t* field :
-                 {&out->id, &out->icount, &out->cycles, &out->log_pos,
-                  &out->cpu_hash, &out->pages_hash, &out->blocks_hash,
-                  &out->ras_hash})
-                *field = in.u64();
-            seen = true;
-            return in.done();
-        });
-    if (!report.intact())
-        return report.status;
-    if (!seen)
-        return Status(StatusCode::kMalformedRecord,
-                      "checkpoint digest image has no frame");
-    return Status();
+        hash = wire::fnv1a64_u64(field, hash);
+    return hash;
 }
 
 std::string

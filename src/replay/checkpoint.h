@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 #include "cpu/cpu.h"
 #include "cpu/ras.h"
@@ -43,10 +42,11 @@
  * Page contents live in a content-hash dedup pool (ckpt_store/) that
  * RLE-compresses them, so the chain's stored footprint is a fraction of
  * the raw page bytes; the CheckpointStore recycles oldest-first under
- * both a count cap and a byte-denominated storage budget. A complete
- * checkpoint serializes onto the hardened wire format
- * (PayloadKind::kCheckpointImage, ckpt_store/ckpt_image.h) so an alarm
- * replayer can boot from a checkpoint shipped from another process.
+ * both a count cap and a byte-denominated storage budget. A checkpoint
+ * ships on the hardened wire format as a checkpoint-stream image
+ * (PayloadKind::kCheckpointDelta, ckpt_store/ckpt_image.h; standalone, a
+ * one-image stream) so an alarm replayer can boot from a checkpoint
+ * shipped from another process.
  */
 
 namespace rsafe::replay {
@@ -95,10 +95,7 @@ struct Checkpoint {
  * A compact, machine-portable summary of a checkpoint's state: enough to
  * assert that two independently produced checkpoints captured the same
  * instant of the same execution (cross-pipeline determinism audits,
- * golden-corpus compatibility gates). Serialized in the hardened wire
- * format (rnr/wire.h) with the same CRC/versioning guarantees as the
- * input log, so a digest shipped between machines fails loudly — never
- * silently — when damaged.
+ * golden-corpus compatibility gates).
  *
  * Only run-deterministic fields participate: process-local identifiers
  * (mem_id/disk_id) and dirty epochs are excluded so digests compare
@@ -116,12 +113,9 @@ struct CheckpointDigest {
 
     bool operator==(const CheckpointDigest&) const = default;
 
-    /** Wire-format encoding (PayloadKind::kCheckpointDigest). */
-    std::vector<std::uint8_t> serialize() const;
-
-    /** Strict parse; any integrity defect is an error, never an abort. */
-    static Status deserialize(const std::vector<std::uint8_t>& bytes,
-                              CheckpointDigest* out);
+    /** FNV-1a 64 chained over the eight fields in declaration order:
+     *  one value that pins the digest (the golden checkpoint manifest). */
+    std::uint64_t hash() const;
 
     /** One-line rendering (diagnostics). */
     std::string to_string() const;

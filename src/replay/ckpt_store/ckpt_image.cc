@@ -1,12 +1,14 @@
 #include "replay/ckpt_store/ckpt_image.h"
 
-#include <map>
+#include <algorithm>
+#include <memory>
 #include <unordered_set>
-#include <utility>
 
 #include "common/bytes.h"
+#include "common/log.h"
 #include "isa/encoding.h"
 #include "replay/checkpoint.h"
+#include "replay/ckpt_store/ckpt_stream.h"
 #include "replay/ckpt_store/compress.h"
 #include "replay/ckpt_store/page_pool.h"
 #include "rnr/wire.h"
@@ -22,7 +24,7 @@ namespace wire = rnr::wire;
 constexpr std::size_t kMetaReserve = 1024;
 
 // ---------------------------------------------------------------------
-// The machine state: the head of both image kinds' meta frame.
+// The machine state: the head of the meta frame.
 
 void
 put_saved_ras(ByteWriter* w, const cpu::SavedRas& ras)
@@ -181,33 +183,6 @@ get_geometry(ByteReader* in, std::uint64_t* num_pages,
     return in->status();
 }
 
-// ---------------------------------------------------------------------
-// The full image's meta frame (frame 0).
-
-Status
-decode_meta(const std::uint8_t* data, std::size_t len, Checkpoint* out,
-            std::uint64_t* unique_count)
-{
-    ByteReader in(data, len, "checkpoint image");
-    std::uint64_t num_pages = 0;
-    std::uint64_t num_blocks = 0;
-    if (const Status status = get_machine(&in, out); !status.ok())
-        return status;
-    if (const Status status = get_geometry(&in, &num_pages, &num_blocks);
-        !status.ok())
-        return status;
-    out->pages = StoredPageTable(static_cast<std::size_t>(num_pages));
-    out->blocks = StoredPageTable(static_cast<std::size_t>(num_blocks));
-    *unique_count = in.u64();
-    // Every unique page must be referenced by a slot, so U can never
-    // exceed the slot count (and a canonical image needs U frames).
-    if (*unique_count > num_pages + num_blocks)
-        return in.reject(strcat_args("checkpoint image claims ",
-                                     *unique_count, " unique pages for ",
-                                     num_pages + num_blocks, " slots"));
-    return in.done();
-}
-
 /**
  * Validate one stored page: a known encoding tag, kPageSize raw bytes or
  * an RLE stream decoding to exactly kPageSize (decoded into @p scratch;
@@ -232,170 +207,8 @@ check_page(std::uint8_t tag, const std::uint8_t* data, std::size_t len,
                               " is unknown"));
 }
 
-}  // namespace
-
-std::vector<std::uint8_t>
-serialize_checkpoint(const Checkpoint& checkpoint)
-{
-    const std::size_t slot_count =
-        checkpoint.pages.size() + checkpoint.blocks.size();
-    std::vector<std::uint8_t> out;
-    out.reserve(wire::kHeaderSize + 2 * wire::kFrameHeaderSize +
-                kMetaReserve + slot_count * 4);
-    // The header and the meta frame's unique-page count wait on the slot
-    // walk below; both are written once it is done.
-    out.resize(wire::kHeaderSize);
-    ByteWriter w(&out);
-    const std::size_t meta = wire::begin_frame(0, &out);
-    put_machine(&w, checkpoint);
-    w.u64(checkpoint.pages.size());
-    w.u64(checkpoint.blocks.size());
-    const std::size_t unique_count_at = out.size();
-    w.u64(0);
-    const std::size_t meta_end = out.size();
-
-    // Unique pages in first-use order (slot walk: pages, then blocks).
-    // The pool already collapsed equal content into shared StoredPages,
-    // so pointer identity is content identity here.
-    std::map<const StoredPage*, std::uint32_t> unique_index;
-    std::vector<const StoredPage*> uniques;
-    const std::size_t slot_map = wire::begin_frame(1, &out);
-    const auto add_slot = [&](const StoredPageRef& ref) {
-        if (!ref) {
-            w.u32(kNullSlot);
-            return;
-        }
-        const auto [it, inserted] = unique_index.emplace(
-            ref.get(), static_cast<std::uint32_t>(uniques.size()));
-        if (inserted)
-            uniques.push_back(ref.get());
-        w.u32(it->second);
-    };
-    for (std::uint64_t i = 0; i < checkpoint.pages.size(); ++i)
-        add_slot(checkpoint.pages.at(i));
-    for (std::uint64_t i = 0; i < checkpoint.blocks.size(); ++i)
-        add_slot(checkpoint.blocks.at(i));
-    wire::end_frame(slot_map, &out);
-    store_le(out.data() + unique_count_at, uniques.size(), 8);
-    wire::end_frame(meta, meta_end, &out);
-
-    std::size_t total = out.size();
-    for (const StoredPage* page : uniques)
-        total += wire::kFrameHeaderSize + 1 + page->stored_bytes();
-    out.reserve(total);
-    for (std::size_t i = 0; i < uniques.size(); ++i) {
-        const std::size_t frame =
-            wire::begin_frame(static_cast<std::uint32_t>(2 + i), &out);
-        w.u8(static_cast<std::uint8_t>(uniques[i]->encoding()));
-        w.bytes(uniques[i]->encoded());
-        wire::end_frame(frame, &out);
-    }
-
-    wire::Header header;
-    header.kind = wire::PayloadKind::kCheckpointImage;
-    header.frame_count = 2 + uniques.size();
-    wire::encode_header(header, out.data());
-    return out;
-}
-
-Status
-deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
-                       Checkpoint* out)
-{
-    *out = Checkpoint();
-    std::uint64_t unique_count = 0;
-    std::vector<StoredPageRef> uniques;
-    std::vector<std::uint32_t> slots;
-    bool saw_meta = false;
-    bool saw_slots = false;
-
-    const wire::LoadReport report = wire::read_frames(
-        bytes, wire::PayloadKind::kCheckpointImage,
-        [&](std::uint64_t seq, std::size_t offset, std::size_t length) {
-            const std::uint8_t* frame = bytes.data() + offset;
-            if (seq == 0) {
-                const Status status =
-                    decode_meta(frame, length, out, &unique_count);
-                if (status.ok())
-                    saw_meta = true;
-                return status;
-            }
-            if (!saw_meta)
-                return Status(StatusCode::kMalformedRecord,
-                              "checkpoint image frame before its meta");
-            if (seq == 1) {
-                const std::uint64_t slot_count =
-                    out->pages.size() + out->blocks.size();
-                if (length != slot_count * 4) {
-                    return Status(
-                        StatusCode::kMalformedRecord,
-                        strcat_args("checkpoint image slot map is ",
-                                    length, " bytes, want ",
-                                    slot_count * 4));
-                }
-                slots.resize(static_cast<std::size_t>(slot_count));
-                for (std::size_t i = 0; i < slots.size(); ++i) {
-                    const std::uint32_t value = load_le32(frame + i * 4);
-                    if (value != kNullSlot && value >= unique_count) {
-                        return Status(
-                            StatusCode::kMalformedRecord,
-                            strcat_args("checkpoint image slot ", i,
-                                        " references unique page ", value,
-                                        " of ", unique_count));
-                    }
-                    slots[i] = value;
-                }
-                saw_slots = true;
-                return Status();
-            }
-            if (!saw_slots)
-                return Status(StatusCode::kMalformedRecord,
-                              "checkpoint image page before its slot map");
-            if (seq - 2 >= unique_count)
-                return Status(StatusCode::kMalformedRecord,
-                              strcat_args("checkpoint image has more than ",
-                                          unique_count, " unique pages"));
-            if (length < 1)
-                return Status(StatusCode::kMalformedRecord,
-                              "checkpoint image page frame is empty");
-            // Validate the stream; the decoded bytes are not kept.
-            std::uint8_t raw[kPageSize];
-            if (const Status status =
-                    check_page(frame[0], frame + 1, length - 1, raw);
-                !status.ok())
-                return status;
-            uniques.push_back(std::make_shared<const StoredPage>(
-                static_cast<PageEncoding>(frame[0]),
-                std::vector<std::uint8_t>(frame + 1, frame + length)));
-            return Status();
-        });
-    if (!report.intact())
-        return report.status;
-    if (!saw_meta || !saw_slots)
-        return Status(StatusCode::kMalformedRecord,
-                      "checkpoint image is missing its meta or slot map");
-    if (uniques.size() != unique_count) {
-        return Status(StatusCode::kTruncated,
-                      strcat_args("checkpoint image has ", uniques.size(),
-                                  " of ", unique_count, " unique pages"));
-    }
-
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i] == kNullSlot)
-            continue;
-        const StoredPageRef& ref = uniques[slots[i]];
-        if (i < out->pages.size())
-            out->pages.set(i, ref);
-        else
-            out->blocks.set(i - out->pages.size(), ref);
-    }
-    return Status();
-}
-
 // ---------------------------------------------------------------------
-// The delta image (PayloadKind::kCheckpointDelta).
-
-namespace {
+// The delta image's frames.
 
 /** Wire bytes of one slot run: u32 first slot, u32 count, u64 key. */
 constexpr std::size_t kRunBytes = 16;
@@ -632,6 +445,75 @@ deserialize_delta(const std::vector<std::uint8_t>& bytes,
                       strcat_args("checkpoint delta has ", frames,
                                   " frames, want ", 3 + counts.carried));
     return Status();
+}
+
+// ---------------------------------------------------------------------
+// Building deltas, and the standalone image.
+
+CheckpointDelta
+diff_checkpoint(const Checkpoint* base, const Checkpoint& checkpoint,
+                const std::function<bool(const StoredPage&)>& carry)
+{
+    CheckpointDelta delta;
+    delta.base_id = base != nullptr ? base->id : kNoBase;
+    delta.num_pages = checkpoint.pages.size();
+    delta.num_blocks = checkpoint.blocks.size();
+    const auto add = [&](std::uint64_t slot, const StoredPageRef& ref) {
+        std::uint64_t key = 0;
+        if (ref) {
+            key = ref->key();
+            if (key == 0)
+                panic("checkpoint delta: page was not stored by a pool");
+            if (carry(*ref))
+                delta.carried.push_back(ref);
+        }
+        if (!delta.runs.empty()) {
+            DeltaRun& last = delta.runs.back();
+            if (last.key == key && last.first_slot + last.count == slot) {
+                ++last.count;
+                return;
+            }
+        }
+        delta.runs.push_back({static_cast<std::uint32_t>(slot), 1, key});
+    };
+    // A first image diffs against empty tables: every slot changed.
+    const StoredPageTable none;
+    checkpoint.pages.for_each_change(base != nullptr ? base->pages : none,
+                                     add);
+    checkpoint.blocks.for_each_change(
+        base != nullptr ? base->blocks : none,
+        [&](std::uint64_t block, const StoredPageRef& ref) {
+            add(delta.num_pages + block, ref);
+        });
+    std::sort(delta.carried.begin(), delta.carried.end(),
+              [](const StoredPageRef& a, const StoredPageRef& b) {
+                  return a->key() < b->key();
+              });
+    return delta;
+}
+
+std::vector<std::uint8_t>
+serialize_checkpoint(const Checkpoint& checkpoint)
+{
+    std::unordered_set<std::uint64_t> carried;
+    return serialize_delta(
+        checkpoint,
+        diff_checkpoint(nullptr, checkpoint, [&](const StoredPage& page) {
+            return carried.insert(page.key()).second;
+        }));
+}
+
+Status
+deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
+                       Checkpoint* out)
+{
+    CheckpointStreamReceiver receiver;
+    std::shared_ptr<const Checkpoint> checkpoint;
+    const Status status =
+        receiver.take(receiver.enqueue(bytes), &checkpoint);
+    if (status.ok())
+        *out = *checkpoint;
+    return status;
 }
 
 }  // namespace rsafe::replay::ckpt

@@ -2,6 +2,7 @@
 #define RSAFE_REPLAY_CKPT_STORE_CKPT_IMAGE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -9,8 +10,8 @@
 
 /**
  * @file
- * Checkpoint serialization: complete images (PayloadKind::
- * kCheckpointImage) and stream deltas (PayloadKind::kCheckpointDelta).
+ * Checkpoint serialization: one wire form, the checkpoint-stream delta
+ * image (PayloadKind::kCheckpointDelta).
  *
  * The shippable-checkpoint primitive: a Checkpoint serialized here and
  * deserialized in another process restores the same machine — an
@@ -19,19 +20,32 @@
  * is what turns the fleet's alarm jobs into jobs a *remote* AR tier can
  * execute.
  *
- * Image layout (on the hardened wire envelope of rnr/wire.h):
+ * A delta image is one step of a stream: it names its base (the
+ * stream's previous checkpoint), lists only the slots whose page changed
+ * since that base as runs of (slot, page key), carries only the pages
+ * its receiver does not hold yet, and lists the keys the sender's pool
+ * has retired. Page keys are PagePool keys: never reused, so a key
+ * always names one content. ckpt_stream.h keeps the state on both ends.
  *
- *   frame 0   machine state: id/icount/cycles/log_pos/copies, the CPU
- *             (registers, pc, sp, mode, flags, pending irq), the block
- *             device (including an in-flight DMA write payload), the
- *             live RAS + BackRAS, thread context, the page/block
- *             geometry, and the unique-page count U;
- *   frame 1   the slot map: one u32 per page then per block naming the
- *             unique page holding that slot's content (0xffffffff for a
- *             null slot) — this is the dedup structure on the wire:
- *             shared content is stored once and referenced many times;
- *   frame 2+i unique page i: a PageEncoding byte, then the raw or RLE
- *             bytes (RLE streams must decode to exactly kPageSize).
+ *   frame 0   base id; the machine state: id/icount/cycles/log_pos/
+ *             copies, the CPU (registers, pc, sp, mode, flags, pending
+ *             irq), the block device (including an in-flight DMA write
+ *             payload), the live RAS + BackRAS, thread context; the
+ *             page/block geometry; and the counts R (retired keys),
+ *             N (slot runs), C (carried pages);
+ *   frame 1   R retired keys, u64 each, strictly ascending;
+ *   frame 2   N slot runs: u32 first slot, u32 count, u64 key (0 = a
+ *             null slot), ascending and disjoint, pages numbered first,
+ *             then blocks;
+ *   frame 3+i carried page i: u64 key, u32 CRC32C of the raw content, a
+ *             PageEncoding byte, the raw or RLE bytes (RLE streams must
+ *             decode to exactly kPageSize); keys strictly ascending,
+ *             each named by some run.
+ *
+ * A standalone checkpoint (the export image, serialize_checkpoint()) is
+ * the first image of a one-image stream: no base, runs over every slot,
+ * each distinct page carried once and no retired keys. Shared content is
+ * stored once however many slots name it.
  *
  * Process-local fields (mem/disk identity and dirty epochs) are
  * excluded: a deserialized checkpoint never matches a live memory's id,
@@ -39,35 +53,13 @@
  * never-written target pages — exactly right for a checkpoint arriving
  * from elsewhere.
  *
- * deserialize_checkpoint() is strict and abort-free: truncation,
- * bit-flips, lying counts or lengths, out-of-range slot references, and
- * malformed RLE all land in the Status taxonomy (fuzzed by
- * tools/fuzz_ckpt_image.cc). Serialization is canonical — unique pages
- * appear in first-use order — so serialize(deserialize(serialize(x)))
- * == serialize(x). This is the self-contained export format.
- *
- * The delta image (PayloadKind::kCheckpointDelta) is the same machine
- * instant as one step of a stream: it names its base (the stream's
- * previous checkpoint), lists only the slots whose page changed since
- * that base as runs of (slot, page key), carries only the pages its
- * receiver does not hold yet, and lists the keys the sender's pool has
- * retired. Page keys are PagePool keys: never reused, so a key always
- * names one content. ckpt_stream.h keeps the state on both ends.
- *
- *   frame 0   base id, the machine state above, the geometry, and the
- *             counts R (retired keys), N (slot runs), C (carried pages);
- *   frame 1   R retired keys, u64 each, strictly ascending;
- *   frame 2   N slot runs: u32 first slot, u32 count, u64 key (0 = a
- *             null slot), ascending and disjoint, slots numbered as in
- *             the slot map above;
- *   frame 3+i carried page i: u64 key, u32 CRC32C of the raw content, a
- *             PageEncoding byte, the raw or RLE bytes; keys strictly
- *             ascending, each named by some run.
- *
  * deserialize_delta() checks everything one image can check on its own
- * (counts, order, slot range, RLE, each carried page's CRC) and is as
- * strict and abort-free as deserialize_checkpoint() (fuzzed by
+ * (counts, order, slot range, RLE, each carried page's CRC) and is
+ * strict and abort-free: truncation, bit-flips, lying counts or lengths
+ * and malformed RLE all land in the Status taxonomy (fuzzed by
  * tools/fuzz_ckpt_delta.cc); keys and bases are the receiver's to check.
+ * The encoding is canonical, so serialize(deserialize(serialize(x))) ==
+ * serialize(x).
  */
 
 namespace rsafe::replay {
@@ -76,27 +68,12 @@ struct Checkpoint;
 
 namespace ckpt {
 
-/** Slot-map entry marking a null (never-captured) slot. */
-inline constexpr std::uint32_t kNullSlot = 0xffffffffu;
-
 /** Cap on num_pages + num_blocks: rejects lying geometries before any
- *  allocation sized by them (a 4M-slot map is a 16 MiB frame, inside the
- *  wire format's 64 MiB frame bound). */
+ *  allocation sized by them. */
 inline constexpr std::uint64_t kMaxImageSlots = 1ull << 22;
 
 /** Cap on RAS entries (live or per thread) and on tracked threads. */
 inline constexpr std::uint64_t kMaxImageRasEntries = 1ull << 20;
-
-/** Encode @p checkpoint as a kCheckpointImage wire image. */
-std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
-
-/**
- * Strict parse of @p bytes into @p out. On success @p out is a complete
- * checkpoint (mem/disk identity zeroed); on failure @p out is
- * unspecified and the Status says where decoding stopped.
- */
-Status deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
-                              Checkpoint* out);
 
 /** Delta-image base id of a stream's first image (no base). */
 inline constexpr std::uint64_t kNoBase = ~std::uint64_t{0};
@@ -137,6 +114,37 @@ std::vector<std::uint8_t> serialize_delta(const Checkpoint& machine,
  */
 Status deserialize_delta(const std::vector<std::uint8_t>& bytes,
                          Checkpoint* machine, CheckpointDelta* delta);
+
+/**
+ * The delta taking @p base (null: a stream's first image) to
+ * @p checkpoint, retired keys left empty: the base id, the geometry, the
+ * changed slots coalesced into runs, and, sorted by key, every page of a
+ * changed slot that @p carry accepts (asked once per changed slot).
+ * Panics on a page no pool stored (key 0).
+ */
+CheckpointDelta diff_checkpoint(
+    const Checkpoint* base, const Checkpoint& checkpoint,
+    const std::function<bool(const StoredPage&)>& carry);
+
+/**
+ * Encode @p checkpoint as a standalone image: the first image of a
+ * one-image stream. Leaves the pages' streamed marks and the pool's
+ * retired-key log alone, so exporting never disturbs a live stream over
+ * the same pool.
+ */
+std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
+
+/**
+ * Decode a standalone image into @p out, through a fresh
+ * CheckpointStreamReceiver: besides what deserialize_delta() rejects, an
+ * image with a base is kWrongBase, one naming a key it does not carry
+ * (retired ones included) is kUnknownKey and one leaving a slot unnamed
+ * is kMalformedRecord. On success @p out is a complete checkpoint
+ * (mem/disk identity zeroed); on failure it is unspecified and the
+ * Status says where decoding stopped.
+ */
+Status deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,
+                              Checkpoint* out);
 
 }  // namespace ckpt
 }  // namespace rsafe::replay

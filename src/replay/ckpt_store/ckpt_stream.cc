@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.h"
 #include "obs/trace.h"
 #include "replay/checkpoint.h"
 #include "replay/ckpt_store/ckpt_image.h"
@@ -14,49 +13,18 @@ std::vector<std::uint8_t>
 CheckpointStreamSender::encode(std::shared_ptr<const Checkpoint> checkpoint)
 {
     obs::ScopedSpan span("ckpt_image.encode", "ckpt");
-    CheckpointDelta delta;
-    delta.base_id = base_ ? base_->id : kNoBase;
-    delta.num_pages = checkpoint->pages.size();
-    delta.num_blocks = checkpoint->blocks.size();
-
     // The receiver holds every streamed page still alive: forget the
     // ones the pool dropped since the last image.
-    delta.retired = pool_->take_retired();
-    std::sort(delta.retired.begin(), delta.retired.end());
-
-    const auto add = [&](std::uint64_t slot, const StoredPageRef& ref) {
-        std::uint64_t key = 0;
-        if (ref) {
-            key = ref->key();
-            if (key == 0)
-                panic("checkpoint stream: page was not stored by a pool");
-            if (!ref->streamed()) {
-                ref->mark_streamed();
-                delta.carried.push_back(ref);
-            }
-        }
-        if (!delta.runs.empty()) {
-            DeltaRun& last = delta.runs.back();
-            if (last.key == key && last.first_slot + last.count == slot) {
-                ++last.count;
-                return;
-            }
-        }
-        delta.runs.push_back({static_cast<std::uint32_t>(slot), 1, key});
-    };
-    // The first image diffs against empty tables: every slot changed.
-    const StoredPageTable none;
-    checkpoint->pages.for_each_change(base_ ? base_->pages : none, add);
-    const std::uint64_t pages = delta.num_pages;
-    checkpoint->blocks.for_each_change(
-        base_ ? base_->blocks : none,
-        [&](std::uint64_t block, const StoredPageRef& ref) {
-            add(pages + block, ref);
+    std::vector<std::uint64_t> retired = pool_->take_retired();
+    std::sort(retired.begin(), retired.end());
+    CheckpointDelta delta = diff_checkpoint(
+        base_.get(), *checkpoint, [](const StoredPage& page) {
+            if (page.streamed())
+                return false;
+            page.mark_streamed();
+            return true;
         });
-    std::sort(delta.carried.begin(), delta.carried.end(),
-              [](const StoredPageRef& a, const StoredPageRef& b) {
-                  return a->key() < b->key();
-              });
+    delta.retired = std::move(retired);
 
     base_ = std::move(checkpoint);
     return serialize_delta(*base_, delta);
@@ -161,6 +129,21 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
         if (pages_.count(run.key) == 0)
             return missing_key(run.key, "names");
     }
+    // A stream's first image, or one that changes the geometry, starts
+    // from fresh tables: a slot no run names would be left unspecified.
+    const bool fresh = !last_ || last_->pages.size() != delta.num_pages ||
+                       last_->blocks.size() != delta.num_blocks;
+    if (fresh) {
+        std::uint64_t named = 0;
+        for (const DeltaRun& run : delta.runs)
+            named += run.count;
+        if (named != delta.num_pages + delta.num_blocks)
+            return Status(StatusCode::kMalformedRecord,
+                          strcat_args("checkpoint delta starts fresh tables"
+                                      " but names ", named, " of ",
+                                      delta.num_pages + delta.num_blocks,
+                                      " slots"));
+    }
 
     for (const std::uint64_t key : delta.retired) {
         pages_.erase(key);
@@ -168,8 +151,7 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
     }
     for (const StoredPageRef& page : delta.carried)
         pages_.emplace(page->key(), page);
-    if (last_ && last_->pages.size() == delta.num_pages &&
-        last_->blocks.size() == delta.num_blocks) {
+    if (!fresh) {
         // Share the base's chunks; set() clones only those it touches.
         ck->pages = last_->pages;
         ck->blocks = last_->blocks;

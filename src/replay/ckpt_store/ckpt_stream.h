@@ -80,10 +80,12 @@ class CheckpointStreamReceiver {
      *
      * Ingest is strict and all-or-nothing: besides what
      * deserialize_delta() rejects, an image must name the last ingested
-     * checkpoint as its base (kWrongBase), and every key it names must be
+     * checkpoint as its base (kWrongBase), every key it names must be
      * held here or carried by it (kUnknownKey; kRetiredKey for one
-     * already retired). A rejected image changes nothing, so images
-     * based on it are rejected too.
+     * already retired), and the stream's first image, or one that
+     * changes the geometry, must name every slot (kMalformedRecord). A
+     * rejected image changes nothing, so images based on it are
+     * rejected too.
      */
     Status take(std::size_t position,
                 std::shared_ptr<const Checkpoint>* out);

@@ -25,7 +25,7 @@
  * fully bounds-checked and must produce exactly the advertised output
  * length: a stream that overruns its input, overflows the output, or
  * stops short is malformed, never UB — these bytes arrive over the wire
- * (PayloadKind::kCheckpointImage) and are fuzzed.
+ * (PayloadKind::kCheckpointDelta) and are fuzzed.
  */
 
 namespace rsafe::replay::ckpt {

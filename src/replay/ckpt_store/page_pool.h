@@ -33,9 +33,8 @@
  * All-zero content bypasses the index: every zero intern returns the
  * pool's one zero page, and intern_zero() hands it out without reading
  * or hashing anything (the checkpoint store calls it for pages the guest
- * never wrote). Because the zero page is a single object, image
- * serialization, which treats pointer identity as content identity,
- * stays byte-identical.
+ * never wrote). Because the zero page is a single object, every zero
+ * slot of a checkpoint image names the same key.
  *
  * Every page the pool stores also gets a key: a 64-bit id assigned once
  * per unique page and never reused, so unlike the CRC it names exactly
@@ -66,11 +65,11 @@ class StoredPage {
      *                  to exactly kPageSize bytes — the constructors'
      *                  callers validate this).
      * @param key       the storing pool's key, also on a page a stream
-     *                  delivered (0 = none).
-     * @param crc       CRC32C of the raw content (meaningful with a key).
+     *                  delivered.
+     * @param crc       CRC32C of the raw content.
      */
     StoredPage(PageEncoding encoding, std::vector<std::uint8_t> bytes,
-               std::uint64_t key = 0, std::uint32_t crc = 0);
+               std::uint64_t key, std::uint32_t crc);
 
     /** Decode the page into @p out (exactly kPageSize bytes). */
     void copy_to(std::uint8_t* out) const;
@@ -89,11 +88,10 @@ class StoredPage {
      */
     bool is_zero() const { return zero_; }
 
-    /** The storing pool's key (never reused by that pool), or 0 for a
-     *  page decoded from a full image. */
+    /** The storing pool's key (never reused by that pool). */
     std::uint64_t key() const { return key_; }
 
-    /** CRC32C of the raw content, for a pool-stored page. */
+    /** CRC32C of the raw content. */
     std::uint32_t crc() const { return crc_; }
 
     /** Mark the page as shipped on its pool's checkpoint stream: from

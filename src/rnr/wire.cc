@@ -171,8 +171,11 @@ fnv1a64_u64(std::uint64_t value, std::uint64_t seed)
 }
 
 void
-encode_header(const Header& header, std::uint8_t* at)
+encode_header(const Header& header, std::vector<std::uint8_t>* out)
 {
+    const std::size_t base = out->size();
+    out->resize(base + kHeaderSize);
+    std::uint8_t* at = out->data() + base;
     store_le(at, header.magic, 8);
     store_le(at + 8, header.version, 2);
     store_le(at + 10, static_cast<std::uint16_t>(header.kind), 2);
@@ -180,14 +183,6 @@ encode_header(const Header& header, std::uint8_t* at)
     store_le(at + 16, header.frame_count, 8);
     store_le(at + 24, 0, 4);  // reserved
     store_le(at + 28, crc32c(at, kHeaderSize - 4), 4);
-}
-
-void
-encode_header(const Header& header, std::vector<std::uint8_t>* out)
-{
-    const std::size_t base = out->size();
-    out->resize(base + kHeaderSize);
-    encode_header(header, out->data() + base);
 }
 
 Status
@@ -235,9 +230,9 @@ begin_frame(std::uint32_t seq, std::vector<std::uint8_t>* image)
 }
 
 void
-end_frame(std::size_t frame, std::size_t end, std::vector<std::uint8_t>* image)
+end_frame(std::size_t frame, std::vector<std::uint8_t>* image)
 {
-    const std::size_t len = end - frame - kFrameHeaderSize;
+    const std::size_t len = image->size() - frame - kFrameHeaderSize;
     if (len > kMaxFrameLength)
         panic(strcat_args("wire frame payload of ", len, " bytes exceeds ",
                           kMaxFrameLength));

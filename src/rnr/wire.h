@@ -82,13 +82,16 @@ inline constexpr std::size_t kFrameHeaderSize = 12;
 /** Upper bound on a single frame payload (sanity check on length). */
 inline constexpr std::uint32_t kMaxFrameLength = 1u << 26;
 
-/** What the framed payload is (guards cross-feeding artifacts). */
+/**
+ * What the framed payload is (guards cross-feeding artifacts). Values 2
+ * and 5 named retired checkpoint payloads (a state digest and a
+ * slot-map image); they stay reserved and are never reused, so an old
+ * file is rejected as a kind mismatch rather than misread.
+ */
 enum class PayloadKind : std::uint16_t {
     kInputLog = 1,
-    kCheckpointDigest = 2,
     kForensicReport = 3,
     kPolicyTable = 4,
-    kCheckpointImage = 5,
     kFlightBox = 6,
     kCheckpointDelta = 7,
 };
@@ -105,10 +108,6 @@ struct Header {
 /** Append the 32-byte encoding of @p header (CRC computed here). */
 void encode_header(const Header& header, std::vector<std::uint8_t>* out);
 
-/** Write the 32-byte encoding of @p header at @p at (an image whose
- *  frame count is known only once its frames are written). */
-void encode_header(const Header& header, std::uint8_t* at);
-
 /**
  * Decode and validate the header at the front of @p bytes.
  * Checks length, magic, version, and the header CRC — in that order, so
@@ -121,16 +120,10 @@ Status decode_header(const std::vector<std::uint8_t>& bytes, Header* out);
  * Frames written in place: begin_frame() appends frame @p seq's header
  * with its length and CRC blank and returns the frame's offset; the
  * caller appends the payload; end_frame() seals it, taking the payload
- * to end at @p end (default: the end of @p image). @{
+ * to end at the end of @p image. @{
  */
 std::size_t begin_frame(std::uint32_t seq, std::vector<std::uint8_t>* image);
-void end_frame(std::size_t frame, std::size_t end,
-               std::vector<std::uint8_t>* image);
-inline void
-end_frame(std::size_t frame, std::vector<std::uint8_t>* image)
-{
-    end_frame(frame, image->size(), image);
-}
+void end_frame(std::size_t frame, std::vector<std::uint8_t>* image);
 /** @} */
 
 /** Append one frame (sequence + length + CRC + payload) to @p out. */

@@ -1,8 +1,8 @@
 # Regenerate the wire corpus into a build-tree directory and byte-compare
 # every file rsafe-corpus writes against its checked-in copy under
-# tests/corpus. The log, digest, checkpoint image and delta, flight-box
-# and forensic encoders are thereby pinned: any change to the bytes they
-# emit fails here. Run by ctest as
+# tests/corpus. The log, checkpoint (stream step and standalone image),
+# flight-box and forensic encoders are thereby pinned: any change to the
+# bytes they emit fails here. Run by ctest as
 #
 #   cmake -DCORPUS_TOOL=<rsafe-corpus> -DCORPUS_DIR=<tests/corpus>
 #         -DOUT_DIR=<scratch dir> -P corpus_regen.cmake

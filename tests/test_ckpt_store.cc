@@ -1,16 +1,18 @@
 /** @file Checkpoint-store tests: the RLE codec, content-hash dedup and
  *  its refcounted live accounting, byte-budget recycling, the compress
  *  on/off A/B determinism gate, the shippable-checkpoint path (ArStage
- *  booting from a deserialized kCheckpointImage with bit-identical
+ *  booting from a deserialized standalone image with bit-identical
  *  verdicts), and checkpoint streams (kCheckpointDelta images by page
  *  key, and the fleet shipping through them). */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -513,7 +515,7 @@ TEST(CheckpointStore, CompressKillSwitchIsBitIdenticalAndBiggerOnDisk)
 }
 
 // ---------------------------------------------------------------------
-// The complete checkpoint image.
+// The standalone checkpoint image (a one-image stream).
 
 TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
 {
@@ -578,12 +580,42 @@ TEST(CkptImage, DamageLandsInStatusNeverAborts)
         EXPECT_FALSE(replay::ckpt::deserialize_checkpoint(cut, &out).ok())
             << "kept " << keep << " bytes";
     }
-    // Bit flips across the image: header, meta, slot map, page frames.
+    // Bit flips across the image: header, meta, slot runs, page frames.
     for (std::size_t pos = 0; pos < image.size();
          pos += image.size() / 97 + 1) {
         std::vector<std::uint8_t> flipped = image;
         flipped[pos] ^= 0x20;
         (void)replay::ckpt::deserialize_checkpoint(flipped, &out);
+    }
+    // A standalone image starts from empty tables, so a slot no run
+    // names would be unspecified: such an image is malformed.
+    replay::Checkpoint machine;
+    replay::ckpt::CheckpointDelta delta;
+    ASSERT_TRUE(
+        replay::ckpt::deserialize_delta(image, &machine, &delta).ok());
+    const auto run =
+        std::find_if(delta.runs.begin(), delta.runs.end(),
+                     [](const auto& r) { return r.count > 1; });
+    ASSERT_NE(run, delta.runs.end());
+    --run->count;
+    const Status gap = replay::ckpt::deserialize_checkpoint(
+        replay::ckpt::serialize_delta(machine, delta), &out);
+    EXPECT_EQ(gap.code(), StatusCode::kMalformedRecord) << gap.to_string();
+    EXPECT_NE(gap.message().find("names"), std::string::npos)
+        << gap.to_string();
+    // A file of a retired payload kind (2, a digest; 5, a slot-map
+    // image) is a kind mismatch, never misread.
+    for (const std::uint16_t retired : {2, 5}) {
+        rnr::wire::Header header;
+        ASSERT_TRUE(rnr::wire::decode_header(image, &header).ok());
+        header.kind = static_cast<rnr::wire::PayloadKind>(retired);
+        std::vector<std::uint8_t> old;
+        rnr::wire::encode_header(header, &old);
+        old.insert(old.end(), image.begin() + rnr::wire::kHeaderSize,
+                   image.end());
+        EXPECT_EQ(replay::ckpt::deserialize_checkpoint(old, &out).code(),
+                  StatusCode::kMalformedRecord)
+            << "kind " << retired;
     }
 }
 
@@ -626,9 +658,10 @@ parse_delta(const std::vector<std::uint8_t>& image,
 TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
 {
     // A real CR chain shipped checkpoint by checkpoint: every decoded
-    // copy is the same machine instant with the same full image, later
-    // images carry only what changed, and a slot that did not change
-    // keeps the receiver's page object (decode copies no page).
+    // copy is the same machine instant with the same standalone image,
+    // every page crosses the stream exactly once (history is unlimited,
+    // so nothing retires), and a slot that did not change keeps the
+    // receiver's page object (decode copies no page).
     const auto profile = small_profile("fileio", 200);
     auto recorded = record(profile);
     auto cr_vm = workloads::make_vm(profile);
@@ -643,8 +676,8 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
 
     CheckpointStreamSender sender(&cr.checkpoints().pool());
     CheckpointStreamReceiver receiver;
-    std::uint64_t full_bytes = 0;
-    std::uint64_t delta_bytes = 0;
+    std::set<std::uint64_t> chain_keys;    // every non-null slot's key
+    std::set<std::uint64_t> carried_keys;  // every key an image carried
     std::shared_ptr<const replay::Checkpoint> prev, prev_decoded;
     for (std::size_t i = 0; i < n; ++i) {
         const auto ck = cr.checkpoints().at(i);
@@ -652,13 +685,20 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
         const auto decoded = ship(&sender, &receiver, ck, &image);
         ASSERT_NE(decoded, nullptr);
         EXPECT_EQ(replay::digest_of(*decoded), replay::digest_of(*ck));
-        const auto full = replay::ckpt::serialize_checkpoint(*ck);
-        EXPECT_EQ(replay::ckpt::serialize_checkpoint(*decoded), full)
+        EXPECT_EQ(replay::ckpt::serialize_checkpoint(*decoded),
+                  replay::ckpt::serialize_checkpoint(*ck))
             << "checkpoint " << i;
-        full_bytes += full.size();
-        delta_bytes += image.size();
+        for (const auto* table : {&ck->pages, &ck->blocks})
+            for (std::uint64_t slot = 0; slot < table->size(); ++slot)
+                if (const auto& ref = table->at(slot))
+                    chain_keys.insert(ref->key());
+        const CheckpointDelta delta = parse_delta(image);
+        for (const auto& page : delta.carried)
+            EXPECT_TRUE(carried_keys.insert(page->key()).second)
+                << "key " << page->key() << " carried again by checkpoint "
+                << i;
         if (prev) {
-            EXPECT_EQ(parse_delta(image).base_id, prev->id);
+            EXPECT_EQ(delta.base_id, prev->id);
             for (Addr p = 0; p < ck->pages.size(); ++p) {
                 if (ck->pages.at(p) == prev->pages.at(p)) {
                     ASSERT_EQ(decoded->pages.at(p), prev_decoded->pages.at(p))
@@ -669,7 +709,7 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
         prev = ck;
         prev_decoded = decoded;
     }
-    EXPECT_LT(4 * delta_bytes, full_bytes);
+    EXPECT_EQ(carried_keys, chain_keys);
 }
 
 /** A booted VM checkpointed into a max_keep-1 store and shipped. */

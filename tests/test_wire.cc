@@ -1,6 +1,6 @@
 /** @file Wire-format hardening tests: header validation, CRC framing,
- *  truncation-tolerant recovery, legacy v1 rejection, checkpoint
- *  digests, and the deterministic fault injector's aim. */
+ *  truncation-tolerant recovery, legacy v1 rejection, short frames in
+ *  every payload codec, and the deterministic fault injector's aim. */
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST(Crc32c, HardwarePathMatchesTablesAtEveryLengthAndAlignment)
 TEST(WireHeader, RoundTrip)
 {
     wire::Header in;
-    in.kind = wire::PayloadKind::kCheckpointDigest;
+    in.kind = wire::PayloadKind::kCheckpointDelta;
     in.frame_count = 42;
     std::vector<std::uint8_t> bytes;
     wire::encode_header(in, &bytes);
@@ -119,7 +119,7 @@ TEST(WireHeader, RoundTrip)
     ASSERT_TRUE(wire::decode_header(bytes, &out).ok());
     EXPECT_EQ(out.magic, wire::kMagic);
     EXPECT_EQ(out.version, wire::kVersion);
-    EXPECT_EQ(out.kind, wire::PayloadKind::kCheckpointDigest);
+    EXPECT_EQ(out.kind, wire::PayloadKind::kCheckpointDelta);
     EXPECT_EQ(out.frame_count, 42u);
 }
 
@@ -167,7 +167,7 @@ TEST(WireFrames, RejectsCrossFeedingPayloadKinds)
 {
     const auto bytes = make_log(3).serialize();
     const auto report = wire::read_frames(
-        bytes, wire::PayloadKind::kCheckpointDigest,
+        bytes, wire::PayloadKind::kCheckpointDelta,
         [](std::uint64_t, std::size_t, std::size_t) {
             return Status();
         });
@@ -413,9 +413,6 @@ TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
         std::vector<std::uint8_t>(page.begin(), page.end()), 7,
         wire::crc32c(page))};
 
-    replay::CheckpointDigest digest;
-    digest.id = 9;
-
     analysis::StaticPolicy policy;
     policy.fallback = {0x1000, 0x2000};
     policy.code = {{0x1000, 0x3000}};
@@ -453,11 +450,6 @@ TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
          [](const auto& bytes) {
              InputLog out;
              return InputLog::deserialize(bytes, &out);
-         }},
-        {"checkpoint digest", digest.serialize(),
-         [](const auto& bytes) {
-             replay::CheckpointDigest out;
-             return replay::CheckpointDigest::deserialize(bytes, &out);
          }},
         {"checkpoint image", replay::ckpt::serialize_checkpoint(ck),
          [](const auto& bytes) {
@@ -505,54 +497,6 @@ TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
         }
         EXPECT_GT(cut, 0u) << c.kind;
     }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint digests.
-// ---------------------------------------------------------------------
-
-TEST(CheckpointDigestWire, RoundTrip)
-{
-    replay::CheckpointDigest in;
-    in.id = 11;
-    in.icount = 22;
-    in.cycles = 33;
-    in.log_pos = 44;
-    in.cpu_hash = 0x5555;
-    in.pages_hash = 0x6666;
-    in.blocks_hash = 0x7777;
-    in.ras_hash = 0x8888;
-
-    const auto bytes = in.serialize();
-    replay::CheckpointDigest out;
-    ASSERT_TRUE(replay::CheckpointDigest::deserialize(bytes, &out).ok());
-    EXPECT_TRUE(out == in);
-    EXPECT_FALSE(out.to_string().empty());
-}
-
-TEST(CheckpointDigestWire, RejectsDamageAndCrossFeeding)
-{
-    replay::CheckpointDigest digest;
-    digest.cpu_hash = 0xabcdef;
-    auto bytes = digest.serialize();
-
-    // Bit rot in the payload.
-    auto flipped = bytes;
-    flipped[wire::kHeaderSize + wire::kFrameHeaderSize + 3] ^= 1;
-    replay::CheckpointDigest out;
-    EXPECT_EQ(replay::CheckpointDigest::deserialize(flipped, &out).code(),
-              StatusCode::kChecksumMismatch);
-
-    // An input-log image is not a digest.
-    const auto log_image = make_log(1).serialize();
-    EXPECT_EQ(
-        replay::CheckpointDigest::deserialize(log_image, &out).code(),
-        StatusCode::kMalformedRecord);
-
-    // Truncation.
-    const std::vector<std::uint8_t> trunc(bytes.begin(), bytes.end() - 8);
-    EXPECT_EQ(replay::CheckpointDigest::deserialize(trunc, &out).code(),
-              StatusCode::kTruncated);
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "replay/ckpt_store/ckpt_image.h"
 #include "rnr/log_io.h"
 #include "rnr/replayer.h"
-#include "rnr/wire.h"
 #include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
 #include "workloads/generator.h"
@@ -124,13 +123,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Golden serialized checkpoints (ckpt_manifest.txt): one complete
-// kCheckpointImage per Table 3 benchmark plus the attack mix, written by
-// rsafe-corpus from a checkpointed CR replay of the golden recording.
-// The checked-in bytes must keep deserializing, keep their recorded
-// geometry and state digest, and stay a canonical fixed point of
-// serialize(). Any drift in the image format, the RLE codec, or the
-// dedup slot map fails here before it ships.
+// Golden serialized checkpoints (ckpt_manifest.txt): one standalone
+// checkpoint image (a one-image kCheckpointDelta stream) per Table 3
+// benchmark plus the attack mix, written by rsafe-corpus from a
+// checkpointed CR replay of the golden recording. The checked-in bytes
+// must keep deserializing, keep their recorded geometry and state
+// digest, and stay a canonical fixed point of serialize(). Any drift in
+// the image format, the RLE codec, or the page keys fails here before
+// it ships.
 
 struct GoldenCkptEntry {
     std::string name;
@@ -197,9 +197,7 @@ TEST_P(GoldenCkptCorpus, CheckedInImageStillDecodesToItsDigest)
 
     // The machine state the image decodes to is pinned by the digest
     // recorded at generation time.
-    const auto digest_bytes = replay::digest_of(ck).serialize();
-    EXPECT_EQ(rnr::wire::fnv1a64(digest_bytes.data(), digest_bytes.size()),
-              entry.digest_hash);
+    EXPECT_EQ(replay::digest_of(ck).hash(), entry.digest_hash);
 
     // Serialization is canonical: re-encoding the decoded checkpoint
     // must reproduce the checked-in bytes exactly.

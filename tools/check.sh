@@ -108,15 +108,11 @@ run_fuzz() {
         cmake -B build-fuzz -S .
     fi
     cmake --build build-fuzz -j "$(nproc)" \
-        --target fuzz_wire --target fuzz_log --target fuzz_checkpoint \
-        --target fuzz_ckpt_image --target fuzz_ckpt_delta \
+        --target fuzz_wire --target fuzz_log --target fuzz_ckpt_delta \
         --target fuzz_flight --target fuzz_forensic --target fuzz_policy
-    for target in wire log checkpoint ckpt_image ckpt_delta flight \
-            forensic policy; do
+    for target in wire log ckpt_delta flight forensic policy; do
         corpus="$target"
-        # Full-image seeds live under corpus/ckpt, delta seeds under
-        # corpus/delta.
-        [ "$target" = ckpt_image ] && corpus=ckpt
+        # Checkpoint seeds live under corpus/delta.
         [ "$target" = ckpt_delta ] && corpus=delta
         echo "check.sh: fuzz_$target over tests/corpus/$corpus" \
              "(runs=$runs)"

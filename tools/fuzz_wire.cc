@@ -25,7 +25,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
     const std::vector<std::uint8_t> bytes(data, data + size);
 
     for (const auto kind : {wire::PayloadKind::kInputLog,
-                            wire::PayloadKind::kCheckpointDigest}) {
+                            wire::PayloadKind::kCheckpointDelta}) {
         volatile std::uint8_t sink_byte = 0;
         const wire::LoadReport report = wire::read_frames(
             bytes, kind,

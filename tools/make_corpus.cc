@@ -30,8 +30,8 @@
  *
  * Emits two things:
  *
- *  - fuzz seed inputs under wire/, log/, checkpoint/, ckpt/, delta/,
- *    flight/ and forensic/ — intact images of every artifact plus one
+ *  - fuzz seed inputs under wire/, log/, delta/, flight/ and
+ *    forensic/ — intact images of every artifact plus one
  *    deterministically-faulted variant per FaultKind, so the fuzzers
  *    start from inputs that reach deep into the decoders rather than
  *    dying at the magic check;
@@ -293,8 +293,7 @@ main(int argc, char** argv)
 
     const fs::path root = argc > 1 ? fs::path(argv[1]) : "tests/corpus";
     for (const char* sub :
-         {"wire", "log", "checkpoint", "ckpt", "delta", "flight",
-          "forensic", "golden"})
+         {"wire", "log", "delta", "flight", "forensic", "golden"})
         fs::create_directories(root / sub);
 
     // ---- fuzz seeds -------------------------------------------------
@@ -303,31 +302,15 @@ main(int argc, char** argv)
     emit_fault_variants(root / "log", "records", small_image, 0x5EED0001);
     write_file(root / "log" / "empty.bin", rnr::InputLog().serialize());
 
-    replay::CheckpointDigest digest;
-    digest.id = 7;
-    digest.icount = 123456;
-    digest.cycles = 654321;
-    digest.log_pos = 42;
-    digest.cpu_hash = 0x1111111111111111ULL;
-    digest.pages_hash = 0x2222222222222222ULL;
-    digest.blocks_hash = 0x3333333333333333ULL;
-    digest.ras_hash = 0x4444444444444444ULL;
-    emit_fault_variants(root / "checkpoint", "digest", digest.serialize(),
-                        0x5EED0002);
-
-    // ckpt/: complete checkpoint images for the image fuzzer — the rich
-    // sample plus one faulted variant per kind, and a degenerate empty
-    // checkpoint (0 pages, 0 blocks).
-    const auto ckpt_image =
-        replay::ckpt::serialize_checkpoint(sample_checkpoint());
-    emit_fault_variants(root / "ckpt", "image", ckpt_image, 0x5EED0004);
-    write_file(root / "ckpt" / "empty.bin",
-               replay::ckpt::serialize_checkpoint(replay::Checkpoint()));
-
     // delta/: checkpoint-stream images for the delta fuzzer, which
-    // decodes each as the next image of the sample stream: the real one
-    // plus one faulted variant per kind, the stream's first image (a
-    // wrong base there), and one image per defect the receiver names.
+    // decodes each as the next image of the sample stream and as a
+    // standalone checkpoint: the real one plus one faulted variant per
+    // kind, the stream's first image (a wrong base there), one image per
+    // defect the receiver names, and the export images of the rich
+    // sample checkpoint (plus one faulted variant per kind) and of a
+    // degenerate empty checkpoint (0 pages, 0 blocks).
+    const auto export_image =
+        replay::ckpt::serialize_checkpoint(sample_checkpoint());
     {
         namespace ckpt = replay::ckpt;
         const tools::DeltaSample sample = tools::make_delta_sample();
@@ -377,6 +360,9 @@ main(int argc, char** argv)
                    bump_meta_count(sample.next, 1));
         write_file(dir / "delta_lying-runs.bin",
                    bump_meta_count(sample.next, 2));
+        emit_fault_variants(dir, "export", export_image, 0x5EED0004);
+        write_file(dir / "export_empty.bin",
+                   ckpt::serialize_checkpoint(replay::Checkpoint()));
     }
 
     // flight/: flight-recorder dumps for the black-box fuzzer — every
@@ -393,16 +379,15 @@ main(int argc, char** argv)
 
     // wire/ mixes the payload kinds (the raw walker sees everything).
     emit_fault_variants(root / "wire", "log", small_image, 0x5EED0003);
-    write_file(root / "wire" / "digest.bin", digest.serialize());
-    write_file(root / "wire" / "ckpt_image.bin", ckpt_image);
+    write_file(root / "wire" / "ckpt_image.bin", export_image);
     write_file(root / "wire" / "empty.bin", rnr::InputLog().serialize());
 
     // ---- golden replay corpus ---------------------------------------
     std::ostringstream manifest;
     manifest << "# benchmark  file  records  icount  final_state_hash\n";
     // Golden serialized checkpoints ride in their own manifest (different
-    // row shape): the image size, the chain geometry, and the fnv-64 of
-    // the serialized CheckpointDigest the image must deserialize to.
+    // row shape): the image size, the chain geometry, and the hash() of
+    // the CheckpointDigest the image must deserialize to.
     std::ostringstream ckpt_manifest;
     ckpt_manifest << "# benchmark  file  bytes  pages  blocks"
                      "  digest_hash\n";
@@ -422,13 +407,9 @@ main(int argc, char** argv)
         const auto ck = cr.checkpoints().latest();
         const auto image = replay::ckpt::serialize_checkpoint(*ck);
         write_file(root / "golden" / (name + ".ckpt"), image);
-        const auto digest_bytes = replay::digest_of(*ck).serialize();
         ckpt_manifest << name << " " << name << ".ckpt " << image.size()
                       << " " << ck->pages.size() << " " << ck->blocks.size()
-                      << " "
-                      << hex64(rnr::wire::fnv1a64(digest_bytes.data(),
-                                                  digest_bytes.size()))
-                      << "\n";
+                      << " " << hex64(replay::digest_of(*ck).hash()) << "\n";
     };
     for (const std::string& name : workloads::benchmark_names()) {
         const auto profile = workloads::golden_profile(name);
