@@ -43,7 +43,7 @@ AlarmReplayResult
 ArStage::analyze_shipped(const replay::PendingAlarm& pending,
                          const Status& decoded,
                          std::shared_ptr<const replay::Checkpoint> checkpoint,
-                         rnr::LogSource* source,
+                         const rnr::InputLog& log,
                          stats::StatRegistry* local_stats) const
 {
     if (!decoded.ok())
@@ -51,12 +51,12 @@ ArStage::analyze_shipped(const replay::PendingAlarm& pending,
                            local_stats);
     replay::PendingAlarm booted = pending;
     booted.checkpoint = std::move(checkpoint);
-    return analyze(booted, source, local_stats);
+    return analyze(booted, log, local_stats);
 }
 
 AlarmReplayResult
 ArStage::analyze(const replay::PendingAlarm& pending,
-                 rnr::LogSource* source,
+                 const rnr::InputLog& log,
                  stats::StatRegistry* local_stats) const
 {
     if (!pending.checkpoint)
@@ -74,7 +74,7 @@ ArStage::analyze(const replay::PendingAlarm& pending,
                                         pending.log_index);
 
     auto ar_vm = factory_();
-    replay::AlarmReplayer ar(ar_vm.get(), source, *pending.checkpoint,
+    replay::AlarmReplayer ar(ar_vm.get(), &log, *pending.checkpoint,
                              base_options_);
     ar.set_detectors(detectors_);
     local_stats->counter("ar.replays").inc();

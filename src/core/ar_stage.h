@@ -9,7 +9,7 @@
 #include "hv/vm.h"
 #include "replay/alarm_replayer.h"
 #include "replay/checkpoint_replayer.h"
-#include "rnr/log_source.h"
+#include "rnr/log_io.h"
 #include "stats/stats.h"
 
 /**
@@ -23,10 +23,9 @@
  * number of worker threads — the fleet's shared pool calls it from every
  * worker.
  *
- * Records come from any LogSource resolving the [checkpoint, alarm]
- * range: an InputLogSource over a finished recording, or, in the fleet,
- * a SliceLogSource owning a copy of exactly that range, so a pool worker
- * never reads a tenant's still-growing log.
+ * The replayer reads the tenant's one input log in place, and only its
+ * [checkpoint, alarm] range: a pool worker may run while the recorder
+ * is still appending further records to the same log.
  */
 
 namespace rsafe::core {
@@ -68,7 +67,8 @@ class ArStage {
 
     /**
      * Launch one alarm replayer for @p pending on a fresh VM, reading
-     * records from @p source, and account it into @p local_stats. The
+     * @p log in place, and account it into @p local_stats. Every record
+     * up to and including @p pending's alarm must be in @p log. The
      * replayer picks its tracing level from the alarm record, so every
      * alarm takes exactly one pass. Thread-safe.
      *
@@ -77,7 +77,7 @@ class ArStage {
      * AlarmCause::kCheckpointUnavailable verdict, never a crash.
      */
     AlarmReplayResult analyze(const replay::PendingAlarm& pending,
-                              rnr::LogSource* source,
+                              const rnr::InputLog& log,
                               stats::StatRegistry* local_stats) const;
 
     /**
@@ -93,7 +93,7 @@ class ArStage {
     AlarmReplayResult analyze_shipped(
         const replay::PendingAlarm& pending, const Status& decoded,
         std::shared_ptr<const replay::Checkpoint> checkpoint,
-        rnr::LogSource* source, stats::StatRegistry* local_stats) const;
+        const rnr::InputLog& log, stats::StatRegistry* local_stats) const;
 
   private:
     /** The no-checkpoint verdict shared by the paths above. */

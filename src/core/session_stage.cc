@@ -70,39 +70,16 @@ SessionStage::SessionStage(VmFactory factory, SessionOptions options,
 void
 SessionStage::build_cr(const rnr::InputLog* log)
 {
-    source_ = std::make_unique<rnr::InputLogSource>(log, stream_.get());
+    log_ = log;
     cr_vm_ = factory_();
     cr_ = std::make_unique<replay::CheckpointReplayer>(
-        cr_vm_.get(), source_.get(), options_.cr);
+        cr_vm_.get(), log_, options_.cr, stream_.get());
 }
 
 void
 SessionStage::set_health_probe(obs::HealthProbe* probe)
 {
     cr_->set_health_probe(probe);
-}
-
-void
-SessionStage::install_cr_sink()
-{
-    if (!sink_)
-        return;
-    // Runs on the CR's thread: every index up to the alarm has been
-    // awaited by the CR already, so at() is immediate, and copying here
-    // makes the job a self-contained payload for any AR worker.
-    cr_->set_alarm_sink([this](const replay::PendingAlarm& p) {
-        AlarmJob job;
-        job.pending = p;
-        // No checkpoint (interval 0, or recycled past the alarm): the job
-        // still ships, with a degenerate slice; the AR stage turns it
-        // into a clean checkpoint-unavailable verdict.
-        const std::size_t base =
-            p.checkpoint ? p.checkpoint->log_pos : p.log_index;
-        job.slice.reserve(p.log_index + 1 - base);
-        for (std::size_t i = base; i <= p.log_index; ++i)
-            job.slice.push_back(source_->at(i));
-        sink_(job);
-    });
 }
 
 void
@@ -129,8 +106,6 @@ SessionStage::run()
     if (ran_)
         fatal("SessionStage: run() called twice");
     ran_ = true;
-    // The caller installs its sink after construction; hook it up now.
-    install_cr_sink();
 
     SessionResult result;
     const auto record = [&] {
@@ -191,10 +166,9 @@ SessionStage::run()
         result.channel_stats.consumer_waits = stream_->consumer_waits();
     }
 
-    const rnr::InputLog& log = recorder_ ? recorder_->log() : *shipped_log_;
     result.alarms_logged =
-        log.find_all(rnr::RecordType::kRasAlarm).size() +
-        log.find_all(rnr::RecordType::kDetectorAlarm).size();
+        log_->find_all(rnr::RecordType::kRasAlarm).size() +
+        log_->find_all(rnr::RecordType::kDetectorAlarm).size();
     result.stopped =
         (result.record_result == hv::RunResult::kInstrLimit &&
          recorder_->stop_requested()) ||

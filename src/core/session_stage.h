@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/ar_stage.h"
 #include "hv/vm.h"
@@ -26,11 +25,11 @@
  * What makes it a *stage* rather than a whole pipeline is what it does
  * with alarms: it does not replay them. Every alarm the CR cannot
  * resolve is handed to the installed alarm sink (set_alarm_sink) as soon
- * as the CR reaches it, packaged with an owned copy of the log records
- * between the originating checkpoint and the alarm — a self-contained
- * job any alarm-replay worker can execute without touching this
- * session's log. ReplayFleet runs N stages over one shared fair-share
- * pool; RnrSafeFramework is a fleet of one.
+ * as the CR reaches it. The PendingAlarm names its checkpoint and its
+ * alarm's log index; an alarm-replay worker reads that range of log()
+ * in place, which the CR has already read, so it never waits on the
+ * recorder. ReplayFleet runs N stages over one shared fair-share pool;
+ * RnrSafeFramework is a fleet of one.
  *
  * A stage built over a shipped log (the second constructor) has no
  * recorded VM and no recorder: run() replays that log on the calling
@@ -70,17 +69,6 @@ struct SessionResult {
     bool stopped = false;
 };
 
-/** An alarm-replay job emitted by a session: self-contained. */
-struct AlarmJob {
-    replay::PendingAlarm pending;
-    /**
-     * Owned copy of log records [checkpoint.log_pos, pending.log_index]
-     * — everything an AlarmReplayer touches, bounded by the checkpoint
-     * interval. Feed it to a SliceLogSource for replay.
-     */
-    std::vector<rnr::LogRecord> slice;
-};
-
 /** One guest session: recorder + checkpointing replayer. */
 class SessionStage {
   public:
@@ -106,8 +94,10 @@ class SessionStage {
      * Install the alarm sink, fired on the CR's thread for every alarm
      * the CR queues, mid-replay. Must be called before run().
      */
-    using AlarmSink = std::function<void(const AlarmJob&)>;
-    void set_alarm_sink(AlarmSink sink) { sink_ = std::move(sink); }
+    void set_alarm_sink(replay::CheckpointReplayer::AlarmSink sink)
+    {
+        cr_->set_alarm_sink(std::move(sink));
+    }
 
     /** Record (unless replaying a shipped log) + checkpointing-replay
      *  this session (blocking). */
@@ -119,6 +109,10 @@ class SessionStage {
      * its next positional segment. Callable from any thread.
      */
     void request_stop();
+
+    /** The one log this session's replayers read (the recorder's or
+     *  the shipped one); lives as long as the recorder or shipped log. */
+    const rnr::InputLog& log() const { return *log_; }
 
     /** The in-effect detector set (null when none or empty). */
     const DetectorSet* active_detectors() const { return active_detectors_; }
@@ -145,10 +139,6 @@ class SessionStage {
     /** Build the CR (+VM) reading @p log in place. */
     void build_cr(const rnr::InputLog* log);
 
-    /** Wrap sink_: copy the [checkpoint, alarm] slice out of the log
-     *  (on the CR thread) and forward the job. */
-    void install_cr_sink();
-
     void disarm_detectors();
 
     VmFactory factory_;
@@ -157,7 +147,6 @@ class SessionStage {
     const DetectorSet* active_detectors_ = nullptr;
     bool detectors_armed_ = false;
 
-    AlarmSink sink_;
     bool ran_ = false;
 
     /** The shipped log a replay-only session runs over (else null). */
@@ -166,8 +155,8 @@ class SessionStage {
     std::unique_ptr<rnr::Recorder> recorder_;
     /** Wakes the CR as the recorder appends (streamed shape; else null). */
     std::unique_ptr<rnr::LogStream> stream_;
-    /** The CR's view of the one log (recorder's or shipped). */
-    std::unique_ptr<rnr::InputLogSource> source_;
+    /** The one log (recorder's or shipped). */
+    const rnr::InputLog* log_ = nullptr;
     std::unique_ptr<hv::Vm> cr_vm_;
     std::unique_ptr<replay::CheckpointReplayer> cr_;
 };

@@ -198,7 +198,6 @@ class Cpu {
     CpuState& state() { return state_; }
     const CpuState& state() const { return state_; }
     Word reg(std::size_t idx) const { return state_.regs[idx]; }
-    void set_reg(std::size_t idx, Word value) { state_.regs[idx] = value; }
     /** @} */
 
     /** Cycle and instruction clocks. @{ */
@@ -249,7 +248,6 @@ class Cpu {
      * either way; the toggle exists for A/B testing.
      */
     void set_tb_enabled(bool enabled) { tb_enabled_ = enabled; }
-    bool tb_enabled() const { return tb_enabled_; }
 
     /** The translation-block engine (metrics export, tests). */
     TbEngine& tb_engine() { return *tb_; }

@@ -25,7 +25,6 @@ Nic::advance(Cycles now)
             pkt.payload.resize(static_cast<std::size_t>(size));
             for (auto& byte : pkt.payload)
                 byte = static_cast<std::uint8_t>(rng_.next() & 0xff);
-            total_rx_bytes_ += pkt.payload.size();
             ++total_rx_;
             rx_queue_.push_back(std::move(pkt));
         }

@@ -57,9 +57,6 @@ class Nic {
     /** @return total packets ever queued. */
     std::uint64_t total_rx_packets() const { return total_rx_; }
 
-    /** @return total payload bytes ever queued. */
-    std::uint64_t total_rx_bytes() const { return total_rx_bytes_; }
-
     /** @return total packets transmitted by the guest. */
     std::uint64_t total_tx_packets() const { return total_tx_; }
 
@@ -73,7 +70,6 @@ class Nic {
     Cycles next_arrival_;
     std::deque<Packet> rx_queue_;
     std::uint64_t total_rx_ = 0;
-    std::uint64_t total_rx_bytes_ = 0;
     std::uint64_t total_tx_ = 0;
 };
 

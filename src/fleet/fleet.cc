@@ -13,7 +13,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "replay/ckpt_store/ckpt_stream.h"
-#include "rnr/log_source.h"
 
 namespace rsafe::fleet {
 
@@ -250,25 +249,24 @@ ReplayFleet::run()
             tenant.factory, tenant.config.cr.replay,
             state->stage->active_detectors());
 
-        // The sink runs on this tenant's CR thread: claim the next slot,
-        // wrap the job's owned slice in a SliceLogSource, and hand it to
-        // the shared pool. The pool worker writes the result back into
-        // the claimed slot, so out-of-order execution still lands in
-        // alarm order.
+        // The sink runs on this tenant's CR thread: claim the next slot
+        // and hand the job to the shared pool. The worker reads the
+        // tenant's log in place up to the alarm, which the CR has read
+        // already, and writes the result back into the claimed slot, so
+        // out-of-order execution still lands in alarm order.
         TenantState* raw = state.get();
+        const rnr::InputLog* log = &state->stage->log();
         FairSharePool* pool_ptr = &pool;
         obs::FlightRecorder* flight_ptr = health_on ? &flight : nullptr;
         const bool ship = options_.ship_checkpoints;
         state->stage->set_alarm_sink(
-            [raw, pool_ptr, flight_ptr, ship](const core::AlarmJob& job) {
-                auto owned = std::make_shared<core::AlarmJob>(job);
+            [raw, log, pool_ptr, flight_ptr,
+             ship](const replay::PendingAlarm& alarm) {
                 // A job can arrive without a checkpoint (interval 0, or
-                // the byte budget recycled past the alarm); its slice is
-                // based at the alarm itself and the AR returns a clean
-                // checkpoint-unavailable verdict.
-                auto& ck = owned->pending.checkpoint;
-                const std::size_t slice_base =
-                    ck ? ck->log_pos : owned->pending.log_index;
+                // the byte budget recycled past the alarm); the AR
+                // returns a clean checkpoint-unavailable verdict.
+                replay::PendingAlarm pending = alarm;
+                auto& ck = pending.checkpoint;
                 // Ship mode: the worker sees exactly what a remote AR
                 // tier would — the checkpoint the tenant's stream
                 // decodes, not the live object graph. Encoding here, on
@@ -297,12 +295,10 @@ ReplayFleet::run()
                         raw->bytes_shipped += image_bytes;
                     }
                 }
-                pool_ptr->submit(raw->pool_id, [raw, owned, seq,
-                                                slice_base, position,
-                                                flight_ptr] {
+                pool_ptr->submit(raw->pool_id, [raw, log,
+                                                pending = std::move(pending),
+                                                seq, position, flight_ptr] {
                     stats::StatRegistry local;
-                    rnr::SliceLogSource source(slice_base,
-                                               std::move(owned->slice));
                     core::AlarmReplayResult result;
                     try {
                         if (position) {
@@ -310,11 +306,10 @@ ReplayFleet::run()
                             const Status status =
                                 raw->receiver.take(*position, &booted);
                             result = raw->ar->analyze_shipped(
-                                owned->pending, status, std::move(booted),
-                                &source, &local);
+                                pending, status, std::move(booted), *log,
+                                &local);
                         } else {
-                            result = raw->ar->analyze(owned->pending,
-                                                      &source, &local);
+                            result = raw->ar->analyze(pending, *log, &local);
                         }
                     } catch (...) {
                         // The slot stays not-done; run() rethrows once

@@ -20,9 +20,10 @@
  * Deploy six monitored guests as six private pipelines and the host runs
  * six alarm-replay pools' worth of threads, most of them idle. The fleet
  * inverts that: each tenant is a SessionStage (recorder + checkpointing
- * replayer on its own threads) that *submits* self-contained
- * alarm-replay jobs — a PendingAlarm plus an owned [checkpoint, alarm]
- * log slice — to one FairSharePool sized once for the whole machine.
+ * replayer on its own threads) that *submits* alarm-replay jobs — a
+ * PendingAlarm whose [checkpoint, alarm] range the worker reads from the
+ * tenant's log in place — to one FairSharePool sized once for the whole
+ * machine.
  * A per-tenant in-flight cap with round-robin takes keeps an alarm storm
  * in one tenant from starving the rest. RnrSafeFramework is this fleet
  * with one tenant.

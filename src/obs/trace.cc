@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 
@@ -348,16 +347,6 @@ Tracer::export_chrome_json() const
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
     return out;
-}
-
-bool
-Tracer::write_chrome_json(const std::string& path) const
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    out << export_chrome_json();
-    return static_cast<bool>(out);
 }
 
 // ---------------------------------------------------------------------

@@ -153,9 +153,6 @@ class Tracer {
     /** @return the stitched Chrome trace_event JSON document. */
     std::string export_chrome_json() const;
 
-    /** Write export_chrome_json() to @p path; false on I/O failure. */
-    bool write_chrome_json(const std::string& path) const;
-
   private:
     Tracer() = default;
 

@@ -101,24 +101,6 @@ AlarmReplayer::AlarmReplayer(hv::Vm* vm, const rnr::InputLog* log,
                vm->guest_kernel().finish_fork,
                vm->guest_kernel().finish_kthread})
 {
-    init_from_checkpoint(checkpoint);
-}
-
-AlarmReplayer::AlarmReplayer(hv::Vm* vm, rnr::LogSource* source,
-                             const Checkpoint& checkpoint,
-                             const rnr::ReplayOptions& options)
-    : rnr::Replayer(vm, source, checkpoint.log_pos, force_tracing(options)),
-      shadow_({vm->guest_kernel().switch_ret_pc},
-              {vm->guest_kernel().finish_resched,
-               vm->guest_kernel().finish_fork,
-               vm->guest_kernel().finish_kthread})
-{
-    init_from_checkpoint(checkpoint);
-}
-
-void
-AlarmReplayer::init_from_checkpoint(const Checkpoint& checkpoint)
-{
     restore_checkpoint(checkpoint, vm_, this);
     start_cycles_ = vm_->cpu().cycles();
 
@@ -185,14 +167,14 @@ AlarmReplayer::analyze(std::size_t alarm_log_index)
 {
     target_index_ = alarm_log_index;
     reached_target_ = false;
-    if (!source_->await(alarm_log_index))
+    if (!source_.await(alarm_log_index))
         panic("AlarmReplayer: the log holds no target alarm record");
     // The alarm record names the mode its return ran in, so it picks the
     // one analysis level that can classify it: a user-mode RAS alarm
     // needs user call/ret traced too (Section 4.6.2's deeper level).
     // The CPU reads the control at run time, so it is set after the
     // restore.
-    const rnr::LogRecord& record = source_->at(alarm_log_index);
+    const rnr::LogRecord& record = source_.at(alarm_log_index);
     if (record.type == rnr::RecordType::kRasAlarm &&
         !record.alarm.kernel_mode)
         vm_->cpu().vmcs().controls.trap_user_call_ret = true;

@@ -84,23 +84,15 @@ class AlarmReplayer : public rnr::Replayer {
     /**
      * @param vm          a freshly built VM of the same configuration;
      *                    the constructor restores @p checkpoint into it.
-     * @param log         the input log.
+     * @param log         the input log, read in place; only records up
+     *                    to the target alarm are read, so the recorder
+     *                    may still be appending past it.
      * @param checkpoint  the AR's start point.
      * @param options     replay options; trap_kernel_call_ret is forced
      *                    on (that is what an AR is), and analyze() adds
      *                    trap_user_call_ret for a user-mode RAS alarm.
      */
     AlarmReplayer(hv::Vm* vm, const rnr::InputLog* log,
-                  const Checkpoint& checkpoint,
-                  const rnr::ReplayOptions& options);
-
-    /**
-     * Source variant: records come from @p source (e.g. a SliceLogSource
-     * holding the [checkpoint, alarm] range a fleet job carries). The
-     * source must resolve the same absolute indices as the original log
-     * over that range, and must outlive this replayer.
-     */
-    AlarmReplayer(hv::Vm* vm, rnr::LogSource* source,
                   const Checkpoint& checkpoint,
                   const rnr::ReplayOptions& options);
 
@@ -149,9 +141,6 @@ class AlarmReplayer : public rnr::Replayer {
 
   private:
     static rnr::ReplayOptions force_tracing(rnr::ReplayOptions options);
-
-    /** Shared ctor tail: restore @p checkpoint and seed the shadow RAS. */
-    void init_from_checkpoint(const Checkpoint& checkpoint);
 
     AlarmAnalysis build_analysis(const rnr::LogRecord& record);
     AlarmAnalysis classify_detector(const rnr::LogRecord& record);

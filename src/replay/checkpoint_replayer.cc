@@ -8,17 +8,10 @@ namespace rsafe::replay {
 using cpu::Costs;
 
 CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
-                                       const CrOptions& options)
-    : rnr::Replayer(vm, log, 0, options.replay), cr_options_(options),
-      store_(options.store)
-{
-    take_initial_checkpoint();
-}
-
-CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, rnr::LogSource* source,
-                                       const CrOptions& options)
-    : rnr::Replayer(vm, source, 0, options.replay), cr_options_(options),
-      store_(options.store)
+                                       const CrOptions& options,
+                                       rnr::LogStream* stream)
+    : rnr::Replayer(vm, log, 0, options.replay, stream),
+      cr_options_(options), store_(options.store)
 {
     take_initial_checkpoint();
 }

@@ -52,13 +52,14 @@ struct PendingAlarm {
 /** The always-on checkpointing replayer. */
 class CheckpointReplayer : public rnr::Replayer {
   public:
+    /**
+     * Replay @p log in place from its start. With @p stream the CR
+     * consumes records on the fly while the recorder is still appending
+     * them (Figure 1's arrow); both must outlive the replayer.
+     */
     CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
-                       const CrOptions& options);
-
-    /** Streaming variant: consume records on the fly from @p source
-     *  (the recorder's log read in place, Figure 1's arrow). */
-    CheckpointReplayer(hv::Vm* vm, rnr::LogSource* source,
-                       const CrOptions& options);
+                       const CrOptions& options,
+                       rnr::LogStream* stream = nullptr);
 
     /** Checkpoints taken so far. */
     CheckpointStore& checkpoints() { return store_; }

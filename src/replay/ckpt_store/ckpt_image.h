@@ -15,7 +15,8 @@
  *
  * The shippable-checkpoint primitive: a Checkpoint serialized here and
  * deserialized in another process restores the same machine — an
- * AlarmReplayer boots from it plus a log slice and produces verdicts,
+ * AlarmReplayer boots from it plus the log's [checkpoint, alarm] range
+ * and produces verdicts,
  * state digests, and counters bit-identical to the in-memory path. That
  * is what turns the fleet's alarm jobs into jobs a *remote* AR tier can
  * execute.

@@ -69,61 +69,11 @@ InputLogSource::InputLogSource(const InputLog* log, LogStream* stream)
         fatal("InputLogSource: null log");
 }
 
-bool
-InputLogSource::await(std::size_t index)
-{
-    if (stream_ != nullptr)
-        return stream_->await(*log_, index);
-    return index < log_->size();
-}
-
-const LogRecord&
-InputLogSource::at(std::size_t index) const
-{
-    return log_->at(index);
-}
-
-std::size_t
-InputLogSource::visible() const
-{
-    return log_->size();
-}
-
-bool
-InputLogSource::aborted() const
-{
-    return stream_ != nullptr && stream_->aborted();
-}
-
 InstrCount
 InputLogSource::producer_icount() const
 {
     const std::size_t size = log_->size();
     return size > 0 ? log_->at(size - 1).icount : 0;
-}
-
-SliceLogSource::SliceLogSource(std::size_t base,
-                               std::vector<LogRecord> records)
-    : base_(base), records_(std::move(records))
-{
-    if (!records_.empty())
-        last_icount_ = records_.back().icount;
-}
-
-bool
-SliceLogSource::await(std::size_t index)
-{
-    return index >= base_ && index - base_ < records_.size();
-}
-
-const LogRecord&
-SliceLogSource::at(std::size_t index) const
-{
-    if (index < base_ || index - base_ >= records_.size())
-        fatal(strcat_args("SliceLogSource: index ", index,
-                          " outside slice [", base_, ", ",
-                          base_ + records_.size(), ")"));
-    return records_[index - base_];
 }
 
 }  // namespace rsafe::rnr

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 #include "rnr/log_io.h"
 
@@ -17,20 +16,18 @@
  * The paper's CR runs *on the fly*: it consumes the input log while the
  * recorded VM is still producing it, so detection latency is bounded by
  * replay lag rather than by a post-hoc batch pass. There is one log, the
- * recorder's InputLog, and the CR reads it in place: LogSource is an
- * indexable, *awaitable* view of a record stream, and LogStream carries
- * the wait/wake state of a log that another thread is still appending
- * to. Two sources:
+ * recorder's InputLog, and every replayer reads it in place through an
+ * InputLogSource: the CR (with a LogStream while the recorder is still
+ * appending, without one over a finished or shipped log), each alarm
+ * replayer over its [checkpoint, alarm] range, and the auditor.
  *
- *  - InputLogSource reads an InputLog in place. Without a LogStream the
- *    log is complete (the serial pipeline, alarm replayers re-reading
- *    ranges, shipped logs, every test/bench that replays a finished
- *    recording); with one, await() blocks until the recorder appends
- *    the requested record or ends the stream;
- *  - SliceLogSource owns a copy of a contiguous range (fleet AR jobs).
+ * An alarm replayer needs no stream even while the recorder runs on:
+ * it reads only up to its target alarm record, which the CR had already
+ * read before it queued the job, so every record it touches is below a
+ * size() published before the job existed.
  *
- * Both are single-consumer objects: exactly one replayer thread may call
- * await()/at()/visible() on a given source.
+ * An InputLogSource is a single-consumer object: exactly one replayer
+ * thread calls await()/at()/visible() on a given source.
  */
 
 namespace rsafe::rnr {
@@ -105,83 +102,45 @@ class LogStream {
     bool waiting_ = false;
 };
 
-/** An indexable, awaitable stream of log records. */
-class LogSource {
-  public:
-    virtual ~LogSource() = default;
-
-    /**
-     * Block until record @p index exists or the stream is over.
-     * @return true iff at(index) is now valid.
-     */
-    virtual bool await(std::size_t index) = 0;
-
-    /** Record @p index; requires a prior await(index) == true. */
-    virtual const LogRecord& at(std::size_t index) const = 0;
-
-    /** Records visible so far (the final count once await() fails). */
-    virtual std::size_t visible() const = 0;
-
-    /** @return true if the producer aborted (poisoned stream). */
-    virtual bool aborted() const = 0;
-
-    /** icount of the newest record the producer has emitted (lag base). */
-    virtual InstrCount producer_icount() const = 0;
-};
-
 /**
- * A LogSource reading an InputLog in place.
+ * An indexable, awaitable view of an InputLog read in place.
  *
- * Without @p stream the log is complete and await() never blocks. With
- * one, the log may still be growing on another thread: await() waits on
- * the stream, and at(i) returns the very record the recorder appended.
+ * Without @p stream the log is complete up to what size() shows and
+ * await() never blocks. With one, the log may still be growing on
+ * another thread: await() waits on the stream, and at(i) returns the
+ * very record the recorder appended.
  */
-class InputLogSource final : public LogSource {
+class InputLogSource {
   public:
     /** @param log and @p stream (may be null) must outlive this source. */
     explicit InputLogSource(const InputLog* log, LogStream* stream = nullptr);
 
-    bool await(std::size_t index) override;
-    const LogRecord& at(std::size_t index) const override;
-    std::size_t visible() const override;
-    bool aborted() const override;
-    /** The newest record's icount, read at call time. */
-    InstrCount producer_icount() const override;
+    /**
+     * Block (streamed only) until record @p index exists or the stream
+     * is over. @return true iff at(index) is now valid.
+     */
+    bool await(std::size_t index)
+    {
+        if (stream_ != nullptr)
+            return stream_->await(*log_, index);
+        return index < log_->size();
+    }
+
+    /** Record @p index; requires a prior await(index) == true. */
+    const LogRecord& at(std::size_t index) const { return log_->at(index); }
+
+    /** Records visible so far (the final count once await() fails). */
+    std::size_t visible() const { return log_->size(); }
+
+    /** @return true if the producer aborted (poisoned stream). */
+    bool aborted() const { return stream_ != nullptr && stream_->aborted(); }
+
+    /** icount of the newest record appended so far (the lag base). */
+    InstrCount producer_icount() const;
 
   private:
     const InputLog* log_;
     LogStream* stream_;
-};
-
-/**
- * A LogSource over an *owned* contiguous slice of a larger log,
- * preserving the original absolute indices: at(base + i) returns the
- * i-th owned record, and the stream ends after the slice.
- *
- * This is how fleet alarm-replay jobs travel: the checkpointing replayer
- * copies the records between an alarm's originating checkpoint and the
- * alarm itself (a range bounded by the checkpoint interval) into the
- * job, so a pool worker replays from a self-contained snapshot that
- * could equally have crossed a wire to a remote AR tier.
- */
-class SliceLogSource final : public LogSource {
-  public:
-    /** @param base the absolute log index of @p records.front(). */
-    SliceLogSource(std::size_t base, std::vector<LogRecord> records);
-
-    bool await(std::size_t index) override;
-    const LogRecord& at(std::size_t index) const override;
-    std::size_t visible() const override { return base_ + records_.size(); }
-    bool aborted() const override { return false; }
-    InstrCount producer_icount() const override { return last_icount_; }
-
-    /** The absolute index of the first owned record. */
-    std::size_t base() const { return base_; }
-
-  private:
-    std::size_t base_;
-    std::vector<LogRecord> records_;
-    InstrCount last_icount_ = 0;
 };
 
 }  // namespace rsafe::rnr

@@ -8,16 +8,14 @@ namespace rsafe::rnr {
 
 using cpu::Costs;
 
-Replayer::Replayer(hv::Vm* vm, LogSource* source, std::size_t start_pos,
-                   const ReplayOptions& options)
+Replayer::Replayer(hv::Vm* vm, const InputLog* log, std::size_t start_pos,
+                   const ReplayOptions& options, LogStream* stream)
     : hv::VmEnvBase(vm, options.manage_backras, options.whitelists),
-      source_(source),
+      source_(log, stream),
       cursor_(start_pos),
       options_(options),
       skid_rng_(options.seed)
 {
-    if (source_ == nullptr)
-        fatal("Replayer: null log source");
     auto& cpu = vm_->cpu();
     cpu.vmcs().controls.exit_on_io = true;
     cpu.vmcs().controls.exit_on_rdtsc = true;
@@ -26,19 +24,6 @@ Replayer::Replayer(hv::Vm* vm, LogSource* source, std::size_t start_pos,
     cpu.vmcs().controls.ras_evict_exit = false;
     cpu.vmcs().controls.trap_kernel_call_ret = options.trap_kernel_call_ret;
     cpu.vmcs().controls.trap_user_call_ret = options.trap_user_call_ret;
-}
-
-Replayer::Replayer(hv::Vm* vm, std::unique_ptr<InputLogSource> owned,
-                   std::size_t start_pos, const ReplayOptions& options)
-    : Replayer(vm, owned.get(), start_pos, options)
-{
-    owned_source_ = std::move(owned);
-}
-
-Replayer::Replayer(hv::Vm* vm, const InputLog* log, std::size_t start_pos,
-                   const ReplayOptions& options)
-    : Replayer(vm, std::make_unique<InputLogSource>(log), start_pos, options)
-{
 }
 
 bool
@@ -64,8 +49,8 @@ Replayer::next_positional()
     // the producer finished: the replayer cannot arm its perf counter
     // without knowing the next injection point, so the pipeline overlaps
     // at positional-segment granularity.
-    for (std::size_t i = cursor_; source_->await(i); ++i)
-        if (is_positional(source_->at(i).type))
+    for (std::size_t i = cursor_; source_.await(i); ++i)
+        if (is_positional(source_.at(i).type))
             return i;
     return kNoMore;
 }
@@ -73,7 +58,7 @@ Replayer::next_positional()
 void
 Replayer::sample_lag()
 {
-    const InstrCount produced = source_->producer_icount();
+    const InstrCount produced = source_.producer_icount();
     const InstrCount here = vm_->cpu().icount();
     const InstrCount lag = produced > here ? produced - here : 0;
     lag_.record(here, lag);
@@ -96,10 +81,10 @@ Replayer::divergence(const std::string& detail)
 const LogRecord&
 Replayer::expect_sync(RecordType type)
 {
-    if (!source_->await(cursor_))
+    if (!source_.await(cursor_))
         divergence(strcat_args("log exhausted, expected ",
                                record_type_name(type)));
-    const LogRecord& record = source_->at(cursor_);
+    const LogRecord& record = source_.at(cursor_);
     if (record.type != type)
         divergence(strcat_args("expected ", record_type_name(type), ", log has ",
                                record.to_string()));
@@ -154,8 +139,8 @@ Replayer::on_mmio_write(Addr addr, Word value)
     // NIC receive: the packet bytes come from the log, not from the
     // replica NIC (whose traffic generator is recording-side state).
     if (addr == dev::kMmioBase + dev::kNicRxBuf) {
-        if (source_->await(cursor_)) {
-            const LogRecord& record = source_->at(cursor_);
+        if (source_.await(cursor_)) {
+            const LogRecord& record = source_.at(cursor_);
             if (record.type == RecordType::kNicDma &&
                 record.icount == vm_->cpu().icount()) {
                 vm_->mem().write_block(record.addr, record.payload.data(),
@@ -274,7 +259,7 @@ Replayer::run()
             return ReplayOutcome::kStopRequested;
         const std::size_t pos = next_positional();
         if (pos == kNoMore) {
-            if (source_->aborted()) {
+            if (source_.aborted()) {
                 // The recorder died mid-stream (poisoned stream): the
                 // recording is invalid, stop where we are.
                 return ReplayOutcome::kLogAborted;
@@ -282,15 +267,15 @@ Replayer::run()
             // No positional records left; consume any trailing
             // synchronous records (a recording stopped by an instruction
             // budget has no halt marker).
-            if (cursor_ < source_->visible()) {
+            if (cursor_ < source_.visible()) {
                 const InstrCount last =
-                    source_->at(source_->visible() - 1).icount;
+                    source_.at(source_.visible() - 1).icount;
                 cpu.run(~static_cast<Cycles>(0), last + 1);
             }
             sample_lag();
             return ReplayOutcome::kLogExhausted;
         }
-        const LogRecord& record = source_->at(pos);
+        const LogRecord& record = source_.at(pos);
 
         if (record.type == RecordType::kHalt) {
             const auto reason = cpu.run(~static_cast<Cycles>(0),

@@ -2,7 +2,6 @@
 #define RSAFE_RNR_REPLAYER_H_
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -141,20 +140,15 @@ class Replayer : public hv::VmEnvBase {
   public:
     /**
      * @param vm         the replay VM (fresh boot or checkpoint-restored).
-     * @param log        the finished input log (must outlive the replayer).
+     * @param log        the input log, read in place (must outlive the
+     *                   replayer).
      * @param start_pos  log index to start consuming at (InputLogPtr).
+     * @param stream     non-null while another thread is still appending
+     *                   to @p log (the streamed CR); must outlive the
+     *                   replayer.
      */
     Replayer(hv::Vm* vm, const InputLog* log, std::size_t start_pos,
-             const ReplayOptions& options);
-
-    /**
-     * Streaming variant: records come from @p source (e.g. an
-     * InputLogSource reading the recorder's log in place while it
-     * grows). @p source must outlive the replayer and be consumed by
-     * this replayer only.
-     */
-    Replayer(hv::Vm* vm, LogSource* source, std::size_t start_pos,
-             const ReplayOptions& options);
+             const ReplayOptions& options, LogStream* stream = nullptr);
 
     /** Replay until the log ends, the guest halts, or a hook stops us. */
     ReplayOutcome run();
@@ -181,7 +175,7 @@ class Replayer : public hv::VmEnvBase {
     std::size_t log_pos() const { return cursor_; }
 
     /** @return where this replayer's records come from. */
-    const LogSource& source() const { return *source_; }
+    const InputLogSource& source() const { return source_; }
 
     /** @return instructions-behind-the-recorder statistics. */
     const ReplayLag& lag() const { return lag_; }
@@ -232,8 +226,8 @@ class Replayer : public hv::VmEnvBase {
 
     [[noreturn]] void divergence(const std::string& detail);
 
-    /** Where records come from (an owned adapter in the InputLog ctor). */
-    LogSource* source_;
+    /** The one log, read in place. */
+    InputLogSource source_;
     std::size_t cursor_;
     ReplayOptions options_;
     ReplayOverhead overhead_;
@@ -245,10 +239,6 @@ class Replayer : public hv::VmEnvBase {
     /** next_positional() result when the stream ended first. */
     static constexpr std::size_t kNoMore = ~static_cast<std::size_t>(0);
 
-    /** Bridge: takes ownership of the adapter built by the InputLog ctor. */
-    Replayer(hv::Vm* vm, std::unique_ptr<InputLogSource> owned,
-             std::size_t start_pos, const ReplayOptions& options);
-
     bool is_positional(RecordType type) const;
     std::size_t next_positional();
     void approach(InstrCount target);
@@ -256,7 +246,6 @@ class Replayer : public hv::VmEnvBase {
     void handle_disk_complete();
     void sample_lag();
 
-    std::unique_ptr<InputLogSource> owned_source_;
     ReplayLag lag_;
     std::atomic<bool> stop_requested_{false};
 };

@@ -936,9 +936,9 @@ TEST(ArStage, MissingCheckpointYieldsACleanVerdictNotACrash)
     pending.record.type = rnr::RecordType::kRasAlarm;
     pending.checkpoint = nullptr;  // interval 0, or recycled past it
 
-    rnr::InputLogSource source(&recorded.recorder->log());
     stats::StatRegistry stats;
-    const auto result = stage.analyze(pending, &source, &stats);
+    const auto result =
+        stage.analyze(pending, recorded.recorder->log(), &stats);
     EXPECT_FALSE(result.analysis.is_attack);
     EXPECT_EQ(result.analysis.cause,
               replay::AlarmCause::kCheckpointUnavailable);
@@ -959,14 +959,14 @@ TEST(ArStage, RejectedImageYieldsACleanVerdictNotACrash)
     pending.log_index = 3;
     pending.record.type = rnr::RecordType::kRasAlarm;
 
-    rnr::InputLogSource source(&recorded.recorder->log());
     stats::StatRegistry stats;
     const std::vector<std::uint8_t> garbage = {0x00, 0x01, 0x02};
     auto shipped = std::make_shared<replay::Checkpoint>();
     const Status decoded =
         replay::ckpt::deserialize_checkpoint(garbage, shipped.get());
     const auto result = stage.analyze_shipped(
-        pending, decoded, std::move(shipped), &source, &stats);
+        pending, decoded, std::move(shipped), recorded.recorder->log(),
+        &stats);
     EXPECT_FALSE(result.analysis.is_attack);
     EXPECT_EQ(result.analysis.cause,
               replay::AlarmCause::kCheckpointUnavailable);
@@ -992,9 +992,7 @@ TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)
     for (const auto& pending : result.cr->pending_alarms()) {
         ASSERT_NE(pending.checkpoint, nullptr);
         stats::StatRegistry direct_stats, shipped_stats;
-        rnr::InputLogSource direct_source(&log);
-        const auto direct =
-            stage.analyze(pending, &direct_source, &direct_stats);
+        const auto direct = stage.analyze(pending, log, &direct_stats);
 
         const auto image =
             replay::ckpt::serialize_checkpoint(*pending.checkpoint);
@@ -1002,10 +1000,8 @@ TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)
         const Status decoded =
             replay::ckpt::deserialize_checkpoint(image, checkpoint.get());
         ASSERT_TRUE(decoded.ok()) << decoded.to_string();
-        rnr::InputLogSource source(&log);
         const auto shipped = stage.analyze_shipped(
-            pending, decoded, std::move(checkpoint), &source,
-            &shipped_stats);
+            pending, decoded, std::move(checkpoint), log, &shipped_stats);
 
         EXPECT_EQ(shipped.analysis.cause, direct.analysis.cause);
         EXPECT_EQ(shipped.analysis.is_attack, direct.analysis.is_attack);

@@ -25,7 +25,7 @@ InputLog
 synthetic_log(std::size_t records)
 {
     InputLog log;
-    const int num_types = static_cast<int>(RecordType::kDiskComplete) + 1;
+    const int num_types = static_cast<int>(RecordType::kDetectorAlarm) + 1;
     for (std::size_t i = 0; i < records; ++i) {
         LogRecord record;
         record.type = static_cast<RecordType>(i % num_types);
@@ -53,7 +53,7 @@ class InjectionMatrix
 TEST_P(InjectionMatrix, DetectedAsItsOwnStatusCode)
 {
     const fault::FaultKind kind = GetParam();
-    const InputLog log = synthetic_log(8);
+    const InputLog log = synthetic_log(10);  // one record of every type
     const auto intact = log.serialize();
 
     // Several seeds so the verdict does not depend on where the

@@ -1,8 +1,8 @@
 /** @file Tests of the one input log read in place: InputLog's stable
  *  storage under a concurrent reader, LogStream's close/poison endings,
- *  InputLogSource with and without a stream, and streamed sessions in
- *  which the CR reads the recorder's own log and can never block the
- *  recorder. */
+ *  InputLogSource with and without a stream, streamed sessions in which
+ *  the CR reads the recorder's own log and can never block the
+ *  recorder, and alarm replays over a log that is still growing. */
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,14 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/ar_stage.h"
+#include "core/framework.h"
 #include "core/session_stage.h"
 #include "replay/checkpoint_replayer.h"
 #include "rnr/log_io.h"
 #include "rnr/log_source.h"
 #include "rnr/recorder.h"
+#include "stats/stats.h"
 #include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
 #include "workloads/generator.h"
@@ -224,8 +227,8 @@ TEST(LogStream, CrOverAPoisonedStreamReportsLogAborted)
     stream.poison();
 
     auto cr_vm = factory();
-    InputLogSource source(&recorder.log(), &stream);
-    replay::CheckpointReplayer cr(cr_vm.get(), &source, replay::CrOptions());
+    replay::CheckpointReplayer cr(cr_vm.get(), &recorder.log(),
+                                  replay::CrOptions(), &stream);
     EXPECT_EQ(cr.run(), rnr::ReplayOutcome::kLogAborted);
 }
 
@@ -310,7 +313,7 @@ TEST(StreamedSession, ThrowingAlarmSinkCannotBlockTheRecorder)
     auto stage = streamed_session(workloads::attack_mix(options).factory);
     // The CR throws at its first queued alarm; the recorder must still
     // run to completion, and run() rethrows once both threads are done.
-    stage->set_alarm_sink([](const core::AlarmJob&) {
+    stage->set_alarm_sink([](const replay::PendingAlarm&) {
         throw std::runtime_error("sink failed");
     });
     EXPECT_THROW(stage->run(), std::runtime_error);
@@ -326,7 +329,7 @@ TEST(StreamedSession, CrReadsTheRecorderLogInPlace)
     const core::SessionResult result = stage->run();
     EXPECT_EQ(result.cr_outcome, rnr::ReplayOutcome::kFinished);
     const InputLog& log = stage->recorder()->log();
-    const rnr::LogSource& source = stage->cr()->source();
+    const InputLogSource& source = stage->cr()->source();
     ASSERT_GT(log.size(), 0u);
     ASSERT_EQ(source.visible(), log.size());
     // One copy of the log: the CR's records are the recorder's records.
@@ -335,6 +338,77 @@ TEST(StreamedSession, CrReadsTheRecorderLogInPlace)
     EXPECT_EQ(stage->cr()->log_pos(), log.size());
     EXPECT_EQ(stage->cr_vm()->state_hash(),
               stage->recorded_vm()->state_hash());
+}
+
+TEST(ArOverAGrowingLog, VerdictsMatchTheFinishedLog)
+{
+    // Record the attack mix and take its pending alarms, then replay the
+    // log's records into a second log on another thread while every
+    // alarm is analyzed over that second log. The producer holds at each
+    // alarm until its analysis has started, so each AR runs while
+    // records past its alarm are still being appended, as a fleet AR
+    // does while its tenant keeps recording.
+    workloads::AttackMixOptions options;
+    options.iterations_per_task = 600;
+    const auto factory = workloads::attack_mix(options).factory;
+    core::RnrSafeFramework framework(factory, core::FrameworkConfig{});
+    const auto result = framework.run();
+    const InputLog& finished = result.recorder->log();
+    const auto& pending = result.cr->pending_alarms();
+    ASSERT_FALSE(pending.empty());
+    const core::ArStage stage(factory, rnr::ReplayOptions{},
+                              result.detectors.get());
+
+    InputLog growing;
+    LogStream stream;
+    std::atomic<std::size_t> started{0};
+    std::thread producer([&] {
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < finished.size(); ++i) {
+            growing.append(finished.at(i));
+            stream.notify();
+            while (next < pending.size() && pending[next].log_index == i) {
+                ++next;
+                while (started.load(std::memory_order_acquire) < next)
+                    std::this_thread::yield();
+            }
+        }
+        stream.close();
+    });
+
+    std::vector<core::AlarmReplayResult> live;
+    std::size_t sizes_short_of_done = 0;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+        // The CR has read the alarm record before it queues the job.
+        const bool queued = stream.await(growing, pending[k].log_index);
+        started.store(k + 1, std::memory_order_release);
+        if (!queued)
+            break;
+        stats::StatRegistry stats;
+        live.push_back(stage.analyze(pending[k], growing, &stats));
+        if (growing.size() < finished.size())
+            ++sizes_short_of_done;
+    }
+    producer.join();
+    ASSERT_EQ(live.size(), pending.size());
+    ASSERT_EQ(growing.size(), finished.size());
+    // At least every analysis but the last ran before the log was whole.
+    EXPECT_GE(sizes_short_of_done + 1, pending.size());
+
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+        stats::StatRegistry stats;
+        const auto reference = stage.analyze(pending[k], finished, &stats);
+        const auto& got = live[k].analysis;
+        const auto& want = reference.analysis;
+        EXPECT_EQ(live[k].log_index, reference.log_index) << "alarm " << k;
+        EXPECT_EQ(got.cause, want.cause) << "alarm " << k;
+        EXPECT_EQ(got.is_attack, want.is_attack) << "alarm " << k;
+        EXPECT_EQ(got.report, want.report) << "alarm " << k;
+        EXPECT_EQ(got.forensic.serialize(), want.forensic.serialize())
+            << "alarm " << k;
+        EXPECT_EQ(got.analysis_cycles, want.analysis_cycles)
+            << "alarm " << k;
+    }
 }
 
 }  // namespace

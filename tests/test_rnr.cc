@@ -39,7 +39,7 @@ sample_record(RecordType type)
     record.alarm.kernel_mode = true;
     if (type == RecordType::kNicDma)
         record.payload = {1, 2, 3, 4, 5};
-    if (type == RecordType::kIrqInject)
+    if (type == RecordType::kIrqInject || type == RecordType::kDetectorAlarm)
         record.value = 1;
     return record;
 }
@@ -90,6 +90,13 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
         EXPECT_EQ(out.addr, in.addr);
         EXPECT_EQ(out.tid, in.tid);
         break;
+      case RecordType::kDetectorAlarm:
+        EXPECT_EQ(out.value, in.value);
+        EXPECT_EQ(out.alarm.ret_pc, in.alarm.ret_pc);
+        EXPECT_EQ(out.alarm.actual, in.alarm.actual);
+        EXPECT_EQ(out.alarm.kernel_mode, in.alarm.kernel_mode);
+        EXPECT_EQ(out.tid, in.tid);
+        break;
       case RecordType::kHalt:
       case RecordType::kDiskComplete:
         break;
@@ -100,7 +107,7 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, RecordRoundTrip,
     ::testing::Range(0,
-                     static_cast<int>(RecordType::kDiskComplete) + 1));
+                     static_cast<int>(RecordType::kDetectorAlarm) + 1));
 
 TEST(LogRecord, DeserializeRejectsTruncation)
 {

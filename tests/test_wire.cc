@@ -33,10 +33,14 @@ sample_record(RecordType type, InstrCount icount)
     LogRecord record;
     record.type = type;
     record.icount = icount;
-    // Canonical field values only: irq vectors are u8, io-in ports are
-    // u16, mmio addresses live in the 0xF0000000 device window. Values
-    // outside those ranges would not survive a decode round trip.
-    record.value = type == RecordType::kIrqInject ? 0xef : 0xfeedbeef;
+    // Canonical field values only: irq vectors and detector ids are u8,
+    // io-in ports are u16, mmio addresses live in the 0xF0000000 device
+    // window. Values outside those ranges would not survive a decode
+    // round trip.
+    record.value = type == RecordType::kIrqInject ||
+                           type == RecordType::kDetectorAlarm
+                       ? 0xef
+                       : 0xfeedbeef;
     record.addr = type == RecordType::kIoIn ? 0x10 : 0xF0000008ULL;
     record.tid = 3;
     record.alarm.kind = cpu::RasAlarmKind::kUnderflow;
@@ -54,7 +58,7 @@ InputLog
 make_log(std::size_t records)
 {
     InputLog log;
-    const int num_types = static_cast<int>(RecordType::kDiskComplete) + 1;
+    const int num_types = static_cast<int>(RecordType::kDetectorAlarm) + 1;
     for (std::size_t i = 0; i < records; ++i)
         log.append(sample_record(
             static_cast<RecordType>(i % num_types), 1000 + 13 * i));

@@ -7,9 +7,10 @@
 #   tools/check.sh release    # normal configuration only
 #   tools/check.sh sanitize   # ASan+UBSan configuration only
 #   tools/check.sh tsan       # ThreadSanitizer configuration only, then
-#                             # the one-log stream tests, every
-#                             # ConcurrentPipeline test and the fleet
-#                             # Drain/Abandon tests repeated
+#                             # the one-log stream tests, the AR over a
+#                             # growing log, every ConcurrentPipeline and
+#                             # FleetShip test and the fleet
+#                             # Drain/Abandon/Tenants tests repeated
 #                             # until-fail:20 under TSan.
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
@@ -71,11 +72,12 @@ run_config() {
 
 run_tsan() {
     run_config build-tsan -DRSAFE_SANITIZE=thread
-    # A race between the recorder appending and the CR reading the same
-    # log in place, or a lost wakeup, shows up as a rare flake: repeat
-    # the streaming and shutdown tests so a recurrence fails here.
+    # A race between the recorder appending and the CR or an AR worker
+    # reading the same log in place, or a lost wakeup, shows up as a rare
+    # flake: repeat the streaming, fleet and shutdown tests so a
+    # recurrence fails here.
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        -R 'LogStream|StreamedSession|ConcurrentPipeline|Fleet\.(Drain|Abandon)' \
+        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip' \
         --repeat until-fail:20
 }
 

@@ -26,7 +26,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 
     for (const auto kind : {wire::PayloadKind::kInputLog,
                             wire::PayloadKind::kCheckpointDelta}) {
-        volatile std::uint8_t sink_byte = 0;
+        std::uint8_t folded = 0;
         const wire::LoadReport report = wire::read_frames(
             bytes, kind,
             [&](std::uint64_t, std::size_t offset, std::size_t length) {
@@ -34,9 +34,13 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
                 if (offset > bytes.size() || length > bytes.size() - offset)
                     std::abort();
                 for (std::size_t i = 0; i < length; ++i)
-                    sink_byte ^= bytes[offset + i];
+                    folded ^= bytes[offset + i];
                 return rsafe::Status();
             });
+        // One volatile store keeps every extent read above from being
+        // optimised away.
+        volatile std::uint8_t sink_byte = folded;
+        (void)sink_byte;
         // The forensic fields must be self-consistent whatever the input.
         if (report.bytes_total != bytes.size())
             std::abort();

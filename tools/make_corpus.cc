@@ -72,13 +72,16 @@ rnr::InputLog
 sample_log()
 {
     rnr::InputLog log;
-    for (int t = 0; t <= static_cast<int>(rnr::RecordType::kDiskComplete);
+    for (int t = 0; t <= static_cast<int>(rnr::RecordType::kDetectorAlarm);
          ++t) {
         rnr::LogRecord record;
         record.type = static_cast<rnr::RecordType>(t);
         record.icount = 1000 + 17 * static_cast<InstrCount>(t);
-        record.value =
-            record.type == rnr::RecordType::kIrqInject ? 0xef : 0xfeedbeef;
+        // Irq vectors and detector ids are u8.
+        record.value = record.type == rnr::RecordType::kIrqInject ||
+                               record.type == rnr::RecordType::kDetectorAlarm
+                           ? 0xef
+                           : 0xfeedbeef;
         record.addr = record.type == rnr::RecordType::kIoIn
                           ? 0x10
                           : 0xF0000008ULL;
