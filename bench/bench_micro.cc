@@ -210,14 +210,21 @@ struct InterpResult {
     double ns_per_instr = 0.0;
 };
 
-/**
- * Run @p instrs guest instructions of a loop program and time them.
- * @p monitored programs the recorder's VMCS: RAS alarms, eviction exits
- * and whitelists (one ret PC, three targets, none of them in the loop).
- */
+/** The VMCS controls a measurement arms. */
+enum class Arming {
+    kNone,
+    /** The recorder's: RAS alarms, eviction exits and whitelists (one
+     *  ret PC, three targets, none of them in the loop). */
+    kMonitored,
+    /** The alarm replayer's: kernel call/ret traced, the guest in kernel
+     *  mode, so every call and ret takes a trap into a no-op handler. */
+    kTraced,
+};
+
+/** Run @p instrs guest instructions of a loop program and time them. */
 InterpResult
 measure_interpreter(const isa::Image& image, bool tb, InstrCount instrs,
-                    bool monitored = false)
+                    Arming arming = Arming::kNone)
 {
     mem::PhysMem mem(1 << 20);
     mem.load_image(image);
@@ -226,12 +233,16 @@ measure_interpreter(const isa::Image& image, bool tb, InstrCount instrs,
     NullEnv env;
     cpu.set_env(&env);
     cpu.set_tb_enabled(tb);
-    if (monitored) {
+    if (arming == Arming::kMonitored) {
         cpu.vmcs().controls.ras_alarm_enabled = true;
         cpu.vmcs().controls.ras_evict_exit = true;
         cpu.vmcs().controls.whitelist_enabled = true;
         cpu.ras().set_ret_whitelist({0x800});
         cpu.ras().set_tar_whitelist({0x900, 0x908, 0x910});
+    }
+    if (arming == Arming::kTraced) {
+        cpu.vmcs().controls.trap_kernel_call_ret = true;
+        cpu.state().mode = cpu::Mode::kKernel;
     }
     cpu.state().pc = image.base();
     cpu.state().sp = 0x80000;
@@ -330,9 +341,11 @@ struct Repetition {
     InterpResult tb_alu;
     InterpResult tb_callret;
     InterpResult tb_callret_mon;
+    InterpResult tb_callret_traced;
     InterpResult interp_alu;
     InterpResult interp_callret;
     InterpResult interp_callret_mon;
+    InterpResult interp_callret_traced;
 };
 
 /** In-process repetitions behind every throughput figure and ratio. */
@@ -390,6 +403,11 @@ struct BenchResults {
         return median_speedup(&Repetition::tb_callret_mon,
                               &Repetition::interp_callret_mon);
     }
+    double tb_speedup_call_ret_traced() const
+    {
+        return median_speedup(&Repetition::tb_callret_traced,
+                              &Repetition::interp_callret_traced);
+    }
 };
 
 BenchResults
@@ -403,10 +421,14 @@ measure_all()
         rep.tb_callret = measure_interpreter(call_ret_image(), true, 4000000);
         rep.interp_callret =
             measure_interpreter(call_ret_image(), false, 1000000);
-        rep.tb_callret_mon =
-            measure_interpreter(call_ret_image(), true, 4000000, true);
-        rep.interp_callret_mon =
-            measure_interpreter(call_ret_image(), false, 1000000, true);
+        rep.tb_callret_mon = measure_interpreter(call_ret_image(), true,
+                                                 4000000, Arming::kMonitored);
+        rep.interp_callret_mon = measure_interpreter(
+            call_ret_image(), false, 1000000, Arming::kMonitored);
+        rep.tb_callret_traced = measure_interpreter(call_ret_image(), true,
+                                                    4000000, Arming::kTraced);
+        rep.interp_callret_traced = measure_interpreter(
+            call_ret_image(), false, 1000000, Arming::kTraced);
         r.reps.push_back(rep);
     }
     r.ck = measure_checkpoint();
@@ -437,20 +459,26 @@ write_bench_json(const BenchResults& r, const char* path)
     metric("alu_loop", r.median_of(&Repetition::tb_alu), ",");
     metric("call_ret", r.median_of(&Repetition::tb_callret), ",");
     metric("call_ret_monitored", r.median_of(&Repetition::tb_callret_mon),
+           ",");
+    metric("call_ret_traced", r.median_of(&Repetition::tb_callret_traced),
            "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"interpreter\": {\n");
     metric("alu_loop", r.median_of(&Repetition::interp_alu), ",");
     metric("call_ret", r.median_of(&Repetition::interp_callret), ",");
     metric("call_ret_monitored",
-           r.median_of(&Repetition::interp_callret_mon), "");
+           r.median_of(&Repetition::interp_callret_mon), ",");
+    metric("call_ret_traced",
+           r.median_of(&Repetition::interp_callret_traced), "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"ratios\": {\n");
     std::fprintf(f, "    \"tb_speedup_alu\": %.3f,\n", r.tb_speedup_alu());
     std::fprintf(f, "    \"tb_speedup_call_ret\": %.3f,\n",
                  r.tb_speedup_call_ret());
-    std::fprintf(f, "    \"tb_speedup_call_ret_monitored\": %.3f\n",
+    std::fprintf(f, "    \"tb_speedup_call_ret_monitored\": %.3f,\n",
                  r.tb_speedup_call_ret_monitored());
+    std::fprintf(f, "    \"tb_speedup_call_ret_traced\": %.3f\n",
+                 r.tb_speedup_call_ret_traced());
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"checkpoint\": {\n");
     std::fprintf(f, "    \"full_take_ns\": %.0f,\n", r.ck.full_take_ns);

@@ -122,6 +122,22 @@ Cpu::ras_call_push(Addr link)
     }
 }
 
+bool
+Cpu::call_ret_traced() const
+{
+    return state_.mode == Mode::kKernel ? vmcs_.controls.trap_kernel_call_ret
+                                        : vmcs_.controls.trap_user_call_ret;
+}
+
+void
+Cpu::trap_call_ret(const CallRetEvent& event)
+{
+    if (event.mode == Mode::kKernel)
+        ++stats_.kernel_call_rets;
+    cycles_ += Costs::kVmTransition;
+    env_->on_call_ret(event);
+}
+
 Cpu::StepResult
 Cpu::do_ret()
 {
@@ -167,20 +183,13 @@ Cpu::do_ret()
       }
     }
 
-    const bool trace_ret =
-        (vmcs_.controls.trap_kernel_call_ret &&
-         state_.mode == Mode::kKernel) ||
-        (vmcs_.controls.trap_user_call_ret && state_.mode == Mode::kUser);
-    if (trace_ret) {
-        if (state_.mode == Mode::kKernel)
-            ++stats_.kernel_call_rets;
-        cycles_ += Costs::kVmTransition;
+    if (call_ret_traced()) {
         CallRetEvent event;
         event.is_call = false;
         event.pc = ret_pc;
         event.target = target;
         event.mode = state_.mode;
-        env_->on_call_ret(event);
+        trap_call_ret(event);
     }
     state_.pc = target;
     return StepResult::kOk;
@@ -356,22 +365,14 @@ Cpu::exec_one()
             return StepResult::kFault;
         ras_call_push(next_pc);
         ++stats_.calls;
-        const bool trace_call =
-            (vmcs_.controls.trap_kernel_call_ret &&
-             state_.mode == Mode::kKernel) ||
-            (vmcs_.controls.trap_user_call_ret &&
-             state_.mode == Mode::kUser);
-        if (trace_call) {
-            if (state_.mode == Mode::kKernel)
-                ++stats_.kernel_call_rets;
-            cycles_ += Costs::kVmTransition;
+        if (call_ret_traced()) {
             CallRetEvent event;
             event.is_call = true;
             event.pc = state_.pc;
             event.target = target;
             event.link = next_pc;
             event.mode = state_.mode;
-            env_->on_call_ret(event);
+            trap_call_ret(event);
         }
         state_.pc = target;
         return StepResult::kOk;

@@ -37,6 +37,7 @@
 namespace rsafe::cpu {
 
 class TbEngine;
+struct Uop;
 
 /** Privilege modes. */
 enum class Mode : std::uint8_t {
@@ -108,7 +109,12 @@ class CpuEnv {
     virtual void on_ras_alarm(const RasAlarm& alarm) = 0;
     /** RAS eviction exit (controls.ras_evict_exit). */
     virtual void on_ras_evict(Addr evicted) = 0;
-    /** Kernel call/ret trace (controls.trap_kernel_call_ret). */
+    /**
+     * Traced call/ret (controls.trap_kernel_call_ret/trap_user_call_ret).
+     * A pure notification: the handler may tighten_stop(), but must not
+     * queue an interrupt, change breakpoints or controls, since the TB
+     * engine runs on past the trap without returning to run().
+     */
     virtual void on_call_ret(const CallRetEvent& event) = 0;
     /**
      * Indirect branch/call notification (controls.trap_indirect_branch);
@@ -258,10 +264,20 @@ class Cpu {
 
     StepResult exec_one();
     StepResult run_tb(InstrCount budget);  // defined in tb_engine.cc
+    void retire_and_trap(const Uop& u, Addr target,
+                         InstrCount done);  // defined in tb_engine.cc
     bool deliver_pending_irq();
     void deliver_interrupt_frame(Addr vector_slot);
     StepResult do_ret();
     void ras_call_push(Addr link);
+    /** @return true when a call/ret in the current mode is traced. */
+    bool call_ret_traced() const;
+    /**
+     * Take a traced call/ret's VM exit: count it, charge kVmTransition
+     * and notify the environment. The caller has retired the call/ret
+     * and left state_.pc at it.
+     */
+    void trap_call_ret(const CallRetEvent& event);
     bool mem_read(Addr addr, std::size_t len, Word* out);
     bool mem_write(Addr addr, std::size_t len, Word value);
     bool stack_push(Word value);

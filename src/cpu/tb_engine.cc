@@ -533,13 +533,41 @@ TbEngine::flush()
 }
 
 /**
+ * run_tb's traced call/ret exit: retire the @p done instructions, all in
+ * the current mode, up to and including the call/ret @p u, then
+ * take its trap with @p target as the call target or return destination.
+ * Out of line so that the dispatch loop keeps the registers and code
+ * layout of an untraced run.
+ */
+[[gnu::noinline]] void
+Cpu::retire_and_trap(const Uop& u, Addr target, InstrCount done)
+{
+    icount_ += done;
+    cycles_ += done;
+    stats_.instructions += done;
+    if (state_.mode == Mode::kKernel)
+        stats_.kernel_instructions += done;
+    CallRetEvent event;
+    event.is_call = u.kind != UopKind::kRet;
+    event.pc = static_cast<Addr>(u.pc);
+    event.target = target;
+    event.link = event.is_call ? event.pc + kInstrBytes : 0;
+    event.mode = state_.mode;
+    state_.pc = event.pc;
+    trap_call_ret(event);
+}
+
+/**
  * The translated-block dispatch loop, the simulator's one fast tier. It
  * has the same architectural effects as single-stepping Cpu::exec_one.
  * Preconditions (established by run()): no pending IRQ, indirect-branch
  * trap off, no W^X fetch watch. Anything complex bails to exec_one, the
  * single source of truth, and "cycles advanced by exactly 1" proves the
  * bailed instruction was pure (every VM exit charges extra cycles), so
- * accounting stays at one cycle per instruction.
+ * accounting stays at one cycle per instruction. The one VM exit taken
+ * in place is a traced call/ret's (traced_done): it is a plain
+ * notification, so the loop re-clamps its budget to the cycle stop and
+ * runs on.
  *
  * A block is entered only when the remaining budget covers its whole
  * length; otherwise the tail up to the stop point executes through
@@ -569,22 +597,24 @@ Cpu::run_tb(InstrCount budget)
     // run() already fired the hook for the entry PC; only a later arrival
     // at a breakpoint returns control.
     bool progressed = false;
-    // Traced call/ret (the alarm replayer) always exits, so it always
-    // bails — but only in a traced mode: under kernel-only tracing a
-    // user-mode call/ret runs inline. The recorder's RAS monitoring exits
-    // only on an eviction or a failed prediction: call/ret run inline and
-    // bail, before mutating anything, only when that exit is due.
+    // Call/ret run inline. A traced one (the alarm replayer, in a traced
+    // mode only: under kernel-only tracing a user-mode call/ret is
+    // untraced) ends its block and takes its trap in traced_done without
+    // leaving run_tb. The recorder's RAS monitoring exits only on an
+    // eviction or a failed prediction: call/ret bail, before mutating
+    // anything, only when that exit is due.
     const bool trace_kernel = vmcs_.controls.trap_kernel_call_ret;
     const bool trace_user = vmcs_.controls.trap_user_call_ret;
     const bool evict_exit = vmcs_.controls.ras_evict_exit;
     const bool ras_alarm = vmcs_.controls.ras_alarm_enabled;
     auto& regs = state_.regs;
     Addr pc = state_.pc;
-    // The mode changes only in exec_one (below), which resets both.
+    // The mode changes only in exec_one (below), which resets both. A
+    // spill precedes every exec_one, so all `done` instructions between
+    // two spills ran in one mode.
     bool kernel = state_.mode == Mode::kKernel;
     bool callret_traced = kernel ? trace_kernel : trace_user;
     InstrCount done = 0;
-    InstrCount kdone = 0;
     // Engine event counters accumulate in locals; one RMW each at spill.
     std::uint64_t chain_hits = 0;
     std::uint64_t chain_misses = 0;
@@ -595,9 +625,8 @@ Cpu::run_tb(InstrCount budget)
         icount_ += done;
         cycles_ += done;
         stats_.instructions += done;
-        stats_.kernel_instructions += kdone;
+        stats_.kernel_instructions += kernel ? done : 0;
         done = 0;
-        kdone = 0;
         eng.stats_.chain_hits += chain_hits;
         eng.stats_.chain_misses += chain_misses;
         eng.stats_.exec_blocks += exec_blocks;
@@ -962,7 +991,7 @@ Cpu::run_tb(InstrCount budget)
             goto block_done;
         UOP(Call) {
             // An eviction that must exit is exec_one's to report.
-            if (callret_traced || (evict_exit && ras_.full())) [[unlikely]]
+            if (evict_exit && ras_.full()) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             // Push the link without pre-decrementing sp so a stack fault
@@ -974,11 +1003,13 @@ Cpu::run_tb(InstrCount budget)
             ras_.push(link);  // evicts silently, or not at all
             ++stats_.calls;
             new_pc = zext32(u->imm);
+            if (callret_traced) [[unlikely]]
+                goto traced_done;
             slot = kChainTaken;
             goto block_done;
         }
         UOP(Callr) {
-            if (callret_traced || (evict_exit && ras_.full())) [[unlikely]]
+            if (evict_exit && ras_.full()) [[unlikely]]
                 goto uop_bail;
             const Addr link = static_cast<Addr>(u->pc) + kInstrBytes;
             if (mem_->write(state_.sp - 8, 8, link) !=
@@ -988,12 +1019,12 @@ Cpu::run_tb(InstrCount budget)
             ras_.push(link);
             ++stats_.calls;
             new_pc = regs[u->alu1.rs1];
+            if (callret_traced) [[unlikely]]
+                goto traced_done;
             slot = -1;
             goto block_done;
         }
         UOP(Ret) {
-            if (callret_traced) [[unlikely]]
-                goto uop_bail;
             Word target;
             if (mem_->read(state_.sp, 8, &target) !=
                 mem::MemResult::kOk) [[unlikely]]
@@ -1023,6 +1054,8 @@ Cpu::run_tb(InstrCount budget)
                 break;  // reached only with ras_alarm off: no alarm
             }
             new_pc = target;
+            if (callret_traced) [[unlikely]]
+                goto traced_done;
             slot = -1;
             goto block_done;
         }
@@ -1035,7 +1068,6 @@ Cpu::run_tb(InstrCount budget)
             // The instruction AT the exit PC is untranslatable; all len
             // instructions before it retired.
             done += tb->len;
-            kdone += kernel ? tb->len : 0;
             budget -= tb->len;
             pc = static_cast<Addr>(u->pc);
             goto bail_one;
@@ -1060,7 +1092,6 @@ Cpu::run_tb(InstrCount budget)
 
       block_done:
         done += tb->len;
-        kdone += kernel ? tb->len : 0;
         budget -= tb->len;
         pc = new_pc;
         ++exec_blocks;
@@ -1087,7 +1118,6 @@ Cpu::run_tb(InstrCount budget)
         // freshly translated bytes.
         const InstrCount retired = u->icount_off + 1;
         done += retired;
-        kdone += kernel ? retired : 0;
         budget -= retired;
         pc = static_cast<Addr>(u->pc) + kInstrBytes;
         tb = nullptr;
@@ -1096,12 +1126,35 @@ Cpu::run_tb(InstrCount budget)
         continue;
       }
 
+      traced_done: {
+        // A traced call/ret (the alarm replayer's trap) has done its
+        // stack, RAS and stats work and ends its block: retire the block,
+        // then take the exit exactly as exec_one does. The handler sees
+        // the clocks with the call/ret retired and pc still at it.
+        done += tb->len;
+        budget -= tb->len;
+        ++exec_blocks;
+        progressed = true;
+        tb = nullptr;  // no chaining across a trap
+        prev = nullptr;
+        retire_and_trap(*u, new_pc, done);
+        done = 0;
+        pc = new_pc;
+        // The trap's cycles void the one-cycle-per-instruction budget:
+        // re-clamp it to the cycle stop (which the handler may also have
+        // tightened), and stop here once that stop is reached.
+        if (cycles_ >= run_stop_cycles_)
+            break;
+        if (budget > run_stop_cycles_ - cycles_)
+            budget = run_stop_cycles_ - cycles_;
+        continue;
+      }
+
       uop_bail:
         // The current uop cannot run in translated form (fault path,
-        // MMIO, traced call/ret, or a call/ret whose RAS eviction or
-        // alarm must exit): nothing of it has retired.
+        // MMIO, a call whose RAS eviction must exit, or a return whose
+        // RAS alarm must): nothing of it has retired.
         done += u->icount_off;
-        kdone += kernel ? u->icount_off : 0;
         budget -= u->icount_off;
         pc = static_cast<Addr>(u->pc);
 

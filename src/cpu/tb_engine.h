@@ -58,11 +58,15 @@
  * traffic as the reference interpreter; anything the flat trace
  * cannot reproduce exactly (privileged ops, I/O, traps, faults, MMIO)
  * bails out to Cpu::exec_one, the single canonical implementation.
- * Call/ret run inside blocks even while the recorder monitors the RAS;
- * they bail, before mutating anything, only when traced (the alarm
- * replayer) or when the call would evict under an eviction exit or the
- * return would fail its prediction under RAS alarms, so every exit
- * still fires from exec_one at its usual icount. Replay barriers are
+ * Call/ret run inside blocks even while the recorder monitors the RAS
+ * or the alarm replayer traces them. A traced call/ret ends its block
+ * and takes its trap there: the block retires, kVmTransition is charged
+ * and the call/ret handler fires with the clocks and pc exec_one shows
+ * it, then the instruction budget is re-clamped to the cycle stop. They
+ * bail, before mutating anything, only when the call would evict under
+ * an eviction exit or the return would fail its prediction under RAS
+ * alarms, so those exits fire from exec_one at their usual icount.
+ * Replay barriers are
  * respected by budget: a block is only entered whole when the remaining
  * instruction budget covers it, so execution stops exactly at
  * perf-counter stops, interrupt-injection icounts and checkpoint

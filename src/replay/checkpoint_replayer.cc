@@ -74,7 +74,15 @@ CheckpointReplayer::publish_occupancy()
 void
 CheckpointReplayer::hook_exit_boundary()
 {
+    // Replay lag is the CR's signal: an alarm replayer trails nothing.
+    sample_lag();
     maybe_checkpoint();
+}
+
+void
+CheckpointReplayer::hook_replay_end()
+{
+    sample_lag();
 }
 
 bool

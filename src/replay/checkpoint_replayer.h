@@ -104,6 +104,7 @@ class CheckpointReplayer : public rnr::Replayer {
   protected:
     bool hook_positional_record(const rnr::LogRecord& record) override;
     void hook_exit_boundary() override;
+    void hook_replay_end() override;
 
   private:
     void take_initial_checkpoint();

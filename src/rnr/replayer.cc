@@ -187,6 +187,11 @@ Replayer::hook_exit_boundary()
 }
 
 void
+Replayer::hook_replay_end()
+{
+}
+
+void
 Replayer::approach(InstrCount target)
 {
     auto& cpu = vm_->cpu();
@@ -272,7 +277,7 @@ Replayer::run()
                     source_.at(source_.visible() - 1).icount;
                 cpu.run(~static_cast<Cycles>(0), last + 1);
             }
-            sample_lag();
+            hook_replay_end();
             return ReplayOutcome::kLogExhausted;
         }
         const LogRecord& record = source_.at(pos);
@@ -289,7 +294,7 @@ Replayer::run()
             if (cursor_ != pos)
                 divergence("unconsumed sync records at halt");
             cursor_ = pos + 1;
-            sample_lag();
+            hook_replay_end();
             return ReplayOutcome::kFinished;
         }
 
@@ -315,7 +320,6 @@ Replayer::run()
           default:
             divergence("unexpected positional record");
         }
-        sample_lag();
         hook_exit_boundary();
     }
 }

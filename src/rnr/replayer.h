@@ -177,7 +177,11 @@ class Replayer : public hv::VmEnvBase {
     /** @return where this replayer's records come from. */
     const InputLogSource& source() const { return source_; }
 
-    /** @return instructions-behind-the-recorder statistics. */
+    /**
+     * @return instructions-behind-the-recorder statistics. Only the
+     * checkpointing replayer samples them; any other replayer reads zero
+     * samples.
+     */
     const ReplayLag& lag() const { return lag_; }
 
     /**
@@ -221,6 +225,15 @@ class Replayer : public hv::VmEnvBase {
      */
     virtual void hook_exit_boundary();
 
+    /** Called once when run() finishes the log or reaches its halt. */
+    virtual void hook_replay_end();
+
+    /**
+     * Record how far the replay trails the recorder, publish it to the
+     * health probe and draw it as the "replay_lag" trace counter.
+     */
+    void sample_lag();
+
     /** The next logged record of any synchronous-injection type. */
     const LogRecord& expect_sync(RecordType type);
 
@@ -244,7 +257,6 @@ class Replayer : public hv::VmEnvBase {
     void approach(InstrCount target);
     void handle_irq(const LogRecord& record);
     void handle_disk_complete();
-    void sample_lag();
 
     ReplayLag lag_;
     std::atomic<bool> stop_requested_{false};

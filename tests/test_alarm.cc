@@ -14,6 +14,7 @@
 #include "replay/shadow_ras.h"
 #include "rnr/recorder.h"
 #include "test_util.h"
+#include "workloads/attack_mix.h"
 #include "workloads/benchmarks.h"
 #include "workloads/generator.h"
 
@@ -444,7 +445,7 @@ TEST(ExecutionAuditor, SpinningWorkloadShowsNoSwitches)
 
 }  // namespace
 }  // namespace rsafe
-// Appended: kernel-only alarm replay under the translation-block engine.
+// Appended: alarm replay under the translation-block engine.
 namespace rsafe {
 namespace {
 
@@ -460,27 +461,78 @@ class TracingAlarmReplayer : public replay::AlarmReplayer {
         cpu::Mode mode = cpu::Mode::kUser;
         InstrCount icount = 0;
         Cycles cycles = 0;
+        Addr state_pc = 0;  ///< the CPU's pc as the handler sees it
+        Addr sp = 0;
 
         bool operator==(const Event&) const = default;
     };
 
     void on_call_ret(const cpu::CallRetEvent& event) override
     {
+        const auto& cpu = vm().cpu();
         events.push_back({event.is_call, event.pc, event.target, event.mode,
-                          vm().cpu().icount(), vm().cpu().cycles()});
+                          cpu.icount(), cpu.cycles(), cpu.state().pc,
+                          cpu.state().sp});
         AlarmReplayer::on_call_ret(event);
     }
 
     std::vector<Event> events;
 };
 
+/** One alarm replay's observable results. */
+struct TracedRun {
+    std::vector<TracingAlarmReplayer::Event> events;
+    cpu::CpuStats stats;
+    Cycles cycles = 0;
+    std::uint64_t lag_samples = 0;
+    replay::AlarmAnalysis analysis;
+};
+
+/** Replay @p pending from its checkpoint, TB on or off: analyze() it, or
+ *  run() the log from the checkpoint to its end. */
+TracedRun
+traced_replay(const core::VmFactory& factory, const rnr::InputLog& log,
+              const replay::PendingAlarm& pending, bool tb, bool analyze)
+{
+    auto vm = factory();
+    vm->cpu().set_tb_enabled(tb);
+    TracingAlarmReplayer ar(vm.get(), &log, *pending.checkpoint,
+                            rnr::ReplayOptions{});
+    TracedRun out;
+    if (analyze)
+        out.analysis = ar.analyze(pending.log_index);
+    else
+        EXPECT_EQ(ar.run(), rnr::ReplayOutcome::kFinished);
+    out.events = ar.events;
+    out.stats = vm->cpu().stats();
+    out.cycles = vm->cpu().cycles();
+    out.lag_samples = ar.lag().samples;
+    return out;
+}
+
+/** TB on and off must agree exit for exit and verdict for verdict. */
+void
+expect_same_replay(const TracedRun& on, const TracedRun& off)
+{
+    EXPECT_FALSE(on.events.empty());
+    EXPECT_EQ(on.events, off.events);
+    EXPECT_EQ(on.stats, off.stats);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.analysis.cause, off.analysis.cause);
+    EXPECT_EQ(on.analysis.is_attack, off.analysis.is_attack);
+    EXPECT_EQ(on.analysis.report, off.analysis.report);
+    EXPECT_EQ(on.analysis.forensic.serialize(),
+              off.analysis.forensic.serialize());
+    EXPECT_EQ(on.analysis.analysis_cycles, off.analysis.analysis_cycles);
+}
+
 TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
 {
-    // Two tracing levels, each with the TB on and off. Under the TB a
-    // call/ret of an untraced mode runs inside its block and only a
-    // traced one leaves it
-    // (TbEngine.KernelOnlyTracingLeavesUserCallRetInTheBlock), yet each
-    // traced event fires at the same icount and cycle count as
+    // Two tracing levels, each with the TB on and off. Under the TB every
+    // call/ret runs inside its block, traced or not; a traced one takes
+    // its trap there without leaving for the interpreter
+    // (TbEngine.TracedCallRetStaysInTheBlock), yet each traced event
+    // fires at the same icount, cycle count, pc and sp as
     // single-stepping, with the same CPU stats:
     //  - kernel-only: run() replays the log from each alarm checkpoint
     //    to its end, as Figure 9 does;
@@ -488,32 +540,11 @@ TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
     //    call/ret, and its verdict agrees as well.
     const auto factory = setjmp_apache_factory();
     const auto result = run_checkpointed(factory);
+    const auto& log = result.recorder->log();
     const auto& pending_alarms = result.cr->pending_alarms();
     ASSERT_GE(pending_alarms.size(), 3u);
 
-    struct Run {
-        std::vector<TracingAlarmReplayer::Event> events;
-        cpu::CpuStats stats;
-        Cycles cycles = 0;
-        replay::AlarmAnalysis analysis;
-    };
-    const auto replay = [&](const replay::PendingAlarm& pending, bool tb,
-                            bool analyze) {
-        auto vm = factory();
-        vm->cpu().set_tb_enabled(tb);
-        TracingAlarmReplayer ar(vm.get(), &result.recorder->log(),
-                                *pending.checkpoint, rnr::ReplayOptions{});
-        Run out;
-        if (analyze)
-            out.analysis = ar.analyze(pending.log_index);
-        else
-            EXPECT_EQ(ar.run(), rnr::ReplayOutcome::kFinished);
-        out.events = ar.events;
-        out.stats = vm->cpu().stats();
-        out.cycles = vm->cpu().cycles();
-        return out;
-    };
-    const auto user_events = [](const Run& run) {
+    const auto user_events = [](const TracedRun& run) {
         std::uint64_t n = 0;
         for (const auto& event : run.events)
             n += event.mode == cpu::Mode::kUser ? 1 : 0;
@@ -526,26 +557,20 @@ TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
     for (const auto& pending : pending_alarms) {
         ASSERT_NE(pending.checkpoint, nullptr);
         if (kernel_only_replayed.insert(pending.checkpoint->log_pos).second) {
-            const Run on = replay(pending, true, false);
-            const Run off = replay(pending, false, false);
-            EXPECT_FALSE(on.events.empty());
-            EXPECT_EQ(on.events, off.events);
-            EXPECT_EQ(on.stats, off.stats);
-            EXPECT_EQ(on.cycles, off.cycles);
+            const TracedRun on =
+                traced_replay(factory, log, pending, true, false);
+            const TracedRun off =
+                traced_replay(factory, log, pending, false, false);
+            expect_same_replay(on, off);
             EXPECT_EQ(user_events(on), 0u);
             untraced_user_call_rets +=
                 on.stats.calls + on.stats.rets - on.stats.kernel_call_rets;
         }
 
-        const Run on = replay(pending, true, true);
-        const Run off = replay(pending, false, true);
-        EXPECT_FALSE(on.events.empty());
-        EXPECT_EQ(on.events, off.events);
-        EXPECT_EQ(on.stats, off.stats);
-        EXPECT_EQ(on.cycles, off.cycles);
-        EXPECT_EQ(on.analysis.cause, off.analysis.cause);
-        EXPECT_EQ(on.analysis.report, off.analysis.report);
-        EXPECT_EQ(on.analysis.analysis_cycles, off.analysis.analysis_cycles);
+        const TracedRun on = traced_replay(factory, log, pending, true, true);
+        const TracedRun off =
+            traced_replay(factory, log, pending, false, true);
+        expect_same_replay(on, off);
         if (!pending.record.alarm.kernel_mode) {
             EXPECT_GT(user_events(on), 0u) << "user mode left untraced";
             traced_user_call_rets += user_events(on);
@@ -553,6 +578,44 @@ TEST(AlarmReplay, KernelOnlyTracingKeepsUserCallRetInTranslatedBlocks)
     }
     EXPECT_GT(untraced_user_call_rets, 1000u) << "profile is not call-heavy";
     EXPECT_GT(traced_user_call_rets, 1000u) << "profile is not call-heavy";
+}
+
+TEST(AlarmReplay, AttackMixAnalysisMatchesWithTbOnAndOff)
+{
+    // The kernel ROP mix: every pending alarm's analysis, kernel call/ret
+    // traced, is the same with the TB on as single-stepped, down to each
+    // traced event's clocks, the forensic bytes and the CPU stats.
+    workloads::AttackMixOptions options;
+    options.attackers = 2;
+    options.iterations_per_task = 120;
+    const auto factory = workloads::attack_mix(options).factory;
+    // The default checkpoint interval, as attack-storm runs it: each AR
+    // replays long kernel stretches before its alarm.
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kSerial;
+    const auto result = core::RnrSafeFramework(factory, config).run();
+    const auto& pending_alarms = result.cr->pending_alarms();
+    ASSERT_GE(pending_alarms.size(), 2u);
+    // Only the checkpointing replayer trails the recorder.
+    EXPECT_GT(result.cr->lag().samples, 0u);
+
+    std::size_t attacks = 0;
+    std::uint64_t traced = 0;
+    for (const auto& pending : pending_alarms) {
+        ASSERT_NE(pending.checkpoint, nullptr);
+        const TracedRun on = traced_replay(
+            factory, result.recorder->log(), pending, true, true);
+        const TracedRun off = traced_replay(
+            factory, result.recorder->log(), pending, false, true);
+        expect_same_replay(on, off);
+        traced += on.stats.kernel_call_rets;
+        EXPECT_EQ(on.lag_samples, 0u) << "an alarm replay sampled lag";
+        EXPECT_EQ(off.lag_samples, 0u);
+        attacks += on.analysis.is_attack ? 1 : 0;
+    }
+    EXPECT_GT(traced, 1000u) << "too few traced call/rets";
+    // Each ROP chain's gadget returns raise alarms of their own.
+    EXPECT_GE(attacks, options.attackers);
 }
 
 }  // namespace

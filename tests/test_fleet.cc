@@ -49,6 +49,16 @@ streamed_config()
     return config;
 }
 
+/** Fleet options with @p workers pool workers, everything else
+ *  defaulted. */
+fleet::FleetOptions
+pool_options(std::size_t workers)
+{
+    fleet::FleetOptions options;
+    options.workers = workers;
+    return options;
+}
+
 /** Everything the fleet-vs-framework gates compare. */
 struct Digest {
     hv::RunResult record_result{};
@@ -105,7 +115,7 @@ TEST(Fleet, FleetOfOneMatchesTheFramework)
     ASSERT_TRUE(solo.attack);
 
     fleet::ReplayFleet one({{"solo", factory, streamed_config()}},
-                           {/*workers=*/3});
+                           pool_options(3));
     auto result = one.run();
     ASSERT_EQ(result.tenants.size(), 1u);
     EXPECT_FALSE(result.tenants[0].partial);
@@ -133,7 +143,7 @@ TEST(Fleet, TenantsMatchTheirSoloRunsBitForBit)
         solo.push_back(digest(framework.run()));
     }
 
-    fleet::ReplayFleet fleet(tenants, {/*workers=*/2});
+    fleet::ReplayFleet fleet(tenants, pool_options(2));
     auto result = fleet.run();
     ASSERT_EQ(result.tenants.size(), tenants.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -162,9 +172,9 @@ TEST(Fleet, TbOnOffAgreesThroughTheFleet)
         return vm;
     };
     fleet::ReplayFleet tb({{"t", factory, streamed_config()}},
-                          {/*workers=*/2});
+                          pool_options(2));
     fleet::ReplayFleet no_tb({{"t", interp, streamed_config()}},
-                             {/*workers=*/2});
+                             pool_options(2));
     auto tb_result = tb.run();
     auto no_tb_result = no_tb.run();
     EXPECT_EQ(digest(tb_result.tenants[0].result),
@@ -178,7 +188,7 @@ TEST(Fleet, TenantMetricNamespacesNeverAlias)
             {"attack", attack_factory(), streamed_config()},
             {"mysql", benign_factory("mysql", 100), streamed_config()},
         },
-        {/*workers=*/2});
+        pool_options(2));
     auto result = fleet.run();
 
     // Every per-tenant counter lands under its own prefix with exactly
@@ -241,7 +251,7 @@ TEST(Fleet, DrainShutdownStopsSessionsWithoutLosingJobs)
             {"a", long_factory(), streamed_config()},
             {"b", long_factory(), streamed_config()},
         },
-        {/*workers=*/2});
+        pool_options(2));
 
     fleet::FleetResult result;
     std::thread runner([&] { result = fleet.run(); });
@@ -269,13 +279,15 @@ TEST(Fleet, AbandonShutdownKeepsTheBooksConsistent)
     options.iterations_per_task = 120;
     options.attackers = 6;
     const auto storm = workloads::attack_mix(options).factory;
+    fleet::FleetOptions pool = pool_options(1);
+    pool.tenant_inflight_cap = 1;
 
     fleet::ReplayFleet fleet(
         {
             {"storm", storm, streamed_config()},
             {"quiet", benign_factory("mysql", 100), streamed_config()},
         },
-        {/*workers=*/1, /*tenant_inflight_cap=*/1});
+        pool);
 
     fleet::FleetResult result;
     std::thread runner([&] { result = fleet.run(); });
@@ -290,8 +302,9 @@ TEST(Fleet, AbandonShutdownKeepsTheBooksConsistent)
         const auto& tenant = result.tenants[i];
         EXPECT_EQ(tenant.jobs_dropped, result.tenant_pool[i].discarded)
             << tenant.name;
-        if (tenant.jobs_dropped > 0)
+        if (tenant.jobs_dropped > 0) {
             EXPECT_TRUE(tenant.partial) << tenant.name;
+        }
         // Completed verdicts are still finalized in alarm order.
         EXPECT_EQ(tenant.result.ar_results.size(),
                   result.tenant_pool[i].executed);

@@ -5,7 +5,8 @@
  *  the engine on and off. This file tests the machinery itself —
  *  translation shapes (jump folding, pair fusion, block caps), chaining
  *  and unchaining, write-driven invalidation, breakpoint cuts, call/ret
- *  under RAS monitoring, and the event counters those behaviors feed.
+ *  under RAS monitoring and under call/ret tracing, and the event
+ *  counters those behaviors feed.
  */
 
 #include <gtest/gtest.h>
@@ -440,6 +441,8 @@ class CallRetLogEnv : public CountingEnv {
         Mode mode = Mode::kUser;
         InstrCount icount = 0;
         Cycles cycles = 0;
+        Addr state_pc = 0;  ///< the CPU's pc as the handler sees it
+        Addr sp = 0;
 
         bool operator==(const Event&) const = default;
     };
@@ -449,7 +452,8 @@ class CallRetLogEnv : public CountingEnv {
     void on_call_ret(const CallRetEvent& event) override
     {
         events.push_back({event.is_call, event.pc, event.target, event.mode,
-                          cpu_->icount(), cpu_->cycles()});
+                          cpu_->icount(), cpu_->cycles(), cpu_->state().pc,
+                          cpu_->state().sp});
     }
 
     std::vector<Event> events;
@@ -458,13 +462,11 @@ class CallRetLogEnv : public CountingEnv {
     const Cpu* cpu_;
 };
 
-TEST(TbEngine, KernelOnlyTracingLeavesUserCallRetInTheBlock)
+/** Forty rounds of a call chain seven deep. */
+isa::Image
+call_chain_image()
 {
-    // The first alarm-replay pass traps kernel call/ret only. A traced
-    // call/ret leaves the block for the interpreter, which reports it;
-    // an untraced one — any call/ret in user mode — runs inline. Both
-    // modes must match the interpreter event for event, clocks included.
-    const isa::Image image = assemble(kCode, [](Assembler& a) {
+    return assemble(kCode, [](Assembler& a) {
         a.ldi(R4, 40);
         a.label("loop");
         a.ldi(R1, 6);
@@ -481,6 +483,16 @@ TEST(TbEngine, KernelOnlyTracingLeavesUserCallRetInTheBlock)
         a.ret();
         a.func_end();
     });
+}
+
+TEST(TbEngine, TracedCallRetStaysInTheBlock)
+{
+    // The alarm replayer traps kernel call/ret. Traced or not, a call/ret
+    // ends its translated block and never leaves for the interpreter: a
+    // traced one takes its trap (kVmTransition, the handler) right there.
+    // Both modes must match the interpreter event for event, with the
+    // clocks, pc and sp the handler sees.
+    const isa::Image image = call_chain_image();
     struct Result {
         StopReason stop = StopReason::kHalt;
         std::vector<CallRetLogEnv::Event> events;
@@ -514,15 +526,75 @@ TEST(TbEngine, KernelOnlyTracingLeavesUserCallRetInTheBlock)
         EXPECT_EQ(on.cycles, off.cycles);
         EXPECT_EQ(on.stats.calls, 40u * 7u);
         EXPECT_EQ(on.stats.rets, 40u * 7u);
+        // Every call and return completed a translated block.
+        EXPECT_GE(on.exec_blocks, on.stats.calls + on.stats.rets);
         if (mode == Mode::kUser) {
             EXPECT_TRUE(on.events.empty());
-            // Every call and return completed a translated block.
-            EXPECT_GE(on.exec_blocks, on.stats.calls + on.stats.rets);
         } else {
             EXPECT_EQ(on.events.size(), on.stats.calls + on.stats.rets);
             EXPECT_EQ(on.stats.kernel_call_rets, on.events.size());
+            EXPECT_EQ(on.cycles, on.icount + on.events.size() *
+                                                 Costs::kVmTransition);
+            for (const auto& event : on.events)
+                EXPECT_EQ(event.state_pc, event.pc);
         }
     }
+}
+
+TEST(TbEngine, TracedCallRetHonorsTheCycleDeadline)
+{
+    // A trap charges kVmTransition mid-run, past the one cycle per
+    // instruction the TB budget assumes. Sweep the cycle stop over every
+    // value across several traps: the TB must stop where single-stepping
+    // stops, with the same clocks, stats and events.
+    const isa::Image image = assemble(kCode, [](Assembler& a) {
+        a.ldi(R4, 3);
+        a.label("loop");
+        a.addi(R2, R2, 1);
+        a.addi(R3, R3, 2);
+        a.call("leaf");
+        a.addi(R4, R4, -1);
+        a.bne(R4, R0, "loop");
+        a.halt();
+        a.func_begin("leaf");
+        a.addi(R2, R2, 3);
+        a.ret();
+        a.func_end();
+    });
+    struct Result {
+        StopReason stop = StopReason::kHalt;
+        std::vector<CallRetLogEnv::Event> events;
+        CpuStats stats;
+        InstrCount icount = 0;
+        Cycles cycles = 0;
+        Addr pc = 0;
+
+        bool operator==(const Result&) const = default;
+    };
+    const auto run = [&image](Cycles stop_cycles, bool tb) {
+        Machine m(image);
+        CallRetLogEnv env(&m.cpu);
+        m.cpu.set_env(&env);
+        m.cpu.set_tb_enabled(tb);
+        m.cpu.state().mode = Mode::kKernel;
+        m.cpu.vmcs().controls.trap_kernel_call_ret = true;
+        const StopReason stop =
+            m.cpu.run(stop_cycles, ~static_cast<InstrCount>(0));
+        return Result{stop,           env.events,     m.cpu.stats(),
+                      m.cpu.icount(), m.cpu.cycles(), m.cpu.state().pc};
+    };
+    const Result full = run(~static_cast<Cycles>(0), true);
+    ASSERT_EQ(full.stop, StopReason::kHalt);
+    ASSERT_EQ(full.events.size(), 6u);
+    std::size_t cut_short = 0;
+    for (Cycles stop = 1; stop <= full.cycles + 1; ++stop) {
+        const Result on = run(stop, true);
+        const Result off = run(stop, false);
+        ASSERT_EQ(on, off) << "stop_cycles=" << stop;
+        cut_short += on.stop == StopReason::kCycleLimit ? 1 : 0;
+    }
+    // Every stop short of the halt's own cycle cuts the run.
+    EXPECT_EQ(cut_short, full.cycles - 1);
 }
 
 }  // namespace
