@@ -85,9 +85,9 @@ main()
     table.add_row({"checkpoints to retain (window + 2)",
                    std::to_string(checkpoints_needed)});
     table.add_row({"attack confirmed", attack->is_attack ? "yes" : "no"});
-    table.add_row({"faulting function", attack->faulting_function});
+    table.add_row({"faulting function", attack->forensic.faulting_function});
     table.add_row({"gadget chain length",
-                   std::to_string(attack->gadget_chain.size())});
+                   std::to_string(attack->forensic.gadgets.size())});
     bench::emit(table);
 
     std::fputs("\n--- alarm replayer forensic report ---\n", stdout);

@@ -17,6 +17,13 @@ ArStage::ArStage(VmFactory factory, rnr::ReplayOptions base_options,
         fatal("ArStage: null VM factory");
 }
 
+stats::Histogram&
+ArStage::verdict_latency(stats::StatRegistry* stats)
+{
+    return stats->histogram("ar.verdict_latency", kLatencyHistMax,
+                            kLatencyHistBuckets);
+}
+
 AlarmReplayResult
 ArStage::unavailable(const replay::PendingAlarm& pending,
                      const std::string& why,
@@ -34,6 +41,7 @@ ArStage::unavailable(const replay::PendingAlarm& pending,
     out.analysis.report = "alarm @" + std::to_string(pending.log_index) +
                           ": checkpoint unavailable (" + why + ")";
     local_stats->counter("ar.ckpt_unavailable").inc();
+    verdict_latency(local_stats).sample(0);
     obs::Tracer::instance().instant("ar.ckpt_unavailable", "ar",
                                     "log_index", pending.log_index);
     return out;
@@ -98,9 +106,7 @@ ArStage::analyze(const replay::PendingAlarm& pending,
     }
     local_stats->counter("ar.analysis_cycles")
         .inc(out.analysis.analysis_cycles);
-    local_stats->histogram("ar.analysis_cycles_hist", kLatencyHistMax,
-                           kLatencyHistBuckets)
-        .sample(out.analysis.analysis_cycles);
+    verdict_latency(local_stats).sample(out.analysis.analysis_cycles);
     obs::Tracer::instance().instant("ar.verdict", "ar", "is_attack",
                                     out.analysis.is_attack ? 1 : 0);
     return out;

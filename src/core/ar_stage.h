@@ -53,6 +53,13 @@ class ArStage {
     static constexpr std::size_t kLatencyHistBuckets = 64;
 
     /**
+     * The `ar.verdict_latency` histogram of @p stats, created empty if
+     * absent: every verdict analyze() returns samples its
+     * analysis_cycles there (0 for a checkpoint-unavailable one).
+     */
+    static stats::Histogram& verdict_latency(stats::StatRegistry* stats);
+
+    /**
      * @param factory       builds the AR VMs; must be thread-safe when
      *                      analyze() is called from worker threads.
      * @param base_options  the CR's replay options; the alarm replayer

@@ -31,8 +31,8 @@ replay::AlarmAnalysis
 base_analysis(const rnr::LogRecord& record)
 {
     replay::AlarmAnalysis analysis;
-    analysis.ret_pc = record.alarm.ret_pc;
-    analysis.actual_target = record.alarm.actual;
+    analysis.forensic.ret_pc = record.alarm.ret_pc;
+    analysis.forensic.actual_target = record.alarm.actual;
     return analysis;
 }
 
@@ -44,8 +44,9 @@ render_report(const char* detector, const rnr::LogRecord& record,
     out << detector << " alarm @icount " << record.icount << " tid "
         << record.tid << (record.alarm.kernel_mode ? " [kernel]" : " [user]")
         << ": " << replay::alarm_cause_name(analysis.cause) << "\n  site 0x"
-        << std::hex << analysis.ret_pc << " -> target 0x"
-        << analysis.actual_target << std::dec << "\n  " << detail << "\n";
+        << std::hex << analysis.forensic.ret_pc << " -> target 0x"
+        << analysis.forensic.actual_target << std::dec << "\n  " << detail
+        << "\n";
     return out.str();
 }
 
@@ -81,17 +82,6 @@ DetectorSet::find(DetectorId id) const
             return detector.get();
     }
     return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// RopRasDetector
-// ---------------------------------------------------------------------------
-
-replay::AlarmAnalysis
-RopRasDetector::classify(const rnr::LogRecord& record,
-                         replay::AlarmReplayer& ar) const
-{
-    return ar.classify_ras(record);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +143,7 @@ JopGuardDetector::classify(const rnr::LogRecord& record,
         detail = "target outside every known function, fallback target "
                  "and JIT entry";
     }
-    analysis.faulting_function = function_at_any(ar.vm(), site);
+    analysis.forensic.faulting_function = function_at_any(ar.vm(), site);
     analysis.report = render_report("JOP", record, analysis, detail);
     return analysis;
 }
@@ -230,10 +220,11 @@ CfiDetector::classify(const rnr::LogRecord& record,
         analysis.is_attack = true;
         detail = "target outside the site's static target set";
     }
-    analysis.faulting_function = function_at_any(ar.vm(), site_pc);
+    analysis.forensic.faulting_function =
+        function_at_any(ar.vm(), site_pc);
     if (analysis.is_attack) {
-        const std::string target_fn = function_at_any(ar.vm(), target);
-        analysis.call_site_function = target_fn;
+        analysis.forensic.call_site_function =
+            function_at_any(ar.vm(), target);
     }
     analysis.report = render_report("CFI", record, analysis, detail);
     return analysis;
@@ -327,7 +318,7 @@ WxDetector::classify(const rnr::LogRecord& record,
                      : "fetch from a written page outside every JIT "
                        "region";
     }
-    analysis.faulting_function = function_at_any(ar.vm(), pc);
+    analysis.forensic.faulting_function = function_at_any(ar.vm(), pc);
     analysis.report = render_report("W^X", record, analysis, detail);
     return analysis;
 }
@@ -350,7 +341,6 @@ standard_detectors(const std::vector<const isa::Image*>& images,
         fatal("standard_detectors: " + status.to_string());
     }
     auto set = std::make_shared<DetectorSet>();
-    set->add(std::make_unique<RopRasDetector>());
     set->add(std::make_unique<JopGuardDetector>(std::move(jop_table),
                                                 policy));
     set->add(std::make_unique<CfiDetector>(policy));

@@ -50,7 +50,8 @@ namespace rsafe::core {
 
 /** Stable wire identity of each detector (LogRecord::value payload). */
 enum class DetectorId : std::uint8_t {
-    kRopRas = 0,  ///< the paper's RAS return-address monitor
+    kRopRas = 0,  ///< reserved: the paper's RAS monitor, whose alarms
+                  ///< arrive as kRasAlarm records, not detector alarms
     kJop = 1,     ///< function-bounds indirect-branch table
     kCfi = 2,     ///< value-set CFI target tables
     kWx = 3,      ///< W^X written-then-fetched watcher
@@ -111,9 +112,10 @@ class Detector {
     /**
      * Replay-side classification of one alarm this detector raised.
      * Runs inside @p ar, stopped exactly at the alarm record; the
-     * implementation fills verdict, cause and report. The caller
-     * (AlarmReplayer::analyze) stamps the shared bookkeeping fields
-     * (alarm_record, tid, analysis_cycles, forensic skeleton).
+     * implementation fills verdict, cause, report and the forensic
+     * where facts (addresses and function names). The caller
+     * (AlarmReplayer::analyze) stamps alarm_record, analysis_cycles and
+     * the forensic identification fields.
      */
     virtual replay::AlarmAnalysis classify(
         const rnr::LogRecord& record, replay::AlarmReplayer& ar) const = 0;
@@ -137,20 +139,6 @@ class DetectorSet {
 
   private:
     std::vector<std::unique_ptr<Detector>> detectors_;
-};
-
-/**
- * The paper's RAS detector on the framework interface. Its hardware is
- * the RAS itself (armed through RecorderOptions, not arm(): alarms
- * arrive as kRasAlarm records via the dedicated CPU machinery), so this
- * detector only contributes the replay classifier, which delegates to
- * the alarm replayer's shadow-RAS analysis.
- */
-class RopRasDetector : public Detector {
-  public:
-    DetectorId id() const override { return DetectorId::kRopRas; }
-    replay::AlarmAnalysis classify(const rnr::LogRecord& record,
-                                   replay::AlarmReplayer& ar) const override;
 };
 
 /**
@@ -240,8 +228,10 @@ class WxDetector : public Detector, public mem::CodeWriteListener {
 
 /**
  * Build the standard detector complement for one trusted image group:
- * ROP/RAS classifier, JOP guard (function table from @p images,
- * @p jop_hardware_slots entries), CFI and W^X driven by @p policy.
+ * JOP guard (function table from @p images, @p jop_hardware_slots
+ * entries), CFI and W^X driven by @p policy. The paper's RAS monitor
+ * needs no entry: its alarms are kRasAlarm records, which the alarm
+ * replayer classifies with its shadow RAS.
  *
  * The returned set is stateful per recording (the W^X watcher binds to
  * the VM it arms): build a fresh set per pipeline run.

@@ -248,6 +248,9 @@ ReplayFleet::run()
         state->ar = std::make_unique<core::ArStage>(
             tenant.factory, tenant.config.cr.replay,
             state->stage->active_detectors());
+        // Every tenant reports its verdict latency, empty if it never
+        // replayed an alarm.
+        core::ArStage::verdict_latency(&state->ar_stats);
 
         // The sink runs on this tenant's CR thread: claim the next slot
         // and hand the job to the shared pool. The worker reads the
@@ -552,11 +555,6 @@ ReplayFleet::collect_metrics(FleetResult* out)
     for (const TenantRunResult& tenant : out->tenants) {
         const std::string prefix = "tenant." + tenant.name + ".";
         metrics.merge_prefixed(tenant.result.pipeline_stats, prefix);
-        auto& latency = metrics.histogram(
-            prefix + "ar.verdict_latency", core::ArStage::kLatencyHistMax,
-            core::ArStage::kLatencyHistBuckets);
-        for (const auto& ar : tenant.result.ar_results)
-            latency.sample(ar.analysis.analysis_cycles);
         metrics.counter(prefix + "jobs_dropped").inc(tenant.jobs_dropped);
         if (tenant.partial)
             metrics.counter(prefix + "partial").inc();

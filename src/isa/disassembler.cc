@@ -10,7 +10,9 @@ namespace {
 std::string
 reg_name(std::uint8_t r)
 {
-    return "r" + std::to_string(r);
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "r%u", static_cast<unsigned>(r));
+    return buf;
 }
 
 std::string

@@ -15,10 +15,12 @@
  *
  * The AlarmReplayer's text report is for humans at a terminal; incident
  * response wants fields. A ForensicReport captures where the hijack
- * happened (faulting PC, its containing function and inferred bounds),
- * who mounted it (thread id from BackRAS introspection, shadow-stack
- * depth and delta since the checkpoint), and what was staged (the gadget
- * chain with a per-gadget classification of the primitive each provides).
+ * happened (faulting PC, its containing function and that function's
+ * bounds), who mounted it (thread id from BackRAS introspection,
+ * shadow-stack depth and delta since the checkpoint), and what was staged
+ * (the gadget chain with a per-gadget classification of the primitive
+ * each provides). It is the verdict's only copy of these facts: the text
+ * report is rendered from it.
  * Reports serialize on the hardened CRC32C wire format
  * (PayloadKind::kForensicReport) so they survive shipping alongside the
  * log, and deserialize with Status — malformed bytes are reported, never
@@ -62,7 +64,10 @@ struct ForensicReport {
     // Where: the faulting return and the control-flow redirection.
     Addr ret_pc = 0;
     std::string faulting_function;
-    Addr function_begin = 0;       ///< inferred bounds (0 if unknown)
+    /** Bounds of faulting_function from the kernel's symbol table, which
+     *  the static analysis proves equal to the CFG-inferred bounds (0
+     *  if unknown; filled on attack verdicts only). */
+    Addr function_begin = 0;
     Addr function_end = 0;
     Addr expected_target = 0;
     std::string call_site_function;

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -237,9 +238,14 @@ class HealthMonitor {
 
     std::mutex tick_mu_;  ///< serializes concurrent tick() callers
 
+    /** stop() sets the flag and wakes the sampling thread's sleep, so
+     *  it returns at once rather than after the rest of a cadence. */
+    std::mutex stop_mu_;
+    std::condition_variable stop_cv_;
+    bool stop_requested_ = false;  ///< guarded by stop_mu_
+
     std::thread thread_;
     std::atomic<bool> running_{false};
-    std::atomic<bool> stop_requested_{false};
     bool stopped_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <type_traits>
 
 namespace rsafe::obs {
 
@@ -83,21 +84,25 @@ append_json_escaped(std::string* out, const std::string& text)
     }
 }
 
+// Events are never destroyed: FreeEvents releases the raw storage only.
+static_assert(std::is_trivially_destructible_v<TraceEvent>);
+
 TraceBuffer::TraceBuffer(std::string thread_name, std::size_t capacity)
-    : name_(std::move(thread_name))
+    : name_(std::move(thread_name)), capacity_(capacity == 0 ? 1 : capacity),
+      events_(static_cast<TraceEvent*>(
+          ::operator new(capacity_ * sizeof(TraceEvent))))
 {
-    events_.resize(capacity == 0 ? 1 : capacity);
 }
 
 void
 TraceBuffer::emit(const TraceEvent& event)
 {
     const std::size_t pos = size_.load(std::memory_order_relaxed);
-    if (pos >= events_.size()) {
+    if (pos >= capacity_) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    events_[pos] = event;
+    new (events_.get() + pos) TraceEvent(event);
     // Release-publish: readers who acquire size() see the event body.
     size_.store(pos + 1, std::memory_order_release);
 }

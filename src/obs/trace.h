@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,9 @@ struct TraceEvent {
  * thread may read the published prefix after an acquire of size().
  * The capacity is fixed at attach time — when it fills, further events
  * are counted in dropped() instead of allocating (the hot path must
- * never touch the allocator).
+ * never touch the allocator). The storage is allocated uninitialised
+ * and emit() constructs each event in place, so attaching a thread
+ * costs no more than the events it writes.
  */
 class TraceBuffer {
   public:
@@ -86,7 +89,7 @@ class TraceBuffer {
     }
 
     /** @return event @p i of the published prefix. */
-    const TraceEvent& at(std::size_t i) const { return events_[i]; }
+    const TraceEvent& at(std::size_t i) const { return events_.get()[i]; }
 
     const std::string& thread_name() const { return name_; }
     std::uint32_t tid() const { return tid_; }
@@ -94,9 +97,18 @@ class TraceBuffer {
   private:
     friend class Tracer;
 
+    struct FreeEvents {
+        void operator()(TraceEvent* events) const
+        {
+            ::operator delete(events);
+        }
+    };
+
     std::string name_;
     std::uint32_t tid_ = 0;  ///< assigned by the Tracer at registration
-    std::vector<TraceEvent> events_;
+    const std::size_t capacity_;
+    /** Raw storage; events below size() are constructed. */
+    std::unique_ptr<TraceEvent, FreeEvents> events_;
     std::atomic<std::size_t> size_{0};
     std::atomic<std::uint64_t> dropped_{0};
 };
@@ -120,9 +132,11 @@ class Tracer {
     }
 
     /**
-     * Start a fresh trace session: resets every registered buffer and
-     * re-zeroes the clock. Buffers are kept (never deallocated) so
-     * thread-local pointers held by still-running threads stay valid.
+     * Start a fresh trace session: frees every registered buffer and
+     * re-zeroes the clock. The session generation moves on, so a thread
+     * still holding a buffer from an earlier session re-attaches to a
+     * fresh one on its next emit instead of using the freed one. Call
+     * it only between runs, when no instrumented thread is emitting.
      */
     void begin_session();
 

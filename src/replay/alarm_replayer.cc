@@ -2,14 +2,9 @@
 
 #include <sstream>
 
-#include "analysis/cfg.h"
-#include "analysis/decoded_image.h"
-#include "analysis/function_bounds.h"
 #include "common/log.h"
 #include "core/detector.h"
 #include "isa/disassembler.h"
-#include "kernel/layout.h"
-#include "obs/trace.h"
 
 namespace rsafe::replay {
 
@@ -182,9 +177,28 @@ AlarmReplayer::analyze(std::size_t alarm_log_index)
     if (!reached_target_ || outcome != rnr::ReplayOutcome::kStopRequested) {
         panic("AlarmReplayer: did not reach the target alarm record");
     }
-    if (record.type == rnr::RecordType::kDetectorAlarm)
-        return classify_detector(record);
-    return build_analysis(record);
+    AlarmAnalysis analysis = record.type == rnr::RecordType::kDetectorAlarm
+                                 ? classify_detector(record)
+                                 : build_analysis(record);
+    analysis.alarm_record = record;
+    analysis.analysis_cycles = vm_->cpu().cycles() - start_cycles_;
+
+    // Identify the verdict in its forensic record, whichever classifier
+    // rendered it. A return the traced replay never reached has no
+    // forensic facts, so its record stays empty.
+    if (analysis.cause == AlarmCause::kNeedsDeeperAnalysis)
+        return analysis;
+    obs::ForensicReport& forensic = analysis.forensic;
+    forensic.log_index = target_index_;
+    forensic.icount = record.icount;
+    forensic.cause = alarm_cause_name(analysis.cause);
+    forensic.is_attack = analysis.is_attack;
+    forensic.kernel_mode = record.alarm.kernel_mode;
+    forensic.tid = record.tid;
+    // Count every thread the shadow saw, not just the ones the
+    // checkpoint seeded: early checkpoints carry no BackRAS yet.
+    forensic.threads_tracked = shadow_.num_threads();
+    return analysis;
 }
 
 AlarmAnalysis
@@ -194,71 +208,26 @@ AlarmReplayer::classify_detector(const rnr::LogRecord& record)
         detectors_ != nullptr
             ? detectors_->find(static_cast<core::DetectorId>(record.value))
             : nullptr;
-    AlarmAnalysis analysis;
-    if (detector != nullptr) {
-        analysis = detector->classify(record, *this);
-    } else {
-        // No classifier registered (e.g. a shipped log replayed without
-        // the matching detector complement): surface the alarm benignly
-        // rather than guessing an attack verdict.
-        analysis.is_attack = false;
-        analysis.cause = AlarmCause::kHardwareArtifact;
-        analysis.ret_pc = record.alarm.ret_pc;
-        analysis.actual_target = record.alarm.actual;
-        analysis.report = "detector alarm without a registered "
-                          "classifier; left unconfirmed (benign)";
-    }
+    if (detector != nullptr)
+        return detector->classify(record, *this);
 
-    // Shared bookkeeping every detector verdict carries, so individual
-    // classifiers only fill verdict, cause, addresses and report.
-    analysis.alarm_record = record;
-    analysis.tid = record.tid;
-    analysis.analysis_cycles = vm_->cpu().cycles() - start_cycles_;
-    obs::ForensicReport& forensic = analysis.forensic;
-    forensic.log_index = target_index_;
-    forensic.icount = record.icount;
-    forensic.cause = alarm_cause_name(analysis.cause);
-    forensic.is_attack = analysis.is_attack;
-    forensic.kernel_mode = record.alarm.kernel_mode;
-    forensic.ret_pc = analysis.ret_pc;
-    forensic.faulting_function = analysis.faulting_function;
-    forensic.expected_target = analysis.expected_target;
-    forensic.call_site_function = analysis.call_site_function;
-    forensic.actual_target = analysis.actual_target;
-    forensic.tid = record.tid;
-    forensic.threads_tracked = shadow_.num_threads();
+    // No classifier registered (e.g. a shipped log replayed without the
+    // matching detector complement): surface the alarm benignly rather
+    // than guessing an attack verdict.
+    AlarmAnalysis analysis;
+    analysis.is_attack = false;
+    analysis.cause = AlarmCause::kHardwareArtifact;
+    analysis.forensic.ret_pc = record.alarm.ret_pc;
+    analysis.forensic.actual_target = record.alarm.actual;
+    analysis.report = "detector alarm without a registered "
+                      "classifier; left unconfirmed (benign)";
     return analysis;
 }
 
-std::vector<Addr>
-AlarmReplayer::scan_gadget_chain(Addr sp) const
-{
-    // Walk the corrupted stack upward; every word that points into kernel
-    // code is (part of) the gadget chain the attacker staged.
-    std::vector<Addr> chain;
-    const auto& image = vm_->guest_kernel().image;
-    for (int i = 0; i < 16; ++i) {
-        const Addr addr = sp + 8 * i;
-        if (addr + 8 > vm_->mem().size())
-            break;
-        const Word word = vm_->mem().read_raw(addr, 8);
-        if (word >= image.base() && word < image.end())
-            chain.push_back(word);
-    }
-    return chain;
-}
-
 AlarmAnalysis
-AlarmReplayer::build_analysis(const rnr::LogRecord& record)
+AlarmReplayer::build_analysis(const rnr::LogRecord& record) const
 {
     AlarmAnalysis analysis;
-    analysis.alarm_record = record;
-    analysis.tid = record.tid;
-    analysis.ret_pc = record.alarm.ret_pc;
-    analysis.actual_target = record.alarm.actual;
-    analysis.analysis_cycles = vm_->cpu().cycles() - start_cycles_;
-
-    const bool kernel_alarm = record.alarm.kernel_mode;
     if (!last_ret_verdict_ || last_ret_event_.pc != record.alarm.ret_pc) {
         // The last traced return is not the one the alarm names, so the
         // shadow RAS has nothing to classify.
@@ -291,42 +260,35 @@ AlarmReplayer::build_analysis(const rnr::LogRecord& record)
         analysis.is_attack = true;
         break;
     }
+    build_forensic(record, &analysis);
 
-    analysis.expected_target = last_ret_expected_;
-    const auto& image = vm_->guest_kernel().image;
-    analysis.faulting_function = image.function_at(analysis.ret_pc);
-    analysis.call_site_function = image.function_at(analysis.expected_target);
-
+    const obs::ForensicReport& forensic = analysis.forensic;
     std::ostringstream report;
-    report << "alarm @icount " << record.icount << " tid " << analysis.tid
-           << (kernel_alarm ? " [kernel]" : " [user]") << ": "
+    report << "alarm @icount " << record.icount << " tid " << record.tid
+           << (record.alarm.kernel_mode ? " [kernel]" : " [user]") << ": "
            << alarm_cause_name(analysis.cause) << "\n";
     if (analysis.is_attack) {
-        analysis.gadget_chain = scan_gadget_chain(record.alarm.sp_after);
-        report << "  hijacked return at 0x" << std::hex << analysis.ret_pc
+        report << "  hijacked return at 0x" << std::hex << forensic.ret_pc
                << std::dec;
-        if (!analysis.faulting_function.empty())
-            report << " in <" << analysis.faulting_function << ">";
+        if (!forensic.faulting_function.empty())
+            report << " in <" << forensic.faulting_function << ">";
         report << "\n  legitimate call site: 0x" << std::hex
-               << analysis.expected_target << std::dec;
-        if (!analysis.call_site_function.empty())
-            report << " in <" << analysis.call_site_function << ">";
+               << forensic.expected_target << std::dec;
+        if (!forensic.call_site_function.empty())
+            report << " in <" << forensic.call_site_function << ">";
         report << "\n  control redirected to 0x" << std::hex
-               << analysis.actual_target << std::dec;
-        const auto fn = image.function_at(analysis.actual_target);
-        if (!fn.empty())
-            report << " (inside <" << fn << ">)";
+               << forensic.actual_target << std::dec;
+        if (!forensic.target_function.empty())
+            report << " (inside <" << forensic.target_function << ">)";
         report << "\n  gadget chain on the corrupted stack:";
-        for (const Addr gadget : analysis.gadget_chain) {
-            report << "\n    0x" << std::hex << gadget << std::dec;
-            auto instr = image.instr_at(gadget);
-            if (instr)
-                report << "  " << isa::disassemble(*instr);
+        for (const obs::GadgetInfo& gadget : forensic.gadgets) {
+            report << "\n    0x" << std::hex << gadget.pc << std::dec;
+            if (!gadget.disasm.empty())
+                report << "  " << gadget.disasm;
         }
         report << "\n";
     }
     analysis.report = report.str();
-    build_forensic(record, &analysis);
     return analysis;
 }
 
@@ -334,48 +296,47 @@ void
 AlarmReplayer::build_forensic(const rnr::LogRecord& record,
                               AlarmAnalysis* out) const
 {
+    // Where: the return the shadow RAS judged, the call site it owed
+    // control to, and where control went instead.
     obs::ForensicReport& forensic = out->forensic;
-    forensic.log_index = target_index_;
-    forensic.icount = record.icount;
-    forensic.cause = alarm_cause_name(out->cause);
-    forensic.is_attack = out->is_attack;
-    forensic.kernel_mode = record.alarm.kernel_mode;
-    forensic.ret_pc = out->ret_pc;
-    forensic.faulting_function = out->faulting_function;
-    forensic.expected_target = out->expected_target;
-    forensic.call_site_function = out->call_site_function;
-    forensic.actual_target = out->actual_target;
     const auto& image = vm_->guest_kernel().image;
-    forensic.target_function = image.function_at(out->actual_target);
+    forensic.ret_pc = record.alarm.ret_pc;
+    forensic.faulting_function = image.function_at(forensic.ret_pc);
+    forensic.expected_target = last_ret_expected_;
+    forensic.call_site_function =
+        image.function_at(forensic.expected_target);
+    forensic.actual_target = record.alarm.actual;
+    forensic.target_function = image.function_at(forensic.actual_target);
 
-    forensic.tid = record.tid;
+    // Who: the mounting thread's shadow depth, and its change since the
+    // checkpoint.
     forensic.shadow_depth = shadow_.depth(record.tid);
     const auto it = initial_depth_.find(record.tid);
     const auto initial = static_cast<std::int64_t>(
         it == initial_depth_.end() ? 0 : it->second);
     forensic.shadow_delta =
         static_cast<std::int64_t>(forensic.shadow_depth) - initial;
-    // Count every thread the shadow saw, not just the ones the
-    // checkpoint seeded: early checkpoints carry no BackRAS yet.
-    forensic.threads_tracked = shadow_.num_threads();
 
     if (!out->is_attack)
         return;
 
-    // Where, precisely: recover the CFG once and attach the inferred
-    // bounds of the faulting function. This walk is only paid on real
-    // attacks — false positives never reach it.
-    obs::ScopedSpan span("ar.function_bounds", "ar");
-    const analysis::DecodedImage decoded(image);
-    const analysis::Cfg cfg(decoded);
-    const auto table = analysis::FunctionTable::infer(cfg);
-    if (const auto* fn = table.function_containing(forensic.ret_pc)) {
+    // Where, precisely: the faulting function's bounds, read from the
+    // symbol table that the static analysis proves equal to the bounds
+    // a CFG recovers (FunctionTable::verify_against).
+    if (const auto fn = image.find_function(forensic.faulting_function)) {
         forensic.function_begin = fn->begin;
         forensic.function_end = fn->end;
-        if (forensic.faulting_function.empty())
-            forensic.faulting_function = fn->name;
     }
-    for (const Addr pc : out->gadget_chain) {
+    // What: walk the corrupted stack upward; every word that points into
+    // kernel code is (part of) the gadget chain the attacker staged, and
+    // its first instruction says what primitive it provides.
+    for (int i = 0; i < 16; ++i) {
+        const Addr addr = record.alarm.sp_after + 8 * i;
+        if (addr + 8 > vm_->mem().size())
+            break;
+        const Addr pc = vm_->mem().read_raw(addr, 8);
+        if (pc < image.base() || pc >= image.end())
+            continue;
         obs::GadgetInfo gadget;
         gadget.pc = pc;
         const auto instr = image.instr_at(pc);

@@ -24,6 +24,12 @@
  * artifact) or a real ROP — in which case it assembles a forensic report:
  * where the attack happened, which thread mounted it, and the gadget
  * chain sitting on the corrupted stack (Section 6's where/who/what).
+ *
+ * A verdict keeps those facts in one place, its obs::ForensicReport;
+ * the text report is rendered from it. Function names and bounds come
+ * from the kernel image's symbol table, which the static analysis
+ * (analysis::FunctionTable::verify_against) proves equal to the bounds
+ * a CFG recovers, so no verdict rebuilds a CFG.
  */
 
 namespace rsafe::core {
@@ -60,18 +66,9 @@ struct AlarmAnalysis {
     bool is_attack = false;
     AlarmCause cause = AlarmCause::kHardwareArtifact;
     rnr::LogRecord alarm_record;
+    std::string report;  ///< human-readable summary
 
-    // Forensics (meaningful when is_attack).
-    ThreadId tid = 0;
-    Addr ret_pc = 0;
-    Addr actual_target = 0;
-    Addr expected_target = 0;
-    std::string faulting_function;   ///< function containing the hijacked ret
-    std::string call_site_function;  ///< function that made the call
-    std::vector<Addr> gadget_chain;  ///< stack words pointing into the kernel
-    std::string report;              ///< human-readable summary
-
-    /** The structured where/who/what record (wire-serializable). */
+    /** The verdict's where/who/what facts (wire-serializable). */
     obs::ForensicReport forensic;
 
     /** Cycles the alarm replay itself consumed. */
@@ -117,16 +114,6 @@ class AlarmReplayer : public rnr::Replayer {
         detectors_ = detectors;
     }
 
-    /**
-     * The paper's shadow-RAS classification of @p record (a kRasAlarm
-     * positioned at the stop point). Public so the RopRasDetector can
-     * delegate to it through the framework interface.
-     */
-    AlarmAnalysis classify_ras(const rnr::LogRecord& record)
-    {
-        return build_analysis(record);
-    }
-
     /** The replayed machine (detector classifiers inspect its state). */
     hv::Vm& vm() { return *vm_; }
 
@@ -142,9 +129,8 @@ class AlarmReplayer : public rnr::Replayer {
   private:
     static rnr::ReplayOptions force_tracing(rnr::ReplayOptions options);
 
-    AlarmAnalysis build_analysis(const rnr::LogRecord& record);
+    AlarmAnalysis build_analysis(const rnr::LogRecord& record) const;
     AlarmAnalysis classify_detector(const rnr::LogRecord& record);
-    std::vector<Addr> scan_gadget_chain(Addr sp) const;
     void build_forensic(const rnr::LogRecord& record,
                         AlarmAnalysis* analysis) const;
 

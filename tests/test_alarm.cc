@@ -356,9 +356,9 @@ TEST(AlarmForensics, ReportNamesTheVulnerableFunctionAndGadgets)
     // The chain the AR recovered from the corrupted stack includes the
     // gadgets the attacker actually staged.
     bool found_g2 = false, found_g3 = false;
-    for (const Addr gadget : attack->gadget_chain) {
-        found_g2 |= gadget == program.chain.g2;
-        found_g3 |= gadget == program.chain.g3;
+    for (const auto& gadget : attack->forensic.gadgets) {
+        found_g2 |= gadget.pc == program.chain.g2;
+        found_g3 |= gadget.pc == program.chain.g3;
     }
     EXPECT_TRUE(found_g2);
     EXPECT_TRUE(found_g3);

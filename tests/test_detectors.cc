@@ -327,8 +327,8 @@ TEST(DetectorPipeline, CfiHijackIsConfirmedAttack)
             continue;
         found = true;
         EXPECT_TRUE(ar.analysis.is_attack);
-        EXPECT_EQ(ar.analysis.ret_pc, scenario.site);
-        EXPECT_EQ(ar.analysis.actual_target, scenario.target);
+        EXPECT_EQ(ar.analysis.forensic.ret_pc, scenario.site);
+        EXPECT_EQ(ar.analysis.forensic.actual_target, scenario.target);
         EXPECT_FALSE(ar.analysis.report.empty());
     }
     EXPECT_TRUE(found);
@@ -373,7 +373,7 @@ TEST(DetectorPipeline, WxCodeInjectionIsConfirmedAttack)
             continue;
         found = true;
         EXPECT_TRUE(ar.analysis.is_attack);
-        EXPECT_EQ(ar.analysis.actual_target, scenario.target);
+        EXPECT_EQ(ar.analysis.forensic.actual_target, scenario.target);
     }
     EXPECT_TRUE(found);
     EXPECT_GE(counter(result, "detector.wx.attacks"), 1u);

@@ -92,13 +92,13 @@ TEST_F(AttackPipeline, KernelRopIsDetectedAndCharacterized)
     ASSERT_GE(attacks.size(), 1u);
     const auto& attack = *attacks[0];
     // Where: the hijacked return inside the vulnerable function.
-    EXPECT_EQ(attack.faulting_function, "k_vulnerable");
-    EXPECT_EQ(attack.ret_pc,
+    EXPECT_EQ(attack.forensic.faulting_function, "k_vulnerable");
+    EXPECT_EQ(attack.forensic.ret_pc,
               result.recorded_vm->guest_kernel().vulnerable_ret);
     // Who: the attacker task (the last task slot).
-    EXPECT_EQ(attack.tid, 3u);
+    EXPECT_EQ(attack.forensic.tid, 3u);
     // What: the gadget chain staged on the corrupted stack.
-    EXPECT_FALSE(attack.gadget_chain.empty());
+    EXPECT_FALSE(attack.forensic.gadgets.empty());
     EXPECT_FALSE(attack.report.empty());
     // The compromised kernel flipped the root flag (the VM was allowed
     // to continue past the alarm).
@@ -115,7 +115,7 @@ TEST_F(AttackPipeline, FirstAlarmIsTheHijackedReturn)
     // classified as a real ROP (not any false-positive category).
     EXPECT_TRUE(analyses[0].is_attack);
     EXPECT_EQ(analyses[0].cause, replay::AlarmCause::kRopAttack);
-    EXPECT_EQ(analyses[0].actual_target,
+    EXPECT_EQ(analyses[0].forensic.actual_target,
               analyses[0].alarm_record.alarm.actual);
 }
 
@@ -181,7 +181,8 @@ TEST(ConcurrentPipeline, MatchesSerialBitForBit)
         EXPECT_EQ(c.analysis.cause, s.analysis.cause) << "alarm " << i;
         EXPECT_EQ(c.analysis.is_attack, s.analysis.is_attack)
             << "alarm " << i;
-        EXPECT_EQ(c.analysis.gadget_chain, s.analysis.gadget_chain)
+        EXPECT_EQ(c.analysis.forensic.serialize(),
+                  s.analysis.forensic.serialize())
             << "alarm " << i;
         EXPECT_EQ(c.analysis.report, s.analysis.report) << "alarm " << i;
         EXPECT_EQ(c.analysis.analysis_cycles, s.analysis.analysis_cycles)

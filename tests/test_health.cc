@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -407,6 +409,24 @@ TEST(HealthMonitor, SamplingThreadTicksAndStops)
     EXPECT_EQ(h.monitor.ticks(), after);
 }
 
+TEST(HealthMonitor, StopDoesNotWaitOutTheCadence)
+{
+    // A run shorter than one cadence must not last a whole cadence: stop()
+    // wakes the sampling thread's sleep instead of joining after it.
+    HealthOptions options = absolute_queue_rule(1, 1);
+    options.cadence_ms = 600000;
+    MonitorHarness h(options);
+    ASSERT_TRUE(h.monitor.start());
+    while (h.monitor.ticks() < 1)
+        std::this_thread::yield();
+    const auto begin = std::chrono::steady_clock::now();
+    h.monitor.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(60));
+    EXPECT_FALSE(h.monitor.running());
+    EXPECT_EQ(h.monitor.ticks(), 2u);  // the loop's first, stop()'s final
+}
+
 // ---------------------------------------------------------------------
 // Telemetry endpoint.
 
@@ -653,9 +673,17 @@ TEST(FrameworkHealth, SoloPipelineCarriesThePlane)
     EXPECT_TRUE(result.alarms.attack_detected());
     EXPECT_NE(result.healthz.find("\"pipeline\""), std::string::npos);
     ASSERT_FALSE(result.flight_box.empty());
+    // The latest dump need not be the attack's own: an slo-breach dump
+    // may follow it. Whichever it is, the attack verdict is in the box.
     FlightBox box;
     ASSERT_TRUE(FlightBox::deserialize(result.flight_box, &box).ok());
-    EXPECT_NE(box.reason.find("attack-verdict"), std::string::npos);
+    const auto attack_verdict = std::find_if(
+        box.entries.begin(), box.entries.end(),
+        [](const obs::FlightEntry& entry) {
+            return entry.kind == FlightEntryKind::kVerdict &&
+                   entry.tenant == "pipeline" && entry.label == "attack";
+        });
+    EXPECT_NE(attack_verdict, box.entries.end());
 }
 
 TEST(FrameworkHealth, SoloGaugesLandInThePipelineStats)
