@@ -113,7 +113,8 @@ measure_workload(const std::string& name, const VmFactory& factory,
     const std::vector<std::uint8_t> image =
         replay::ckpt::serialize_checkpoint(*ck);
     out.image_bytes = image.size();
-    out.state_bytes = (ck->pages.size() + ck->blocks.size()) * kPageSize;
+    for (const replay::StoreSnapshot& store : ck->stores)
+        out.state_bytes += store.slots.size() * kPageSize;
 
     // Restore latency, best of three: a fresh VM booted from the
     // in-memory checkpoint (full rewrite) versus from the wire image

@@ -196,7 +196,7 @@ BM_MemContentHash(benchmark::State& state)
 {
     mem::PhysMem mem(8 << 20);
     for (auto _ : state)
-        benchmark::DoNotOptimize(mem.content_hash());
+        benchmark::DoNotOptimize(mem.store().content_hash());
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * mem.size()));
 }

@@ -29,10 +29,11 @@ ArStage::unavailable(const replay::PendingAlarm& pending,
                      const std::string& why,
                      stats::StatRegistry* local_stats) const
 {
-    // No checkpoint covers this alarm (interval 0, a byte budget that
-    // recycled past it, or a damaged shipped image). The verdict must be
-    // a clean record of that fact, not a crash: the alarm stays visible
-    // in result.alarms with an explicit cause the operator can act on.
+    // No usable checkpoint covers this alarm (interval 0, a byte budget
+    // that recycled past it, or a shipped image that is damaged or does
+    // not fit the VM). The verdict must be a clean record of that fact,
+    // not a crash: the alarm stays visible in result.alarms with an
+    // explicit cause the operator can act on.
     AlarmReplayResult out;
     out.log_index = pending.log_index;
     out.analysis.is_attack = false;
@@ -82,6 +83,12 @@ ArStage::analyze(const replay::PendingAlarm& pending,
                                         pending.log_index);
 
     auto ar_vm = factory_();
+    // A checkpoint shipped from elsewhere may not fit this VM: that is
+    // this alarm's verdict, not a fault of the whole run.
+    if (const std::string why =
+            replay::geometry_mismatch(*pending.checkpoint, *ar_vm);
+        !why.empty())
+        return unavailable(pending, why, local_stats);
     replay::AlarmReplayer ar(ar_vm.get(), &log, *pending.checkpoint,
                              base_options_);
     ar.set_detectors(detectors_);

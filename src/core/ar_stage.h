@@ -80,7 +80,8 @@ class ArStage {
      * alarm takes exactly one pass. Thread-safe.
      *
      * A pending alarm with no checkpoint (checkpointing disabled, or the
-     * store recycled past the alarm) yields a clean
+     * store recycled past the alarm), or with one whose geometry does not
+     * fit the factory's VM, yields a clean
      * AlarmCause::kCheckpointUnavailable verdict, never a crash.
      */
     AlarmReplayResult analyze(const replay::PendingAlarm& pending,

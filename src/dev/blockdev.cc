@@ -1,10 +1,13 @@
 #include "dev/blockdev.h"
 
+#include <cstring>
+
 #include "common/log.h"
 
 namespace rsafe::dev {
 
-BlockDev::BlockDev(mem::Disk* disk, std::uint64_t seed, Cycles mean_latency)
+BlockDev::BlockDev(mem::PageStore* disk, std::uint64_t seed,
+                   Cycles mean_latency)
     : disk_(disk), rng_(seed), mean_latency_(mean_latency)
 {
     if (disk_ == nullptr)
@@ -21,7 +24,7 @@ BlockDev::go(Cycles now, bool is_read,
         warn("BlockDev: command issued while busy; dropping");
         return;
     }
-    if (cmd_block_ >= disk_->num_blocks()) {
+    if (cmd_block_ >= disk_->num_slots()) {
         warn("BlockDev: block out of range; dropping command");
         return;
     }
@@ -54,10 +57,11 @@ BlockDev::take_completion(Cycles now)
     done.block = in_flight_->block;
     done.guest_addr = in_flight_->guest_addr;
     if (in_flight_->is_read) {
-        done.data.resize(kDiskBlockSize);
-        disk_->read_block(done.block, done.data.data());
+        const std::uint8_t* block = disk_->slot(done.block);
+        done.data.assign(block, block + kDiskBlockSize);
     } else {
-        disk_->write_block(done.block, in_flight_->write_payload.data());
+        std::memcpy(disk_->overwrite(done.block),
+                    in_flight_->write_payload.data(), kDiskBlockSize);
     }
     in_flight_.reset();
     ++total_transfers_;

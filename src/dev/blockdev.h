@@ -8,7 +8,7 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "mem/disk.h"
+#include "mem/page_store.h"
 
 /**
  * @file
@@ -21,9 +21,16 @@
  * (Section 7.3). On a read completion the controller DMAs the block into
  * guest memory; those bytes are "data copied by virtual devices into the
  * guest" and must be logged for replay.
+ *
+ * The disk behind it is a mem::PageStore, the same store guest RAM
+ * keeps its pages in: one block per slot, so checkpoints track, take
+ * and restore disk blocks exactly like RAM pages (Section 4.6.1).
  */
 
 namespace rsafe::dev {
+
+static_assert(kDiskBlockSize == kPageSize,
+              "a disk block is one PageStore slot");
 
 /** One completed DMA transfer awaiting interrupt delivery. */
 struct DiskCompletion {
@@ -45,7 +52,7 @@ struct BlockDevState {
     Addr cmd_addr = 0;
 };
 
-/** DMA block-device controller wrapping a mem::Disk. */
+/** DMA block-device controller over a disk of one block per slot. */
 class BlockDev {
   public:
     /**
@@ -53,7 +60,7 @@ class BlockDev {
      * @param seed          completion-latency PRNG seed.
      * @param mean_latency  mean cycles from "go" to completion.
      */
-    BlockDev(mem::Disk* disk, std::uint64_t seed, Cycles mean_latency);
+    BlockDev(mem::PageStore* disk, std::uint64_t seed, Cycles mean_latency);
 
     /** Command registers (written via guest pio). @{ */
     void set_block(BlockNum block) { cmd_block_ = block; }
@@ -101,7 +108,7 @@ class BlockDev {
         std::vector<std::uint8_t> write_payload;
     };
 
-    mem::Disk* disk_;
+    mem::PageStore* disk_;
     Rng rng_;
     Cycles mean_latency_;
     BlockNum cmd_block_ = 0;

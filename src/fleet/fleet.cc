@@ -106,9 +106,9 @@ finalize_result(core::FrameworkResult* result,
         export_tb("record.tb", result->recorded_vm->cpu());
     export_tb("cr.tb", result->cr_vm->cpu());
 
-    // Checkpoint-storage telemetry. Gauges again: stored bytes and
-    // compressed-page counts flip with CheckpointStoreOptions::compress,
-    // and the compress A/B gate compares counter snapshots.
+    // Checkpoint-storage telemetry. Gauges again: they measure how the
+    // store holds pages, not what the replay computed, so they stay out
+    // of the counter snapshot the determinism gates compare.
     {
         const replay::CheckpointStoreStats cs =
             result->cr->checkpoints().stats();

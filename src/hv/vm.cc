@@ -111,14 +111,14 @@ Vm::finalize()
     state.iflag = false;
 
     // Fresh boot: nothing dirty yet from the loader's perspective.
-    mem_->clear_dirty();
+    mem_->store().clear_dirty();
     hub_->disk().clear_dirty();
 }
 
 std::uint64_t
 Vm::state_hash() const
 {
-    std::uint64_t hash = mem_->content_hash();
+    std::uint64_t hash = mem_->store().content_hash();
     hash ^= hub_->disk().content_hash() + 0x9e3779b97f4a7c15ULL +
             (hash << 6) + (hash >> 2);
     return hash;

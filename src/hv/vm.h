@@ -63,6 +63,7 @@ class Vm {
     mem::PhysMem& mem() { return *mem_; }
     const mem::PhysMem& mem() const { return *mem_; }
     dev::DeviceHub& hub() { return *hub_; }
+    const dev::DeviceHub& hub() const { return *hub_; }
     const kernel::GuestKernel& guest_kernel() const { return kernel_; }
     /** The user images loaded via load_user_image, in load order. */
     const std::vector<isa::Image>& user_images() const

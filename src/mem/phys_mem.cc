@@ -1,37 +1,15 @@
 #include "mem/phys_mem.h"
 
-#include <atomic>
-#include <bit>
 #include <cstring>
 
-#include "common/fnv.h"
 #include "common/log.h"
 
 namespace rsafe::mem {
 
-namespace {
-
-std::uint64_t
-next_phys_mem_id()
-{
-    // Atomic: the framework's alarm-replayer worker pool builds VMs (and
-    // thus memories) from several threads at once.
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 PhysMem::PhysMem(std::size_t size)
-    : bytes_((size + kPageSize - 1) / kPageSize * kPageSize),
-      id_(next_phys_mem_id())
+    : store_((size + kPageSize - 1) / kPageSize)
 {
-    const std::size_t pages = num_pages();
-    if (pages == 0)
-        fatal("PhysMem: zero-sized memory");
-    perms_.assign(pages, kPermRW);
-    dirty_bits_.assign((pages + 63) / 64, 0);
-    page_epoch_.assign(pages, 0);
+    perms_.assign(num_pages(), kPermRW);
 }
 
 void
@@ -87,14 +65,14 @@ PhysMem::read_slow(Addr addr, std::size_t len, Word* out) const
     }
     if (kLittleEndianHost && len == 8) {
         Word value;
-        std::memcpy(&value, bytes_.data() + addr, 8);
+        std::memcpy(&value, store_.data() + addr, 8);
         *out = value;
     } else if (len == 1) {
-        *out = bytes_[addr];
+        *out = store_.data()[addr];
     } else {
         Word value = 0;
         for (std::size_t i = 0; i < len; ++i)
-            value |= static_cast<Word>(bytes_[addr + i]) << (8 * i);
+            value |= static_cast<Word>(store_.data()[addr + i]) << (8 * i);
         *out = value;
     }
     return MemResult::kOk;
@@ -111,15 +89,15 @@ PhysMem::write_slow(Addr addr, std::size_t len, Word value)
         if (!(perms & kPermWrite))
             return MemResult::kNoPerm;
         if (kLittleEndianHost && len == 8) {
-            std::memcpy(bytes_.data() + addr, &value, 8);
+            std::memcpy(store_.data() + addr, &value, 8);
         } else if (len == 1) {
-            bytes_[addr] = static_cast<std::uint8_t>(value & 0xff);
+            store_.data()[addr] = static_cast<std::uint8_t>(value & 0xff);
         } else {
             for (std::size_t i = 0; i < len; ++i)
-                bytes_[addr + i] =
+                store_.data()[addr + i] =
                     static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
         }
-        mark_dirty_page(page);
+        store_.mark_dirty(page);
         if (perms & kPermExec) [[unlikely]]
             notify_code_write(page);
         return MemResult::kOk;
@@ -129,7 +107,8 @@ PhysMem::write_slow(Addr addr, std::size_t len, Word value)
     if (!(perms_[page] & kPermWrite) || !(perms_[page_of(last)] & kPermWrite))
         return MemResult::kNoPerm;
     for (std::size_t i = 0; i < len; ++i)
-        bytes_[addr + i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
+        store_.data()[addr + i] =
+            static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
     mark_dirty_range(addr, len);
     touch_code_range(addr, len);
     return MemResult::kOk;
@@ -142,7 +121,7 @@ PhysMem::fetch(Addr addr, std::uint8_t out[kInstrBytes]) const
         return MemResult::kOutOfRange;
     if (!(perms_[page_of(addr)] & kPermExec))
         return MemResult::kNoPerm;
-    std::memcpy(out, bytes_.data() + addr, kInstrBytes);
+    std::memcpy(out, store_.data() + addr, kInstrBytes);
     return MemResult::kOk;
 }
 
@@ -153,12 +132,12 @@ PhysMem::read_raw(Addr addr, std::size_t len) const
         panic("PhysMem::read_raw out of range");
     if (kLittleEndianHost && len == 8 && page_offset(addr) + 8 <= kPageSize) {
         Word value;
-        std::memcpy(&value, bytes_.data() + addr, 8);
+        std::memcpy(&value, store_.data() + addr, 8);
         return value;
     }
     Word value = 0;
     for (std::size_t i = 0; i < len; ++i)
-        value |= static_cast<Word>(bytes_[addr + i]) << (8 * i);
+        value |= static_cast<Word>(store_.data()[addr + i]) << (8 * i);
     return value;
 }
 
@@ -168,7 +147,8 @@ PhysMem::write_raw(Addr addr, std::size_t len, Word value)
     if (!in_range(addr, len))
         panic("PhysMem::write_raw out of range");
     for (std::size_t i = 0; i < len; ++i)
-        bytes_[addr + i] = static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
+        store_.data()[addr + i] =
+            static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
     mark_dirty_range(addr, len);
     touch_code_range(addr, len);
 }
@@ -178,7 +158,7 @@ PhysMem::write_block(Addr addr, const std::uint8_t* data, std::size_t len)
 {
     if (!in_range(addr, len))
         panic("PhysMem::write_block out of range");
-    std::memcpy(bytes_.data() + addr, data, len);
+    std::memcpy(store_.data() + addr, data, len);
     mark_dirty_range(addr, len);
     touch_code_range(addr, len);
 }
@@ -188,7 +168,7 @@ PhysMem::read_block(Addr addr, std::uint8_t* data, std::size_t len) const
 {
     if (!in_range(addr, len))
         panic("PhysMem::read_block out of range");
-    std::memcpy(data, bytes_.data() + addr, len);
+    std::memcpy(data, store_.data() + addr, len);
 }
 
 void
@@ -197,69 +177,13 @@ PhysMem::load_image(const isa::Image& image)
     write_block(image.base(), image.bytes().data(), image.size());
 }
 
-const std::uint8_t*
-PhysMem::page_data(Addr page) const
-{
-    if (page >= num_pages())
-        panic("PhysMem::page_data out of range");
-    return bytes_.data() + page * kPageSize;
-}
-
-void
-PhysMem::restore_page(Addr page, const std::uint8_t* data)
-{
-    if (page >= num_pages())
-        panic("PhysMem::restore_page out of range");
-    std::memcpy(bytes_.data() + page * kPageSize, data, kPageSize);
-    mark_dirty_page(page);
-    notify_code_write(page);
-}
-
-std::vector<Addr>
-PhysMem::dirty_pages() const
-{
-    std::vector<Addr> pages;
-    pages.reserve(dirty_count_);
-    for (std::size_t w = 0; w < dirty_bits_.size(); ++w) {
-        std::uint64_t word = dirty_bits_[w];
-        while (word != 0) {
-            const int bit = std::countr_zero(word);
-            pages.push_back(static_cast<Addr>(w * 64 + bit));
-            word &= word - 1;
-        }
-    }
-    return pages;
-}
-
-void
-PhysMem::clear_dirty()
-{
-    std::memset(dirty_bits_.data(), 0,
-                dirty_bits_.size() * sizeof(std::uint64_t));
-    dirty_count_ = 0;
-    ++epoch_;
-}
-
-std::uint64_t
-PhysMem::content_hash() const
-{
-    std::uint64_t hash = kFnvOffset;
-    for (Addr page = 0; page < num_pages(); ++page) {
-        hash = page_untouched(page)
-                   ? hash * kFnvZeroPageFactor
-                   : fnv1a64_update(hash, bytes_.data() + page * kPageSize,
-                                    kPageSize);
-    }
-    return hash;
-}
-
 void
 PhysMem::mark_dirty_range(Addr addr, std::size_t len)
 {
     const Addr first = page_of(addr);
     const Addr last = page_of(addr + (len == 0 ? 0 : len - 1));
     for (Addr p = first; p <= last; ++p)
-        mark_dirty_page(p);
+        store_.mark_dirty(p);
 }
 
 void

@@ -8,7 +8,7 @@
 
 #include "common/types.h"
 #include "isa/program.h"
-#include "mem/zeroed_buffer.h"
+#include "mem/page_store.h"
 
 /**
  * @file
@@ -20,19 +20,16 @@
  * per-page dirty tracking that the checkpointing replayer's incremental
  * copy-on-write checkpoints are built from (Section 4.6.1).
  *
- * This is the simulator's hottest data structure, so the bookkeeping is
- * designed for the access pattern of a tight interpreter loop:
- *  - dirty pages live in a bitmap (one bit per page) with a cached count,
- *  - every content-changing operation on a page that is (or could
- *    become) executable notifies the code-write listeners, which is how
- *    the translation-block engine drops stale blocks eagerly,
- *  - clear_dirty() advances a global epoch, and each page remembers the
- *    last epoch it was dirtied in, which lets checkpoint restore touch
- *    only the pages that actually changed since the checkpoint was taken,
- *  - the bytes are lazily zeroed (ZeroedBuffer), and every writer marks
- *    its page dirty, so a page whose epoch is still 0 was never written
- *    and is all zeros: page_untouched() lets checkpoints and the content
- *    hash skip it without reading it.
+ * The bytes, the dirty bitmap, the epochs and the content hash are a
+ * PageStore (page_store.h), the same store the virtual disk is. PhysMem
+ * adds what only RAM has: per-page permissions, and the code-write
+ * listeners that every content-changing operation on a page that is (or
+ * could become) executable notifies, which is how the translation-block
+ * engine drops stale blocks eagerly.
+ *
+ * This is the simulator's hottest data structure: the word read and
+ * write fast paths are inline and touch the store's flat bytes and
+ * dirty bitmap directly.
  */
 
 namespace rsafe::mem {
@@ -60,10 +57,10 @@ enum class MemResult {
  *
  * Invoked synchronously whenever the bytes or fetchability of a page
  * that is (or could become) executable may have changed: on set_perms,
- * restore_page, write_block/write_raw, and any guest store landing on an
- * X page. The translation-block engine registers one of these to eagerly
- * invalidate and unchain translated blocks. Callbacks run on the owning
- * VM's execution thread and must not re-enter PhysMem.
+ * write_block/write_raw, checkpoint restore, and any guest store landing
+ * on an X page. The translation-block engine registers one of these to
+ * eagerly invalidate and unchain translated blocks. Callbacks run on the
+ * owning VM's execution thread and must not re-enter PhysMem.
  */
 class CodeWriteListener {
   public:
@@ -79,10 +76,10 @@ class PhysMem {
     explicit PhysMem(std::size_t size);
 
     /** @return RAM size in bytes. */
-    std::size_t size() const { return bytes_.size(); }
+    std::size_t size() const { return store_.size_bytes(); }
 
     /** @return number of RAM pages. */
-    std::size_t num_pages() const { return bytes_.size() / kPageSize; }
+    std::size_t num_pages() const { return store_.num_slots(); }
 
     /** Set the permissions of every page overlapping [addr, addr+len). */
     void set_perms(Addr addr, std::size_t len, std::uint8_t perms);
@@ -97,10 +94,10 @@ class PhysMem {
      */
     MemResult read(Addr addr, std::size_t len, Word* out) const
     {
-        if (kLittleEndianHost && len == 8 && addr < bytes_.size() &&
+        if (kLittleEndianHost && len == 8 && addr < store_.size_bytes() &&
             page_offset(addr) <= kPageSize - 8 &&
             (perms_[page_of(addr)] & kPermRead) != 0) [[likely]] {
-            std::memcpy(out, bytes_.data() + addr, 8);
+            std::memcpy(out, store_.data() + addr, 8);
             return MemResult::kOk;
         }
         return read_slow(addr, len, out);
@@ -114,13 +111,13 @@ class PhysMem {
      */
     MemResult write(Addr addr, std::size_t len, Word value)
     {
-        if (kLittleEndianHost && len == 8 && addr < bytes_.size() &&
+        if (kLittleEndianHost && len == 8 && addr < store_.size_bytes() &&
             page_offset(addr) <= kPageSize - 8) [[likely]] {
             const Addr page = page_of(addr);
             if ((perms_[page] & (kPermWrite | kPermExec)) ==
                 kPermWrite) [[likely]] {
-                std::memcpy(bytes_.data() + addr, &value, 8);
-                mark_dirty_page(page);
+                std::memcpy(store_.data() + addr, &value, 8);
+                store_.mark_dirty(page);
                 return MemResult::kOk;
             }
         }
@@ -145,20 +142,16 @@ class PhysMem {
     /** Load a program image (bytes + permissions applied separately). */
     void load_image(const isa::Image& image);
 
-    /** @return pointer to the raw bytes of page @p page. */
-    const std::uint8_t* page_data(Addr page) const;
-
-    /** Overwrite page @p page with @p data (kPageSize bytes); marks dirty. */
-    void restore_page(Addr page, const std::uint8_t* data);
-
-    /** @return pages written since the last clear_dirty(), sorted. */
-    std::vector<Addr> dirty_pages() const;
-
-    /** @return number of dirty pages (O(1)). */
-    std::size_t dirty_count() const { return dirty_count_; }
-
-    /** Forget dirty state (checkpoint interval boundary); bumps epoch(). */
-    void clear_dirty();
+    /**
+     * The page store holding RAM's bytes, dirty pages and epochs (one
+     * slot per page). Writing through it bypasses the code-write
+     * listeners: a writer that may change code calls notify_code_write()
+     * for each page it rewrote.
+     * @{
+     */
+    PageStore& store() { return store_; }
+    const PageStore& store() const { return store_; }
+    /** @} */
 
     /**
      * Register/unregister a code-write listener (see CodeWriteListener).
@@ -170,30 +163,14 @@ class PhysMem {
     void remove_code_listener(CodeWriteListener* listener);
     /** @} */
 
-    /**
-     * Delta-restore machinery (O(differing pages) checkpoint restore).
-     * id() uniquely identifies this PhysMem instance; epoch() counts
-     * clear_dirty() calls; page_epoch() is the last epoch the page was
-     * dirtied in. A page is guaranteed unchanged since a checkpoint taken
-     * from this same PhysMem at epoch E iff page_epoch(p) < E.
-     * @{
-     */
-    std::uint64_t id() const { return id_; }
-    std::uint64_t epoch() const { return epoch_; }
-    std::uint64_t page_epoch(Addr page) const { return page_epoch_[page]; }
-    /** @} */
-
-    /**
-     * @return true if nothing ever wrote @p page, so it is all zeros.
-     * Every writer marks its page dirty, which stamps an epoch >= 1.
-     */
-    bool page_untouched(Addr page) const { return page_epoch_[page] == 0; }
-
-    /**
-     * FNV-1a hash over all RAM bytes; the determinism test oracle.
-     * Untouched pages hash as zeros without being read: O(touched pages).
-     */
-    std::uint64_t content_hash() const;
+    /** Tell the code-write listeners that @p page's code may have changed. */
+    void notify_code_write(Addr page)
+    {
+        if (!code_listeners_.empty()) [[unlikely]] {
+            for (CodeWriteListener* listener : code_listeners_)
+                listener->on_code_page_touched(page);
+        }
+    }
 
   private:
     /** Word accesses copy little-endian words with memcpy; the byte-loop
@@ -205,37 +182,17 @@ class PhysMem {
     MemResult write_slow(Addr addr, std::size_t len, Word value);
     bool in_range(Addr addr, std::size_t len) const
     {
-        return addr + len <= bytes_.size() && addr + len >= addr;
-    }
-    void mark_dirty_page(Addr page)
-    {
-        auto& word = dirty_bits_[page >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (page & 63);
-        if ((word & bit) == 0) {
-            word |= bit;
-            ++dirty_count_;
-            page_epoch_[page] = epoch_;
-        }
+        return addr + len <= store_.size_bytes() && addr + len >= addr;
     }
     void mark_dirty_range(Addr addr, std::size_t len);
     void touch_code_range(Addr addr, std::size_t len);
-    /** Tell the code-write listeners that @p page's code may have changed. */
-    void notify_code_write(Addr page)
-    {
-        if (!code_listeners_.empty()) [[unlikely]] {
-            for (CodeWriteListener* listener : code_listeners_)
-                listener->on_code_page_touched(page);
-        }
-    }
 
-    ZeroedBuffer bytes_;
+    // perms_ first: the inline read and write paths load its data
+    // pointer together with the store's bytes pointer and size, so the
+    // three sit next to each other.
     std::vector<std::uint8_t> perms_;
-    std::vector<std::uint64_t> dirty_bits_;   ///< one bit per page
-    std::size_t dirty_count_ = 0;
-    std::vector<std::uint64_t> page_epoch_;   ///< last dirtying epoch
+    PageStore store_;
     std::vector<CodeWriteListener*> code_listeners_;
-    std::uint64_t epoch_ = 1;
-    std::uint64_t id_;
 };
 
 }  // namespace rsafe::mem

@@ -6,7 +6,8 @@
 
 /**
  * @file
- * Lazily zeroed byte storage for guest RAM and the virtual disk.
+ * Lazily zeroed byte storage for page stores (guest RAM and the virtual
+ * disk).
  *
  * The buffer is an anonymous private mapping: it reads as zeros, and the
  * host kernel backs a page only when it is first written. Creating a
@@ -31,8 +32,6 @@ class ZeroedBuffer {
     std::size_t size() const { return size_; }
     std::uint8_t* data() { return data_; }
     const std::uint8_t* data() const { return data_; }
-    std::uint8_t& operator[](std::size_t i) { return data_[i]; }
-    std::uint8_t operator[](std::size_t i) const { return data_[i]; }
 
   private:
     std::uint8_t* data_ = nullptr;

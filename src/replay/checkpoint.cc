@@ -19,6 +19,13 @@ options_for_max_keep(std::size_t max_keep)
     return options;
 }
 
+/** @p vm's page stores, in Checkpoint::stores order. */
+std::array<mem::PageStore*, ckpt::kNumStores>
+live_stores(hv::Vm& vm)
+{
+    return {&vm.mem().store(), &vm.hub().disk()};
+}
+
 }  // namespace
 
 CheckpointStore::CheckpointStore(std::size_t max_keep)
@@ -27,7 +34,7 @@ CheckpointStore::CheckpointStore(std::size_t max_keep)
 }
 
 CheckpointStore::CheckpointStore(const CheckpointStoreOptions& options)
-    : options_(options), pool_(ckpt::PagePoolOptions{options.compress})
+    : options_(options)
 {
 }
 
@@ -38,62 +45,45 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     auto ck = std::make_shared<Checkpoint>();
     ck->id = next_id_++;
 
-    auto& mem = vm.mem();
-    auto& disk = vm.hub().disk();
     const auto prev = latest();
-
-    if (!prev) {
-        // First checkpoint: every page and block. One the guest never
-        // wrote is all zeros: all of those take the pool's zero page in
-        // one unread intern, and the table starts out as that page in
-        // one shared chunk, so this reads, hashes and stores only the
-        // touched pages.
-        const auto capture = [this](std::uint64_t n, const auto& untouched,
-                                    const auto& data) {
+    const auto live = live_stores(vm);
+    for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
+        mem::PageStore& store = *live[s];
+        StoreSnapshot& snap = ck->stores[s];
+        if (!prev) {
+            // First checkpoint: every slot. One the guest never wrote is
+            // all zeros: all of those take the pool's zero page in one
+            // unread intern, and the table starts out as that page in one
+            // shared chunk, so this reads, hashes and stores only the
+            // touched slots.
+            const std::uint64_t n = store.num_slots();
             std::uint64_t zeros = 0;
             for (std::uint64_t i = 0; i < n; ++i)
-                zeros += untouched(i) ? 1 : 0;
-            ckpt::StoredPageTable table(
+                zeros += store.untouched(i) ? 1 : 0;
+            snap.slots = ckpt::StoredPageTable(
                 n, zeros != 0 ? pool_.intern_zeros(zeros) : nullptr);
             for (std::uint64_t i = 0; i < n; ++i) {
-                if (untouched(i))
+                if (store.untouched(i))
                     continue;
-                ckpt::StoredPageRef ref = pool_.intern(data(i));
-                if (table.at(i) != ref)
-                    table.set(i, std::move(ref));
+                ckpt::StoredPageRef ref = pool_.intern(store.slot(i));
+                if (snap.slots.at(i) != ref)
+                    snap.slots.set(i, std::move(ref));
             }
-            return table;
-        };
-        ck->pages = capture(
-            mem.num_pages(), [&](Addr p) { return mem.page_untouched(p); },
-            [&](Addr p) { return mem.page_data(p); });
-        ck->blocks = capture(
-            disk.num_blocks(),
-            [&](BlockNum b) { return disk.block_untouched(b); },
-            [&](BlockNum b) { return disk.block_data(b); });
-        ck->copies = mem.num_pages() + disk.num_blocks();
-    } else {
-        // Incremental: share unmodified pages with the previous
-        // checkpoint and copy only what was dirtied in this interval.
-        // Assigning a table shares its chunks, so this is O(dirty),
-        // not O(all pages).
-        ck->pages = prev->pages;
-        ck->blocks = prev->blocks;
-        for (const Addr page : mem.dirty_pages()) {
-            ck->pages.set(page, pool_.intern(mem.page_data(page)));
-            ++ck->copies;
+            ck->copies += n;
+        } else {
+            // Incremental: share unmodified slots with the previous
+            // checkpoint and copy only what was dirtied in this interval.
+            // Assigning a table shares its chunks, so this is O(dirty),
+            // not O(all slots).
+            snap.slots = prev->stores[s].slots;
+            for (const std::uint64_t i : store.dirty_slots())
+                snap.slots.set(i, pool_.intern(store.slot(i)));
+            ck->copies += store.dirty_count();
         }
-        for (const BlockNum block : disk.dirty_blocks()) {
-            ck->blocks.set(block, pool_.intern(disk.block_data(block)));
-            ++ck->copies;
-        }
+        store.clear_dirty();
+        snap.source_id = store.id();
+        snap.epoch = store.epoch();
     }
-    mem.clear_dirty();
-    disk.clear_dirty();
-    ck->mem_id = mem.id();
-    ck->mem_epoch = mem.epoch();
-    ck->disk_id = disk.id();
-    ck->disk_epoch = disk.epoch();
 
     auto& cpu = vm.cpu();
     ck->cpu_state = cpu.state();
@@ -182,51 +172,58 @@ CheckpointStore::at(std::size_t i) const
     return checkpoints_[i];
 }
 
+std::string
+geometry_mismatch(const Checkpoint& checkpoint, const hv::Vm& vm)
+{
+    const std::uint64_t slots[ckpt::kNumStores] = {
+        vm.mem().num_pages(), vm.hub().disk().num_slots()};
+    for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
+        if (checkpoint.stores[s].slots.size() != slots[s])
+            return strcat_args(
+                "checkpoint geometry ",
+                checkpoint.stores[ckpt::kRamStore].slots.size(), "+",
+                checkpoint.stores[ckpt::kDiskStore].slots.size(),
+                " pages+blocks, VM geometry ", slots[ckpt::kRamStore], "+",
+                slots[ckpt::kDiskStore]);
+    }
+    return "";
+}
+
 void
 restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
                    hv::VmEnvBase* env)
 {
     obs::ScopedSpan span("checkpoint.restore", "cr");
-    auto& mem = vm->mem();
-    auto& disk = vm->hub().disk();
-    if (checkpoint.pages.size() != mem.num_pages() ||
-        checkpoint.blocks.size() != disk.num_blocks()) {
-        fatal("restore_checkpoint: VM geometry mismatch");
+    if (const std::string why = geometry_mismatch(checkpoint, *vm);
+        !why.empty())
+        fatal("restore_checkpoint: " + why);
+    const auto live = live_stores(*vm);
+    for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
+        const StoreSnapshot& snap = checkpoint.stores[s];
+        mem::PageStore& store = *live[s];
+        // When rolling back the store the checkpoint was taken from, a
+        // slot can only differ from the checkpointed copy if it was
+        // dirtied in this or a later epoch; everything older is
+        // untouched and need not be rewritten (or, in RAM, have its
+        // translations invalidated). Likewise a zero slot over a slot
+        // nothing ever wrote: it already holds zeros, so an AR's fresh
+        // VM decodes only non-zero pages. A null slot only occurs in a
+        // hand-built partial image.
+        const bool delta = snap.source_id == store.id();
+        for (std::uint64_t i = 0; i < snap.slots.size(); ++i) {
+            if (delta && store.epoch_of(i) < snap.epoch)
+                continue;
+            const auto& ref = snap.slots.at(i);
+            if (!ref || (ref->is_zero() && store.untouched(i)))
+                continue;
+            // Decode in place: compressed and raw pages restore the same
+            // bytes, which the determinism gates hold bit-identical.
+            ref->copy_to(store.overwrite(i));
+            if (s == ckpt::kRamStore)
+                vm->mem().notify_code_write(i);
+        }
+        store.clear_dirty();
     }
-    // When rolling back the same memory the checkpoint was taken from,
-    // a page can only differ from the checkpointed copy if it was
-    // dirtied in this or a later epoch; everything older is untouched
-    // RAM and need not be rewritten (or its translations invalidated).
-    // Likewise a zero slot over a page nothing ever wrote: it already
-    // holds zeros, so an AR's fresh VM decodes only non-zero pages.
-    // Stored pages decode through a stack buffer: compressed, deduped,
-    // and raw storage all restore the same raw bytes, which the A/B
-    // determinism gates hold bit-identical.
-    std::uint8_t raw[kPageSize];
-    const bool mem_delta = checkpoint.mem_id == mem.id();
-    for (Addr page = 0; page < checkpoint.pages.size(); ++page) {
-        if (mem_delta && mem.page_epoch(page) < checkpoint.mem_epoch)
-            continue;
-        const auto& ref = checkpoint.pages.at(page);
-        if (!ref)
-            continue;  // only possible in a hand-built partial image
-        if (ref->is_zero() && mem.page_untouched(page))
-            continue;
-        ref->copy_to(raw);
-        mem.restore_page(page, raw);
-    }
-    const bool disk_delta = checkpoint.disk_id == disk.id();
-    for (BlockNum block = 0; block < checkpoint.blocks.size(); ++block) {
-        if (disk_delta && disk.block_epoch(block) < checkpoint.disk_epoch)
-            continue;
-        const auto& ref = checkpoint.blocks.at(block);
-        if (!ref || (ref->is_zero() && disk.block_untouched(block)))
-            continue;
-        ref->copy_to(raw);
-        disk.write_block(block, raw);
-    }
-    mem.clear_dirty();
-    disk.clear_dirty();
 
     auto& cpu = vm->cpu();
     cpu.state() = checkpoint.cpu_state;
@@ -305,8 +302,10 @@ digest_of(const Checkpoint& checkpoint)
         checkpoint.pending_irq ? 0x100u + *checkpoint.pending_irq : 0, cpu);
     digest.cpu_hash = cpu;
 
-    digest.pages_hash = hash_page_table(checkpoint.pages);
-    digest.blocks_hash = hash_page_table(checkpoint.blocks);
+    std::uint64_t* const store_hash[ckpt::kNumStores] = {&digest.pages_hash,
+                                                         &digest.blocks_hash};
+    for (std::size_t s = 0; s < ckpt::kNumStores; ++s)
+        *store_hash[s] = hash_page_table(checkpoint.stores[s].slots);
 
     std::uint64_t ras = wire::kFnvOffset;
     ras = hash_saved_ras(checkpoint.ras, ras);

@@ -1,6 +1,7 @@
 #ifndef RSAFE_REPLAY_CHECKPOINT_H_
 #define RSAFE_REPLAY_CHECKPOINT_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -32,12 +33,15 @@
  * Recycling falls out of shared ownership: dropping a checkpoint frees a
  * page only when no later checkpoint still references it.
  *
- * The page/block maps are persistent chunked arrays shared between
- * consecutive checkpoints — so taking an incremental checkpoint costs
- * O(dirty pages), not O(all pages). Each checkpoint also records the
- * identity and dirty-epoch of the memory/disk it was taken from, letting
- * restore_checkpoint() rewrite only pages that have actually changed
- * since the checkpoint when rolling the same VM back.
+ * RAM and disk are both mem::PageStores, and a checkpoint holds one
+ * StoreSnapshot per store, RAM pages first: take, restore, digest and
+ * shipping walk the two in one loop. A snapshot's slot table is a
+ * persistent chunked array shared between consecutive checkpoints — so
+ * taking an incremental checkpoint costs O(dirty slots), not O(all
+ * slots). It also records the identity and dirty epoch of the store it
+ * was taken from, letting restore_checkpoint() rewrite only the slots
+ * that have actually changed since the checkpoint when rolling the same
+ * VM back.
  *
  * Page contents live in a content-hash dedup pool (ckpt_store/) that
  * RLE-compresses them, so the chain's stored footprint is a fraction of
@@ -51,13 +55,30 @@
 
 namespace rsafe::replay {
 
+/** One page store's part of a checkpoint. */
+struct StoreSnapshot {
+    /** Indexed by slot (page or block number); incrementally shared
+     *  and content-deduped. */
+    ckpt::StoredPageTable slots;
+    /**
+     * The source store's id() and epoch() at take time. Restoring into
+     * that same store, slots whose epoch_of() is still below epoch are
+     * untouched since this checkpoint and need not be rewritten. Both
+     * stay 0 in a decoded image, which matches no live store.
+     * @{
+     */
+    std::uint64_t source_id = 0;
+    std::uint64_t epoch = 0;
+    /** @} */
+};
+
 /** One checkpoint. */
 struct Checkpoint {
     std::uint64_t id = 0;
 
-    // (1) Full VM state, incrementally shared (and content-deduped).
-    ckpt::StoredPageTable pages;   ///< indexed by page number
-    ckpt::StoredPageTable blocks;  ///< indexed by block number
+    // (1) Full VM state: RAM pages and disk blocks (indexed by
+    // ckpt::kRamStore, ckpt::kDiskStore), the CPU and the block device.
+    std::array<StoreSnapshot, ckpt::kNumStores> stores;
     cpu::CpuState cpu_state;
     Cycles cycles = 0;
     InstrCount icount = 0;
@@ -76,19 +97,6 @@ struct Checkpoint {
 
     /** Pages+blocks copied when this checkpoint was taken (cost basis). */
     std::size_t copies = 0;
-
-    /**
-     * Source identity + dirty epoch at take time (PhysMem/Disk id() and
-     * epoch()). When restoring into the same memory/disk instance, pages
-     * whose page_epoch() is still below mem_epoch are untouched since
-     * this checkpoint and need not be rewritten.
-     * @{
-     */
-    std::uint64_t mem_id = 0;
-    std::uint64_t mem_epoch = 0;
-    std::uint64_t disk_id = 0;
-    std::uint64_t disk_epoch = 0;
-    /** @} */
 };
 
 /**
@@ -97,9 +105,9 @@ struct Checkpoint {
  * instant of the same execution (cross-pipeline determinism audits,
  * golden-corpus compatibility gates).
  *
- * Only run-deterministic fields participate: process-local identifiers
- * (mem_id/disk_id) and dirty epochs are excluded so digests compare
- * equal across processes.
+ * Only run-deterministic fields participate: the stores' process-local
+ * identities and dirty epochs are excluded so digests compare equal
+ * across processes.
  */
 struct CheckpointDigest {
     std::uint64_t id = 0;
@@ -137,11 +145,6 @@ struct CheckpointStoreOptions {
      * checkpoint-unavailable verdict, not UB.
      */
     std::uint64_t byte_budget = 0;
-    /**
-     * RLE-compress stored pages. Off is the A/B lever for the
-     * bit-identical determinism gate.
-     */
-    bool compress = true;
 };
 
 /** Storage accounting for one store (see PagePoolStats). */
@@ -170,7 +173,7 @@ class CheckpointStore {
      *
      * The first checkpoint copies every page/block; later ones copy only
      * pages/blocks dirtied since the previous call and share the rest.
-     * Clears the dirty tracking.
+     * Clears both stores' dirty tracking.
      *
      * @param env      the replay environment (for BackRAS and context).
      * @param log_pos  the InputLogPtr to store.
@@ -224,9 +227,24 @@ class CheckpointStore {
 };
 
 /**
+ * @return why @p checkpoint cannot restore into @p vm, naming both
+ * geometries (pages+blocks), or "" when they match.
+ */
+std::string geometry_mismatch(const Checkpoint& checkpoint,
+                              const hv::Vm& vm);
+
+/**
  * Restore @p checkpoint into @p vm / @p env (the alarm replayer's first
- * step, Section 4.6.2). The VM must have the same configuration as the
- * one the checkpoint was taken from.
+ * step, Section 4.6.2). The VM must have the checkpoint's geometry: a
+ * mismatch is fatal, so a caller holding a checkpoint from elsewhere
+ * checks geometry_mismatch() first.
+ *
+ * A slot is rewritten unless it provably already holds the checkpointed
+ * content: the store is the one the checkpoint was taken from and the
+ * slot was not dirtied since, or the checkpoint holds the zero page and
+ * nothing ever wrote the slot. Each rewritten slot's stored page decodes
+ * straight into the store's bytes; a rewritten RAM page also notifies
+ * the code-write listeners.
  */
 void restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
                         hv::VmEnvBase* env);

@@ -29,8 +29,8 @@ struct CrOptions {
     rnr::ReplayOptions replay;
     /** Cycles between checkpoints (0 disables checkpointing). */
     Cycles checkpoint_interval = 10'000'000;
-    /** Checkpoint retention, byte budget and page compression; keeps
-     *  the 8 newest checkpoints by default. */
+    /** Checkpoint retention and byte budget; keeps the 8 newest
+     *  checkpoints by default. */
     CheckpointStoreOptions store{.max_keep = 8};
 };
 

@@ -169,17 +169,17 @@ get_machine(ByteReader* in, Checkpoint* out)
 
 /** Parse the page/block geometry, rejecting lying sizes. */
 Status
-get_geometry(ByteReader* in, std::uint64_t* num_pages,
-             std::uint64_t* num_blocks)
+get_geometry(ByteReader* in, std::array<std::uint64_t, kNumStores>* out)
 {
-    *num_pages = in->u64();
-    *num_blocks = in->u64();
-    if (*num_pages > kMaxImageSlots || *num_blocks > kMaxImageSlots ||
-        *num_pages + *num_blocks > kMaxImageSlots)
-        return in->reject(strcat_args("checkpoint image geometry ",
-                                      *num_pages, "+", *num_blocks,
-                                      " slots exceeds the ", kMaxImageSlots,
-                                      "-slot bound"));
+    for (std::uint64_t& slots : *out)
+        slots = in->u64();
+    const std::uint64_t pages = (*out)[kRamStore];
+    const std::uint64_t blocks = (*out)[kDiskStore];
+    if (pages > kMaxImageSlots || blocks > kMaxImageSlots ||
+        pages + blocks > kMaxImageSlots)
+        return in->reject(strcat_args("checkpoint image geometry ", pages,
+                                      "+", blocks, " slots exceeds the ",
+                                      kMaxImageSlots, "-slot bound"));
     return in->status();
 }
 
@@ -234,8 +234,7 @@ decode_delta_meta(const std::uint8_t* data, std::size_t len,
     delta->base_id = in.u64();
     if (const Status status = get_machine(&in, machine); !status.ok())
         return status;
-    if (const Status status =
-            get_geometry(&in, &delta->num_pages, &delta->num_blocks);
+    if (const Status status = get_geometry(&in, &delta->geometry);
         !status.ok())
         return status;
     counts->retired = in.u64();
@@ -243,7 +242,7 @@ decode_delta_meta(const std::uint8_t* data, std::size_t len,
     counts->carried = in.u64();
     // Runs are disjoint and non-empty, and every carried page is named
     // by a run, so neither count can exceed the one that bounds it.
-    const std::uint64_t slots = delta->num_pages + delta->num_blocks;
+    const std::uint64_t slots = delta->total_slots();
     if (counts->runs > slots)
         return in.reject(strcat_args("claims ", counts->runs,
                                      " slot runs for ", slots, " slots"));
@@ -355,8 +354,8 @@ serialize_delta(const Checkpoint& machine, const CheckpointDelta& delta)
     const std::size_t meta = wire::begin_frame(0, &out);
     w.u64(delta.base_id);
     put_machine(&w, machine);
-    w.u64(delta.num_pages);
-    w.u64(delta.num_blocks);
+    for (const std::uint64_t slots : delta.geometry)
+        w.u64(slots);
     w.u64(delta.retired.size());
     w.u64(delta.runs.size());
     w.u64(delta.carried.size());
@@ -424,7 +423,7 @@ deserialize_delta(const std::vector<std::uint8_t>& bytes,
                                         &delta->retired);
             else if (seq == 2)
                 status = decode_runs(frame, length, counts.runs,
-                                     delta->num_pages + delta->num_blocks,
+                                     delta->total_slots(),
                                      &delta->runs, &run_keys);
             else if (seq - 3 >= counts.carried)
                 status = Status(StatusCode::kMalformedRecord,
@@ -456,8 +455,6 @@ diff_checkpoint(const Checkpoint* base, const Checkpoint& checkpoint,
 {
     CheckpointDelta delta;
     delta.base_id = base != nullptr ? base->id : kNoBase;
-    delta.num_pages = checkpoint.pages.size();
-    delta.num_blocks = checkpoint.blocks.size();
     const auto add = [&](std::uint64_t slot, const StoredPageRef& ref) {
         std::uint64_t key = 0;
         if (ref) {
@@ -477,14 +474,20 @@ diff_checkpoint(const Checkpoint* base, const Checkpoint& checkpoint,
         delta.runs.push_back({static_cast<std::uint32_t>(slot), 1, key});
     };
     // A first image diffs against empty tables: every slot changed.
+    // Slots number the stores in order, so each store's slots start
+    // where the previous store's end.
     const StoredPageTable none;
-    checkpoint.pages.for_each_change(base != nullptr ? base->pages : none,
-                                     add);
-    checkpoint.blocks.for_each_change(
-        base != nullptr ? base->blocks : none,
-        [&](std::uint64_t block, const StoredPageRef& ref) {
-            add(delta.num_pages + block, ref);
-        });
+    std::uint64_t first = 0;
+    for (std::size_t s = 0; s < kNumStores; ++s) {
+        const StoredPageTable& table = checkpoint.stores[s].slots;
+        table.for_each_change(
+            base != nullptr ? base->stores[s].slots : none,
+            [&](std::uint64_t i, const StoredPageRef& ref) {
+                add(first + i, ref);
+            });
+        delta.geometry[s] = table.size();
+        first += table.size();
+    }
     std::sort(delta.carried.begin(), delta.carried.end(),
               [](const StoredPageRef& a, const StoredPageRef& b) {
                   return a->key() < b->key();

@@ -1,6 +1,7 @@
 #ifndef RSAFE_REPLAY_CKPT_STORE_CKPT_IMAGE_H_
 #define RSAFE_REPLAY_CKPT_STORE_CKPT_IMAGE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -32,12 +33,13 @@
  *             copies, the CPU (registers, pc, sp, mode, flags, pending
  *             irq), the block device (including an in-flight DMA write
  *             payload), the live RAS + BackRAS, thread context; the
- *             page/block geometry; and the counts R (retired keys),
- *             N (slot runs), C (carried pages);
+ *             geometry (u64 pages, u64 blocks); and the counts R
+ *             (retired keys), N (slot runs), C (carried pages);
  *   frame 1   R retired keys, u64 each, strictly ascending;
  *   frame 2   N slot runs: u32 first slot, u32 count, u64 key (0 = a
- *             null slot), ascending and disjoint, pages numbered first,
- *             then blocks;
+ *             null slot), ascending and disjoint; slots number the
+ *             checkpoint's stores in order, RAM pages first, then disk
+ *             blocks;
  *   frame 3+i carried page i: u64 key, u32 CRC32C of the raw content, a
  *             PageEncoding byte, the raw or RLE bytes (RLE streams must
  *             decode to exactly kPageSize); keys strictly ascending,
@@ -48,11 +50,11 @@
  * each distinct page carried once and no retired keys. Shared content is
  * stored once however many slots name it.
  *
- * Process-local fields (mem/disk identity and dirty epochs) are
- * excluded: a deserialized checkpoint never matches a live memory's id,
- * so restore_checkpoint() rewrites every slot except zero pages over
- * never-written target pages — exactly right for a checkpoint arriving
- * from elsewhere.
+ * Process-local fields (each store snapshot's source id and dirty epoch)
+ * are excluded: a deserialized checkpoint's source ids are 0, which no
+ * live store has, so restore_checkpoint() rewrites every slot except
+ * zero pages over never-written target slots — exactly right for a
+ * checkpoint arriving from elsewhere.
  *
  * deserialize_delta() checks everything one image can check on its own
  * (counts, order, slot range, RLE, each carried page's CRC) and is
@@ -69,8 +71,8 @@ struct Checkpoint;
 
 namespace ckpt {
 
-/** Cap on num_pages + num_blocks: rejects lying geometries before any
- *  allocation sized by them. */
+/** Cap on the total slots of a geometry: rejects lying geometries
+ *  before any allocation sized by them. */
 inline constexpr std::uint64_t kMaxImageSlots = 1ull << 22;
 
 /** Cap on RAS entries (live or per thread) and on tracked threads. */
@@ -92,8 +94,16 @@ struct DeltaRun {
 struct CheckpointDelta {
     /** Id of the checkpoint this one is a delta against, or kNoBase. */
     std::uint64_t base_id = kNoBase;
-    std::uint64_t num_pages = 0;
-    std::uint64_t num_blocks = 0;
+    /** Slots per store (kRamStore pages, kDiskStore blocks). */
+    std::array<std::uint64_t, kNumStores> geometry{};
+    /** @return the slots of every store together. */
+    std::uint64_t total_slots() const
+    {
+        std::uint64_t total = 0;
+        for (const std::uint64_t slots : geometry)
+            total += slots;
+        return total;
+    }
     /** Keys the receiver must forget, strictly ascending. */
     std::vector<std::uint64_t> retired;
     /** The changed slots, ascending and disjoint. */
@@ -141,7 +151,7 @@ std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
  * image with a base is kWrongBase, one naming a key it does not carry
  * (retired ones included) is kUnknownKey and one leaving a slot unnamed
  * is kMalformedRecord. On success @p out is a complete checkpoint
- * (mem/disk identity zeroed); on failure it is unspecified and the
+ * (store identities zeroed); on failure it is unspecified and the
  * Status says where decoding stopped.
  */
 Status deserialize_checkpoint(const std::vector<std::uint8_t>& bytes,

@@ -131,18 +131,18 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
     }
     // A stream's first image, or one that changes the geometry, starts
     // from fresh tables: a slot no run names would be left unspecified.
-    const bool fresh = !last_ || last_->pages.size() != delta.num_pages ||
-                       last_->blocks.size() != delta.num_blocks;
+    bool fresh = !last_;
+    for (std::size_t s = 0; s < kNumStores && !fresh; ++s)
+        fresh = last_->stores[s].slots.size() != delta.geometry[s];
     if (fresh) {
         std::uint64_t named = 0;
         for (const DeltaRun& run : delta.runs)
             named += run.count;
-        if (named != delta.num_pages + delta.num_blocks)
+        if (named != delta.total_slots())
             return Status(StatusCode::kMalformedRecord,
                           strcat_args("checkpoint delta starts fresh tables"
                                       " but names ", named, " of ",
-                                      delta.num_pages + delta.num_blocks,
-                                      " slots"));
+                                      delta.total_slots(), " slots"));
     }
 
     for (const std::uint64_t key : delta.retired) {
@@ -151,35 +151,42 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
     }
     for (const StoredPageRef& page : delta.carried)
         pages_.emplace(page->key(), page);
-    if (!fresh) {
-        // Share the base's chunks; set() clones only those it touches.
-        ck->pages = last_->pages;
-        ck->blocks = last_->blocks;
-    } else {
-        // Fresh tables start as all zero pages sharing one chunk, so the
-        // stream's first image costs memory only for the chunks that
-        // hold other content.
-        StoredPageRef zero;
+    // Fresh tables start as all zero pages sharing one chunk, so the
+    // stream's first image costs memory only for the chunks that hold
+    // other content.
+    StoredPageRef zero;
+    if (fresh) {
         for (const DeltaRun& run : delta.runs) {
             if (run.key != 0 && pages_.at(run.key)->is_zero()) {
                 zero = pages_.at(run.key);
                 break;
             }
         }
-        ck->pages = StoredPageTable(delta.num_pages, zero);
-        ck->blocks = StoredPageTable(delta.num_blocks, zero);
     }
-    for (const DeltaRun& run : delta.runs) {
-        const StoredPageRef ref = run.key != 0 ? pages_.at(run.key) : nullptr;
-        for (std::uint64_t slot = run.first_slot;
-             slot < std::uint64_t{run.first_slot} + run.count; ++slot) {
-            StoredPageTable& table =
-                slot < delta.num_pages ? ck->pages : ck->blocks;
-            const std::uint64_t index =
-                slot < delta.num_pages ? slot : slot - delta.num_pages;
-            if (table.at(index) != ref)
-                table.set(index, ref);
+    // Slots number the stores in order: each store takes the part of
+    // every run that falls in its [first, first + size) range.
+    std::uint64_t first = 0;
+    for (std::size_t s = 0; s < kNumStores; ++s) {
+        StoredPageTable& table = ck->stores[s].slots;
+        // Share the base's chunks; set() clones only those it touches.
+        table = fresh ? StoredPageTable(delta.geometry[s], zero)
+                      : last_->stores[s].slots;
+        const std::uint64_t end = first + table.size();
+        for (const DeltaRun& run : delta.runs) {
+            const std::uint64_t lo =
+                std::max<std::uint64_t>(run.first_slot, first);
+            const std::uint64_t hi = std::min<std::uint64_t>(
+                std::uint64_t{run.first_slot} + run.count, end);
+            if (lo >= hi)
+                continue;
+            const StoredPageRef ref =
+                run.key != 0 ? pages_.at(run.key) : nullptr;
+            for (std::uint64_t slot = lo; slot < hi; ++slot) {
+                if (table.at(slot - first) != ref)
+                    table.set(slot - first, ref);
+            }
         }
+        first = end;
     }
     last_ = ck;
     *out = std::move(ck);

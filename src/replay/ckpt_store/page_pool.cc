@@ -76,8 +76,7 @@ StoredPage::content_equals(const std::uint8_t* data) const
     return std::memcmp(raw, data, kPageSize) == 0;
 }
 
-PagePool::PagePool(const PagePoolOptions& options)
-    : options_(options), live_(std::make_shared<Live>())
+PagePool::PagePool() : live_(std::make_shared<Live>())
 {
 }
 
@@ -137,16 +136,13 @@ StoredPageRef
 PagePool::store(const std::uint8_t* data, std::uint32_t crc)
 {
     PageEncoding encoding = PageEncoding::kRaw;
-    std::vector<std::uint8_t> bytes;
-    if (options_.compress) {
-        bytes = rle_compress(data, kPageSize);
-        if (bytes.size() < kPageSize) {
-            encoding = PageEncoding::kRle;
-            ++totals_.compressed_pages;
-        }
-    }
-    if (encoding == PageEncoding::kRaw)
+    std::vector<std::uint8_t> bytes = rle_compress(data, kPageSize);
+    if (bytes.size() < kPageSize) {
+        encoding = PageEncoding::kRle;
+        ++totals_.compressed_pages;
+    } else {
         bytes.assign(data, data + kPageSize);
+    }
 
     totals_.bytes_stored += bytes.size();
     live_->bytes.fetch_add(bytes.size(), std::memory_order_relaxed);

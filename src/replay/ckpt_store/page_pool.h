@@ -27,8 +27,8 @@
  * Pages are keyed by the CRC32C of their raw content and a hit is
  * confirmed with a full byte compare, so a hash collision can never
  * silently alias two different pages. Stored pages are RLE-compressed
- * (compress.h) unless that would grow them — or unless compression is
- * disabled, the PagePoolOptions::compress A/B lever.
+ * (compress.h) unless that would not shrink them: an incompressible page
+ * is stored raw.
  *
  * All-zero content bypasses the index: every zero intern returns the
  * pool's one zero page, and intern_zero() hands it out without reading
@@ -119,14 +119,18 @@ class StoredPage {
 /** Shared reference to an immutable stored page. */
 using StoredPageRef = std::shared_ptr<const StoredPage>;
 
-/** The checkpoint page/block map shape. */
+/** One page store's slots in a checkpoint (RAM pages or disk blocks). */
 using StoredPageTable = mem::BasicPageTable<StoredPageRef>;
 
-/** PagePool configuration. */
-struct PagePoolOptions {
-    /** RLE-compress stored pages (off = raw; the A/B lever). */
-    bool compress = true;
-};
+/**
+ * A checkpoint's page stores, in the order every walk and the wire use:
+ * RAM pages, then disk blocks.
+ * @{
+ */
+inline constexpr std::size_t kRamStore = 0;
+inline constexpr std::size_t kDiskStore = 1;
+inline constexpr std::size_t kNumStores = 2;
+/** @} */
 
 /** Byte-accurate accounting of one pool (read any time). */
 struct PagePoolStats {
@@ -149,7 +153,7 @@ struct PagePoolStats {
 /** Content-hash dedup + compression front-end for checkpoint pages. */
 class PagePool {
   public:
-    explicit PagePool(const PagePoolOptions& options = {});
+    PagePool();
 
     /**
      * Store the kPageSize bytes at @p data, returning the pooled page:
@@ -188,7 +192,6 @@ class PagePool {
     /** Encode and account one new unique page of CRC32C @p crc. */
     StoredPageRef store(const std::uint8_t* data, std::uint32_t crc);
 
-    PagePoolOptions options_;
     std::shared_ptr<Live> live_;
     /** CRC32C -> non-zero pages with that CRC (collision bucket). */
     std::unordered_map<std::uint32_t,

@@ -46,10 +46,12 @@ TEST(CheckpointStore, FirstCheckpointIsFullCopy)
     rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
     replay::CheckpointStore store(4);
     auto ck = store.take(*vm, env, 0);
-    EXPECT_EQ(ck->pages.size(), vm->mem().num_pages());
-    EXPECT_EQ(ck->blocks.size(), vm->hub().disk().num_blocks());
+    const auto& pages = ck->stores[replay::ckpt::kRamStore].slots;
+    const auto& blocks = ck->stores[replay::ckpt::kDiskStore].slots;
+    EXPECT_EQ(pages.size(), vm->mem().num_pages());
+    EXPECT_EQ(blocks.size(), vm->hub().disk().num_slots());
     EXPECT_EQ(ck->copies,
-              vm->mem().num_pages() + vm->hub().disk().num_blocks());
+              vm->mem().num_pages() + vm->hub().disk().num_slots());
 }
 
 TEST(CheckpointStore, IncrementalCheckpointsCopyOnlyDirty)
@@ -67,9 +69,11 @@ TEST(CheckpointStore, IncrementalCheckpointsCopyOnlyDirty)
     auto second = store.take(*vm, env, 1);
     EXPECT_EQ(second->copies, 2u);
     // Unmodified pages are shared by reference with the previous one.
-    EXPECT_EQ(second->pages.at(0), first->pages.at(0));
-    EXPECT_NE(second->pages.at(0x100000 / kPageSize),
-              first->pages.at(0x100000 / kPageSize));
+    const auto& before = first->stores[replay::ckpt::kRamStore].slots;
+    const auto& after = second->stores[replay::ckpt::kRamStore].slots;
+    EXPECT_EQ(after.at(0), before.at(0));
+    EXPECT_NE(after.at(0x100000 / kPageSize),
+              before.at(0x100000 / kPageSize));
 }
 
 TEST(CheckpointStore, RecyclingKeepsAtMostMax)

@@ -1,9 +1,10 @@
 /** @file Checkpoint-store tests: the RLE codec, content-hash dedup and
- *  its refcounted live accounting, byte-budget recycling, the compress
- *  on/off A/B determinism gate, the shippable-checkpoint path (ArStage
- *  booting from a deserialized standalone image with bit-identical
- *  verdicts), and checkpoint streams (kCheckpointDelta images by page
- *  key, and the fleet shipping through them). */
+ *  its refcounted live accounting, byte-budget recycling, restore into
+ *  both page stores, the shippable-checkpoint path (ArStage booting from
+ *  a deserialized standalone image with bit-identical verdicts, or
+ *  refusing one that does not fit), and checkpoint streams
+ *  (kCheckpointDelta images by page key, and the fleet shipping through
+ *  them). */
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,9 @@
 namespace rsafe {
 namespace {
 
+using replay::ckpt::kDiskStore;
+using replay::ckpt::kNumStores;
+using replay::ckpt::kRamStore;
 using replay::ckpt::rle_compress;
 using replay::ckpt::rle_decompress;
 
@@ -206,28 +210,30 @@ TEST(PagePool, DedupSharesEqualContentAndTracksLiveBytes)
     EXPECT_EQ(stats.live_bytes, 0u);
 }
 
-TEST(PagePool, CompressionIsOptionalAndLossless)
+TEST(PagePool, RleAndRawPagesDecodeLosslessly)
 {
-    replay::ckpt::PagePoolOptions raw_options;
-    raw_options.compress = false;
-    replay::ckpt::PagePool raw_pool(raw_options);
-    replay::ckpt::PagePool rle_pool;
+    // RLE when it shrinks the page, raw when it cannot.
+    replay::ckpt::PagePool pool;
+    const std::vector<std::uint8_t> runs(kPageSize, 0x5a);
+    std::vector<std::uint8_t> runless(kPageSize);
+    for (std::size_t i = 0; i < kPageSize; ++i)
+        runless[i] = static_cast<std::uint8_t>(7 * i + 13);
 
-    std::vector<std::uint8_t> zero(kPageSize, 0);
-    auto raw_page = raw_pool.intern(zero.data());
-    auto rle_page = rle_pool.intern(zero.data());
-    EXPECT_EQ(raw_page->encoding(), replay::ckpt::PageEncoding::kRaw);
-    EXPECT_EQ(raw_page->stored_bytes(), kPageSize);
+    const auto rle_page = pool.intern(runs.data());
+    const auto raw_page = pool.intern(runless.data());
     EXPECT_EQ(rle_page->encoding(), replay::ckpt::PageEncoding::kRle);
     EXPECT_LE(rle_page->stored_bytes(), kPageSize / 64);
+    EXPECT_EQ(raw_page->encoding(), replay::ckpt::PageEncoding::kRaw);
+    EXPECT_EQ(raw_page->stored_bytes(), kPageSize);
 
     std::vector<std::uint8_t> a(kPageSize), b(kPageSize);
-    raw_page->copy_to(a.data());
-    rle_page->copy_to(b.data());
-    EXPECT_EQ(a, zero);
-    EXPECT_EQ(b, zero);
-    EXPECT_EQ(rle_pool.stats().compressed_pages, 1u);
-    EXPECT_EQ(raw_pool.stats().compressed_pages, 0u);
+    rle_page->copy_to(a.data());
+    raw_page->copy_to(b.data());
+    EXPECT_EQ(a, runs);
+    EXPECT_EQ(b, runless);
+    EXPECT_EQ(pool.stats().compressed_pages, 1u);
+    EXPECT_EQ(pool.stats().bytes_stored,
+              rle_page->stored_bytes() + raw_page->stored_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -268,35 +274,30 @@ struct BootedVm {
 
 TEST(CheckpointStore, InitialTakeMatchesInterningEveryPage)
 {
-    for (const bool compress : {true, false}) {
-        BootedVm booted(workloads::make_vm(small_profile()));
-        hv::Vm& vm = *booted.vm;
-        replay::CheckpointStoreOptions options;
-        options.compress = compress;
-        replay::CheckpointStore store(options);
-        const auto ck = store.take(vm, *booted.env, 0);
+    BootedVm booted(workloads::make_vm(small_profile()));
+    hv::Vm& vm = *booted.vm;
+    replay::CheckpointStore store(0);
+    const auto ck = store.take(vm, *booted.env, 0);
 
-        // Reference: read and intern every page and block.
-        replay::ckpt::PagePool pool(replay::ckpt::PagePoolOptions{compress});
-        replay::Checkpoint reference = *ck;
-        for (Addr p = 0; p < vm.mem().num_pages(); ++p)
-            reference.pages.set(p, pool.intern(vm.mem().page_data(p)));
-        for (BlockNum b = 0; b < vm.hub().disk().num_blocks(); ++b)
-            reference.blocks.set(b,
-                                 pool.intern(vm.hub().disk().block_data(b)));
+    // Reference: read and intern every page and block.
+    replay::ckpt::PagePool pool;
+    replay::Checkpoint reference = *ck;
+    const mem::PageStore* const live[kNumStores] = {&vm.mem().store(),
+                                                    &vm.hub().disk()};
+    for (std::size_t s = 0; s < kNumStores; ++s)
+        for (std::uint64_t i = 0; i < live[s]->num_slots(); ++i)
+            reference.stores[s].slots.set(i, pool.intern(live[s]->slot(i)));
 
-        const auto got = store.stats();
-        const auto want = pool.stats();
-        EXPECT_EQ(store.total_copies(), want.pages_interned);
-        EXPECT_EQ(got.dedup_hits, want.dedup_hits);
-        EXPECT_EQ(got.bytes_raw, want.bytes_raw);
-        EXPECT_EQ(got.bytes_stored, want.bytes_stored);
-        EXPECT_EQ(got.compressed_pages, want.compressed_pages);
-        EXPECT_EQ(got.live_pages, want.live_pages);
-        EXPECT_EQ(replay::ckpt::serialize_checkpoint(*ck),
-                  replay::ckpt::serialize_checkpoint(reference))
-            << "compress " << compress;
-    }
+    const auto got = store.stats();
+    const auto want = pool.stats();
+    EXPECT_EQ(store.total_copies(), want.pages_interned);
+    EXPECT_EQ(got.dedup_hits, want.dedup_hits);
+    EXPECT_EQ(got.bytes_raw, want.bytes_raw);
+    EXPECT_EQ(got.bytes_stored, want.bytes_stored);
+    EXPECT_EQ(got.compressed_pages, want.compressed_pages);
+    EXPECT_EQ(got.live_pages, want.live_pages);
+    EXPECT_EQ(replay::ckpt::serialize_checkpoint(*ck),
+              replay::ckpt::serialize_checkpoint(reference));
 }
 
 TEST(CheckpointStore, PageWrittenBackToZeroSharesTheZeroPage)
@@ -304,7 +305,7 @@ TEST(CheckpointStore, PageWrittenBackToZeroSharesTheZeroPage)
     BootedVm booted(workloads::make_vm(small_profile()));
     auto& mem = booted.vm->mem();
     const Addr last = mem.num_pages() - 1;
-    ASSERT_TRUE(mem.page_untouched(last));
+    ASSERT_TRUE(mem.store().untouched(last));
 
     replay::CheckpointStore store(0);
     const auto first = store.take(*booted.vm, *booted.env, 0);
@@ -313,9 +314,11 @@ TEST(CheckpointStore, PageWrittenBackToZeroSharesTheZeroPage)
     mem.write_raw(last * kPageSize, 8, 0);
     const auto third = store.take(*booted.vm, *booted.env, 2);
 
-    EXPECT_NE(second->pages.at(last), first->pages.at(last));
-    EXPECT_EQ(third->pages.at(last), first->pages.at(last));
-    EXPECT_EQ(third->pages.at(last), third->pages.at(0))
+    const auto& pages = third->stores[kRamStore].slots;
+    EXPECT_NE(second->stores[kRamStore].slots.at(last),
+              first->stores[kRamStore].slots.at(last));
+    EXPECT_EQ(pages.at(last), first->stores[kRamStore].slots.at(last));
+    EXPECT_EQ(pages.at(last), pages.at(0))
         << "the null page is untouched too: one zero page for both";
 }
 
@@ -329,39 +332,79 @@ TEST(CheckpointRestore, FreshVmRewritesOnlyNonZeroSlots)
     const Addr last = src_mem.num_pages() - 1;
     src_mem.write_raw(last * kPageSize, 8, 0xabc);
     Addr booted_page = 0;
-    while (src_mem.page_untouched(booted_page))
+    while (src_mem.store().untouched(booted_page))
         ++booted_page;
-    const std::vector<std::uint8_t> zeros(kPageSize, 0);
-    src_mem.restore_page(booted_page, zeros.data());
-    std::vector<std::uint8_t> block(kDiskBlockSize, 0x5a);
-    src.vm->hub().disk().write_block(7, block.data());
+    src_mem.write_block(booted_page * kPageSize,
+                        std::vector<std::uint8_t>(kPageSize, 0).data(),
+                        kPageSize);
+    std::memset(src.vm->hub().disk().overwrite(7), 0x5a, kDiskBlockSize);
 
     replay::CheckpointStore store(0);
     const auto ck = store.take(*src.vm, *src.env, 0);
-    ASSERT_TRUE(ck->pages.at(booted_page)->is_zero());
+    ASSERT_TRUE(ck->stores[kRamStore].slots.at(booted_page)->is_zero());
 
     BootedVm dst(factory());
-    auto& mem = dst.vm->mem();
-    auto& disk = dst.vm->hub().disk();
-    std::vector<bool> page_untouched(mem.num_pages());
-    for (Addr p = 0; p < mem.num_pages(); ++p)
-        page_untouched[p] = mem.page_untouched(p);
-    ASSERT_FALSE(page_untouched[booted_page]);
-    const std::uint64_t epoch = mem.epoch();
-    const std::uint64_t disk_epoch = disk.epoch();
+    const mem::PageStore* const live[kNumStores] = {
+        &dst.vm->mem().store(), &dst.vm->hub().disk()};
+    std::vector<bool> untouched[kNumStores];
+    std::uint64_t epoch[kNumStores];
+    for (std::size_t s = 0; s < kNumStores; ++s) {
+        for (std::uint64_t i = 0; i < live[s]->num_slots(); ++i)
+            untouched[s].push_back(live[s]->untouched(i));
+        epoch[s] = live[s]->epoch();
+    }
+    ASSERT_FALSE(untouched[kRamStore][booted_page]);
     replay::restore_checkpoint(*ck, dst.vm.get(), dst.env.get());
 
-    // Restore stamps every page it rewrites with the current epoch.
-    std::size_t rewritten = 0;
-    for (Addr p = 0; p < mem.num_pages(); ++p) {
-        const bool skip = ck->pages.at(p)->is_zero() && page_untouched[p];
-        EXPECT_EQ(mem.page_epoch(p) == epoch, !skip) << "page " << p;
-        rewritten += skip ? 0 : 1;
+    // Restore stamps every slot it rewrites with the current epoch.
+    std::size_t rewritten[kNumStores] = {};
+    for (std::size_t s = 0; s < kNumStores; ++s) {
+        const auto& slots = ck->stores[s].slots;
+        for (std::uint64_t i = 0; i < slots.size(); ++i) {
+            const bool skip = slots.at(i)->is_zero() && untouched[s][i];
+            EXPECT_EQ(live[s]->epoch_of(i) == epoch[s], !skip)
+                << "store " << s << " slot " << i;
+            rewritten[s] += skip ? 0 : 1;
+        }
     }
-    EXPECT_LT(rewritten, 64u) << "O(non-zero pages), not O(RAM)";
-    for (BlockNum b = 0; b < disk.num_blocks(); ++b)
-        EXPECT_EQ(disk.block_epoch(b) == disk_epoch, b == 7) << "block " << b;
+    EXPECT_LT(rewritten[kRamStore], 64u) << "O(non-zero pages), not O(RAM)";
+    EXPECT_EQ(rewritten[kDiskStore], 1u) << "only block 7";
     EXPECT_EQ(dst.vm->state_hash(), src.vm->state_hash());
+}
+
+TEST(CheckpointRestore, RewrittenRamPagesNotifyCodeListeners)
+{
+    // Restore decodes straight into the stores; every RAM page it
+    // rewrites must still drop its translations, and a skipped page or
+    // a disk block must not.
+    struct Recorder : mem::CodeWriteListener {
+        void on_code_page_touched(Addr page) override
+        {
+            pages.push_back(page);
+        }
+        std::vector<Addr> pages;
+    };
+    const auto factory = workloads::vm_factory(small_profile());
+    BootedVm src(factory());
+    src.vm->mem().write_raw(src.vm->mem().size() - 8, 8, 0xabc);
+    std::memset(src.vm->hub().disk().overwrite(3), 0x5a, kDiskBlockSize);
+    replay::CheckpointStore store(0);
+    const auto ck = store.take(*src.vm, *src.env, 0);
+
+    BootedVm dst(factory());
+    const mem::PageStore& ram = dst.vm->mem().store();
+    Recorder recorder;
+    dst.vm->mem().add_code_listener(&recorder);
+    const std::uint64_t epoch = ram.epoch();
+    replay::restore_checkpoint(*ck, dst.vm.get(), dst.env.get());
+    dst.vm->mem().remove_code_listener(&recorder);
+
+    std::vector<Addr> rewritten;
+    for (Addr p = 0; p < ram.num_slots(); ++p)
+        if (ram.epoch_of(p) == epoch)
+            rewritten.push_back(p);
+    EXPECT_FALSE(rewritten.empty());
+    EXPECT_EQ(recorder.pages, rewritten);
 }
 
 // ---------------------------------------------------------------------
@@ -460,61 +503,6 @@ TEST(CheckpointStore, CountRecyclingGetsByteAccounting)
 }
 
 // ---------------------------------------------------------------------
-// The compress on/off determinism gate.
-
-TEST(CheckpointStore, CompressKillSwitchIsBitIdenticalAndBiggerOnDisk)
-{
-    const auto profile = small_profile("fileio", 200);
-    auto factory = workloads::vm_factory(profile);
-    auto recorded = record(profile);
-    const auto& log = recorded.recorder->log();
-
-    replay::CrOptions options;
-    options.checkpoint_interval = 1'500'000;
-    options.store.max_keep = 0;
-
-    auto compressed_vm = factory();
-    replay::CheckpointReplayer compressed(compressed_vm.get(), &log,
-                                          options);
-    ASSERT_EQ(compressed.run(), rnr::ReplayOutcome::kFinished);
-
-    options.store.compress = false;
-    auto raw_vm = factory();
-    replay::CheckpointReplayer raw(raw_vm.get(), &log, options);
-    ASSERT_EQ(raw.run(), rnr::ReplayOutcome::kFinished);
-
-    // Compression off took effect and costs bytes...
-    EXPECT_FALSE(raw.checkpoints().options().compress);
-    EXPECT_TRUE(compressed.checkpoints().options().compress);
-    EXPECT_GT(raw.checkpoints().stats().bytes_stored,
-              compressed.checkpoints().stats().bytes_stored);
-    EXPECT_GT(compressed.checkpoints().stats().compressed_pages, 0u);
-
-    // ...but changes nothing observable: same replay clock, same number
-    // of checkpoints, every checkpoint digest pairwise identical.
-    EXPECT_EQ(raw_vm->cpu().cycles(), compressed_vm->cpu().cycles());
-    ASSERT_EQ(raw.checkpoints().size(), compressed.checkpoints().size());
-    for (std::size_t i = 0; i < raw.checkpoints().size(); ++i)
-        EXPECT_EQ(replay::digest_of(*raw.checkpoints().at(i)),
-                  replay::digest_of(*compressed.checkpoints().at(i)))
-            << "checkpoint " << i;
-
-    // Restoring the same checkpoint from either store lands both
-    // machines in the identical state.
-    const std::size_t middle = raw.checkpoints().size() / 2;
-    auto from_raw = factory();
-    auto from_compressed = factory();
-    rnr::Replayer env_a(from_raw.get(), &log, 0, rnr::ReplayOptions{});
-    rnr::Replayer env_b(from_compressed.get(), &log, 0,
-                        rnr::ReplayOptions{});
-    replay::restore_checkpoint(*raw.checkpoints().at(middle),
-                               from_raw.get(), &env_a);
-    replay::restore_checkpoint(*compressed.checkpoints().at(middle),
-                               from_compressed.get(), &env_b);
-    EXPECT_EQ(from_raw->state_hash(), from_compressed->state_hash());
-}
-
-// ---------------------------------------------------------------------
 // The standalone checkpoint image (a one-image stream).
 
 TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
@@ -543,11 +531,14 @@ TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
     // Same machine instant, canonical bytes, identity dropped.
     EXPECT_EQ(replay::digest_of(shipped), replay::digest_of(*ck));
     EXPECT_EQ(replay::ckpt::serialize_checkpoint(shipped), image);
-    EXPECT_EQ(shipped.mem_id, 0u);
-    EXPECT_EQ(shipped.disk_id, 0u);
+    for (const replay::StoreSnapshot& store : shipped.stores) {
+        EXPECT_EQ(store.source_id, 0u);
+        EXPECT_EQ(store.epoch, 0u);
+    }
     // The decoder flags the zero page from its encoding alone.
-    EXPECT_TRUE(shipped.pages.at(shipped.pages.size() - 1)->is_zero());
-    EXPECT_FALSE(shipped.pages.at(ck->cpu_state.pc / kPageSize)->is_zero());
+    const auto& pages = shipped.stores[kRamStore].slots;
+    EXPECT_TRUE(pages.at(pages.size() - 1)->is_zero());
+    EXPECT_FALSE(pages.at(ck->cpu_state.pc / kPageSize)->is_zero());
 
     // A VM restored from the *deserialized* checkpoint replays to the
     // recorded machine's exact final state — the remote-AR property.
@@ -688,9 +679,9 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
         EXPECT_EQ(replay::ckpt::serialize_checkpoint(*decoded),
                   replay::ckpt::serialize_checkpoint(*ck))
             << "checkpoint " << i;
-        for (const auto* table : {&ck->pages, &ck->blocks})
-            for (std::uint64_t slot = 0; slot < table->size(); ++slot)
-                if (const auto& ref = table->at(slot))
+        for (const replay::StoreSnapshot& store : ck->stores)
+            for (std::uint64_t slot = 0; slot < store.slots.size(); ++slot)
+                if (const auto& ref = store.slots.at(slot))
                     chain_keys.insert(ref->key());
         const CheckpointDelta delta = parse_delta(image);
         for (const auto& page : delta.carried)
@@ -699,10 +690,15 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
                 << i;
         if (prev) {
             EXPECT_EQ(delta.base_id, prev->id);
-            for (Addr p = 0; p < ck->pages.size(); ++p) {
-                if (ck->pages.at(p) == prev->pages.at(p)) {
-                    ASSERT_EQ(decoded->pages.at(p), prev_decoded->pages.at(p))
-                        << "page " << p << " of checkpoint " << i;
+            for (std::size_t s = 0; s < kNumStores; ++s) {
+                const auto& slots = ck->stores[s].slots;
+                for (std::uint64_t j = 0; j < slots.size(); ++j) {
+                    if (slots.at(j) != prev->stores[s].slots.at(j))
+                        continue;
+                    ASSERT_EQ(decoded->stores[s].slots.at(j),
+                              prev_decoded->stores[s].slots.at(j))
+                        << "store " << s << " slot " << j
+                        << " of checkpoint " << i;
                 }
             }
         }
@@ -743,13 +739,15 @@ TEST(CkptStream, RecycledPagesRetireAndReturningContentShipsAnew)
     // new page to the pool, so it ships again under a new key.
     RecyclingStream stream;
     constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
-    std::uint64_t x_key = stream.step(0x5eed0001)->pages.at(kPage)->key();
+    const std::uint64_t x_key =
+        stream.step(0x5eed0001)->stores[kRamStore].slots.at(kPage)->key();
     EXPECT_TRUE(stream.receiver.holds(x_key));
     stream.step(0x5eed0002);  // X now lives only in the sender's base
     EXPECT_TRUE(stream.receiver.holds(x_key));
 
     const auto back = stream.step(0x5eed0001);
-    const std::uint64_t new_key = back->pages.at(kPage)->key();
+    const std::uint64_t new_key =
+        back->stores[kRamStore].slots.at(kPage)->key();
     EXPECT_NE(new_key, x_key);
     const CheckpointDelta delta = parse_delta(stream.images.back());
     EXPECT_EQ(delta.retired, std::vector<std::uint64_t>{x_key});
@@ -794,7 +792,7 @@ TEST(CkptStream, DefectsComeBackNamedAndChangeNothing)
     RecyclingStream stream;
     constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
     const std::uint64_t retired =
-        stream.step(0x5eed0001)->pages.at(kPage)->key();
+        stream.step(0x5eed0001)->stores[kRamStore].slots.at(kPage)->key();
     stream.step(0x5eed0002);
     stream.step(0x5eed0003);
     ASSERT_FALSE(stream.receiver.holds(retired));
@@ -973,6 +971,52 @@ TEST(ArStage, RejectedImageYieldsACleanVerdictNotACrash)
     EXPECT_NE(result.analysis.report.find("image rejected"),
               std::string::npos);
     EXPECT_EQ(stats.counter("ar.ckpt_unavailable").value(), 1u);
+}
+
+TEST(ArStage, ShippedCheckpointOfAnotherGeometryYieldsACleanVerdict)
+{
+    // The decoder accepts any geometry up to kMaxImageSlots, so an image
+    // of a VM with another disk size decodes fine. Booting from it must
+    // be this alarm's verdict, not a fatal that takes down every
+    // tenant's results with it.
+    const auto profile = small_profile();
+    auto factory = workloads::vm_factory(profile);
+    auto recorded = record(profile);
+
+    auto other_profile = profile;
+    other_profile.devices.disk_blocks = 8;
+    BootedVm other(workloads::make_vm(other_profile));
+    replay::CheckpointStore store(1);
+    const auto image = replay::ckpt::serialize_checkpoint(
+        *store.take(*other.vm, *other.env, 0));
+    auto shipped = std::make_shared<replay::Checkpoint>();
+    const Status decoded =
+        replay::ckpt::deserialize_checkpoint(image, shipped.get());
+    ASSERT_TRUE(decoded.ok()) << decoded.to_string();
+
+    core::ArStage stage(factory, rnr::ReplayOptions{}, nullptr);
+    replay::PendingAlarm pending;
+    pending.log_index = 3;
+    pending.record.type = rnr::RecordType::kRasAlarm;
+    stats::StatRegistry stats;
+    const auto result = stage.analyze_shipped(
+        pending, decoded, std::move(shipped), recorded.recorder->log(),
+        &stats);
+    EXPECT_FALSE(result.analysis.is_attack);
+    EXPECT_EQ(result.analysis.cause,
+              replay::AlarmCause::kCheckpointUnavailable);
+    // The report names both geometries.
+    const std::string pages = std::to_string(other.vm->mem().num_pages());
+    const std::string& report = result.analysis.report;
+    EXPECT_NE(report.find("checkpoint geometry " + pages + "+8 "),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("VM geometry " + pages + "+" +
+                          std::to_string(profile.devices.disk_blocks)),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(stats.counter("ar.ckpt_unavailable").value(), 1u);
+    EXPECT_EQ(stats.counter("ar.replays").value(), 0u);
 }
 
 TEST(ArStage, BootsFromDeserializedCheckpointWithIdenticalVerdicts)

@@ -102,7 +102,7 @@ run_machine(const isa::Image& image, std::uint8_t perms, bool tb,
     out.r3 = cpu.reg(R3);
     out.icount = cpu.icount();
     out.cycles = cpu.cycles();
-    out.mem_hash = mem.content_hash();
+    out.mem_hash = mem.store().content_hash();
     if (tb_invalidations != nullptr)
         *tb_invalidations = cpu.tb_engine().stats().invalidations;
     return out;
@@ -287,7 +287,7 @@ rollback_outcome(bool tb)
     out.r3 = vm->cpu().reg(R3);
     out.icount = vm->cpu().icount();
     out.cycles = vm->cpu().cycles();
-    out.mem_hash = vm->mem().content_hash();
+    out.mem_hash = vm->mem().store().content_hash();
     return out;
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "hv/back_ras.h"
 #include "hv/hypervisor.h"
@@ -292,7 +294,7 @@ TEST(VmState, HashCoversDiskAndMemory)
     }
     EXPECT_EQ(a.state_hash(), b.state_hash());
     std::vector<std::uint8_t> block(kDiskBlockSize, 9);
-    a.hub().disk().write_block(0, block.data());
+    std::copy(block.begin(), block.end(), a.hub().disk().overwrite(0));
     EXPECT_NE(a.state_hash(), b.state_hash());
 }
 

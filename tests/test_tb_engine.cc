@@ -398,9 +398,12 @@ TEST(TbEngine, MonitoredCallRetMatchesInterpreterExitForExit)
         m.cpu.ras().set_ret_whitelist({image.symbol("wl_ret")});
         m.cpu.ras().set_tar_whitelist({image.symbol("wl_land")});
         EXPECT_EQ(m.run(), StopReason::kHalt) << "tb=" << tb;
-        return Result{env.exits,      m.cpu.stats(),
-                      m.cpu.icount(), m.cpu.cycles(),
-                      m.mem.content_hash(), m.eng().stats().exec_blocks};
+        return Result{env.exits,
+                      m.cpu.stats(),
+                      m.cpu.icount(),
+                      m.cpu.cycles(),
+                      m.mem.store().content_hash(),
+                      m.eng().stats().exec_blocks};
     };
     const Result on = run(true);
     const Result off = run(false);

@@ -401,15 +401,16 @@ TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
     ck.blockdev.write_payload = {1, 2, 3};
     ck.ras.entries.push_back(cpu::RasEntry{0x2050, true});
     ck.backras[2].entries.push_back(cpu::RasEntry{0x3000, false});
-    ck.pages = replay::ckpt::StoredPageTable(3);
-    ck.pages.set(0, zero);
-    ck.pages.set(1, raw);
-    ck.blocks = replay::ckpt::StoredPageTable(1);
-    ck.blocks.set(0, raw);
+    auto& pages = ck.stores[replay::ckpt::kRamStore].slots;
+    auto& blocks = ck.stores[replay::ckpt::kDiskStore].slots;
+    pages = replay::ckpt::StoredPageTable(3);
+    pages.set(0, zero);
+    pages.set(1, raw);
+    blocks = replay::ckpt::StoredPageTable(1);
+    blocks.set(0, raw);
 
     replay::ckpt::CheckpointDelta delta;
-    delta.num_pages = 3;
-    delta.num_blocks = 1;
+    delta.geometry = {3, 1};
     delta.retired = {5};
     delta.runs = {{0, 2, 7}, {3, 1, 0}};
     delta.carried = {std::make_shared<const StoredPage>(

@@ -192,8 +192,9 @@ TEST_P(GoldenCkptCorpus, CheckedInImageStillDecodesToItsDigest)
     replay::Checkpoint ck;
     const Status status = replay::ckpt::deserialize_checkpoint(bytes, &ck);
     ASSERT_TRUE(status.ok()) << status.to_string();
-    EXPECT_EQ(ck.pages.size(), entry.pages);
-    EXPECT_EQ(ck.blocks.size(), entry.blocks);
+    EXPECT_EQ(ck.stores[replay::ckpt::kRamStore].slots.size(), entry.pages);
+    EXPECT_EQ(ck.stores[replay::ckpt::kDiskStore].slots.size(),
+              entry.blocks);
 
     // The machine state the image decodes to is pinned by the digest
     // recorded at generation time.

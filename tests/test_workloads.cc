@@ -104,7 +104,8 @@ TEST(Factory, ProducesIdenticalMachines)
     auto factory = vm_factory(profile);
     auto a = factory();
     auto b = factory();
-    EXPECT_EQ(a->mem().content_hash(), b->mem().content_hash());
+    EXPECT_EQ(a->mem().store().content_hash(),
+              b->mem().store().content_hash());
     EXPECT_EQ(a->cpu().state().pc, b->cpu().state().pc);
 }
 

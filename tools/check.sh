@@ -35,8 +35,10 @@
 #                             # BENCH_fleet.json (aggregate throughput and
 #                             # benign-tenant p99 regression thresholds;
 #                             # RSAFE_BENCH_GATE_TOLERANCE overrides 10%).
-#   tools/check.sh ckpt       # checkpoint-storage gate: test_ckpt_store
-#                             # (dedup, compression A/B, wire restore)
+#   tools/check.sh ckpt       # checkpoint gate: test_mem (the page store's
+#                             # dirty tracking and epochs), test_checkpoint
+#                             # (take and restore), test_ckpt_store (dedup,
+#                             # RLE, restore, wire images and streams)
 #                             # plus bench_ckpt --gate against the
 #                             # committed BENCH_ckpt.json (>=4x byte and
 #                             # image reductions, restore-latency ratio).
@@ -177,16 +179,21 @@ run_fleet() {
 }
 
 run_ckpt() {
-    # The checkpoint-storage gate: the ckpt_store unit suite (dedup
-    # refcount lifecycle, compress on/off A/B determinism,
-    # AR-boots-from-wire-image equivalence) plus the storage
-    # benchmark measured fresh and compared against the committed
-    # baseline. The byte/image reductions are deterministic functions of
-    # the log and carry hard >=4x floors; only the restore-latency ratio
-    # is wall-clock (Release keeps it honest).
+    # The checkpoint gate: the page store both RAM and disk live in
+    # (test_mem: dirty tracking, epochs, the untouched rule, content
+    # hash), checkpoint take and restore (test_checkpoint), and the
+    # ckpt_store suite (dedup refcount lifecycle, RLE, restore into both
+    # stores, AR-boots-from-wire-image equivalence, streams), plus the
+    # storage benchmark measured fresh and compared against the
+    # committed baseline. The byte/image reductions are deterministic
+    # functions of the log and carry hard >=4x floors; only the
+    # restore-latency ratio is wall-clock (Release keeps it honest).
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build build-rel -j "$(nproc)" --target test_ckpt_store \
+    cmake --build build-rel -j "$(nproc)" --target test_mem \
+        --target test_checkpoint --target test_ckpt_store \
         --target bench_ckpt
+    ./build-rel/tests/test_mem
+    ./build-rel/tests/test_checkpoint
     ./build-rel/tests/test_ckpt_store
     # Run inside build-rel so the freshly measured JSON lands there
     # instead of clobbering the committed baseline it is gated against.

@@ -50,6 +50,12 @@ make_delta_sample()
                             : static_cast<std::uint8_t>(seed * 7 + 13 * i);
         return pool.intern(bytes.data());
     };
+    const auto ram = [](Checkpoint& ck) -> StoredPageTable& {
+        return ck.stores[replay::ckpt::kRamStore].slots;
+    };
+    const auto disk = [](Checkpoint& ck) -> StoredPageTable& {
+        return ck.stores[replay::ckpt::kDiskStore].slots;
+    };
 
     auto a = std::make_shared<Checkpoint>();
     a->id = 1;
@@ -73,40 +79,40 @@ make_delta_sample()
     a->have_current_tid = true;
     const StoredPageRef zero = pool.intern_zero();
     const StoredPageRef raw = page(1, false);
-    a->pages = StoredPageTable(4, zero);
-    a->pages.set(1, raw);
-    a->pages.set(3, page(2, true));
-    a->blocks = StoredPageTable(2);
-    a->blocks.set(0, raw);
-    a->blocks.set(1, page(3, true));  // held by `a` only: retires later
+    ram(*a) = StoredPageTable(4, zero);
+    ram(*a).set(1, raw);
+    ram(*a).set(3, page(2, true));
+    disk(*a) = StoredPageTable(2);
+    disk(*a).set(0, raw);
+    disk(*a).set(1, page(3, true));  // held by `a` only: retires later
 
     DeltaSample out;
-    out.retired_key = a->blocks.at(1)->key();
+    out.retired_key = disk(*a).at(1)->key();
     out.prefix.push_back(sender.encode(a));
 
     auto b = std::make_shared<Checkpoint>(*a);
     b->id = 2;
     b->icount = 2000;
     b->pending_irq.reset();
-    b->blocks.set(1, zero);
-    b->pages.set(1, page(4, false));
+    disk(*b).set(1, zero);
+    ram(*b).set(1, page(4, false));
     a.reset();
     out.prefix.push_back(sender.encode(b));
 
     auto c = std::make_shared<Checkpoint>(*b);
     c->id = 3;
     c->icount = 3000;
-    c->pages.set(3, page(5, true));
-    c->pages.set(2, nullptr);
+    ram(*c).set(3, page(5, true));
+    ram(*c).set(2, nullptr);
     b.reset();
     out.prefix.push_back(sender.encode(c));  // retires out.retired_key
 
     auto d = std::make_shared<Checkpoint>(*c);
     d->id = 4;
     d->icount = 4000;
-    d->pages.set(0, raw);             // held: named, not carried
-    d->pages.set(2, page(6, false));  // new: carried
-    d->blocks.set(1, page(7, true));
+    ram(*d).set(0, raw);             // held: named, not carried
+    ram(*d).set(2, page(6, false));  // new: carried
+    disk(*d).set(1, page(7, true));
     c.reset();
     out.next_digest = replay::digest_of(*d);
     out.next = sender.encode(d);

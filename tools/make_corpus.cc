@@ -109,7 +109,7 @@ sample_log()
 replay::Checkpoint
 sample_checkpoint()
 {
-    replay::ckpt::PagePool pool{replay::ckpt::PagePoolOptions{}};
+    replay::ckpt::PagePool pool;
     replay::Checkpoint ck;
     ck.id = 5;
     ck.icount = 123456;
@@ -135,17 +135,19 @@ sample_checkpoint()
     ck.have_current_tid = true;
 
     std::vector<std::uint8_t> page(kPageSize, 0);
-    ck.pages = replay::ckpt::StoredPageTable(4);
-    ck.pages.set(0, pool.intern(page.data()));  // zero page: RLE
+    auto& pages = ck.stores[replay::ckpt::kRamStore].slots;
+    auto& blocks = ck.stores[replay::ckpt::kDiskStore].slots;
+    pages = replay::ckpt::StoredPageTable(4);
+    pages.set(0, pool.intern(page.data()));  // zero page: RLE
     for (std::size_t i = 0; i < kPageSize; ++i)
         page[i] = static_cast<std::uint8_t>(7 * i + 13);  // runless: raw
-    ck.pages.set(1, pool.intern(page.data()));
-    ck.pages.set(2, ck.pages.at(0));  // shared slot (dedup on the wire)
+    pages.set(1, pool.intern(page.data()));
+    pages.set(2, pages.at(0));  // shared slot (dedup on the wire)
     // slot 3 stays null.
-    ck.blocks = replay::ckpt::StoredPageTable(2);
-    ck.blocks.set(0, ck.pages.at(1));
+    blocks = replay::ckpt::StoredPageTable(2);
+    blocks.set(0, pages.at(1));
     page.assign(kPageSize, 0xa5);
-    ck.blocks.set(1, pool.intern(page.data()));
+    blocks.set(1, pool.intern(page.data()));
     return ck;
 }
 
@@ -410,9 +412,10 @@ main(int argc, char** argv)
         const auto ck = cr.checkpoints().latest();
         const auto image = replay::ckpt::serialize_checkpoint(*ck);
         write_file(root / "golden" / (name + ".ckpt"), image);
-        ckpt_manifest << name << " " << name << ".ckpt " << image.size()
-                      << " " << ck->pages.size() << " " << ck->blocks.size()
-                      << " " << hex64(replay::digest_of(*ck).hash()) << "\n";
+        ckpt_manifest << name << " " << name << ".ckpt " << image.size();
+        for (const replay::StoreSnapshot& store : ck->stores)
+            ckpt_manifest << " " << store.slots.size();
+        ckpt_manifest << " " << hex64(replay::digest_of(*ck).hash()) << "\n";
     };
     for (const std::string& name : workloads::benchmark_names()) {
         const auto profile = workloads::golden_profile(name);
