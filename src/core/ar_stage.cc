@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "core/detector.h"
+#include "obs/health_probe.h"
 #include "obs/trace.h"
 
 namespace rsafe::core {
@@ -20,8 +21,9 @@ ArStage::ArStage(VmFactory factory, rnr::ReplayOptions base_options,
 stats::Histogram&
 ArStage::verdict_latency(stats::StatRegistry* stats)
 {
-    return stats->histogram("ar.verdict_latency", kLatencyHistMax,
-                            kLatencyHistBuckets);
+    return stats->histogram("ar.verdict_latency",
+                            obs::kVerdictLatencyHistMax,
+                            obs::kVerdictLatencyHistBuckets);
 }
 
 AlarmReplayResult

@@ -46,16 +46,11 @@ struct AlarmReplayResult {
 /** The alarm-replay stage: PendingAlarm -> AlarmReplayResult. */
 class ArStage {
   public:
-    /** Geometry of the per-alarm analysis-latency histogram: cycle costs
-     *  of one AR replay land in the millions, so a wide range with coarse
-     *  buckets keeps the percentiles meaningful without a huge table. */
-    static constexpr std::uint64_t kLatencyHistMax = 64u * 1024u * 1024u;
-    static constexpr std::size_t kLatencyHistBuckets = 64;
-
     /**
-     * The `ar.verdict_latency` histogram of @p stats, created empty if
-     * absent: every verdict analyze() returns samples its
-     * analysis_cycles there (0 for a checkpoint-unavailable one).
+     * The `ar.verdict_latency` histogram of @p stats (geometry
+     * obs::kVerdictLatencyHist*), created empty if absent: every verdict
+     * analyze() returns samples its analysis_cycles there (0 for a
+     * checkpoint-unavailable one).
      */
     static stats::Histogram& verdict_latency(stats::StatRegistry* stats);
 

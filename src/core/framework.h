@@ -8,7 +8,6 @@
 #include "core/alarm.h"
 #include "core/ar_stage.h"
 #include "core/detector.h"
-#include "core/session_stage.h"
 #include "hv/vm.h"
 #include "obs/health.h"
 #include "obs/telemetry.h"

@@ -9,85 +9,61 @@
 
 namespace rsafe::core {
 
-namespace {
-
-/** @p set unless it is null or empty (the RAS-only baseline). */
-const DetectorSet*
-in_effect(const std::shared_ptr<DetectorSet>& set)
-{
-    if (!set || set->empty())
-        return nullptr;
-    return set.get();
-}
-
-}  // namespace
-
-SessionStage::SessionStage(VmFactory factory, SessionOptions options,
-                           std::shared_ptr<DetectorSet> detectors)
-    : factory_(std::move(factory)), options_(std::move(options)),
-      detectors_(std::move(detectors))
-{
-    if (!factory_)
-        fatal("SessionStage: null VM factory");
-
-    recorded_vm_ = factory_();
-    recorder_ = std::make_unique<rnr::Recorder>(recorded_vm_.get(),
-                                                options_.recorder);
-
-    active_detectors_ = in_effect(detectors_);
-    if (active_detectors_ != nullptr) {
-        for (const auto& detector : active_detectors_->all())
-            detector->arm(*recorded_vm_);
-        recorder_->set_detectors(active_detectors_);
-        detectors_armed_ = true;
-    }
-
-    // Streamed shape: the CR reads the recorder's log in place while it
-    // grows. Serial shape: the same log, read once recording is done.
-    if (options_.streamed) {
-        stream_ = std::make_unique<rnr::LogStream>();
-        recorder_->attach_stream(stream_.get());
-    }
-    build_cr(&recorder_->log());
-}
-
-SessionStage::SessionStage(VmFactory factory, SessionOptions options,
-                           std::shared_ptr<DetectorSet> detectors,
+SessionStage::SessionStage(VmFactory factory, const FrameworkConfig& config,
+                           std::string name,
                            std::shared_ptr<const rnr::InputLog> log)
-    : factory_(std::move(factory)), options_(std::move(options)),
-      detectors_(std::move(detectors)), shipped_log_(std::move(log))
+    : max_instructions_(config.max_instructions), name_(std::move(name))
 {
-    if (!factory_)
+    if (!factory)
         fatal("SessionStage: null VM factory");
-    if (!shipped_log_)
-        fatal("SessionStage: null shipped log");
-    // The log is complete already: nothing to stream, nothing to arm.
-    options_.streamed = false;
-    active_detectors_ = in_effect(detectors_);
-    build_cr(shipped_log_.get());
-}
 
-void
-SessionStage::build_cr(const rnr::InputLog* log)
-{
-    log_ = log;
-    cr_vm_ = factory_();
-    cr_ = std::make_unique<replay::CheckpointReplayer>(
-        cr_vm_.get(), log_, options_.cr, stream_.get());
+    // The in-effect detectors: none for a null or empty set (the RAS-only
+    // baseline).
+    if (config.detectors && !config.detectors->empty())
+        result_.detectors = config.detectors;
+
+    if (log) {
+        // A shipped log is complete already: nothing to stream, nothing
+        // to arm.
+        result_.shipped_log = std::move(log);
+        log_ = result_.shipped_log.get();
+    } else {
+        result_.recorded_vm = factory();
+        result_.recorder = std::make_unique<rnr::Recorder>(
+            result_.recorded_vm.get(), config.recorder);
+        if (result_.detectors) {
+            for (const auto& detector : result_.detectors->all())
+                detector->arm(*result_.recorded_vm);
+            result_.recorder->set_detectors(result_.detectors.get());
+            detectors_armed_ = true;
+        }
+        // Streamed shape: the CR reads the recorder's log in place while
+        // it grows. Serial shape: the same log, read once recording is
+        // done.
+        if (config.pipeline == PipelineMode::kConcurrent) {
+            stream_ = std::make_unique<rnr::LogStream>();
+            result_.recorder->attach_stream(stream_.get());
+        }
+        log_ = &result_.recorder->log();
+    }
+
+    result_.cr_vm = factory();
+    result_.cr = std::make_unique<replay::CheckpointReplayer>(
+        result_.cr_vm.get(), log_, config.cr, stream_.get());
 }
 
 void
 SessionStage::set_health_probe(obs::HealthProbe* probe)
 {
-    cr_->set_health_probe(probe);
+    result_.cr->set_health_probe(probe);
 }
 
 void
 SessionStage::request_stop()
 {
-    if (recorder_)
-        recorder_->request_stop();
-    cr_->request_stop();
+    if (result_.recorder)
+        result_.recorder->request_stop();
+    result_.cr->request_stop();
 }
 
 void
@@ -96,30 +72,29 @@ SessionStage::disarm_detectors()
     if (!detectors_armed_)
         return;
     detectors_armed_ = false;
-    for (const auto& detector : active_detectors_->all())
+    for (const auto& detector : result_.detectors->all())
         detector->disarm();
 }
 
-SessionResult
+void
 SessionStage::run()
 {
     if (ran_)
         fatal("SessionStage: run() called twice");
     ran_ = true;
 
-    SessionResult result;
     const auto record = [&] {
         obs::ScopedSpan span("record.run", "record");
-        result.record_result = recorder_->run(options_.max_instructions);
+        result_.record_result = result_.recorder->run(max_instructions_);
     };
     const auto replay = [&] {
         obs::ScopedSpan span("cr.run", "cr");
-        result.cr_outcome = cr_->run();
+        result_.cr_outcome = result_.cr->run();
     };
 
     if (!stream_) {
         // Serial or replay-only: the log is complete when the CR starts.
-        if (recorder_)
+        if (result_.recorder)
             record();
         disarm_detectors();
         replay();
@@ -129,9 +104,8 @@ SessionStage::run()
         // file handed over after the fact). The recorder never waits for
         // the CR, so a CR that stops or throws cannot park it.
         const std::string rec_thread =
-            options_.name.empty() ? "recorder" : options_.name + ".recorder";
-        const std::string cr_thread =
-            options_.name.empty() ? "cr" : options_.name + ".cr";
+            name_.empty() ? "recorder" : name_ + ".recorder";
+        const std::string cr_thread = name_.empty() ? "cr" : name_ + ".cr";
         std::exception_ptr record_error, cr_error;
         std::thread record_thread([&] {
             try {
@@ -157,48 +131,24 @@ SessionStage::run()
         cr_thread_obj.join();
         // The stream belongs to this stage; the recorder must not keep a
         // pointer to it once the run is over.
-        recorder_->attach_stream(nullptr);
+        result_.recorder->attach_stream(nullptr);
         disarm_detectors();
         if (record_error)
             std::rethrow_exception(record_error);
         if (cr_error)
             std::rethrow_exception(cr_error);
-        result.channel_stats.consumer_waits = stream_->consumer_waits();
+        result_.channel_stats.consumer_waits = stream_->consumer_waits();
     }
 
-    result.alarms_logged =
+    result_.alarms_logged =
         log_->find_all(rnr::RecordType::kRasAlarm).size() +
         log_->find_all(rnr::RecordType::kDetectorAlarm).size();
-    result.stopped =
-        (result.record_result == hv::RunResult::kInstrLimit &&
-         recorder_->stop_requested()) ||
-        result.cr_outcome == rnr::ReplayOutcome::kStopRequested ||
-        result.cr_outcome == rnr::ReplayOutcome::kLogAborted;
-    return result;
-}
-
-std::unique_ptr<hv::Vm>
-SessionStage::release_recorded_vm()
-{
-    return std::move(recorded_vm_);
-}
-
-std::unique_ptr<rnr::Recorder>
-SessionStage::release_recorder()
-{
-    return std::move(recorder_);
-}
-
-std::unique_ptr<hv::Vm>
-SessionStage::release_cr_vm()
-{
-    return std::move(cr_vm_);
-}
-
-std::unique_ptr<replay::CheckpointReplayer>
-SessionStage::release_cr()
-{
-    return std::move(cr_);
+    result_.underflows_resolved = result_.cr->underflows_resolved();
+    result_.replay_lag = result_.cr->lag();
+    stopped_ = (result_.record_result == hv::RunResult::kInstrLimit &&
+                result_.recorder->stop_requested()) ||
+               result_.cr_outcome == rnr::ReplayOutcome::kStopRequested ||
+               result_.cr_outcome == rnr::ReplayOutcome::kLogAborted;
 }
 
 }  // namespace rsafe::core

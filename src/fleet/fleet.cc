@@ -6,9 +6,9 @@
 #include <utility>
 
 #include <chrono>
-#include <sstream>
 
 #include "common/log.h"
+#include "core/session_stage.h"
 #include "cpu/tb_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -132,12 +132,10 @@ finalize_result(core::FrameworkResult* result,
  */
 struct ReplayFleet::TenantState {
     std::string name;
-    const FleetTenant* tenant = nullptr;
     std::size_t pool_id = 0;
     std::unique_ptr<core::SessionStage> stage;
     std::unique_ptr<core::ArStage> ar;
 
-    core::SessionResult session;
     std::exception_ptr error;
 
     /** Guards the job bookkeeping below against pool workers. */
@@ -206,10 +204,10 @@ ReplayFleet::run()
     FleetResult out;
 
     // The health plane. Declaration order is lifetime order in reverse:
-    // the flight recorder precedes the pool (worker closures write into
-    // it), the monitor and the endpoint follow it (their samplers and
-    // providers read the pool and the stages, so they must be torn down
-    // first).
+    // the flight recorder precedes the pool and the monitor (worker
+    // closures and the monitor's ticks write into it), the monitor and
+    // the endpoint follow the pool (their samplers and providers read
+    // the pool and the stages, so they must be torn down first).
     obs::FlightRecorder flight;
 
     // States must outlive the pool (job closures hold raw TenantState
@@ -217,34 +215,17 @@ ReplayFleet::run()
     std::vector<std::unique_ptr<TenantState>> states;
     states.reserve(tenants_.size());
 
-    PoolOptions pool_options;
-    pool_options.workers = options_.workers;
-    pool_options.tenant_inflight_cap = options_.tenant_inflight_cap;
-    FairSharePool pool(pool_options);
+    FairSharePool pool(options_.workers, options_.tenant_inflight_cap);
 
-    obs::HealthMonitor monitor(options_.health);
+    obs::HealthMonitor monitor(options_.health, &flight);
     const bool health_on = monitor.live();
 
     for (const FleetTenant& tenant : tenants_) {
         auto state = std::make_unique<TenantState>();
         state->name = tenant.name;
-        state->tenant = &tenant;
         state->pool_id = pool.register_tenant(tenant.name);
-
-        core::SessionOptions session;
-        session.recorder = tenant.config.recorder;
-        session.cr = tenant.config.cr;
-        session.max_instructions = tenant.config.max_instructions;
-        session.streamed =
-            tenant.config.pipeline == core::PipelineMode::kConcurrent;
-        session.name = tenant.name;
-        state->stage =
-            tenant.log ? std::make_unique<core::SessionStage>(
-                             tenant.factory, std::move(session),
-                             tenant.config.detectors, tenant.log)
-                       : std::make_unique<core::SessionStage>(
-                             tenant.factory, std::move(session),
-                             tenant.config.detectors);
+        state->stage = std::make_unique<core::SessionStage>(
+            tenant.factory, tenant.config, tenant.name, tenant.log);
         state->ar = std::make_unique<core::ArStage>(
             tenant.factory, tenant.config.cr.replay,
             state->stage->active_detectors());
@@ -380,31 +361,6 @@ ReplayFleet::run()
             [&flight] { return flight.latest(); },
         });
     if (health_on) {
-        obs::FlightRecorder* flight_ptr = &flight;
-        monitor.add_listener([flight_ptr](const obs::HealthEvent& event) {
-            flight_ptr->record(obs::FlightEntryKind::kTransition,
-                               event.tenant,
-                               obs::health_signal_name(event.signal),
-                               event.value, event.to_string());
-            if (event.to == obs::HealthState::kCritical)
-                flight_ptr->dump("slo-breach:" + event.tenant);
-        });
-        monitor.add_sample_listener(
-            [flight_ptr](const std::string& tenant,
-                         const obs::HealthSample& sample) {
-                std::ostringstream detail;
-                for (std::size_t s = 0; s < obs::kNumHealthSignals; ++s) {
-                    if (s != 0)
-                        detail << " ";
-                    detail << obs::health_signal_name(
-                                  static_cast<obs::HealthSignal>(s))
-                           << "=" << sample.values[s];
-                }
-                flight_ptr->record(
-                    obs::FlightEntryKind::kSample, tenant, "signals",
-                    sample.get(obs::HealthSignal::kQueueDepth),
-                    detail.str());
-            });
         monitor.start();
         telemetry.start();
     }
@@ -430,7 +386,7 @@ ReplayFleet::run()
                 const std::string track = raw->name + ".session";
                 obs::Tracer::instance().attach_thread(track.c_str());
             }
-            raw->session = raw->stage->run();
+            raw->stage->run();
         } catch (...) {
             raw->error = std::current_exception();
         }
@@ -498,22 +454,7 @@ ReplayFleet::run()
     for (auto& state : states) {
         TenantRunResult tenant;
         tenant.name = state->name;
-        core::FrameworkResult& fr = tenant.result;
-
-        // Adopt the session's outputs and components.
-        fr.record_result = state->session.record_result;
-        fr.cr_outcome = state->session.cr_outcome;
-        fr.alarms_logged = state->session.alarms_logged;
-        fr.channel_stats = state->session.channel_stats;
-        fr.underflows_resolved = state->stage->cr()->underflows_resolved();
-        fr.replay_lag = state->stage->cr()->lag();
-        if (state->stage->active_detectors() != nullptr)
-            fr.detectors = state->tenant->config.detectors;
-        fr.shipped_log = state->tenant->log;
-        fr.recorded_vm = state->stage->release_recorded_vm();
-        fr.recorder = state->stage->release_recorder();
-        fr.cr_vm = state->stage->release_cr_vm();
-        fr.cr = state->stage->release_cr();
+        tenant.result = state->stage->take_result();
 
         // Completed jobs in submission (= alarm) order; discarded jobs
         // leave holes that mark the tenant partial.
@@ -529,11 +470,10 @@ ReplayFleet::run()
             }
             tenant.jobs_shipped = state->jobs_shipped;
             tenant.bytes_shipped = state->bytes_shipped;
-            fr.pipeline_stats.merge(state->ar_stats);
+            tenant.result.pipeline_stats.merge(state->ar_stats);
         }
-        finalize_result(&fr, std::move(ar_results));
-        tenant.partial =
-            state->session.stopped || tenant.jobs_dropped > 0;
+        finalize_result(&tenant.result, std::move(ar_results));
+        tenant.partial = state->stage->stopped() || tenant.jobs_dropped > 0;
         out.tenants.push_back(std::move(tenant));
     }
 

@@ -49,10 +49,12 @@ struct FleetTenant {
     std::string name;
     core::VmFactory factory;
     /**
-     * Per-tenant pipeline configuration. `pipeline` selects the session
-     * shape (kConcurrent = streamed record->CR); `ar_workers` is ignored
-     * — alarm replays go to the shared pool. Detector sets must not be
-     * shared between tenants (each is armed on its tenant's VM).
+     * Per-tenant pipeline configuration, which the tenant's SessionStage
+     * is built from. `pipeline` selects the session shape (kConcurrent =
+     * streamed record->CR). `ar_workers`, `health` and `telemetry` are
+     * ignored: alarm replays go to the shared pool, and the health plane
+     * is FleetOptions'. Detector sets must not be shared between tenants
+     * (each is armed on its tenant's VM).
      */
     core::FrameworkConfig config;
     /**

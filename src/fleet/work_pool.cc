@@ -8,15 +8,15 @@
 
 namespace rsafe::fleet {
 
-FairSharePool::FairSharePool(const PoolOptions& options)
-    : options_(options)
+FairSharePool::FairSharePool(std::size_t workers,
+                             std::size_t tenant_inflight_cap)
+    : tenant_inflight_cap_(tenant_inflight_cap)
 {
-    std::size_t n = options_.workers != 0
-                        ? options_.workers
-                        : std::thread::hardware_concurrency();
+    std::size_t n =
+        workers != 0 ? workers : std::thread::hardware_concurrency();
     if (n == 0)
         n = 1;
-    if (options_.tenant_inflight_cap == 0)
+    if (tenant_inflight_cap_ == 0)
         fatal("FairSharePool: tenant_inflight_cap must be >= 1");
     stats_.workers = n;
     workers_.reserve(n);
@@ -59,7 +59,7 @@ FairSharePool::submit(std::size_t tenant, Job job)
     ++outstanding_;
     t.queued.push_back(std::move(job));
     // Over the cap the job waits for one of its tenant's running jobs.
-    if (t.running + t.queued.size() <= options_.tenant_inflight_cap) {
+    if (t.running + t.queued.size() <= tenant_inflight_cap_) {
         stats_.max_admitted = std::max(stats_.max_admitted, startable());
         work_cv_.notify_one();
     }
@@ -71,7 +71,7 @@ FairSharePool::startable() const
     std::size_t total = 0;
     for (const Tenant& t : tenants_)
         total += std::min(t.queued.size(),
-                          options_.tenant_inflight_cap - t.running);
+                          tenant_inflight_cap_ - t.running);
     return total;
 }
 
@@ -82,7 +82,7 @@ FairSharePool::take(std::size_t* tenant, Job* job)
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t id = (rr_ + i) % n;
         Tenant& t = tenants_[id];
-        if (t.queued.empty() || t.running >= options_.tenant_inflight_cap)
+        if (t.queued.empty() || t.running >= tenant_inflight_cap_)
             continue;
         *job = std::move(t.queued.front());
         t.queued.pop_front();

@@ -32,14 +32,6 @@
 
 namespace rsafe::fleet {
 
-/** Pool configuration. */
-struct PoolOptions {
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
-    std::size_t workers = 0;
-    /** Max jobs of one tenant running at once. */
-    std::size_t tenant_inflight_cap = 2;
-};
-
 /** Pool-wide scheduling counters. */
 struct PoolStats {
     std::uint64_t submitted = 0;
@@ -70,7 +62,13 @@ class FairSharePool {
   public:
     using Job = std::function<void()>;
 
-    explicit FairSharePool(const PoolOptions& options = {});
+    /**
+     * @param workers              worker threads; 0 =
+     *                             std::thread::hardware_concurrency().
+     * @param tenant_inflight_cap  max jobs of one tenant running at once
+     *                             (>= 1).
+     */
+    FairSharePool(std::size_t workers, std::size_t tenant_inflight_cap);
 
     /** discard()s queued jobs, drain()s the running ones, and joins the
      *  workers. */
@@ -112,7 +110,7 @@ class FairSharePool {
     /** Jobs a worker could start now. Requires mu_. */
     std::size_t startable() const;
 
-    PoolOptions options_;
+    const std::size_t tenant_inflight_cap_;
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_;  ///< workers: a job is startable

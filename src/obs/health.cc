@@ -4,6 +4,8 @@
 #include <chrono>
 #include <sstream>
 
+#include "obs/flight_recorder.h"
+#include "obs/health_probe.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -11,9 +13,8 @@ namespace rsafe::obs {
 
 namespace {
 
-/** Verdict-latency histogram geometry (mirrors ArStage's telemetry). */
-constexpr std::uint64_t kLatencyHistMax = 64ull << 20;
-constexpr std::size_t kLatencyHistBuckets = 64;
+/** EWMA smoothing factor for relative-rule baselines. */
+constexpr double kEwmaAlpha = 0.2;
 
 /** Signals that accumulate monotonically and are evaluated per tick. */
 bool
@@ -134,11 +135,12 @@ struct HealthMonitor::TenantRuntime {
     std::uint64_t transitions = 0;
     HealthSample last;  ///< evaluated (per-tick) values
     std::array<std::uint64_t, kNumHealthSignals> prev_raw{};
-    stats::Histogram verdict_latency{kLatencyHistMax, kLatencyHistBuckets};
+    stats::Histogram verdict_latency{kVerdictLatencyHistMax,
+                                     kVerdictLatencyHistBuckets};
 };
 
-HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(std::move(options))
+HealthMonitor::HealthMonitor(HealthOptions options, FlightRecorder* flight)
+    : options_(std::move(options)), flight_(flight)
 {
     if (options_.rules.empty())
         options_.rules = default_slo_rules();
@@ -162,20 +164,6 @@ HealthMonitor::add_tenant(const std::string& tenant, SampleFn sampler)
     }
     std::lock_guard<std::mutex> lock(mu_);
     tenants_.push_back(std::move(runtime));
-}
-
-void
-HealthMonitor::add_listener(EventListener listener)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    listeners_.push_back(std::move(listener));
-}
-
-void
-HealthMonitor::add_sample_listener(SampleListener listener)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sample_listeners_.push_back(std::move(listener));
 }
 
 bool
@@ -303,8 +291,7 @@ HealthMonitor::evaluate_tenant(TenantRuntime* tenant,
         // drag the baseline up until the breach stops being one.
         if (rr.rule.degraded_x > 0.0 && inst == HealthState::kHealthy &&
             rr.level == HealthState::kHealthy) {
-            rr.ewma += options_.ewma_alpha *
-                       (static_cast<double>(value) - rr.ewma);
+            rr.ewma += kEwmaAlpha * (static_cast<double>(value) - rr.ewma);
         }
 
         HealthState next = rr.level;
@@ -367,8 +354,6 @@ HealthMonitor::tick()
         raws.push_back(tenant->sampler());
 
     std::vector<HealthEvent> fired;
-    std::vector<EventListener> listeners;
-    std::vector<SampleListener> sample_listeners;
     std::vector<std::pair<std::string, HealthSample>> evaluated;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -396,21 +381,33 @@ HealthMonitor::tick()
             if (events_.size() < 4096)
                 events_.push_back(event);
         }
-        listeners = listeners_;
-        sample_listeners = sample_listeners_;
     }
 
-    // Listener + trace dispatch happens outside mu_ so a listener can
-    // call back into the monitor (healthz_json from a dump hook, say).
+    // Trace and flight-recorder writes happen outside mu_: the recorder
+    // takes its own lock, and nothing here needs the monitor's.
     for (const HealthEvent& event : fired) {
         Tracer::instance().instant("health.transition", "health", "state",
                                    static_cast<std::uint64_t>(event.to));
-        for (const EventListener& listener : listeners)
-            listener(event);
+        if (flight_ == nullptr)
+            continue;
+        flight_->record(FlightEntryKind::kTransition, event.tenant,
+                        health_signal_name(event.signal), event.value,
+                        event.to_string());
+        if (event.to == HealthState::kCritical)
+            flight_->dump("slo-breach:" + event.tenant);
     }
+    if (flight_ == nullptr)
+        return;
     for (const auto& [tenant, sample] : evaluated) {
-        for (const SampleListener& listener : sample_listeners)
-            listener(tenant, sample);
+        std::ostringstream detail;
+        for (std::size_t s = 0; s < kNumHealthSignals; ++s) {
+            if (s != 0)
+                detail << " ";
+            detail << health_signal_name(static_cast<HealthSignal>(s)) << "="
+                   << sample.values[s];
+        }
+        flight_->record(FlightEntryKind::kSample, tenant, "signals",
+                        sample.get(HealthSignal::kQueueDepth), detail.str());
     }
 }
 

@@ -27,9 +27,11 @@
  * SLO rules — absolute thresholds or multiples of a self-learned EWMA
  * baseline — and drives a per-tenant healthy → degraded → critical
  * state machine with hysteresis in both directions. Transitions are
- * emitted as structured HealthEvents (to listeners, the trace, and the
- * flight recorder) and every evaluated signal is exported as a
- * `tenant.<name>.health.*` gauge.
+ * kept as structured HealthEvents and marked in the trace, and every
+ * evaluated signal is exported as a `tenant.<name>.health.*` gauge. A
+ * monitor given a FlightRecorder writes the black box itself: each
+ * evaluated sample, each transition, and a `slo-breach:<tenant>` dump
+ * when a tenant turns critical.
  *
  * Passivity is the contract: the monitor only ever *reads* pipeline
  * state and only ever *writes* gauges (never counters), so stat
@@ -39,6 +41,8 @@
  */
 
 namespace rsafe::obs {
+
+class FlightRecorder;
 
 /** The per-tenant live signals the monitor evaluates each tick. */
 enum class HealthSignal : std::uint8_t {
@@ -109,7 +113,8 @@ struct SloRule {
 /** The built-in rule set (see health.cc for the rationale per rule). */
 std::vector<SloRule> default_slo_rules();
 
-/** One structured state transition (what listeners and traces see). */
+/** One structured state transition (what events(), the trace and the
+ *  flight recorder see). */
 struct HealthEvent {
     std::uint64_t tick = 0;  ///< monitor tick the transition fired on
     std::string tenant;
@@ -133,9 +138,6 @@ struct HealthOptions {
 
     /** Rule set (empty = default_slo_rules()). */
     std::vector<SloRule> rules;
-
-    /** EWMA smoothing factor for relative-rule baselines. */
-    double ewma_alpha = 0.2;
 };
 
 /**
@@ -148,14 +150,15 @@ class HealthMonitor {
     /** Polls one tenant's live signals (must be thread-safe). */
     using SampleFn = std::function<HealthSample()>;
 
-    /** Observes every state transition (called outside monitor locks). */
-    using EventListener = std::function<void(const HealthEvent&)>;
-
-    /** Observes every evaluated sample (flight-recorder feed). */
-    using SampleListener =
-        std::function<void(const std::string& tenant, const HealthSample&)>;
-
-    explicit HealthMonitor(HealthOptions options = HealthOptions());
+    /**
+     * @param flight  the black box tick() writes into (may be null): a
+     *                kSample entry per evaluated tenant sample, a
+     *                kTransition entry per state transition, and a
+     *                `slo-breach:<tenant>` dump when one turns critical.
+     *                Must outlive the monitor.
+     */
+    explicit HealthMonitor(HealthOptions options = HealthOptions(),
+                           FlightRecorder* flight = nullptr);
     ~HealthMonitor();
 
     HealthMonitor(const HealthMonitor&) = delete;
@@ -163,9 +166,6 @@ class HealthMonitor {
 
     /** Register @p tenant with its live-signal sampler. */
     void add_tenant(const std::string& tenant, SampleFn sampler);
-
-    void add_listener(EventListener listener);
-    void add_sample_listener(SampleListener listener);
 
     /** @return whether this monitor may sample at all (options.enabled). */
     bool live() const { return options_.enabled; }
@@ -227,11 +227,10 @@ class HealthMonitor {
                          std::vector<HealthEvent>* fired);
 
     HealthOptions options_;
+    FlightRecorder* const flight_;
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<TenantRuntime>> tenants_;
-    std::vector<EventListener> listeners_;
-    std::vector<SampleListener> sample_listeners_;
     std::vector<HealthEvent> events_;
     stats::StatRegistry live_;  ///< gauges only, refreshed every tick
     std::uint64_t ticks_ = 0;

@@ -2,6 +2,7 @@
 #define RSAFE_OBS_HEALTH_PROBE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 /**
@@ -26,6 +27,15 @@
  */
 
 namespace rsafe::obs {
+
+/**
+ * Geometry of every verdict-latency histogram (ArStage's
+ * `ar.verdict_latency` and the monitor's per-tenant p99): one alarm
+ * replay costs millions of cycles, so a wide range with coarse buckets
+ * keeps the percentiles meaningful without a huge table.
+ */
+inline constexpr std::uint64_t kVerdictLatencyHistMax = 64ull << 20;
+inline constexpr std::size_t kVerdictLatencyHistBuckets = 64;
 
 /** Live signals one monitored session exports (all relaxed atomics). */
 struct HealthProbe {

@@ -159,8 +159,9 @@ struct MonitorHarness {
     std::atomic<std::uint64_t> queue_depth{0};
     HealthMonitor monitor;
 
-    explicit MonitorHarness(HealthOptions options)
-        : monitor(std::move(options))
+    explicit MonitorHarness(HealthOptions options,
+                            FlightRecorder* flight = nullptr)
+        : monitor(std::move(options), flight)
     {
         monitor.add_tenant("t", [this] {
             HealthSample sample;
@@ -238,11 +239,66 @@ TEST(HealthMonitor, InterruptedBreachStreakDoesNotEscalate)
     EXPECT_TRUE(h.monitor.events().empty());
 }
 
+TEST(HealthMonitor, TickWritesSamplesTransitionsAndTheBreachDump)
+{
+    FlightRecorder flight;
+    MonitorHarness h(absolute_queue_rule(/*breach=*/1, /*clear=*/1),
+                     &flight);
+
+    // Healthy: one sample entry per tick, nothing else.
+    h.monitor.tick();
+    EXPECT_EQ(flight.appended(), 1u);
+    h.queue_depth = 6;  // degraded: a transition, but no dump
+    h.monitor.tick();
+    EXPECT_EQ(flight.appended(), 3u);
+    EXPECT_EQ(flight.dumps(), 0u);
+
+    // Critical: the transition is recorded, then the box is dumped, then
+    // the tick's sample lands after the dump.
+    h.queue_depth = 20;
+    h.monitor.tick();
+    EXPECT_EQ(flight.appended(), 5u);
+    ASSERT_EQ(flight.dumps(), 1u);
+    FlightBox box;
+    ASSERT_TRUE(FlightBox::deserialize(flight.latest(), &box).ok());
+    EXPECT_EQ(box.reason, "slo-breach:t");
+    ASSERT_EQ(box.entries.size(), 4u);
+
+    const auto events = h.monitor.events();
+    ASSERT_EQ(events.size(), 2u);
+    const FlightEntryKind kinds[] = {
+        FlightEntryKind::kSample, FlightEntryKind::kTransition,
+        FlightEntryKind::kSample, FlightEntryKind::kTransition};
+    const std::uint64_t values[] = {0, 6, 6, 20};
+    for (std::size_t i = 0; i < box.entries.size(); ++i) {
+        const obs::FlightEntry& entry = box.entries[i];
+        EXPECT_EQ(entry.kind, kinds[i]) << i;
+        EXPECT_EQ(entry.tenant, "t") << i;
+        EXPECT_EQ(entry.value, values[i]) << i;
+        if (entry.kind == FlightEntryKind::kSample) {
+            EXPECT_EQ(entry.label, "signals");
+            EXPECT_NE(entry.detail.find(
+                          "queue_depth=" + std::to_string(values[i])),
+                      std::string::npos)
+                << entry.detail;
+        } else {
+            EXPECT_EQ(entry.label, "queue_depth");
+            EXPECT_EQ(entry.detail, events[i / 2].to_string());
+        }
+    }
+    EXPECT_EQ(events[0].to, HealthState::kDegraded);
+    EXPECT_EQ(events[1].to, HealthState::kCritical);
+
+    // A second critical tick is no new transition, so no second dump.
+    h.monitor.tick();
+    EXPECT_EQ(flight.dumps(), 1u);
+    EXPECT_EQ(flight.appended(), 6u);
+}
+
 TEST(HealthMonitor, RelativeRulePrimesThenTracksTheBaseline)
 {
     HealthOptions options;
     options.enabled = true;
-    options.ewma_alpha = 0.5;
     SloRule rule;
     rule.signal = HealthSignal::kReplayLag;
     rule.degraded_x = 2.0;

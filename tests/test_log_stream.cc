@@ -271,11 +271,10 @@ TEST(LogStream, ProducerIcountTracksTheNewestRecord)
 std::unique_ptr<core::SessionStage>
 streamed_session(core::VmFactory factory)
 {
-    core::SessionOptions options;
-    options.streamed = true;
-    return std::make_unique<core::SessionStage>(std::move(factory),
-                                                std::move(options),
-                                                nullptr);
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kConcurrent;
+    return std::make_unique<core::SessionStage>(std::move(factory), config,
+                                                "", nullptr);
 }
 
 core::VmFactory
@@ -296,11 +295,12 @@ TEST(StreamedSession, StoppedCrCannotBlockTheRecorder)
     // The CR stops at its first boundary; the recorder must still run to
     // completion and run() must return.
     stage->cr()->request_stop();
-    const core::SessionResult result = stage->run();
+    stage->run();
+    EXPECT_TRUE(stage->stopped());
+    const core::FrameworkResult result = stage->take_result();
     EXPECT_EQ(result.cr_outcome, rnr::ReplayOutcome::kStopRequested);
     EXPECT_EQ(result.record_result, hv::RunResult::kHalted);
-    EXPECT_TRUE(result.stopped);
-    const InputLog& log = stage->recorder()->log();
+    const InputLog& log = result.recorder->log();
     ASSERT_GT(log.size(), kLongLog);
     EXPECT_EQ(log.at(log.size() - 1).type, RecordType::kHalt);
     EXPECT_EQ(result.channel_stats.producer_waits, 0u);
@@ -326,18 +326,19 @@ TEST(StreamedSession, ThrowingAlarmSinkCannotBlockTheRecorder)
 TEST(StreamedSession, CrReadsTheRecorderLogInPlace)
 {
     auto stage = streamed_session(mysql(600));
-    const core::SessionResult result = stage->run();
+    stage->run();
+    EXPECT_FALSE(stage->stopped());
+    const core::FrameworkResult result = stage->take_result();
     EXPECT_EQ(result.cr_outcome, rnr::ReplayOutcome::kFinished);
-    const InputLog& log = stage->recorder()->log();
-    const InputLogSource& source = stage->cr()->source();
+    const InputLog& log = result.recorder->log();
+    const InputLogSource& source = result.cr->source();
     ASSERT_GT(log.size(), 0u);
     ASSERT_EQ(source.visible(), log.size());
     // One copy of the log: the CR's records are the recorder's records.
     for (std::size_t i = 0; i < log.size(); ++i)
         ASSERT_EQ(&source.at(i), &log.at(i)) << "index " << i;
-    EXPECT_EQ(stage->cr()->log_pos(), log.size());
-    EXPECT_EQ(stage->cr_vm()->state_hash(),
-              stage->recorded_vm()->state_hash());
+    EXPECT_EQ(result.cr->log_pos(), log.size());
+    EXPECT_EQ(result.cr_vm->state_hash(), result.recorded_vm->state_hash());
 }
 
 TEST(ArOverAGrowingLog, VerdictsMatchTheFinishedLog)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +37,15 @@ struct GoldenEntry {
     InstrCount icount = 0;
     std::uint64_t state_hash = 0;
 };
+
+/** gtest prints each parameter into its test's registered name; the row
+ *  name keeps that name the same in every build, where the default dump
+ *  of the struct's bytes would bake in heap pointers. */
+void
+PrintTo(const GoldenEntry& entry, std::ostream* os)
+{
+    *os << entry.name;
+}
 
 std::string
 golden_dir()
@@ -140,6 +150,13 @@ struct GoldenCkptEntry {
     std::size_t blocks = 0;
     std::uint64_t digest_hash = 0;
 };
+
+/** The row name, as for GoldenEntry. */
+void
+PrintTo(const GoldenCkptEntry& entry, std::ostream* os)
+{
+    *os << entry.name;
+}
 
 std::vector<GoldenCkptEntry>
 read_ckpt_manifest()

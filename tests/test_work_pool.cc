@@ -23,15 +23,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-PoolOptions
-options(std::size_t workers, std::size_t cap)
-{
-    PoolOptions opts;
-    opts.workers = workers;
-    opts.tenant_inflight_cap = cap;
-    return opts;
-}
-
 /** A job that blocks its worker until open() is called. */
 class Gate {
   public:
@@ -57,7 +48,7 @@ TEST(FairSharePool, TenantNeverRunsMoreThanItsCap)
     std::array<std::atomic<int>, 2> running{};
     std::array<std::atomic<int>, 2> peak{};
     {
-        FairSharePool pool(options(4, kCap));
+        FairSharePool pool(4, kCap);
         const std::size_t a = pool.register_tenant("a");
         const std::size_t b = pool.register_tenant("b");
         for (int i = 0; i < 12; ++i) {
@@ -85,7 +76,7 @@ TEST(FairSharePool, SecondTenantRunsBeforeTheFirstBacklogDrains)
 {
     // One worker, tenant "a" submits a backlog first, "b" one job after
     // it: round-robin serves b's job right after a's running one.
-    FairSharePool pool(options(1, 2));
+    FairSharePool pool(1, 2);
     const std::size_t a = pool.register_tenant("a");
     const std::size_t b = pool.register_tenant("b");
     std::mutex mu;
@@ -111,7 +102,7 @@ TEST(FairSharePool, SecondTenantRunsBeforeTheFirstBacklogDrains)
 TEST(FairSharePool, DrainRunsEverything)
 {
     std::atomic<int> ran{0};
-    FairSharePool pool(options(3, 2));
+    FairSharePool pool(3, 2);
     const std::size_t a = pool.register_tenant("a");
     const std::size_t b = pool.register_tenant("b");
     for (int i = 0; i < 50; ++i)
@@ -137,7 +128,7 @@ TEST(FairSharePool, DiscardKeepsTheBooks)
     // One worker, cap 1: a's first job runs behind a gate, everything
     // else is queued when discard() drops it.
     std::atomic<int> ran{0};
-    FairSharePool pool(options(1, 1));
+    FairSharePool pool(1, 1);
     const std::size_t a = pool.register_tenant("a");
     const std::size_t b = pool.register_tenant("b");
     Gate gate;
@@ -186,7 +177,7 @@ TEST(FairSharePool, DestructorDropsQueuedJobsWithoutRunningThem)
         auto opener = std::make_shared<Opener>();
         std::shared_future<void> dropped =
             opener->done.get_future().share();
-        FairSharePool pool(options(1, 1));
+        FairSharePool pool(1, 1);
         const std::size_t a = pool.register_tenant("a");
         std::promise<void> started;
         pool.submit(a, [&started, dropped] {
@@ -203,11 +194,11 @@ TEST(FairSharePool, DestructorDropsQueuedJobsWithoutRunningThem)
 
 TEST(FairSharePool, SubmitToAnUnregisteredTenantThrows)
 {
-    FairSharePool pool(options(1, 1));
+    FairSharePool pool(1, 1);
     EXPECT_THROW(pool.submit(0, [] {}), FatalError);
     pool.register_tenant("a");
     EXPECT_THROW(pool.submit(1, [] {}), FatalError);
-    EXPECT_THROW({ FairSharePool bad(options(1, 0)); }, FatalError);
+    EXPECT_THROW({ FairSharePool bad(1, 0); }, FatalError);
 }
 
 TEST(FairSharePool, MaxAdmittedCountsStartableJobs)
@@ -215,7 +206,7 @@ TEST(FairSharePool, MaxAdmittedCountsStartableJobs)
     // One worker, cap 2. With a's gated job running, a second job of a
     // is startable (one cap slot free), a third is not; b's job is.
     // When the gated job finishes, both of a's queued jobs are.
-    FairSharePool pool(options(1, 2));
+    FairSharePool pool(1, 2);
     const std::size_t a = pool.register_tenant("a");
     const std::size_t b = pool.register_tenant("b");
     Gate gate;
@@ -239,7 +230,7 @@ TEST(FairSharePool, DiscardWakesADrainAlreadyWaiting)
     // after the gate opens, sweeping that window. Whichever of the two
     // empties the books must wake drain(). A missed wakeup fails here by
     // name (and a fresh job unsticks the waiter) instead of hanging.
-    FairSharePool pool(options(1, 1));
+    FairSharePool pool(1, 1);
     const std::size_t a = pool.register_tenant("a");
     constexpr int kIterations = 200;
     for (int iter = 0; iter < kIterations; ++iter) {

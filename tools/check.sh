@@ -9,8 +9,11 @@
 #   tools/check.sh tsan       # ThreadSanitizer configuration only, then
 #                             # the one-log stream tests, the AR over a
 #                             # growing log, every ConcurrentPipeline and
-#                             # FleetShip test and the fleet
-#                             # Drain/Abandon/Tenants tests repeated
+#                             # FleetShip test, the fleet
+#                             # Drain/Abandon/Tenants tests and the
+#                             # health-plane tests (the monitor thread
+#                             # writes the flight recorder that AR
+#                             # workers also write) repeated
 #                             # until-fail:20 under TSan.
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
@@ -75,11 +78,12 @@ run_config() {
 run_tsan() {
     run_config build-tsan -DRSAFE_SANITIZE=thread
     # A race between the recorder appending and the CR or an AR worker
-    # reading the same log in place, or a lost wakeup, shows up as a rare
-    # flake: repeat the streaming, fleet and shutdown tests so a
-    # recurrence fails here.
+    # reading the same log in place, between the health monitor thread
+    # and an AR worker writing the flight recorder, or a lost wakeup,
+    # shows up as a rare flake: repeat the streaming, fleet, shutdown and
+    # health-plane tests so a recurrence fails here.
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip' \
+        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip|FleetHealth|FrameworkHealth|HealthMonitor' \
         --repeat until-fail:20
 }
 
