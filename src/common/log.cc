@@ -4,10 +4,6 @@
 
 namespace rsafe {
 
-namespace {
-bool g_trace_enabled = false;
-}  // namespace
-
 void
 panic(const std::string& msg)
 {
@@ -24,25 +20,6 @@ void
 warn(const std::string& msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-set_trace_enabled(bool enabled)
-{
-    g_trace_enabled = enabled;
-}
-
-bool
-trace_enabled()
-{
-    return g_trace_enabled;
-}
-
-void
-trace(const std::string& msg)
-{
-    if (g_trace_enabled)
-        std::fprintf(stderr, "trace: %s\n", msg.c_str());
 }
 
 }  // namespace rsafe

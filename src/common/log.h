@@ -38,15 +38,6 @@ class FatalError : public std::runtime_error {
 /** Emit a warning to stderr (does not stop the simulation). */
 void warn(const std::string& msg);
 
-/** Enable/disable verbose tracing to stderr (off by default). */
-void set_trace_enabled(bool enabled);
-
-/** @return whether verbose tracing is enabled. */
-bool trace_enabled();
-
-/** Emit a trace line to stderr if tracing is enabled. */
-void trace(const std::string& msg);
-
 namespace detail {
 
 inline void

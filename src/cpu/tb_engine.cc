@@ -195,7 +195,7 @@ run_alu(RegFile& regs, const AluSpec& a)
 TbEngine::TbEngine(mem::PhysMem* mem)
     : mem_(mem),
       table_(kLookupEntries),
-      page_tbs_(mem == nullptr ? 0 : mem->num_pages()),
+      translated_(mem == nullptr ? 0 : (mem->num_pages() + 63) / 64),
       block_len_(kMaxBlockInstrs, 16)
 {
     if (mem_ == nullptr)
@@ -236,8 +236,8 @@ TbEngine::translate(Addr pc)
     tb->pc = pc;
     tb->uops.reserve(16);
 
-    // Page budget: invalidation metadata holds two page slots, so a
-    // trace (which may cross pages via folded jumps) covers at most two.
+    // Page budget: a trace (which may cross pages via folded jumps)
+    // covers at most two pages, each marked translated below.
     Addr pages[2] = {0, 0};
     std::uint8_t num_pages = 0;
     const auto cover = [&](Addr page) {
@@ -457,11 +457,8 @@ TbEngine::translate(Addr pc)
             fill.h = dispatch_[static_cast<std::size_t>(fill.kind)];
     }
 
-    tb->num_pages = num_pages;
-    for (std::uint8_t i = 0; i < num_pages; ++i) {
-        tb->pages[i] = pages[i];
-        page_tbs_[pages[i]].push_back(tb);
-    }
+    for (std::uint8_t i = 0; i < num_pages; ++i)
+        translated_[pages[i] >> 6] |= std::uint64_t{1} << (pages[i] & 63);
     tb->valid = true;
 
     Slot& slot = table_[index_of(pc)];
@@ -474,62 +471,53 @@ TbEngine::translate(Addr pc)
     return tb;
 }
 
-void
+/**
+ * Out of line, like Cpu::retire_and_trap: run_tb calls this only on a
+ * chain miss, and inlining it there would change the dispatch loop's
+ * register allocation.
+ */
+[[gnu::noinline]] void
 TbEngine::chain(TransBlock* from, int slot, TransBlock* to)
 {
-    if (!from->valid || !to->valid)
-        return;
-    if (from->next[slot] == to)
-        return;
-    from->next[slot] = to;
-    to->incoming.emplace_back(from, slot);
+    // A block dropped while it ran (its own call pushed onto a
+    // translated page) must stay unchained.
+    if (from->valid)
+        from->next[slot] = to;
 }
 
 void
-TbEngine::invalidate(TransBlock* tb)
+TbEngine::drop_all()
 {
-    tb->valid = false;
-    ++stats_.invalidations;
-    // Sever chains INTO the block: no predecessor may jump to stale code.
-    // (Entries whose predecessor was itself invalidated are stale — the
-    // pointer identity check makes them harmless.)
-    for (const auto& [pred, slot] : tb->incoming) {
-        if (pred->next[slot] == tb)
-            pred->next[slot] = nullptr;
+    if (live_begin_ == blocks_.size())
+        return;
+    for (std::size_t i = live_begin_; i < blocks_.size(); ++i) {
+        TransBlock& tb = *blocks_[i];
+        tb.valid = false;
+        tb.next[kChainTaken] = nullptr;
+        tb.next[kChainFall] = nullptr;
     }
-    tb->incoming.clear();
-    tb->next[0] = nullptr;
-    tb->next[1] = nullptr;
-    Slot& slot = table_[index_of(tb->pc)];
-    if (slot.tb == tb)
-        slot = Slot{};
+    live_begin_ = blocks_.size();
+    std::fill(table_.begin(), table_.end(), Slot{});
+    std::fill(translated_.begin(), translated_.end(), 0);
+    ++stats_.flushes;
 }
 
 void
 TbEngine::on_code_page_touched(Addr page)
 {
-    if (page >= page_tbs_.size()) [[unlikely]]
-        return;
-    auto& list = page_tbs_[page];
-    if (list.empty()) [[likely]]
-        return;  // raw writes to data pages also land here: keep it cheap
-    for (TransBlock* tb : list) {
-        if (tb->valid)
-            invalidate(tb);
-    }
-    list.clear();
+    // Raw writes to data pages land here too: keep them to one test.
+    const std::size_t word = page >> 6;
+    if (word < translated_.size() &&
+        (translated_[word] >> (page & 63) & 1) != 0) [[unlikely]]
+        drop_all();
 }
 
 void
 TbEngine::flush()
 {
-    if (blocks_.empty())
-        return;
+    drop_all();
     blocks_.clear();
-    std::fill(table_.begin(), table_.end(), Slot{});
-    for (auto& list : page_tbs_)
-        list.clear();
-    ++stats_.flushes;
+    live_begin_ = 0;
 }
 
 /**
@@ -876,9 +864,10 @@ Cpu::run_tb(InstrCount budget)
             if (mem_->write(addr, 8, regs[u->alu1.rs2]) !=
                 mem::MemResult::kOk) [[unlikely]]
                 goto uop_bail;
-            // Mid-block write safety: the write may have hit this very
-            // block's code (the listener fired synchronously). Exit after
-            // the store and re-translate from fresh bytes.
+            // Mid-block write safety: a write to a translated page (the
+            // listener fired synchronously) dropped every block, this one
+            // included. Exit after the store and re-translate from fresh
+            // bytes.
             if (!tb->valid) [[unlikely]]
                 goto block_cut;
             NEXT();
@@ -1113,7 +1102,7 @@ Cpu::run_tb(InstrCount budget)
         continue;
 
       block_cut: {
-        // A store invalidated the containing block mid-flight. The store
+        // A store dropped the containing block mid-flight. The store
         // itself retired; resume at the following instruction from
         // freshly translated bytes.
         const InstrCount retired = u->icount_off + 1;

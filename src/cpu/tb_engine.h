@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/flat_addr_set.h"
@@ -46,12 +45,13 @@
  *    successor, so hot paths run TB→TB without another table probe,
  *  - dispatch is direct-threaded (computed goto) where the compiler
  *    supports it, with a portable switch fallback,
- *  - validity is maintained eagerly: the engine registers a
- *    mem::CodeWriteListener, and any code write to a covered page
- *    invalidates the block, severs every chain link into and out of it,
- *    and removes it from the lookup table. A store executed *inside* a
- *    block re-checks its own block's validity, so self-modifying code
- *    exits at the store and re-translates (mid-block write safety).
+ *  - one drop rule keeps the cache fresh: the engine registers a
+ *    mem::CodeWriteListener and keeps one "translated" bit per page, and
+ *    a code write to any translated page flushes the whole cache, as a
+ *    breakpoint-set change and the block cap do. A write to any other
+ *    page costs one bit test. A store executed *inside* a block
+ *    re-checks its own block's validity, so self-modifying code exits at
+ *    the store and re-translates (mid-block write safety).
  *
  * Determinism: a translated run retires exactly the same instruction
  * sequence, side effects, cycle charges (one per instruction) and RAS
@@ -213,13 +213,9 @@ enum : int {
 struct TransBlock {
     Addr pc = 0;                   ///< guest PC of the first instruction
     std::uint32_t len = 0;         ///< guest instructions retired when run
-    bool valid = false;
-    std::uint8_t num_pages = 1;    ///< pages covered (1 or 2)
-    Addr pages[2] = {0, 0};        ///< covered page numbers
+    bool valid = false;            ///< false once a flush dropped it
     std::vector<Uop> uops;
     TransBlock* next[2] = {nullptr, nullptr};  ///< chained successors
-    /** Blocks whose next[slot] points at this block (for unchaining). */
-    std::vector<std::pair<TransBlock*, int>> incoming;
 };
 
 /** Engine-internal event counters (not part of the determinism gate). */
@@ -227,14 +223,18 @@ struct TbEngineStats {
     std::uint64_t translated = 0;     ///< blocks translated
     std::uint64_t chain_hits = 0;     ///< TB→TB transitions via a chain
     std::uint64_t chain_misses = 0;   ///< direct exits that needed a lookup
-    std::uint64_t invalidations = 0;  ///< blocks invalidated by code writes
     std::uint64_t flushes = 0;        ///< whole-cache flushes
     std::uint64_t exec_blocks = 0;    ///< whole blocks executed
 };
 
 /**
  * The translation cache: block storage, direct-mapped PC lookup,
- * chaining bookkeeping, and write-driven invalidation.
+ * chaining, and the flush that drops every block.
+ *
+ * A flush drops the blocks at once: they leave the lookup table and
+ * every chain, and read !valid. A flush from a code write can land
+ * while run_tb is inside a block, so the dropped blocks stay allocated,
+ * counted against kMaxBlocks, until flush() frees them at a safe point.
  *
  * Execution itself lives in Cpu::run_tb (tb_engine.cc), which needs the
  * CPU's register file; the engine owns everything with a lifetime.
@@ -245,7 +245,7 @@ class TbEngine : public mem::CodeWriteListener {
     static constexpr std::uint32_t kMaxBlockInstrs = 128;
     /** Direct-mapped lookup table entries (power of two). */
     static constexpr std::size_t kLookupEntries = 8192;
-    /** Translated blocks retained before a full flush. */
+    /** Blocks retained, live or dropped, before a full flush. */
     static constexpr std::size_t kMaxBlocks = 16384;
 
     explicit TbEngine(mem::PhysMem* mem);
@@ -278,7 +278,8 @@ class TbEngine : public mem::CodeWriteListener {
     bool should_flush() const { return blocks_.size() >= kMaxBlocks; }
 
     /**
-     * Drop every translated block. Callers must hold no TransBlock
+     * Drop every translated block and free it, with the blocks an
+     * earlier code write dropped. Callers must hold no TransBlock
      * pointers across this call.
      */
     void flush();
@@ -301,7 +302,10 @@ class TbEngine : public mem::CodeWriteListener {
     /** @return true when @p pc carries a breakpoint (synced view). */
     bool is_breakpoint(Addr pc) const { return bp_pcs_.contains(pc); }
 
-    // mem::CodeWriteListener: eager invalidate + unchain on code writes.
+    /**
+     * mem::CodeWriteListener: a write to a translated page drops every
+     * block (see drop_all()); any other page costs one bit test.
+     */
     void on_code_page_touched(Addr page) override;
 
     const TbEngineStats& stats() const { return stats_; }
@@ -328,14 +332,21 @@ class TbEngine : public mem::CodeWriteListener {
         return (pc / kInstrBytes) & (kLookupEntries - 1);
     }
 
-    void invalidate(TransBlock* tb);
+    /**
+     * Mark every live block invalid, unchain it and empty the lookup
+     * table and the translated set, without freeing anything: safe
+     * while run_tb holds block pointers.
+     */
+    void drop_all();
     void adopt_breakpoints(const BreakpointSet& bps);
 
     mem::PhysMem* mem_;
+    /** Every allocated block: [0, live_begin_) dropped, the rest live. */
     std::vector<std::unique_ptr<TransBlock>> blocks_;
     std::vector<Slot> table_;
-    /** Valid blocks covering each page (invalid entries are skipped). */
-    std::vector<std::vector<TransBlock*>> page_tbs_;
+    /** One bit per guest page: set while a live block covers it. */
+    std::vector<std::uint64_t> translated_;
+    std::size_t live_begin_ = 0;
     TbEngineStats stats_;
     stats::Histogram block_len_;
     /** Snapshot of the CPU's PC breakpoints (sync_breakpoints): the

@@ -79,9 +79,7 @@ finalize_result(core::FrameworkResult* result,
     // The lag time series rides in a gauge: gauges (like histograms) are
     // excluded from snapshot(), so the scheduling-dependent series never
     // perturbs the bit-for-bit pipeline determinism comparison.
-    auto& lag_gauge = stats.gauge("cr.replay_lag");
-    for (const auto& sample : result->replay_lag.series())
-        lag_gauge.set(sample.icount, sample.lag);
+    stats.gauge("cr.replay_lag").merge(result->replay_lag.series);
 
     // Translation-block engine telemetry, per pipeline stage. These also
     // ride in gauges/histograms: a TB-off A/B run must produce an
@@ -94,7 +92,6 @@ finalize_result(core::FrameworkResult* result,
         stats.gauge(prefix + ".translated").set(0, s.translated);
         stats.gauge(prefix + ".chain_hits").set(0, s.chain_hits);
         stats.gauge(prefix + ".chain_misses").set(0, s.chain_misses);
-        stats.gauge(prefix + ".invalidations").set(0, s.invalidations);
         stats.gauge(prefix + ".flushes").set(0, s.flushes);
         stats.gauge(prefix + ".exec_blocks").set(0, s.exec_blocks);
         auto& hist = stats.histogram(prefix + ".block_len",

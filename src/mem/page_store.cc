@@ -1,6 +1,5 @@
 #include "mem/page_store.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -9,26 +8,13 @@
 
 namespace rsafe::mem {
 
-namespace {
-
-std::uint64_t
-next_store_id()
-{
-    // Atomic: the framework's alarm-replayer worker pool builds VMs (and
-    // thus stores) from several threads at once.
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 PageStore::PageStore(std::size_t num_slots)
-    : bytes_(num_slots * kPageSize), id_(next_store_id())
+    : bytes_(num_slots * kPageSize)
 {
     if (num_slots == 0)
         fatal("PageStore: zero slots");
     dirty_bits_.assign((num_slots + 63) / 64, 0);
-    slot_epoch_.assign(num_slots, 0);
+    touched_bits_.assign(dirty_bits_.size(), 0);
 }
 
 const std::uint8_t*
@@ -69,7 +55,6 @@ PageStore::clear_dirty()
     std::memset(dirty_bits_.data(), 0,
                 dirty_bits_.size() * sizeof(std::uint64_t));
     dirty_count_ = 0;
-    ++epoch_;
 }
 
 std::uint64_t

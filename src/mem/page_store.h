@@ -20,18 +20,15 @@
  *    large store is O(1);
  *  - a dirty bitmap (one bit per slot) with a cached count, which the
  *    checkpoint store reads to copy only what changed;
- *  - a store epoch that clear_dirty() advances, and per slot the last
- *    epoch it was dirtied in, which lets checkpoint restore rewrite only
- *    the slots that changed since the checkpoint was taken from this
- *    same store (id());
- *  - every writer marks its slot dirty, which stamps an epoch >= 1, so a
- *    slot whose epoch is still 0 was never written and is all zeros:
- *    untouched() lets checkpoints and content_hash() skip it unread.
+ *  - every writer marks its slot dirty, which also sets the slot's
+ *    touched bit. clear_dirty() never clears it, so a slot without one
+ *    was never written and is all zeros: untouched() lets checkpoints,
+ *    restore and content_hash() skip it unread.
  */
 
 namespace rsafe::mem {
 
-/** Fixed-size array of kPageSize slots with dirty and epoch tracking. */
+/** Fixed-size array of kPageSize slots with dirty and touched tracking. */
 class PageStore {
   public:
     /** Create @p num_slots zero-filled slots; fatal if zero. */
@@ -70,7 +67,7 @@ class PageStore {
         if ((word & bit) == 0) {
             word |= bit;
             ++dirty_count_;
-            slot_epoch_[i] = epoch_;
+            touched_bits_[i >> 6] |= bit;
         }
     }
 
@@ -80,24 +77,14 @@ class PageStore {
     /** @return number of dirty slots (O(1)). */
     std::size_t dirty_count() const { return dirty_count_; }
 
-    /** Forget dirty state (checkpoint interval boundary); bumps epoch(). */
+    /** Forget dirty state (checkpoint interval boundary). */
     void clear_dirty();
 
-    /**
-     * Delta-restore machinery. id() is unique to this store in the
-     * process; epoch() counts clear_dirty() calls; epoch_of(i) is the
-     * last epoch slot @p i was dirtied in. A slot is unchanged since a
-     * checkpoint taken from this same store at epoch E iff
-     * epoch_of(i) < E.
-     * @{
-     */
-    std::uint64_t id() const { return id_; }
-    std::uint64_t epoch() const { return epoch_; }
-    std::uint64_t epoch_of(std::uint64_t i) const { return slot_epoch_[i]; }
-    /** @} */
-
     /** @return true if nothing ever wrote slot @p i, so it is all zeros. */
-    bool untouched(std::uint64_t i) const { return slot_epoch_[i] == 0; }
+    bool untouched(std::uint64_t i) const
+    {
+        return (touched_bits_[i >> 6] >> (i & 63) & 1) == 0;
+    }
 
     /**
      * FNV-1a hash over every byte; the determinism test oracle.
@@ -109,9 +96,7 @@ class PageStore {
     ZeroedBuffer bytes_;
     std::vector<std::uint64_t> dirty_bits_;  ///< one bit per slot
     std::size_t dirty_count_ = 0;
-    std::vector<std::uint64_t> slot_epoch_;  ///< last dirtying epoch
-    std::uint64_t epoch_ = 1;
-    std::uint64_t id_;
+    std::vector<std::uint64_t> touched_bits_;  ///< one bit per slot
 };
 
 }  // namespace rsafe::mem

@@ -20,7 +20,7 @@
  * per-page dirty tracking that the checkpointing replayer's incremental
  * copy-on-write checkpoints are built from (Section 4.6.1).
  *
- * The bytes, the dirty bitmap, the epochs and the content hash are a
+ * The bytes, the dirty and touched bitmaps and the content hash are a
  * PageStore (page_store.h), the same store the virtual disk is. PhysMem
  * adds what only RAM has: per-page permissions, and the code-write
  * listeners that every content-changing operation on a page that is (or
@@ -143,10 +143,10 @@ class PhysMem {
     void load_image(const isa::Image& image);
 
     /**
-     * The page store holding RAM's bytes, dirty pages and epochs (one
-     * slot per page). Writing through it bypasses the code-write
-     * listeners: a writer that may change code calls notify_code_write()
-     * for each page it rewrote.
+     * The page store holding RAM's bytes and dirty pages (one slot per
+     * page). Writing through it bypasses the code-write listeners: a
+     * writer that may change code calls notify_code_write() for each
+     * page it rewrote.
      * @{
      */
     PageStore& store() { return store_; }

@@ -1,6 +1,5 @@
 #include "replay/checkpoint.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/log.h"
@@ -49,7 +48,7 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
     const auto live = live_stores(vm);
     for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
         mem::PageStore& store = *live[s];
-        StoreSnapshot& snap = ck->stores[s];
+        ckpt::StoredPageTable& slots = ck->stores[s];
         if (!prev) {
             // First checkpoint: every slot. One the guest never wrote is
             // all zeros: all of those take the pool's zero page in one
@@ -60,14 +59,14 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
             std::uint64_t zeros = 0;
             for (std::uint64_t i = 0; i < n; ++i)
                 zeros += store.untouched(i) ? 1 : 0;
-            snap.slots = ckpt::StoredPageTable(
+            slots = ckpt::StoredPageTable(
                 n, zeros != 0 ? pool_.intern_zeros(zeros) : nullptr);
             for (std::uint64_t i = 0; i < n; ++i) {
                 if (store.untouched(i))
                     continue;
                 ckpt::StoredPageRef ref = pool_.intern(store.slot(i));
-                if (snap.slots.at(i) != ref)
-                    snap.slots.set(i, std::move(ref));
+                if (slots.at(i) != ref)
+                    slots.set(i, std::move(ref));
             }
             ck->copies += n;
         } else {
@@ -75,14 +74,12 @@ CheckpointStore::take(hv::Vm& vm, const hv::VmEnvBase& env,
             // checkpoint and copy only what was dirtied in this interval.
             // Assigning a table shares its chunks, so this is O(dirty),
             // not O(all slots).
-            snap.slots = prev->stores[s].slots;
+            slots = prev->stores[s];
             for (const std::uint64_t i : store.dirty_slots())
-                snap.slots.set(i, pool_.intern(store.slot(i)));
+                slots.set(i, pool_.intern(store.slot(i)));
             ck->copies += store.dirty_count();
         }
         store.clear_dirty();
-        snap.source_id = store.id();
-        snap.epoch = store.epoch();
     }
 
     auto& cpu = vm.cpu();
@@ -152,19 +149,6 @@ CheckpointStore::latest() const
 }
 
 std::shared_ptr<const Checkpoint>
-CheckpointStore::latest_at_or_before(InstrCount icount) const
-{
-    const auto it = std::upper_bound(
-        checkpoints_.begin(), checkpoints_.end(), icount,
-        [](InstrCount value, const std::shared_ptr<const Checkpoint>& ck) {
-            return value < ck->icount;
-        });
-    if (it == checkpoints_.begin())
-        return nullptr;
-    return *(it - 1);
-}
-
-std::shared_ptr<const Checkpoint>
 CheckpointStore::at(std::size_t i) const
 {
     if (i >= checkpoints_.size())
@@ -178,11 +162,11 @@ geometry_mismatch(const Checkpoint& checkpoint, const hv::Vm& vm)
     const std::uint64_t slots[ckpt::kNumStores] = {
         vm.mem().num_pages(), vm.hub().disk().num_slots()};
     for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
-        if (checkpoint.stores[s].slots.size() != slots[s])
+        if (checkpoint.stores[s].size() != slots[s])
             return strcat_args(
                 "checkpoint geometry ",
-                checkpoint.stores[ckpt::kRamStore].slots.size(), "+",
-                checkpoint.stores[ckpt::kDiskStore].slots.size(),
+                checkpoint.stores[ckpt::kRamStore].size(), "+",
+                checkpoint.stores[ckpt::kDiskStore].size(),
                 " pages+blocks, VM geometry ", slots[ckpt::kRamStore], "+",
                 slots[ckpt::kDiskStore]);
     }
@@ -199,21 +183,13 @@ restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
         fatal("restore_checkpoint: " + why);
     const auto live = live_stores(*vm);
     for (std::size_t s = 0; s < ckpt::kNumStores; ++s) {
-        const StoreSnapshot& snap = checkpoint.stores[s];
+        const ckpt::StoredPageTable& slots = checkpoint.stores[s];
         mem::PageStore& store = *live[s];
-        // When rolling back the store the checkpoint was taken from, a
-        // slot can only differ from the checkpointed copy if it was
-        // dirtied in this or a later epoch; everything older is
-        // untouched and need not be rewritten (or, in RAM, have its
-        // translations invalidated). Likewise a zero slot over a slot
-        // nothing ever wrote: it already holds zeros, so an AR's fresh
-        // VM decodes only non-zero pages. A null slot only occurs in a
-        // hand-built partial image.
-        const bool delta = snap.source_id == store.id();
-        for (std::uint64_t i = 0; i < snap.slots.size(); ++i) {
-            if (delta && store.epoch_of(i) < snap.epoch)
-                continue;
-            const auto& ref = snap.slots.at(i);
+        // A zero slot over a slot nothing ever wrote already holds
+        // zeros, so an AR's fresh VM decodes only non-zero pages. A null
+        // slot only occurs in a hand-built partial image.
+        for (std::uint64_t i = 0; i < slots.size(); ++i) {
+            const auto& ref = slots.at(i);
             if (!ref || (ref->is_zero() && store.untouched(i)))
                 continue;
             // Decode in place: compressed and raw pages restore the same
@@ -305,7 +281,7 @@ digest_of(const Checkpoint& checkpoint)
     std::uint64_t* const store_hash[ckpt::kNumStores] = {&digest.pages_hash,
                                                          &digest.blocks_hash};
     for (std::size_t s = 0; s < ckpt::kNumStores; ++s)
-        *store_hash[s] = hash_page_table(checkpoint.stores[s].slots);
+        *store_hash[s] = hash_page_table(checkpoint.stores[s]);
 
     std::uint64_t ras = wire::kFnvOffset;
     ras = hash_saved_ras(checkpoint.ras, ras);

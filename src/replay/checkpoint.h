@@ -34,14 +34,12 @@
  * page only when no later checkpoint still references it.
  *
  * RAM and disk are both mem::PageStores, and a checkpoint holds one
- * StoreSnapshot per store, RAM pages first: take, restore, digest and
- * shipping walk the two in one loop. A snapshot's slot table is a
- * persistent chunked array shared between consecutive checkpoints — so
- * taking an incremental checkpoint costs O(dirty slots), not O(all
- * slots). It also records the identity and dirty epoch of the store it
- * was taken from, letting restore_checkpoint() rewrite only the slots
- * that have actually changed since the checkpoint when rolling the same
- * VM back.
+ * slot table per store, RAM pages first: take, restore, digest and
+ * shipping walk the two in one loop. A slot table is a persistent
+ * chunked array shared between consecutive checkpoints — so taking an
+ * incremental checkpoint costs O(dirty slots), not O(all slots).
+ * Restore has one rule for every target VM: rewrite each slot except a
+ * zero page over a slot nothing ever wrote.
  *
  * Page contents live in a content-hash dedup pool (ckpt_store/) that
  * RLE-compresses them, so the chain's stored footprint is a fraction of
@@ -55,30 +53,15 @@
 
 namespace rsafe::replay {
 
-/** One page store's part of a checkpoint. */
-struct StoreSnapshot {
-    /** Indexed by slot (page or block number); incrementally shared
-     *  and content-deduped. */
-    ckpt::StoredPageTable slots;
-    /**
-     * The source store's id() and epoch() at take time. Restoring into
-     * that same store, slots whose epoch_of() is still below epoch are
-     * untouched since this checkpoint and need not be rewritten. Both
-     * stay 0 in a decoded image, which matches no live store.
-     * @{
-     */
-    std::uint64_t source_id = 0;
-    std::uint64_t epoch = 0;
-    /** @} */
-};
-
 /** One checkpoint. */
 struct Checkpoint {
     std::uint64_t id = 0;
 
-    // (1) Full VM state: RAM pages and disk blocks (indexed by
-    // ckpt::kRamStore, ckpt::kDiskStore), the CPU and the block device.
-    std::array<StoreSnapshot, ckpt::kNumStores> stores;
+    // (1) Full VM state: RAM pages and disk blocks, one slot table per
+    // store (indexed by ckpt::kRamStore, ckpt::kDiskStore; slots are
+    // incrementally shared and content-deduped), the CPU and the block
+    // device.
+    std::array<ckpt::StoredPageTable, ckpt::kNumStores> stores;
     cpu::CpuState cpu_state;
     Cycles cycles = 0;
     InstrCount icount = 0;
@@ -105,8 +88,7 @@ struct Checkpoint {
  * instant of the same execution (cross-pipeline determinism audits,
  * golden-corpus compatibility gates).
  *
- * Only run-deterministic fields participate: the stores' process-local
- * identities and dirty epochs are excluded so digests compare equal
+ * Only run-deterministic fields participate, so digests compare equal
  * across processes.
  */
 struct CheckpointDigest {
@@ -186,13 +168,6 @@ class CheckpointStore {
     /** @return the most recent checkpoint, or nullptr. */
     std::shared_ptr<const Checkpoint> latest() const;
 
-    /**
-     * @return the latest checkpoint with icount <= @p icount, or null.
-     * Checkpoints are taken in icount order, so this is a binary search.
-     */
-    std::shared_ptr<const Checkpoint> latest_at_or_before(
-        InstrCount icount) const;
-
     /** @return number of retained checkpoints. */
     std::size_t size() const { return checkpoints_.size(); }
 
@@ -239,12 +214,12 @@ std::string geometry_mismatch(const Checkpoint& checkpoint,
  * mismatch is fatal, so a caller holding a checkpoint from elsewhere
  * checks geometry_mismatch() first.
  *
- * A slot is rewritten unless it provably already holds the checkpointed
- * content: the store is the one the checkpoint was taken from and the
- * slot was not dirtied since, or the checkpoint holds the zero page and
- * nothing ever wrote the slot. Each rewritten slot's stored page decodes
- * straight into the store's bytes; a rewritten RAM page also notifies
- * the code-write listeners.
+ * Every slot is rewritten except a zero page over a slot nothing ever
+ * wrote (mem::PageStore::untouched()), which already holds zeros. Each
+ * rewritten slot's stored page decodes straight into the store's
+ * bytes; a rewritten RAM page also notifies the code-write listeners.
+ * Both stores' dirty sets are cleared, so a later take or rollback
+ * finds in them exactly what ran after the restore.
  */
 void restore_checkpoint(const Checkpoint& checkpoint, hv::Vm* vm,
                         hv::VmEnvBase* env);

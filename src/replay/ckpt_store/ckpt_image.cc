@@ -479,9 +479,9 @@ diff_checkpoint(const Checkpoint* base, const Checkpoint& checkpoint,
     const StoredPageTable none;
     std::uint64_t first = 0;
     for (std::size_t s = 0; s < kNumStores; ++s) {
-        const StoredPageTable& table = checkpoint.stores[s].slots;
+        const StoredPageTable& table = checkpoint.stores[s];
         table.for_each_change(
-            base != nullptr ? base->stores[s].slots : none,
+            base != nullptr ? base->stores[s] : none,
             [&](std::uint64_t i, const StoredPageRef& ref) {
                 add(first + i, ref);
             });

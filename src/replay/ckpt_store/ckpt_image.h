@@ -50,12 +50,6 @@
  * each distinct page carried once and no retired keys. Shared content is
  * stored once however many slots name it.
  *
- * Process-local fields (each store snapshot's source id and dirty epoch)
- * are excluded: a deserialized checkpoint's source ids are 0, which no
- * live store has, so restore_checkpoint() rewrites every slot except
- * zero pages over never-written target slots — exactly right for a
- * checkpoint arriving from elsewhere.
- *
  * deserialize_delta() checks everything one image can check on its own
  * (counts, order, slot range, RLE, each carried page's CRC) and is
  * strict and abort-free: truncation, bit-flips, lying counts or lengths

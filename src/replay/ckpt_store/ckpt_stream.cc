@@ -133,7 +133,7 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
     // from fresh tables: a slot no run names would be left unspecified.
     bool fresh = !last_;
     for (std::size_t s = 0; s < kNumStores && !fresh; ++s)
-        fresh = last_->stores[s].slots.size() != delta.geometry[s];
+        fresh = last_->stores[s].size() != delta.geometry[s];
     if (fresh) {
         std::uint64_t named = 0;
         for (const DeltaRun& run : delta.runs)
@@ -167,10 +167,10 @@ CheckpointStreamReceiver::ingest(const std::vector<std::uint8_t>& image,
     // every run that falls in its [first, first + size) range.
     std::uint64_t first = 0;
     for (std::size_t s = 0; s < kNumStores; ++s) {
-        StoredPageTable& table = ck->stores[s].slots;
+        StoredPageTable& table = ck->stores[s];
         // Share the base's chunks; set() clones only those it touches.
         table = fresh ? StoredPageTable(delta.geometry[s], zero)
-                      : last_->stores[s].slots;
+                      : last_->stores[s];
         const std::uint64_t end = first + table.size();
         for (const DeltaRun& run : delta.runs) {
             const std::uint64_t lo =

@@ -9,6 +9,7 @@
 #include "obs/health_probe.h"
 #include "rnr/log_io.h"
 #include "rnr/log_source.h"
+#include "stats/stats.h"
 
 /**
  * @file
@@ -71,18 +72,12 @@ enum class ReplayOutcome {
  * lag is simply the distance to the end of the recording.
  */
 struct ReplayLag {
-    /** One retained lag observation. */
-    struct Sample {
-        InstrCount icount = 0;  ///< replayer's icount when sampled
-        InstrCount lag = 0;     ///< instructions behind the producer
-    };
-
-    /** Ring bound: the series keeps the newest kRingCapacity samples. */
-    static constexpr std::size_t kRingCapacity = 256;
-
     InstrCount max_lag = 0;
     std::uint64_t sum_lag = 0;
     std::uint64_t samples = 0;
+    /** The newest Gauge::kDefaultCapacity observations, oldest first:
+     *  t is the replayer's icount, value the lag. */
+    stats::Gauge series;
 
     double mean() const
     {
@@ -91,38 +86,15 @@ struct ReplayLag {
         return static_cast<double>(sum_lag) / static_cast<double>(samples);
     }
 
-    /** Fold one observation into max/mean and the bounded ring. */
+    /** Fold one observation into max/mean and the series. */
     void record(InstrCount icount, InstrCount lag)
     {
         if (lag > max_lag)
             max_lag = lag;
         sum_lag += lag;
         ++samples;
-        if (ring_.size() < kRingCapacity) {
-            ring_.push_back(Sample{icount, lag});
-        } else {
-            ring_[ring_next_] = Sample{icount, lag};
-            ring_next_ = (ring_next_ + 1) % kRingCapacity;
-            ring_wrapped_ = true;
-        }
+        series.set(icount, lag);
     }
-
-    /** @return the retained samples, oldest first. */
-    std::vector<Sample> series() const
-    {
-        if (!ring_wrapped_)
-            return ring_;
-        std::vector<Sample> out;
-        out.reserve(ring_.size());
-        for (std::size_t i = 0; i < ring_.size(); ++i)
-            out.push_back(ring_[(ring_next_ + i) % ring_.size()]);
-        return out;
-    }
-
-  private:
-    std::vector<Sample> ring_;
-    std::size_t ring_next_ = 0;
-    bool ring_wrapped_ = false;
 };
 
 /** Per-category replay cycle attribution (feeds Figure 7b). */

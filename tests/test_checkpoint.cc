@@ -46,8 +46,8 @@ TEST(CheckpointStore, FirstCheckpointIsFullCopy)
     rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
     replay::CheckpointStore store(4);
     auto ck = store.take(*vm, env, 0);
-    const auto& pages = ck->stores[replay::ckpt::kRamStore].slots;
-    const auto& blocks = ck->stores[replay::ckpt::kDiskStore].slots;
+    const auto& pages = ck->stores[replay::ckpt::kRamStore];
+    const auto& blocks = ck->stores[replay::ckpt::kDiskStore];
     EXPECT_EQ(pages.size(), vm->mem().num_pages());
     EXPECT_EQ(blocks.size(), vm->hub().disk().num_slots());
     EXPECT_EQ(ck->copies,
@@ -69,8 +69,8 @@ TEST(CheckpointStore, IncrementalCheckpointsCopyOnlyDirty)
     auto second = store.take(*vm, env, 1);
     EXPECT_EQ(second->copies, 2u);
     // Unmodified pages are shared by reference with the previous one.
-    const auto& before = first->stores[replay::ckpt::kRamStore].slots;
-    const auto& after = second->stores[replay::ckpt::kRamStore].slots;
+    const auto& before = first->stores[replay::ckpt::kRamStore];
+    const auto& after = second->stores[replay::ckpt::kRamStore];
     EXPECT_EQ(after.at(0), before.at(0));
     EXPECT_NE(after.at(0x100000 / kPageSize),
               before.at(0x100000 / kPageSize));
@@ -89,66 +89,6 @@ TEST(CheckpointStore, RecyclingKeepsAtMostMax)
     // The survivors are the newest ones.
     EXPECT_EQ(store.at(2)->log_pos, 9u);
     EXPECT_EQ(store.latest()->log_pos, 9u);
-}
-
-TEST(CheckpointStore, LatestAtOrBefore)
-{
-    // A trap-free profile: we drive the CPU directly against an empty
-    // log, so nothing may need injection in the first few thousand
-    // instructions.
-    auto profile = small_profile("radiosity");
-    profile.rdtsc_prob = 0.0;
-    auto vm = workloads::make_vm(profile);
-    rnr::InputLog empty_log;
-    rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
-    replay::CheckpointStore store(0);  // unlimited
-    // Advance the machine so the checkpoint sits at a nonzero icount.
-    vm->cpu().run(~static_cast<Cycles>(0), 1000);
-    auto a = store.take(*vm, env, 0);
-    ASSERT_GT(a->icount, 0u);
-    EXPECT_EQ(store.latest_at_or_before(a->icount), a);
-    EXPECT_EQ(store.latest_at_or_before(a->icount + 5), a);
-    EXPECT_EQ(store.latest_at_or_before(a->icount - 1), nullptr);
-}
-
-TEST(CheckpointStore, LatestAtOrBeforeBinarySearchBoundaries)
-{
-    // The store keeps checkpoints sorted by icount and answers
-    // latest_at_or_before with a binary search; exercise every boundary:
-    // empty store, before the first, exact hits, between neighbors, and
-    // after the last.
-    auto profile = small_profile("radiosity");
-    profile.rdtsc_prob = 0.0;
-    auto vm = workloads::make_vm(profile);
-    rnr::InputLog empty_log;
-    rnr::Replayer env(vm.get(), &empty_log, 0, rnr::ReplayOptions{});
-    replay::CheckpointStore store(0);  // unlimited
-
-    EXPECT_EQ(store.latest_at_or_before(0), nullptr);
-    EXPECT_EQ(store.latest_at_or_before(~static_cast<InstrCount>(0)),
-              nullptr);
-
-    std::vector<std::shared_ptr<const replay::Checkpoint>> cks;
-    for (int i = 0; i < 5; ++i) {
-        vm->cpu().run(~static_cast<Cycles>(0), vm->cpu().icount() + 500);
-        cks.push_back(store.take(*vm, env, i));
-    }
-    for (std::size_t i = 1; i < cks.size(); ++i)
-        ASSERT_GT(cks[i]->icount, cks[i - 1]->icount);
-
-    // Before the first checkpoint: nothing usable.
-    EXPECT_EQ(store.latest_at_or_before(cks.front()->icount - 1), nullptr);
-    EXPECT_EQ(store.latest_at_or_before(0), nullptr);
-    // Exact hit on every checkpoint, including both ends.
-    for (const auto& ck : cks)
-        EXPECT_EQ(store.latest_at_or_before(ck->icount), ck);
-    // Between two neighbors the earlier one wins.
-    for (std::size_t i = 0; i + 1 < cks.size(); ++i)
-        EXPECT_EQ(store.latest_at_or_before(cks[i + 1]->icount - 1), cks[i]);
-    // Far past the last checkpoint: the last one.
-    EXPECT_EQ(store.latest_at_or_before(cks.back()->icount + 1), cks.back());
-    EXPECT_EQ(store.latest_at_or_before(~static_cast<InstrCount>(0)),
-              cks.back());
 }
 
 TEST(CheckpointRestore, RoundTripsFullMachineState)

@@ -286,7 +286,7 @@ TEST(CheckpointStore, InitialTakeMatchesInterningEveryPage)
                                                     &vm.hub().disk()};
     for (std::size_t s = 0; s < kNumStores; ++s)
         for (std::uint64_t i = 0; i < live[s]->num_slots(); ++i)
-            reference.stores[s].slots.set(i, pool.intern(live[s]->slot(i)));
+            reference.stores[s].set(i, pool.intern(live[s]->slot(i)));
 
     const auto got = store.stats();
     const auto want = pool.stats();
@@ -314,10 +314,10 @@ TEST(CheckpointStore, PageWrittenBackToZeroSharesTheZeroPage)
     mem.write_raw(last * kPageSize, 8, 0);
     const auto third = store.take(*booted.vm, *booted.env, 2);
 
-    const auto& pages = third->stores[kRamStore].slots;
-    EXPECT_NE(second->stores[kRamStore].slots.at(last),
-              first->stores[kRamStore].slots.at(last));
-    EXPECT_EQ(pages.at(last), first->stores[kRamStore].slots.at(last));
+    const auto& pages = third->stores[kRamStore];
+    EXPECT_NE(second->stores[kRamStore].at(last),
+              first->stores[kRamStore].at(last));
+    EXPECT_EQ(pages.at(last), first->stores[kRamStore].at(last));
     EXPECT_EQ(pages.at(last), pages.at(0))
         << "the null page is untouched too: one zero page for both";
 }
@@ -341,28 +341,37 @@ TEST(CheckpointRestore, FreshVmRewritesOnlyNonZeroSlots)
 
     replay::CheckpointStore store(0);
     const auto ck = store.take(*src.vm, *src.env, 0);
-    ASSERT_TRUE(ck->stores[kRamStore].slots.at(booted_page)->is_zero());
+    ASSERT_TRUE(ck->stores[kRamStore].at(booted_page)->is_zero());
 
     BootedVm dst(factory());
-    const mem::PageStore* const live[kNumStores] = {
-        &dst.vm->mem().store(), &dst.vm->hub().disk()};
+    mem::PageStore* const live[kNumStores] = {&dst.vm->mem().store(),
+                                              &dst.vm->hub().disk()};
+    // Scribble over every slot the fresh VM's boot wrote, so the slot
+    // contents after the restore show that it rewrote them.
     std::vector<bool> untouched[kNumStores];
-    std::uint64_t epoch[kNumStores];
     for (std::size_t s = 0; s < kNumStores; ++s) {
-        for (std::uint64_t i = 0; i < live[s]->num_slots(); ++i)
+        for (std::uint64_t i = 0; i < live[s]->num_slots(); ++i) {
             untouched[s].push_back(live[s]->untouched(i));
-        epoch[s] = live[s]->epoch();
+            if (!untouched[s][i])
+                std::memset(live[s]->overwrite(i), 0xee, kPageSize);
+        }
     }
     ASSERT_FALSE(untouched[kRamStore][booted_page]);
     replay::restore_checkpoint(*ck, dst.vm.get(), dst.env.get());
 
-    // Restore stamps every slot it rewrites with the current epoch.
+    // Every slot holds the checkpointed bytes, and only the skipped ones
+    // (zero pages over slots nothing wrote) are still untouched.
     std::size_t rewritten[kNumStores] = {};
+    std::vector<std::uint8_t> want(kPageSize);
     for (std::size_t s = 0; s < kNumStores; ++s) {
-        const auto& slots = ck->stores[s].slots;
+        const auto& slots = ck->stores[s];
         for (std::uint64_t i = 0; i < slots.size(); ++i) {
             const bool skip = slots.at(i)->is_zero() && untouched[s][i];
-            EXPECT_EQ(live[s]->epoch_of(i) == epoch[s], !skip)
+            EXPECT_EQ(live[s]->untouched(i), skip)
+                << "store " << s << " slot " << i;
+            slots.at(i)->copy_to(want.data());
+            EXPECT_EQ(std::memcmp(live[s]->slot(i), want.data(), kPageSize),
+                      0)
                 << "store " << s << " slot " << i;
             rewritten[s] += skip ? 0 : 1;
         }
@@ -393,18 +402,24 @@ TEST(CheckpointRestore, RewrittenRamPagesNotifyCodeListeners)
 
     BootedVm dst(factory());
     const mem::PageStore& ram = dst.vm->mem().store();
+    std::vector<Addr> rewritten;
+    for (Addr p = 0; p < ram.num_slots(); ++p)
+        if (!ck->stores[kRamStore].at(p)->is_zero() || !ram.untouched(p))
+            rewritten.push_back(p);
     Recorder recorder;
     dst.vm->mem().add_code_listener(&recorder);
-    const std::uint64_t epoch = ram.epoch();
     replay::restore_checkpoint(*ck, dst.vm.get(), dst.env.get());
     dst.vm->mem().remove_code_listener(&recorder);
 
-    std::vector<Addr> rewritten;
-    for (Addr p = 0; p < ram.num_slots(); ++p)
-        if (ram.epoch_of(p) == epoch)
-            rewritten.push_back(p);
     EXPECT_FALSE(rewritten.empty());
     EXPECT_EQ(recorder.pages, rewritten);
+    // Every page the fresh VM had touched was among them, so the pages
+    // touched now are exactly the rewritten ones.
+    std::vector<Addr> touched;
+    for (Addr p = 0; p < ram.num_slots(); ++p)
+        if (!ram.untouched(p))
+            touched.push_back(p);
+    EXPECT_EQ(touched, rewritten);
 }
 
 // ---------------------------------------------------------------------
@@ -445,11 +460,9 @@ TEST(CheckpointStore, ByteBudgetRecyclesOldestFirstAndKeepsNewest)
     // The newest checkpoint always survives...
     ASSERT_NE(store.latest(), nullptr);
     EXPECT_EQ(store.latest()->log_pos, takes - 1);
-    // ...and an alarm older than the oldest survivor gets a clean null,
-    // never a stale or out-of-range checkpoint.
-    const auto oldest = store.at(0);
-    EXPECT_EQ(store.latest_at_or_before(oldest->icount - 1), nullptr);
-    EXPECT_EQ(store.latest_at_or_before(oldest->icount), oldest);
+    // ...and the survivors are the newest takes: recycling went
+    // oldest first.
+    EXPECT_EQ(store.at(0)->log_pos, takes - store.size());
 }
 
 TEST(CheckpointStore, ImpossibleBudgetStillKeepsTheNewestCheckpoint)
@@ -528,15 +541,11 @@ TEST(CkptImage, WireRoundTripIsCanonicalAndRestorable)
         replay::ckpt::deserialize_checkpoint(image, &shipped);
     ASSERT_TRUE(status.ok()) << status.to_string();
 
-    // Same machine instant, canonical bytes, identity dropped.
+    // Same machine instant, canonical bytes.
     EXPECT_EQ(replay::digest_of(shipped), replay::digest_of(*ck));
     EXPECT_EQ(replay::ckpt::serialize_checkpoint(shipped), image);
-    for (const replay::StoreSnapshot& store : shipped.stores) {
-        EXPECT_EQ(store.source_id, 0u);
-        EXPECT_EQ(store.epoch, 0u);
-    }
     // The decoder flags the zero page from its encoding alone.
-    const auto& pages = shipped.stores[kRamStore].slots;
+    const auto& pages = shipped.stores[kRamStore];
     EXPECT_TRUE(pages.at(pages.size() - 1)->is_zero());
     EXPECT_FALSE(pages.at(ck->cpu_state.pc / kPageSize)->is_zero());
 
@@ -679,9 +688,9 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
         EXPECT_EQ(replay::ckpt::serialize_checkpoint(*decoded),
                   replay::ckpt::serialize_checkpoint(*ck))
             << "checkpoint " << i;
-        for (const replay::StoreSnapshot& store : ck->stores)
-            for (std::uint64_t slot = 0; slot < store.slots.size(); ++slot)
-                if (const auto& ref = store.slots.at(slot))
+        for (const replay::ckpt::StoredPageTable& store : ck->stores)
+            for (std::uint64_t slot = 0; slot < store.size(); ++slot)
+                if (const auto& ref = store.at(slot))
                     chain_keys.insert(ref->key());
         const CheckpointDelta delta = parse_delta(image);
         for (const auto& page : delta.carried)
@@ -691,12 +700,12 @@ TEST(CkptStream, ReceiverRebuildsEveryCheckpointOfAReplayChain)
         if (prev) {
             EXPECT_EQ(delta.base_id, prev->id);
             for (std::size_t s = 0; s < kNumStores; ++s) {
-                const auto& slots = ck->stores[s].slots;
+                const auto& slots = ck->stores[s];
                 for (std::uint64_t j = 0; j < slots.size(); ++j) {
-                    if (slots.at(j) != prev->stores[s].slots.at(j))
+                    if (slots.at(j) != prev->stores[s].at(j))
                         continue;
-                    ASSERT_EQ(decoded->stores[s].slots.at(j),
-                              prev_decoded->stores[s].slots.at(j))
+                    ASSERT_EQ(decoded->stores[s].at(j),
+                              prev_decoded->stores[s].at(j))
                         << "store " << s << " slot " << j
                         << " of checkpoint " << i;
                 }
@@ -740,14 +749,14 @@ TEST(CkptStream, RecycledPagesRetireAndReturningContentShipsAnew)
     RecyclingStream stream;
     constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
     const std::uint64_t x_key =
-        stream.step(0x5eed0001)->stores[kRamStore].slots.at(kPage)->key();
+        stream.step(0x5eed0001)->stores[kRamStore].at(kPage)->key();
     EXPECT_TRUE(stream.receiver.holds(x_key));
     stream.step(0x5eed0002);  // X now lives only in the sender's base
     EXPECT_TRUE(stream.receiver.holds(x_key));
 
     const auto back = stream.step(0x5eed0001);
     const std::uint64_t new_key =
-        back->stores[kRamStore].slots.at(kPage)->key();
+        back->stores[kRamStore].at(kPage)->key();
     EXPECT_NE(new_key, x_key);
     const CheckpointDelta delta = parse_delta(stream.images.back());
     EXPECT_EQ(delta.retired, std::vector<std::uint64_t>{x_key});
@@ -792,7 +801,7 @@ TEST(CkptStream, DefectsComeBackNamedAndChangeNothing)
     RecyclingStream stream;
     constexpr Addr kPage = RecyclingStream::kAddr / kPageSize;
     const std::uint64_t retired =
-        stream.step(0x5eed0001)->stores[kRamStore].slots.at(kPage)->key();
+        stream.step(0x5eed0001)->stores[kRamStore].at(kPage)->key();
     stream.step(0x5eed0002);
     stream.step(0x5eed0003);
     ASSERT_FALSE(stream.receiver.holds(retired));

@@ -134,14 +134,6 @@ TEST(Log, StrcatArgsConcatenates)
     EXPECT_EQ(strcat_args(), "");
 }
 
-TEST(Log, TraceToggle)
-{
-    set_trace_enabled(true);
-    EXPECT_TRUE(trace_enabled());
-    set_trace_enabled(false);
-    EXPECT_FALSE(trace_enabled());
-}
-
 /** Property sweep: every seed yields a reproducible stream. */
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

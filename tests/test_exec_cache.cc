@@ -81,11 +81,11 @@ struct Outcome {
     bool operator==(const Outcome&) const = default;
 };
 
-/** Run @p image; when @p tb_invalidations is set, store the TB engine's
- *  invalidation count there. */
+/** Run @p image; when @p tb_flushes is set, store the TB engine's flush
+ *  count there. */
 Outcome
 run_machine(const isa::Image& image, std::uint8_t perms, bool tb,
-            std::uint64_t* tb_invalidations = nullptr)
+            std::uint64_t* tb_flushes = nullptr)
 {
     mem::PhysMem mem(1 << 20);
     Cpu cpu(&mem);
@@ -103,8 +103,8 @@ run_machine(const isa::Image& image, std::uint8_t perms, bool tb,
     out.icount = cpu.icount();
     out.cycles = cpu.cycles();
     out.mem_hash = mem.store().content_hash();
-    if (tb_invalidations != nullptr)
-        *tb_invalidations = cpu.tb_engine().stats().invalidations;
+    if (tb_flushes != nullptr)
+        *tb_flushes = cpu.tb_engine().stats().flushes;
     return out;
 }
 
@@ -210,13 +210,12 @@ TEST(ExecCache, MidInstructionByteWriteInvalidatesCachedPage)
         a.halt();
     });
 
-    std::uint64_t invalidations = 0;
-    const Outcome ref =
-        run_machine(image, mem::kPermRWX, true, &invalidations);
+    std::uint64_t flushes = 0;
+    const Outcome ref = run_machine(image, mem::kPermRWX, true, &flushes);
     EXPECT_EQ(ref.stop, StopReason::kHalt);
     EXPECT_EQ(ref.r3, 222u);
-    EXPECT_GT(invalidations, 0u)
-        << "mid-instruction store must invalidate the translation block";
+    EXPECT_GT(flushes, 0u)
+        << "mid-instruction store must drop the translation block";
     EXPECT_EQ(run_machine(image, mem::kPermRWX, false), ref);
 }
 
@@ -225,7 +224,7 @@ TEST(ExecCache, SmcBlockSpanningPageBoundaryInvalidatesMidFlight)
     // Self-modifying code whose block spans a page boundary: the block
     // starts in the last four slots of one page and falls through onto
     // the next, and its store patches the not-yet-executed instruction
-    // in the *second* page of its own block. The write must invalidate
+    // in the *second* page of its own block. The write must drop
     // the spanning block mid-flight, so execution resumes on the fresh
     // bytes.
     isa::Instr patch;
@@ -248,13 +247,12 @@ TEST(ExecCache, SmcBlockSpanningPageBoundaryInvalidatesMidFlight)
     ASSERT_EQ(image.base() + image.size() - 2 * kInstrBytes,
               static_cast<Addr>(2 * kPageSize));
 
-    std::uint64_t invalidations = 0;
-    const Outcome ref =
-        run_machine(image, mem::kPermRWX, true, &invalidations);
+    std::uint64_t flushes = 0;
+    const Outcome ref = run_machine(image, mem::kPermRWX, true, &flushes);
     EXPECT_EQ(ref.stop, StopReason::kHalt);
     EXPECT_EQ(ref.r3, 222u);
-    EXPECT_GT(invalidations, 0u)
-        << "cross-page store must invalidate the spanning block";
+    EXPECT_GT(flushes, 0u)
+        << "cross-page store must drop the spanning block";
     EXPECT_EQ(run_machine(image, mem::kPermRWX, false), ref);
 }
 

@@ -336,24 +336,33 @@ TEST(ConcurrentPipeline, LagSeries)
     auto result = run_pipeline_mode(core::PipelineMode::kConcurrent, 2);
     // The bounded ring retained a lag time series: non-empty, bounded by
     // its capacity, in icount order, and consistent with the aggregates.
-    const auto series = result.replay_lag.series();
+    const auto& lag = result.replay_lag.series;
+    const auto series = lag.series();
     ASSERT_FALSE(series.empty());
-    EXPECT_LE(series.size(), rnr::ReplayLag::kRingCapacity);
+    EXPECT_LE(series.size(), lag.capacity());
     EXPECT_LE(series.size(), result.replay_lag.samples);
+    EXPECT_EQ(lag.observations(), result.replay_lag.samples);
     std::uint64_t series_max = 0;
     for (std::size_t i = 0; i < series.size(); ++i) {
         if (i > 0) {
-            EXPECT_LE(series[i - 1].icount, series[i].icount);
+            EXPECT_LE(series[i - 1].t, series[i].t);
         }
-        EXPECT_LE(series[i].lag, result.replay_lag.max_lag);
-        series_max = std::max<std::uint64_t>(series_max, series[i].lag);
+        EXPECT_LE(series[i].value, result.replay_lag.max_lag);
+        series_max = std::max<std::uint64_t>(series_max, series[i].value);
     }
     EXPECT_GT(series_max, 0u);
-    // finalize() mirrors the series into the (snapshot-excluded)
+    // finalize() merges the series into the (snapshot-excluded)
     // pipeline gauge for the metrics exporter.
     const auto& gauges = result.pipeline_stats.gauges();
     ASSERT_NE(gauges.count("cr.replay_lag"), 0u);
-    EXPECT_EQ(gauges.at("cr.replay_lag").observations(), series.size());
+    const auto& merged = gauges.at("cr.replay_lag");
+    EXPECT_EQ(merged.observations(), result.replay_lag.samples);
+    const auto merged_series = merged.series();
+    ASSERT_EQ(merged_series.size(), series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        EXPECT_EQ(merged_series[i].t, series[i].t);
+        EXPECT_EQ(merged_series[i].value, series[i].value);
+    }
 }
 
 TEST(ConcurrentPipeline, WorkerCountDoesNotChangeResults)

@@ -84,25 +84,18 @@ TEST_P(PageStoreTest, DirtySlotsAreAscendingAndClearedPerInterval)
 TEST_P(PageStoreTest, EpochsTrackDirtyingAndZeroMeansUntouched)
 {
     PageStore store(slots());
-    EXPECT_EQ(store.epoch(), 1u);
-    for (std::uint64_t i = 0; i < slots(); ++i) {
+    for (std::uint64_t i = 0; i < slots(); ++i)
         ASSERT_TRUE(store.untouched(i));
-        ASSERT_EQ(store.epoch_of(i), 0u);
-    }
 
     // Writing zeros still touches: untouched implies zero, not the
     // converse.
     fill_slot(store, 1, 0);
-    EXPECT_EQ(store.epoch_of(1), 1u);
+    EXPECT_FALSE(store.untouched(1));
     store.clear_dirty();
-    EXPECT_EQ(store.epoch(), 2u);
     fill_slot(store, last(), 0x44);
-    EXPECT_EQ(store.epoch_of(last()), 2u);
-    // A slot dirtied before the epoch began is unchanged since then.
-    EXPECT_LT(store.epoch_of(1), store.epoch());
 
-    // A new epoch never makes a slot untouched again, and every slot
-    // nothing wrote still reads as zeros.
+    // Clearing the dirty set never makes a slot untouched again, and
+    // every slot nothing wrote still reads as zeros.
     store.clear_dirty();
     const std::vector<std::uint8_t> zeros(kPageSize, 0);
     for (std::uint64_t i = 0; i < slots(); ++i) {
@@ -189,12 +182,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PageStore, ZeroSlotsFails)
 {
     EXPECT_THROW(PageStore(0), FatalError);
-}
-
-TEST(PageStore, IdsAreUniquePerStore)
-{
-    PageStore a(1), b(1);
-    EXPECT_NE(a.id(), b.id());
 }
 
 // ---------------------------------------------------------------------

@@ -3,10 +3,10 @@
  *  Execution semantics are covered by the A/B gates (test_exec_cache,
  *  test_framework, test_replay): every run must be bit-identical with
  *  the engine on and off. This file tests the machinery itself —
- *  translation shapes (jump folding, pair fusion, block caps), chaining
- *  and unchaining, write-driven invalidation, breakpoint cuts, call/ret
- *  under RAS monitoring and under call/ret tracing, and the event
- *  counters those behaviors feed.
+ *  translation shapes (jump folding, pair fusion, block caps), chaining,
+ *  the flush a code write to a translated page triggers, breakpoint
+ *  cuts, call/ret under RAS monitoring and under call/ret tracing, and
+ *  the event counters those behaviors feed.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,12 @@
 #include "cpu/cpu.h"
 #include "cpu/tb_engine.h"
 #include "isa/assembler.h"
+#include "isa/encoding.h"
 #include "mem/phys_mem.h"
+#include "replay/checkpoint.h"
+#include "rnr/replayer.h"
+#include "workloads/benchmarks.h"
+#include "workloads/generator.h"
 
 namespace rsafe::cpu {
 namespace {
@@ -98,7 +103,7 @@ TEST(TbEngine, TranslatesExecutesAndCounts)
     const TbEngineStats& s = m.eng().stats();
     EXPECT_GT(s.translated, 0u);
     EXPECT_GT(s.exec_blocks, 0u);
-    EXPECT_EQ(s.invalidations, 0u);
+    EXPECT_EQ(s.flushes, 0u);
     EXPECT_EQ(s.translated, m.eng().block_length_hist().count());
 }
 
@@ -198,33 +203,110 @@ TEST(TbEngine, DependentAluPairsFuse)
     EXPECT_TRUE(fused) << "dependent add/xor pair was not fused";
 }
 
-TEST(TbEngine, CodeWriteInvalidatesAndUnchains)
+TEST(TbEngine, CodeWriteToATranslatedPageFlushesTheCache)
 {
+    // Two blocks on two pages, chained: `ldi; beq` on the first page,
+    // `far: ldi r3; halt` on the next.
     const auto image = assemble(kCode, [](Assembler& a) {
-        a.ldi(R1, 100);
+        a.ldi(R1, 0);
+        a.beq(R1, R0, "far");
+        a.halt();
+        a.align(kPageSize);
+        a.label("far");
+        a.ldi(R3, 111);
+        a.halt();
+    });
+    const Addr far = kCode + kPageSize;
+    isa::Instr patch;
+    patch.op = isa::Opcode::kLdi;
+    patch.rd = R3;
+    patch.imm = 222;
+    const auto patch_bytes = isa::encode(patch);
+
+    for (const bool tb : {true, false}) {
+        Machine m(image);
+        m.cpu.set_tb_enabled(tb);
+        EXPECT_EQ(m.run(), StopReason::kHalt) << "tb=" << tb;
+        EXPECT_EQ(m.cpu.reg(R3), 111u) << "tb=" << tb;
+        TransBlock* head = m.eng().lookup(kCode);
+        TransBlock* tail = m.eng().lookup(far);
+        const TbEngineStats before = m.eng().stats();
+        if (tb) {
+            ASSERT_NE(head, nullptr);
+            ASSERT_NE(tail, nullptr);
+            ASSERT_EQ(head->next[kChainTaken], tail);
+        }
+
+        // A host-side write to the second page, the path a guest store
+        // to an executable page takes, drops both blocks at once: they
+        // leave the lookup table and the chain, and read invalid.
+        m.mem.write_block(far, patch_bytes.data(), patch_bytes.size());
+        EXPECT_EQ(m.eng().lookup(kCode), nullptr);
+        EXPECT_EQ(m.eng().lookup(far), nullptr);
+        if (tb) {
+            EXPECT_FALSE(head->valid);
+            EXPECT_FALSE(tail->valid);
+            EXPECT_EQ(head->next[kChainTaken], nullptr) << "chain kept";
+            EXPECT_EQ(m.eng().stats().flushes, before.flushes + 1);
+        }
+
+        // The rerun retranslates both blocks and runs the new bytes.
+        m.cpu.state().pc = kCode;
+        m.cpu.state().halted = false;
+        EXPECT_EQ(m.run(), StopReason::kHalt) << "tb=" << tb;
+        EXPECT_EQ(m.cpu.reg(R3), 222u) << "tb=" << tb;
+        if (tb) {
+            EXPECT_EQ(m.eng().stats().translated, before.translated + 2);
+        }
+    }
+}
+
+TEST(TbEngine, DataWritesAndFreshVmRestoresKeepTheCache)
+{
+    // Guest stores to a data page, and host writes to a page no block
+    // covers, cost one bit test each and keep every block.
+    constexpr Addr kData = 0x10000;
+    const auto image = assemble(kCode, [](Assembler& a) {
+        a.ldi(R1, 50);
+        a.ldi(R2, static_cast<std::int64_t>(kData));
         a.label("loop");
+        a.st(R2, 0, R1);
         a.addi(R1, R1, -1);
         a.bne(R1, R0, "loop");
         a.halt();
     });
     Machine m(image);
     EXPECT_EQ(m.run(), StopReason::kHalt);
-
-    TransBlock* loop = m.eng().lookup(kCode + kInstrBytes);
+    TransBlock* loop = m.eng().lookup(kCode + 2 * kInstrBytes);
     ASSERT_NE(loop, nullptr);
-    ASSERT_TRUE(loop->valid);
-    ASSERT_EQ(loop->next[kChainTaken], loop);
-    const std::uint64_t before = m.eng().stats().invalidations;
+    const std::uint64_t flushes = m.eng().stats().flushes;
+    m.mem.write_raw(kData + kPageSize, 8, 0xabc);
+    EXPECT_EQ(m.eng().stats().flushes, flushes);
+    EXPECT_EQ(m.eng().lookup(kCode + 2 * kInstrBytes), loop);
+    EXPECT_TRUE(loop->valid);
 
-    // A host-side write to the code page must invalidate every block on
-    // it, sever the chains into the invalidated blocks, and empty the
-    // lookup table slots — same path a guest store takes.
-    m.mem.write_raw(kCode, 8, 0);
-    EXPECT_FALSE(loop->valid);
-    EXPECT_EQ(loop->next[kChainTaken], nullptr) << "chain not severed";
-    EXPECT_EQ(m.eng().lookup(kCode + kInstrBytes), nullptr);
-    EXPECT_EQ(m.eng().lookup(kCode), nullptr);
-    EXPECT_GT(m.eng().stats().invalidations, before);
+    // A restore into a fresh VM rewrites pages no block covers yet, so
+    // it flushes nothing, and neither does the run that follows.
+    auto profile = workloads::benchmark_profile("radiosity");
+    profile.rdtsc_prob = 0.0;  // trap-free early segment (no injections)
+    const auto factory = workloads::vm_factory(profile);
+    rnr::InputLog empty_log;
+    const auto src = factory();
+    rnr::Replayer src_env(src.get(), &empty_log, 0, rnr::ReplayOptions{});
+    src->cpu().run(~static_cast<Cycles>(0), 1000);
+    replay::CheckpointStore store(0);
+    const auto ck = store.take(*src, src_env, 0);
+
+    const auto dst = factory();
+    rnr::Replayer dst_env(dst.get(), &empty_log, 0, rnr::ReplayOptions{});
+    replay::restore_checkpoint(*ck, dst.get(), &dst_env);
+    EXPECT_EQ(dst->cpu().tb_engine().stats().flushes, 0u);
+    src->cpu().run(~static_cast<Cycles>(0), 3000);
+    dst->cpu().run(~static_cast<Cycles>(0), 3000);
+    EXPECT_GT(dst->cpu().tb_engine().stats().translated, 0u);
+    EXPECT_EQ(dst->cpu().tb_engine().stats().flushes, 0u);
+    EXPECT_EQ(dst->mem().store().content_hash(),
+              src->mem().store().content_hash());
 }
 
 TEST(TbEngine, BreakpointsCutBlocksAndFireExactly)

@@ -401,8 +401,8 @@ TEST(WireCodecs, ShortFrameUnderValidCrcIsANamedDecodeError)
     ck.blockdev.write_payload = {1, 2, 3};
     ck.ras.entries.push_back(cpu::RasEntry{0x2050, true});
     ck.backras[2].entries.push_back(cpu::RasEntry{0x3000, false});
-    auto& pages = ck.stores[replay::ckpt::kRamStore].slots;
-    auto& blocks = ck.stores[replay::ckpt::kDiskStore].slots;
+    auto& pages = ck.stores[replay::ckpt::kRamStore];
+    auto& blocks = ck.stores[replay::ckpt::kDiskStore];
     pages = replay::ckpt::StoredPageTable(3);
     pages.set(0, zero);
     pages.set(1, raw);

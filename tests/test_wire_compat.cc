@@ -209,8 +209,8 @@ TEST_P(GoldenCkptCorpus, CheckedInImageStillDecodesToItsDigest)
     replay::Checkpoint ck;
     const Status status = replay::ckpt::deserialize_checkpoint(bytes, &ck);
     ASSERT_TRUE(status.ok()) << status.to_string();
-    EXPECT_EQ(ck.stores[replay::ckpt::kRamStore].slots.size(), entry.pages);
-    EXPECT_EQ(ck.stores[replay::ckpt::kDiskStore].slots.size(),
+    EXPECT_EQ(ck.stores[replay::ckpt::kRamStore].size(), entry.pages);
+    EXPECT_EQ(ck.stores[replay::ckpt::kDiskStore].size(),
               entry.blocks);
 
     // The machine state the image decodes to is pinned by the digest

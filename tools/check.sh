@@ -39,7 +39,7 @@
 #                             # benign-tenant p99 regression thresholds;
 #                             # RSAFE_BENCH_GATE_TOLERANCE overrides 10%).
 #   tools/check.sh ckpt       # checkpoint gate: test_mem (the page store's
-#                             # dirty tracking and epochs), test_checkpoint
+#                             # dirty and touched tracking), test_checkpoint
 #                             # (take and restore), test_ckpt_store (dedup,
 #                             # RLE, restore, wire images and streams)
 #                             # plus bench_ckpt --gate against the
@@ -184,8 +184,8 @@ run_fleet() {
 
 run_ckpt() {
     # The checkpoint gate: the page store both RAM and disk live in
-    # (test_mem: dirty tracking, epochs, the untouched rule, content
-    # hash), checkpoint take and restore (test_checkpoint), and the
+    # (test_mem: dirty tracking, the untouched rule, content hash),
+    # checkpoint take and restore (test_checkpoint), and the
     # ckpt_store suite (dedup refcount lifecycle, RLE, restore into both
     # stores, AR-boots-from-wire-image equivalence, streams), plus the
     # storage benchmark measured fresh and compared against the

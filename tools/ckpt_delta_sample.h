@@ -51,10 +51,10 @@ make_delta_sample()
         return pool.intern(bytes.data());
     };
     const auto ram = [](Checkpoint& ck) -> StoredPageTable& {
-        return ck.stores[replay::ckpt::kRamStore].slots;
+        return ck.stores[replay::ckpt::kRamStore];
     };
     const auto disk = [](Checkpoint& ck) -> StoredPageTable& {
-        return ck.stores[replay::ckpt::kDiskStore].slots;
+        return ck.stores[replay::ckpt::kDiskStore];
     };
 
     auto a = std::make_shared<Checkpoint>();

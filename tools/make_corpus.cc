@@ -135,8 +135,8 @@ sample_checkpoint()
     ck.have_current_tid = true;
 
     std::vector<std::uint8_t> page(kPageSize, 0);
-    auto& pages = ck.stores[replay::ckpt::kRamStore].slots;
-    auto& blocks = ck.stores[replay::ckpt::kDiskStore].slots;
+    auto& pages = ck.stores[replay::ckpt::kRamStore];
+    auto& blocks = ck.stores[replay::ckpt::kDiskStore];
     pages = replay::ckpt::StoredPageTable(4);
     pages.set(0, pool.intern(page.data()));  // zero page: RLE
     for (std::size_t i = 0; i < kPageSize; ++i)
@@ -413,8 +413,8 @@ main(int argc, char** argv)
         const auto image = replay::ckpt::serialize_checkpoint(*ck);
         write_file(root / "golden" / (name + ".ckpt"), image);
         ckpt_manifest << name << " " << name << ".ckpt " << image.size();
-        for (const replay::StoreSnapshot& store : ck->stores)
-            ckpt_manifest << " " << store.slots.size();
+        for (const replay::ckpt::StoredPageTable& store : ck->stores)
+            ckpt_manifest << " " << store.size();
         ckpt_manifest << " " << hex64(replay::digest_of(*ck).hash()) << "\n";
     };
     for (const std::string& name : workloads::benchmark_names()) {
