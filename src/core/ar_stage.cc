@@ -1,6 +1,8 @@
 #include "core/ar_stage.h"
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/log.h"
 #include "core/detector.h"
@@ -24,6 +26,14 @@ ArStage::verdict_latency(stats::StatRegistry* stats)
     return stats->histogram("ar.verdict_latency",
                             obs::kVerdictLatencyHistMax,
                             obs::kVerdictLatencyHistBuckets);
+}
+
+stats::Histogram&
+ArStage::verdict_host_us(stats::StatRegistry* stats)
+{
+    return stats->histogram("ar.verdict_host_us",
+                            obs::kVerdictHostUsHistMax,
+                            obs::kVerdictHostUsHistBuckets);
 }
 
 AlarmReplayResult
@@ -55,24 +65,31 @@ ArStage::analyze_shipped(const replay::PendingAlarm& pending,
                          const Status& decoded,
                          std::shared_ptr<const replay::Checkpoint> checkpoint,
                          const rnr::InputLog& log,
-                         stats::StatRegistry* local_stats) const
+                         stats::StatRegistry* local_stats, LiveAr* live) const
 {
-    if (!decoded.ok())
+    if (!decoded.ok()) {
+        if (live != nullptr)
+            live->reset();
         return unavailable(pending, "image rejected: " + decoded.message(),
                            local_stats);
+    }
     replay::PendingAlarm booted = pending;
     booted.checkpoint = std::move(checkpoint);
-    return analyze(booted, log, local_stats);
+    return analyze(booted, log, local_stats, live);
 }
 
 AlarmReplayResult
 ArStage::analyze(const replay::PendingAlarm& pending,
                  const rnr::InputLog& log,
-                 stats::StatRegistry* local_stats) const
+                 stats::StatRegistry* local_stats, LiveAr* live) const
 {
-    if (!pending.checkpoint)
+    LiveAr solo;
+    LiveAr& slot = live != nullptr ? *live : solo;
+    if (!pending.checkpoint) {
+        slot.reset();
         return unavailable(pending, "no checkpoint at or before the alarm",
                            local_stats);
+    }
 
     AlarmReplayResult out;
     out.log_index = pending.log_index;
@@ -84,18 +101,40 @@ ArStage::analyze(const replay::PendingAlarm& pending,
     obs::Tracer::instance().flow_finish("alarm", "alarm",
                                         pending.log_index);
 
-    auto ar_vm = factory_();
-    // A checkpoint shipped from elsewhere may not fit this VM: that is
-    // this alarm's verdict, not a fault of the whole run.
-    if (const std::string why =
-            replay::geometry_mismatch(*pending.checkpoint, *ar_vm);
-        !why.empty())
-        return unavailable(pending, why, local_stats);
-    replay::AlarmReplayer ar(ar_vm.get(), &log, *pending.checkpoint,
-                             base_options_);
-    ar.set_detectors(detectors_);
-    local_stats->counter("ar.replays").inc();
-    out.analysis = ar.analyze(pending.log_index);
+    // A user-mode RAS alarm switches user call/ret tracing on for the
+    // rest of its replay, so only alarms of one level share a replay.
+    const bool user_tracing =
+        pending.record.type == rnr::RecordType::kRasAlarm &&
+        !pending.record.alarm.kernel_mode;
+    out.continued = slot.continues(this, &log, pending.checkpoint->id,
+                                   user_tracing, pending.log_index);
+    try {
+        if (!out.continued) {
+            // At most one VM per slot: drop the old one before building.
+            slot.reset();
+            auto ar_vm = factory_();
+            // A checkpoint shipped from elsewhere may not fit this VM:
+            // that is this alarm's verdict, not a fault of the whole run.
+            if (const std::string why =
+                    replay::geometry_mismatch(*pending.checkpoint, *ar_vm);
+                !why.empty())
+                return unavailable(pending, why, local_stats);
+            slot.vm_ = std::move(ar_vm);
+            slot.ar_ = std::make_unique<replay::AlarmReplayer>(
+                slot.vm_.get(), &log, *pending.checkpoint, base_options_);
+            slot.ar_->set_detectors(detectors_);
+            slot.stage_ = this;
+            slot.log_ = &log;
+            slot.checkpoint_id_ = pending.checkpoint->id;
+            slot.user_tracing_ = user_tracing;
+        }
+        local_stats->counter("ar.replays").inc();
+        out.analysis = slot.ar_->analyze(pending.log_index);
+    } catch (...) {
+        slot.reset();
+        throw;
+    }
+    slot.last_index_ = pending.log_index;
     if (out.analysis.is_attack)
         local_stats->counter("ar.attacks").inc();
     if (pending.record.type == rnr::RecordType::kDetectorAlarm &&

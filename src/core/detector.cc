@@ -111,7 +111,7 @@ JopGuardDetector::trigger_indirect(Addr pc, Addr target, bool is_call)
 
 replay::AlarmAnalysis
 JopGuardDetector::classify(const rnr::LogRecord& record,
-                           replay::AlarmReplayer& ar) const
+                           const replay::AlarmReplayer& ar) const
 {
     replay::AlarmAnalysis analysis = base_analysis(record);
     const Addr site = record.alarm.ret_pc;
@@ -193,7 +193,7 @@ CfiDetector::trigger_indirect(Addr pc, Addr target, bool is_call)
 
 replay::AlarmAnalysis
 CfiDetector::classify(const rnr::LogRecord& record,
-                      replay::AlarmReplayer& ar) const
+                      const replay::AlarmReplayer& ar) const
 {
     replay::AlarmAnalysis analysis = base_analysis(record);
     const Addr site_pc = record.alarm.ret_pc;
@@ -297,7 +297,7 @@ WxDetector::trigger_wx_fetch(Addr pc)
 
 replay::AlarmAnalysis
 WxDetector::classify(const rnr::LogRecord& record,
-                     replay::AlarmReplayer& ar) const
+                     const replay::AlarmReplayer& ar) const
 {
     replay::AlarmAnalysis analysis = base_analysis(record);
     const Addr pc = record.alarm.actual;

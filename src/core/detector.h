@@ -115,10 +115,13 @@ class Detector {
      * implementation fills verdict, cause, report and the forensic
      * where facts (addresses and function names). The caller
      * (AlarmReplayer::analyze) stamps alarm_record, analysis_cycles and
-     * the forensic identification fields.
+     * the forensic identification fields. @p ar is read-only: a
+     * classified replay leaves the machine as it found it, so it can go
+     * on to the next alarm of its checkpoint.
      */
     virtual replay::AlarmAnalysis classify(
-        const rnr::LogRecord& record, replay::AlarmReplayer& ar) const = 0;
+        const rnr::LogRecord& record,
+        const replay::AlarmReplayer& ar) const = 0;
 };
 
 /** The registered detector complement of one pipeline run. */
@@ -156,8 +159,9 @@ class JopGuardDetector : public Detector {
     DetectorId id() const override { return DetectorId::kJop; }
     void arm(hv::Vm& vm) override;
     bool trigger_indirect(Addr pc, Addr target, bool is_call) override;
-    replay::AlarmAnalysis classify(const rnr::LogRecord& record,
-                                   replay::AlarmReplayer& ar) const override;
+    replay::AlarmAnalysis classify(
+        const rnr::LogRecord& record,
+        const replay::AlarmReplayer& ar) const override;
 
   private:
     JopDetector table_;
@@ -183,8 +187,9 @@ class CfiDetector : public Detector {
     DetectorId id() const override { return DetectorId::kCfi; }
     void arm(hv::Vm& vm) override;
     bool trigger_indirect(Addr pc, Addr target, bool is_call) override;
-    replay::AlarmAnalysis classify(const rnr::LogRecord& record,
-                                   replay::AlarmReplayer& ar) const override;
+    replay::AlarmAnalysis classify(
+        const rnr::LogRecord& record,
+        const replay::AlarmReplayer& ar) const override;
 
   private:
     bool in_hardware_subset(const analysis::IndirectSite& site,
@@ -213,8 +218,9 @@ class WxDetector : public Detector, public mem::CodeWriteListener {
     void arm(hv::Vm& vm) override;
     void disarm() override;
     bool trigger_wx_fetch(Addr pc) override;
-    replay::AlarmAnalysis classify(const rnr::LogRecord& record,
-                                   replay::AlarmReplayer& ar) const override;
+    replay::AlarmAnalysis classify(
+        const rnr::LogRecord& record,
+        const replay::AlarmReplayer& ar) const override;
 
     // mem::CodeWriteListener
     void on_code_page_touched(Addr page) override;

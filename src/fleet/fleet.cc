@@ -1,11 +1,10 @@
 #include "fleet/fleet.h"
 
+#include <chrono>
 #include <exception>
 #include <optional>
 #include <thread>
 #include <utility>
-
-#include <chrono>
 
 #include "common/log.h"
 #include "core/session_stage.h"
@@ -144,6 +143,8 @@ struct ReplayFleet::TenantState {
     std::vector<char> done;
     /** The first alarm job that threw; run() rethrows it. */
     std::exception_ptr job_error;
+    /** Jobs that went on in a worker's live AR (under mu). */
+    std::size_t continuations = 0;
     /** Ship-mode volume (under mu). */
     std::size_t jobs_shipped = 0;
     std::uint64_t bytes_shipped = 0;
@@ -212,7 +213,13 @@ ReplayFleet::run()
     std::vector<std::unique_ptr<TenantState>> states;
     states.reserve(tenants_.size());
 
+    // One live-AR slot per pool worker: a job runs in its worker's slot,
+    // so there are never more AR VMs than workers. The slots read the
+    // tenants' logs and stages, and outlive the pool's jobs.
+    std::vector<core::LiveAr> slots;
+
     FairSharePool pool(options_.workers, options_.tenant_inflight_cap);
+    slots.resize(pool.stats().workers);
 
     obs::HealthMonitor monitor(options_.health, &flight);
     const bool health_on = monitor.live();
@@ -229,6 +236,7 @@ ReplayFleet::run()
         // Every tenant reports its verdict latency, empty if it never
         // replayed an alarm.
         core::ArStage::verdict_latency(&state->ar_stats);
+        core::ArStage::verdict_host_us(&state->ar_stats);
 
         // The sink runs on this tenant's CR thread: claim the next slot
         // and hand the job to the shared pool. The worker reads the
@@ -238,10 +246,11 @@ ReplayFleet::run()
         TenantState* raw = state.get();
         const rnr::InputLog* log = &state->stage->log();
         FairSharePool* pool_ptr = &pool;
+        std::vector<core::LiveAr>* slots_ptr = &slots;
         obs::FlightRecorder* flight_ptr = health_on ? &flight : nullptr;
         const bool ship = options_.ship_checkpoints;
         state->stage->set_alarm_sink(
-            [raw, log, pool_ptr, flight_ptr,
+            [raw, log, pool_ptr, slots_ptr, flight_ptr,
              ship](const replay::PendingAlarm& alarm) {
                 // A job can arrive without a checkpoint (interval 0, or
                 // the byte budget recycled past the alarm); the AR
@@ -276,25 +285,32 @@ ReplayFleet::run()
                         raw->bytes_shipped += image_bytes;
                     }
                 }
-                pool_ptr->submit(raw->pool_id, [raw, log,
+                pool_ptr->submit(raw->pool_id, [raw, log, slots_ptr,
                                                 pending = std::move(pending),
-                                                seq, position, flight_ptr] {
+                                                seq, position, flight_ptr](
+                                                   std::size_t worker) {
                     stats::StatRegistry local;
                     core::AlarmReplayResult result;
+                    core::LiveAr* live = &(*slots_ptr)[worker];
                     try {
                         if (position) {
+                            // Taken even when the job goes on in its live
+                            // AR: the stream decodes in order.
                             std::shared_ptr<const replay::Checkpoint> booted;
                             const Status status =
                                 raw->receiver.take(*position, &booted);
                             result = raw->ar->analyze_shipped(
                                 pending, status, std::move(booted), *log,
-                                &local);
+                                &local, live);
                         } else {
-                            result = raw->ar->analyze(pending, *log, &local);
+                            result = raw->ar->analyze(pending, *log, &local,
+                                                      live);
                         }
                     } catch (...) {
                         // The slot stays not-done; run() rethrows once
-                        // the pool has drained.
+                        // the pool has drained. The live AR may be
+                        // half-way to the alarm, so it goes too.
+                        live->reset();
                         std::lock_guard<std::mutex> lock(raw->mu);
                         if (!raw->job_error)
                             raw->job_error = std::current_exception();
@@ -313,7 +329,16 @@ ReplayFleet::run()
                             flight_ptr->dump("attack-verdict:" + raw->name);
                         }
                     }
+                    core::ArStage::verdict_host_us(&local).sample(
+                        static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<
+                                std::chrono::microseconds>(
+                                std::chrono::steady_clock::now() -
+                                pending.queued_at_host)
+                                .count()));
                     std::lock_guard<std::mutex> lock(raw->mu);
+                    if (result.continued)
+                        ++raw->continuations;
                     raw->results[seq] = std::move(result);
                     raw->done[seq] = 1;
                     raw->ar_stats.merge(local);
@@ -405,6 +430,7 @@ ReplayFleet::run()
     if (abandon)
         pool.discard();
     pool.drain();
+    slots.clear();
     out.pool = pool.stats();
     out.tenant_pool = pool.tenant_stats();
 
@@ -467,6 +493,10 @@ ReplayFleet::run()
             }
             tenant.jobs_shipped = state->jobs_shipped;
             tenant.bytes_shipped = state->bytes_shipped;
+            // A gauge: how many jobs chained depends on the worker count,
+            // so it stays out of the counter snapshot.
+            state->ar_stats.gauge("ar.continuations")
+                .set(0, state->continuations);
             tenant.result.pipeline_stats.merge(state->ar_stats);
         }
         finalize_result(&tenant.result, std::move(ar_results));

@@ -35,6 +35,15 @@
  * so a fleet tenant's verdicts, counters, and state digests are
  * bit-identical to the same workload run through RnrSafeFramework alone.
  *
+ * Each pool worker keeps one live alarm replay (core::LiveAr) for the
+ * length of a run. A job whose alarm is a later one of the same tenant,
+ * checkpoint and tracing level as the worker's last goes on in that
+ * replay instead of restoring the checkpoint into a fresh VM; any other
+ * job drops the worker's VM before building its own, so live AR VMs
+ * never outnumber the workers. The verdict is the one a fresh replay
+ * gives (see core/ar_stage.h), and how many jobs chained rides in the
+ * ar.continuations gauge, not in a counter.
+ *
  * Shutdown is two-mode (shutdown(), callable from any thread):
  * kDrain stops the sessions but lets every submitted alarm job finish;
  * kAbandon also discards queued jobs, flagging affected tenants partial.
@@ -133,7 +142,8 @@ struct FleetResult {
     /**
      * Fleet-wide registry: every tenant's pipeline stats under
      * "tenant.<name>." (so two tenants' series can never alias), each
-     * tenant's ar.verdict_latency histogram, and fleet.pool.* stats.
+     * tenant's ar.verdict_latency (cycles) and ar.verdict_host_us (host
+     * µs) histograms and ar.continuations gauge, and fleet.pool.* stats.
      * Feed it to obs::MetricsExporter for JSON/Prometheus.
      */
     stats::StatRegistry metrics;

@@ -114,7 +114,7 @@ FairSharePool::worker_main(std::size_t index)
             continue;
         }
         lock.unlock();
-        job();
+        job(index);
         job = nullptr;  // release the closure's captures unlocked
         lock.lock();
         Tenant& t = tenants_[tenant];

@@ -28,6 +28,11 @@
  * fleet can flag partial results) and never blocks; drain() is the only
  * wait. Every path that empties the books — a job finishing or a
  * discard — wakes drain().
+ *
+ * A job is told which worker runs it (an index below
+ * PoolStats::workers), so a caller can keep per-worker state between
+ * jobs without a lock: the fleet keeps one live alarm replay per worker
+ * for the length of a run.
  */
 
 namespace rsafe::fleet {
@@ -45,7 +50,8 @@ struct PoolStats {
     /** High-water mark of jobs a worker could start but has not yet:
      *  the sum over tenants of min(queued, cap - running). */
     std::size_t max_admitted = 0;
-    /** Actual worker-thread count. */
+    /** Actual worker-thread count; every job's worker index is below
+     *  it. */
     std::size_t workers = 0;
 };
 
@@ -60,7 +66,8 @@ struct TenantPoolStats {
 /** The shared fair-share worker pool. */
 class FairSharePool {
   public:
-    using Job = std::function<void()>;
+    /** One job; its argument is the index of the worker running it. */
+    using Job = std::function<void(std::size_t worker)>;
 
     /**
      * @param workers              worker threads; 0 =

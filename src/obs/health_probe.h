@@ -37,6 +37,14 @@ namespace rsafe::obs {
 inline constexpr std::uint64_t kVerdictLatencyHistMax = 64ull << 20;
 inline constexpr std::size_t kVerdictLatencyHistBuckets = 64;
 
+/**
+ * Geometry of the `ar.verdict_host_us` histogram: the host time from the
+ * CR queueing an alarm to its verdict, in µs. 512 µs buckets up to
+ * 65 ms; a later verdict lands in the overflow bucket.
+ */
+inline constexpr std::uint64_t kVerdictHostUsHistMax = 64ull << 10;
+inline constexpr std::size_t kVerdictHostUsHistBuckets = 128;
+
 /** Live signals one monitored session exports (all relaxed atomics). */
 struct HealthProbe {
     /** Instructions the CR trails the recorder (Replayer::sample_lag). */

@@ -150,9 +150,15 @@ AlarmReplayer::hook_positional_record(const rnr::LogRecord& record)
         record.type == rnr::RecordType::kDetectorAlarm) {
         if (log_pos() - 1 == target_index_) {
             reached_target_ = true;
-            return false;  // stop: the state at the alarm is now live
+            // Stop: the state at the alarm is now live. run() returns
+            // before its hook_exit_boundary(), which this class leaves
+            // empty, so a later analyze() resumes exactly as passing
+            // through would have gone on.
+            return false;
         }
-        // Alarms other than the target one are handled by their own ARs.
+        // Any other alarm is passed through: an earlier one was already
+        // classified, by this replay or another; a later one may be
+        // classified by a later analyze() of this replay.
     }
     return true;
 }
@@ -202,7 +208,7 @@ AlarmReplayer::analyze(std::size_t alarm_log_index)
 }
 
 AlarmAnalysis
-AlarmReplayer::classify_detector(const rnr::LogRecord& record)
+AlarmReplayer::classify_detector(const rnr::LogRecord& record) const
 {
     const core::Detector* detector =
         detectors_ != nullptr

@@ -101,6 +101,13 @@ class AlarmReplayer : public rnr::Replayer {
      * analysis; kDetectorAlarm records are routed to the registered
      * detector's classifier (see set_detectors), which runs with the
      * replayed machine stopped exactly at the alarm.
+     *
+     * The replay stays stopped at the alarm, so a later analyze() of an
+     * alarm further on in the log goes on from there. That gives the
+     * verdict a fresh replayer from the same checkpoint would, so long
+     * as both alarms take the same tracing level: run() stops at an
+     * alarm exactly where passing through it would have left the
+     * machine, and analysis_cycles still counts from the restore.
      */
     AlarmAnalysis analyze(std::size_t alarm_log_index);
 
@@ -114,8 +121,9 @@ class AlarmReplayer : public rnr::Replayer {
         detectors_ = detectors;
     }
 
-    /** The replayed machine (detector classifiers inspect its state). */
-    hv::Vm& vm() { return *vm_; }
+    /** The replayed machine (detector classifiers inspect its state,
+     *  read-only, so a classified replay can go on to a later alarm). */
+    const hv::Vm& vm() const { return *vm_; }
 
     /** The software RAS (exposed for tests). */
     const ShadowRas& shadow() const { return shadow_; }
@@ -130,7 +138,7 @@ class AlarmReplayer : public rnr::Replayer {
     static rnr::ReplayOptions force_tracing(rnr::ReplayOptions options);
 
     AlarmAnalysis build_analysis(const rnr::LogRecord& record) const;
-    AlarmAnalysis classify_detector(const rnr::LogRecord& record);
+    AlarmAnalysis classify_detector(const rnr::LogRecord& record) const;
     void build_forensic(const rnr::LogRecord& record,
                         AlarmAnalysis* analysis) const;
 

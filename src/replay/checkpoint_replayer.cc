@@ -120,6 +120,7 @@ CheckpointReplayer::hook_positional_record(const rnr::LogRecord& record)
     pending.record = record;
     pending.checkpoint = store_.latest();
     pending.queued_at_cycles = vm_->cpu().cycles();
+    pending.queued_at_host = std::chrono::steady_clock::now();
 
     // Flow tail: the arrow from here to the AR worker that classifies
     // this alarm, keyed by its log index. The enclosing mini-span gives

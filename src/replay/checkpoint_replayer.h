@@ -1,6 +1,7 @@
 #ifndef RSAFE_REPLAY_CHECKPOINT_REPLAYER_H_
 #define RSAFE_REPLAY_CHECKPOINT_REPLAYER_H_
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,6 +48,10 @@ struct PendingAlarm {
      * arrival time when computing alarm-to-verdict latency.
      */
     Cycles queued_at_cycles = 0;
+    /** The host clock when the CR queued the alarm: where its
+     *  queue-to-verdict host latency starts. Not deterministic, so it
+     *  feeds only histograms. */
+    std::chrono::steady_clock::time_point queued_at_host;
 };
 
 /** The always-on checkpointing replayer. */

@@ -66,7 +66,7 @@ Replayer::sample_lag()
         health_probe_->replay_lag.store(lag, std::memory_order_relaxed);
     // Decimated counter track: one trace event per 16 samples keeps the
     // hot path cheap while still drawing the lag curve in the viewer.
-    if ((lag_.samples & 0xf) == 1)
+    if ((lag_.series.observations() & 0xf) == 1)
         obs::Tracer::instance().counter("replay_lag", "replay", lag);
 }
 

@@ -74,13 +74,14 @@ enum class ReplayOutcome {
 struct ReplayLag {
     InstrCount max_lag = 0;
     std::uint64_t sum_lag = 0;
-    std::uint64_t samples = 0;
     /** The newest Gauge::kDefaultCapacity observations, oldest first:
-     *  t is the replayer's icount, value the lag. */
+     *  t is the replayer's icount, value the lag. Its observations()
+     *  is the sample count. */
     stats::Gauge series;
 
     double mean() const
     {
+        const std::uint64_t samples = series.observations();
         if (samples == 0)
             return 0.0;
         return static_cast<double>(sum_lag) / static_cast<double>(samples);
@@ -92,7 +93,6 @@ struct ReplayLag {
         if (lag > max_lag)
             max_lag = lag;
         sum_lag += lag;
-        ++samples;
         series.set(icount, lag);
     }
 };

@@ -1,13 +1,21 @@
 /** @file Tests of the software RAS (shadow stack) and the alarm replayer's
- *  false-positive classification, including the setjmp/longjmp case. */
+ *  false-positive classification, including the setjmp/longjmp case, and
+ *  of chained alarm replays: one replay going on from alarm to alarm of a
+ *  checkpoint classifies each exactly as a fresh replay does. */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "attack/attack_mounter.h"
+#include "core/ar_stage.h"
 #include "core/framework.h"
+#include "kernel/kernel_builder.h"
 #include "kernel/layout.h"
 #include "replay/alarm_replayer.h"
 #include "replay/checkpoint_replayer.h"
@@ -506,7 +514,7 @@ traced_replay(const core::VmFactory& factory, const rnr::InputLog& log,
     out.events = ar.events;
     out.stats = vm->cpu().stats();
     out.cycles = vm->cpu().cycles();
-    out.lag_samples = ar.lag().samples;
+    out.lag_samples = ar.lag().series.observations();
     return out;
 }
 
@@ -597,7 +605,7 @@ TEST(AlarmReplay, AttackMixAnalysisMatchesWithTbOnAndOff)
     const auto& pending_alarms = result.cr->pending_alarms();
     ASSERT_GE(pending_alarms.size(), 2u);
     // Only the checkpointing replayer trails the recorder.
-    EXPECT_GT(result.cr->lag().samples, 0u);
+    EXPECT_GT(result.cr->lag().series.observations(), 0u);
 
     std::size_t attacks = 0;
     std::uint64_t traced = 0;
@@ -616,6 +624,165 @@ TEST(AlarmReplay, AttackMixAnalysisMatchesWithTbOnAndOff)
     EXPECT_GT(traced, 1000u) << "too few traced call/rets";
     // Each ROP chain's gadget returns raise alarms of their own.
     EXPECT_GE(attacks, options.attackers);
+}
+
+/** Two verdicts agree in every field a report or a gate reads. */
+void
+expect_same_analysis(const replay::AlarmAnalysis& a,
+                     const replay::AlarmAnalysis& b)
+{
+    EXPECT_EQ(a.cause, b.cause);
+    EXPECT_EQ(a.is_attack, b.is_attack);
+    EXPECT_EQ(a.report, b.report);
+    EXPECT_EQ(a.forensic.serialize(), b.forensic.serialize());
+    EXPECT_EQ(a.analysis_cycles, b.analysis_cycles);
+    EXPECT_EQ(a.alarm_record.icount, b.alarm_record.icount);
+}
+
+/** @p factory's VMs with the TB engine on or off. */
+core::VmFactory
+with_tb(core::VmFactory factory, bool tb)
+{
+    return [factory = std::move(factory), tb] {
+        auto vm = factory();
+        vm->cpu().set_tb_enabled(tb);
+        return vm;
+    };
+}
+
+TEST(AlarmChain, EveryAttackMixAlarmClassifiesTheSameChainedAndSolo)
+{
+    // Every alarm of the 4-attacker mix, TB on and off: one replayer
+    // that goes on from alarm to alarm of its checkpoint reaches each
+    // verdict a fresh replayer from that checkpoint reaches, down to
+    // the report, the forensic bytes and analysis_cycles (which still
+    // count from the restore).
+    workloads::AttackMixOptions options;
+    options.attackers = 4;
+    options.iterations_per_task = 120;
+    const auto mix = workloads::attack_mix(options).factory;
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kSerial;
+    const auto result = core::RnrSafeFramework(mix, config).run();
+    const auto& log = result.recorder->log();
+    const auto& pending_alarms = result.cr->pending_alarms();
+    ASSERT_GE(pending_alarms.size(), 8u);
+
+    for (const bool tb : {true, false}) {
+        const auto factory = with_tb(mix, tb);
+        std::unique_ptr<hv::Vm> chained_vm;
+        std::unique_ptr<replay::AlarmReplayer> chained;
+        std::uint64_t chained_checkpoint = 0;
+        std::size_t continued = 0;
+        std::size_t attacks = 0;
+        for (const auto& pending : pending_alarms) {
+            ASSERT_NE(pending.checkpoint, nullptr);
+            ASSERT_TRUE(pending.record.alarm.kernel_mode);
+            if (chained && chained_checkpoint == pending.checkpoint->id) {
+                ++continued;
+            } else {
+                chained.reset();
+                chained_vm = factory();
+                chained = std::make_unique<replay::AlarmReplayer>(
+                    chained_vm.get(), &log, *pending.checkpoint,
+                    rnr::ReplayOptions{});
+                chained_checkpoint = pending.checkpoint->id;
+            }
+            const auto in_chain = chained->analyze(pending.log_index);
+
+            auto solo_vm = factory();
+            replay::AlarmReplayer solo(solo_vm.get(), &log,
+                                       *pending.checkpoint,
+                                       rnr::ReplayOptions{});
+            const auto alone = solo.analyze(pending.log_index);
+            SCOPED_TRACE("alarm @" + std::to_string(pending.log_index) +
+                         (tb ? " TB on" : " TB off"));
+            expect_same_analysis(in_chain, alone);
+            attacks += alone.is_attack ? 1 : 0;
+        }
+        EXPECT_GE(continued, pending_alarms.size() / 2)
+            << "the alarms did not share their checkpoints";
+        EXPECT_GE(attacks, options.attackers);
+    }
+}
+
+/** The attack mix's two attackers beside a mysql pair that longjmps:
+ *  user-mode alarms before, between and after the kernel ROP alarms,
+ *  all under the first checkpoint. */
+core::VmFactory
+mixed_level_factory()
+{
+    auto profile = workloads::benchmark_profile("mysql");
+    profile.iterations_per_task = 120;
+    profile.num_tasks = 2;
+    profile.setjmp_prob = 0.02;  // benign user-mode alarms
+    const auto kernel = k::build_kernel();
+    std::vector<isa::Image> images;
+    std::vector<Addr> entries;
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto program = attack::build_attacker_program(
+            kernel, k::kUserCodeBase + 0x40000 + i * 0x8000,
+            k::kUserDataBase + (15 + i) * 0x10000, 200 + i * 350);
+        images.push_back(program.image);
+        entries.push_back(program.entry);
+    }
+    return workloads::vm_factory(profile, images, entries);
+}
+
+TEST(AlarmChain, UserModeAlarmAmongKernelAlarmsGetsAFreshReplay)
+{
+    // A user-mode alarm switches user call/ret tracing on for the rest
+    // of its replay, so a live AR that classified one cannot go on to a
+    // kernel alarm, nor the other way round: the LiveAr key sends every
+    // change of level to a fresh AR, and every verdict still matches
+    // the solo one, TB on and off.
+    const auto factory = mixed_level_factory();
+    core::FrameworkConfig config;
+    config.pipeline = core::PipelineMode::kSerial;
+    const auto result = core::RnrSafeFramework(factory, config).run();
+    const auto& log = result.recorder->log();
+    const auto& pending_alarms = result.cr->pending_alarms();
+    ASSERT_GE(pending_alarms.size(), 4u);
+
+    for (const bool tb : {true, false}) {
+        const core::ArStage stage(with_tb(factory, tb),
+                                  rnr::ReplayOptions{}, nullptr);
+        core::LiveAr live;
+        stats::StatRegistry chained_stats;
+        stats::StatRegistry solo_stats;
+        std::size_t level_changes = 0;
+        std::size_t user_alarms = 0;
+        std::size_t kernel_alarms = 0;
+        std::optional<bool> last_kernel;
+        std::optional<std::uint64_t> last_checkpoint;
+        for (const auto& pending : pending_alarms) {
+            ASSERT_NE(pending.checkpoint, nullptr);
+            const bool kernel = pending.record.alarm.kernel_mode;
+            (kernel ? kernel_alarms : user_alarms) += 1;
+            const auto in_chain =
+                stage.analyze(pending, log, &chained_stats, &live);
+            const auto alone = stage.analyze(pending, log, &solo_stats);
+            SCOPED_TRACE("alarm @" + std::to_string(pending.log_index) +
+                         (tb ? " TB on" : " TB off"));
+            EXPECT_FALSE(alone.continued);
+            const bool same_key =
+                last_kernel == kernel &&
+                last_checkpoint == pending.checkpoint->id;
+            EXPECT_EQ(in_chain.continued, same_key);
+            if (last_kernel.has_value() && *last_kernel != kernel)
+                ++level_changes;
+            last_kernel = kernel;
+            last_checkpoint = pending.checkpoint->id;
+            expect_same_analysis(in_chain.analysis, alone.analysis);
+        }
+        EXPECT_GT(user_alarms, 0u);
+        EXPECT_GT(kernel_alarms, 0u);
+        EXPECT_GE(level_changes, 2u)
+            << "no user-mode alarm sits on both sides of a kernel one";
+        // Chaining is invisible to the counters.
+        EXPECT_EQ(chained_stats.snapshot(), solo_stats.snapshot());
+        EXPECT_EQ(chained_stats.value("ar.replays"), pending_alarms.size());
+    }
 }
 
 }  // namespace

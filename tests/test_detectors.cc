@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/log.h"
+#include "core/ar_stage.h"
 #include "core/dos_detector.h"
 #include "core/jop_detector.h"
 #include "core/rop_detector.h"
@@ -475,6 +476,53 @@ TEST(DetectorPipeline, VerdictsAreBitIdenticalAcrossPipelineShapes)
         EXPECT_EQ(serial, concurrent) << scenario.name;
         EXPECT_EQ(serial, interp) << scenario.name;
     }
+}
+
+TEST(AlarmChain, DetectorAlarmsClassifyTheSameChainedAndSolo)
+{
+    // A detector classifier reads the replayed machine through a const
+    // AlarmReplayer, so a classified detector alarm leaves the replay as
+    // it found it, and the next alarm of its checkpoint goes on from
+    // there with the verdict a fresh replay gives.
+    std::size_t detector_alarms = 0;
+    std::size_t continued_detector_alarms = 0;
+    for (const auto& scenario : {workloads::cfi_hijack_scenario(),
+                                 workloads::cfi_table_miss_scenario(),
+                                 workloads::wx_patcher_scenario(),
+                                 workloads::wx_inject_scenario(),
+                                 workloads::longjmp_storm_scenario()}) {
+        const auto result = run_scenario(scenario);
+        const auto& log = result.recorder->log();
+        const ArStage stage(scenario.factory, rnr::ReplayOptions{},
+                            result.detectors.get());
+        LiveAr live;
+        stats::StatRegistry chained_stats;
+        stats::StatRegistry solo_stats;
+        for (const auto& pending : result.cr->pending_alarms()) {
+            ASSERT_NE(pending.checkpoint, nullptr) << scenario.name;
+            const auto in_chain =
+                stage.analyze(pending, log, &chained_stats, &live);
+            const auto alone = stage.analyze(pending, log, &solo_stats);
+            SCOPED_TRACE(scenario.name + " alarm @" +
+                         std::to_string(pending.log_index));
+            EXPECT_EQ(in_chain.analysis.cause, alone.analysis.cause);
+            EXPECT_EQ(in_chain.analysis.is_attack, alone.analysis.is_attack);
+            EXPECT_EQ(in_chain.analysis.report, alone.analysis.report);
+            EXPECT_EQ(in_chain.analysis.forensic.serialize(),
+                      alone.analysis.forensic.serialize());
+            EXPECT_EQ(in_chain.analysis.analysis_cycles,
+                      alone.analysis.analysis_cycles);
+            if (pending.record.type == rnr::RecordType::kDetectorAlarm) {
+                ++detector_alarms;
+                continued_detector_alarms += in_chain.continued ? 1 : 0;
+            }
+        }
+        EXPECT_EQ(chained_stats.snapshot(), solo_stats.snapshot())
+            << scenario.name;
+    }
+    EXPECT_GT(detector_alarms, 0u);
+    EXPECT_GT(continued_detector_alarms, 0u)
+        << "no detector alarm shared a checkpoint with an earlier alarm";
 }
 
 }  // namespace

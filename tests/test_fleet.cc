@@ -214,6 +214,12 @@ TEST(Fleet, TenantMetricNamespacesNeverAlias)
     ASSERT_TRUE(hists.count("tenant.mysql.ar.verdict_latency"));
     EXPECT_GT(hists.at("tenant.attack.ar.verdict_latency").count(), 0u);
     EXPECT_EQ(hists.at("tenant.mysql.ar.verdict_latency").count(), 0u);
+    // So are the host-clock ones: one sample per verdict.
+    ASSERT_TRUE(hists.count("tenant.attack.ar.verdict_host_us"));
+    ASSERT_TRUE(hists.count("tenant.mysql.ar.verdict_host_us"));
+    EXPECT_EQ(hists.at("tenant.attack.ar.verdict_host_us").count(),
+              attack_replays);
+    EXPECT_EQ(hists.at("tenant.mysql.ar.verdict_host_us").count(), 0u);
 
     // And the namespaces survive both exporters distinctly. (ar.replays
     // only exists where replays happened; record.instructions exists for
@@ -228,11 +234,56 @@ TEST(Fleet, TenantMetricNamespacesNeverAlias)
               std::string::npos);
     EXPECT_NE(result.metrics.value("tenant.attack.record.instructions"),
               result.metrics.value("tenant.mysql.record.instructions"));
+    EXPECT_NE(json.find("tenant.attack.ar.verdict_host_us"),
+              std::string::npos);
     const std::string prom = exporter.to_prometheus();
+    EXPECT_NE(prom.find("rsafe_tenant_attack_ar_verdict_host_us"),
+              std::string::npos);
     EXPECT_NE(prom.find("rsafe_tenant_attack_record_instructions"),
               std::string::npos);
     EXPECT_NE(prom.find("rsafe_tenant_mysql_record_instructions"),
               std::string::npos);
+}
+
+TEST(AlarmChain, FleetWorkersChainWithoutChangingTheCounters)
+{
+    // The 4-attacker mix's alarms all follow one checkpoint. One worker
+    // goes on from each alarm to the next; two workers each chain their
+    // own share. Either way every verdict and the counter snapshot are
+    // the same, ar.replays still counts every verdict, and how many jobs
+    // chained is a gauge, outside the snapshot.
+    workloads::AttackMixOptions options;
+    options.attackers = 4;
+    options.iterations_per_task = 120;
+    const auto factory = workloads::attack_mix(options).factory;
+    const auto run = [&factory](std::size_t workers) {
+        fleet::ReplayFleet fleet({{"t", factory, streamed_config()}},
+                                 pool_options(workers));
+        return fleet.run();
+    };
+    const auto continuations = [](const fleet::FleetResult& result) {
+        const auto& gauges = result.tenants[0].result.pipeline_stats.gauges();
+        return gauges.count("ar.continuations") != 0
+                   ? gauges.at("ar.continuations").last()
+                   : ~std::uint64_t{0};
+    };
+
+    const auto one = run(1);
+    const auto two = run(2);
+    const Digest serial = digest(one.tenants[0].result);
+    ASSERT_TRUE(serial.attack);
+    ASSERT_GE(serial.alarm_replays, 8u);
+    EXPECT_EQ(digest(two.tenants[0].result), serial);
+    for (const auto* result : {&one, &two}) {
+        const auto& stats = result->tenants[0].result.pipeline_stats;
+        EXPECT_EQ(stats.value("ar.replays"), serial.alarm_replays);
+        for (const auto& [name, value] : stats.snapshot())
+            EXPECT_NE(name, "ar.continuations");
+    }
+    // Serial: every alarm but the first went on in the one live AR.
+    EXPECT_EQ(continuations(one), serial.alarm_replays - 1);
+    EXPECT_GT(continuations(two), 0u);
+    EXPECT_LE(continuations(two), serial.alarm_replays - 1);
 }
 
 /** A workload far too long to finish: shutdown must cut it short. */

@@ -321,7 +321,7 @@ TEST(ConcurrentPipeline, TracksReplayLagAndChannelTraffic)
 {
     auto result = run_pipeline_mode(core::PipelineMode::kConcurrent, 2);
     // Lag was sampled at every positional boundary.
-    EXPECT_GT(result.replay_lag.samples, 0u);
+    EXPECT_GT(result.replay_lag.series.observations(), 0u);
     EXPECT_GE(result.replay_lag.max_lag, 1u);
     EXPECT_LE(result.replay_lag.mean(),
               static_cast<double>(result.replay_lag.max_lag));
@@ -340,8 +340,7 @@ TEST(ConcurrentPipeline, LagSeries)
     const auto series = lag.series();
     ASSERT_FALSE(series.empty());
     EXPECT_LE(series.size(), lag.capacity());
-    EXPECT_LE(series.size(), result.replay_lag.samples);
-    EXPECT_EQ(lag.observations(), result.replay_lag.samples);
+    EXPECT_LE(series.size(), lag.observations());
     std::uint64_t series_max = 0;
     for (std::size_t i = 0; i < series.size(); ++i) {
         if (i > 0) {
@@ -356,7 +355,7 @@ TEST(ConcurrentPipeline, LagSeries)
     const auto& gauges = result.pipeline_stats.gauges();
     ASSERT_NE(gauges.count("cr.replay_lag"), 0u);
     const auto& merged = gauges.at("cr.replay_lag");
-    EXPECT_EQ(merged.observations(), result.replay_lag.samples);
+    EXPECT_EQ(merged.observations(), lag.observations());
     const auto merged_series = merged.series();
     ASSERT_EQ(merged_series.size(), series.size());
     for (std::size_t i = 0; i < series.size(); ++i) {

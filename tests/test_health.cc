@@ -627,9 +627,18 @@ TEST(FleetHealth, StormTenantGoesCriticalAndTheBoxRoundTrips)
 {
     // A storming tenant over a one-worker pool: the alarm backlog has
     // to cross the queue-depth rule, the monitor has to flag it, and
-    // the attack verdict has to dump a decodable flight box.
+    // the attack verdict has to dump a decodable flight box. The worker
+    // goes on from one alarm to the next of a checkpoint in its live AR
+    // and keeps up with the CR once it has a VM, so a VM here takes
+    // several monitor ticks to build: the alarms the CR queues while
+    // the worker builds its first AR VM are the backlog.
+    const core::VmFactory storm = storm_factory();
+    const core::VmFactory slow_storm = [storm] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        return storm();
+    };
     std::vector<fleet::FleetTenant> tenants;
-    tenants.push_back({"storm", storm_factory(), streamed_config()});
+    tenants.push_back({"storm", slow_storm, streamed_config()});
 
     fleet::FleetOptions options;
     options.workers = 1;

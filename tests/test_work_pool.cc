@@ -28,7 +28,7 @@ class Gate {
   public:
     FairSharePool::Job job()
     {
-        return [this] {
+        return [this](std::size_t) {
             started_.set_value();
             opened_.wait();
         };
@@ -53,7 +53,7 @@ TEST(FairSharePool, TenantNeverRunsMoreThanItsCap)
         const std::size_t b = pool.register_tenant("b");
         for (int i = 0; i < 12; ++i) {
             for (const std::size_t t : {a, b}) {
-                pool.submit(t, [&running, &peak, t] {
+                pool.submit(t, [&running, &peak, t](std::size_t) {
                     const int now = ++running[t];
                     int seen = peak[t].load();
                     while (now > seen &&
@@ -82,7 +82,7 @@ TEST(FairSharePool, SecondTenantRunsBeforeTheFirstBacklogDrains)
     std::mutex mu;
     std::vector<std::string> order;
     const auto note = [&](std::string name) {
-        return [&mu, &order, name] {
+        return [&mu, &order, name](std::size_t) {
             std::lock_guard<std::mutex> lock(mu);
             order.push_back(name);
         };
@@ -106,7 +106,7 @@ TEST(FairSharePool, DrainRunsEverything)
     const std::size_t a = pool.register_tenant("a");
     const std::size_t b = pool.register_tenant("b");
     for (int i = 0; i < 50; ++i)
-        pool.submit(i % 3 == 0 ? b : a, [&ran] { ++ran; });
+        pool.submit(i % 3 == 0 ? b : a, [&ran](std::size_t) { ++ran; });
     pool.drain();
     EXPECT_EQ(ran.load(), 50);
     const PoolStats stats = pool.stats();
@@ -135,9 +135,9 @@ TEST(FairSharePool, DiscardKeepsTheBooks)
     pool.submit(a, gate.job());
     gate.wait_started();
     for (int i = 0; i < 5; ++i)
-        pool.submit(a, [&ran] { ++ran; });
+        pool.submit(a, [&ran](std::size_t) { ++ran; });
     for (int i = 0; i < 3; ++i)
-        pool.submit(b, [&ran] { ++ran; });
+        pool.submit(b, [&ran](std::size_t) { ++ran; });
     pool.discard();  // never blocks, though a job is still running
     gate.open();
     pool.drain();
@@ -157,7 +157,7 @@ TEST(FairSharePool, DiscardKeepsTheBooks)
         EXPECT_EQ(t.submitted, t.executed + t.discarded) << t.name;
 
     // The pool stays usable after a discard.
-    pool.submit(b, [&ran] { ++ran; });
+    pool.submit(b, [&ran](std::size_t) { ++ran; });
     pool.drain();
     EXPECT_EQ(ran.load(), 1);
 }
@@ -180,13 +180,13 @@ TEST(FairSharePool, DestructorDropsQueuedJobsWithoutRunningThem)
         FairSharePool pool(1, 1);
         const std::size_t a = pool.register_tenant("a");
         std::promise<void> started;
-        pool.submit(a, [&started, dropped] {
+        pool.submit(a, [&started, dropped](std::size_t) {
             started.set_value();
             dropped.wait();
         });
         started.get_future().wait();
         for (int i = 0; i < 5; ++i)
-            pool.submit(a, [&ran, opener] { ++ran; });
+            pool.submit(a, [&ran, opener](std::size_t) { ++ran; });
         opener.reset();
     }
     EXPECT_EQ(ran.load(), 0);
@@ -195,9 +195,9 @@ TEST(FairSharePool, DestructorDropsQueuedJobsWithoutRunningThem)
 TEST(FairSharePool, SubmitToAnUnregisteredTenantThrows)
 {
     FairSharePool pool(1, 1);
-    EXPECT_THROW(pool.submit(0, [] {}), FatalError);
+    EXPECT_THROW(pool.submit(0, [](std::size_t) {}), FatalError);
     pool.register_tenant("a");
-    EXPECT_THROW(pool.submit(1, [] {}), FatalError);
+    EXPECT_THROW(pool.submit(1, [](std::size_t) {}), FatalError);
     EXPECT_THROW({ FairSharePool bad(1, 0); }, FatalError);
 }
 
@@ -212,9 +212,9 @@ TEST(FairSharePool, MaxAdmittedCountsStartableJobs)
     Gate gate;
     pool.submit(a, gate.job());
     gate.wait_started();
-    pool.submit(a, [] {});
-    pool.submit(a, [] {});
-    pool.submit(b, [] {});
+    pool.submit(a, [](std::size_t) {});
+    pool.submit(a, [](std::size_t) {});
+    pool.submit(b, [](std::size_t) {});
     EXPECT_EQ(pool.stats().max_admitted, 2u);
     gate.open();
     pool.drain();
@@ -238,7 +238,7 @@ TEST(FairSharePool, DiscardWakesADrainAlreadyWaiting)
         pool.submit(a, gate.job());
         gate.wait_started();
         for (int i = 0; i < 8; ++i)
-            pool.submit(a, [] {});
+            pool.submit(a, [](std::size_t) {});
         auto waiter = std::async(std::launch::async, [&pool] {
             pool.drain();
         });
@@ -248,8 +248,8 @@ TEST(FairSharePool, DiscardWakesADrainAlreadyWaiting)
         pool.discard();
         const bool woke =
             waiter.wait_for(10s) == std::future_status::ready;
-        if (!woke)
-            pool.submit(a, [] {});  // its completion unsticks drain()
+        if (!woke)  // the job's completion unsticks drain()
+            pool.submit(a, [](std::size_t) {});
         waiter.get();
         ASSERT_TRUE(woke) << "drain() missed its wakeup on iteration "
                           << iter;
@@ -257,6 +257,46 @@ TEST(FairSharePool, DiscardWakesADrainAlreadyWaiting)
     const PoolStats stats = pool.stats();
     EXPECT_EQ(stats.submitted, stats.executed + stats.discarded);
     EXPECT_GE(stats.executed, static_cast<std::uint64_t>(kIterations));
+}
+
+TEST(FairSharePool, JobsSeeTheirWorkerIndex)
+{
+    // Every job is told a worker index below the worker count, and one
+    // worker never runs two jobs at once (per-worker state needs no
+    // lock). A 1-worker pool always passes 0.
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+        FairSharePool pool(workers, 2);
+        ASSERT_EQ(pool.stats().workers, workers);
+        const std::size_t a = pool.register_tenant("a");
+        const std::size_t b = pool.register_tenant("b");
+        std::vector<std::atomic<int>> busy(workers);
+        std::atomic<int> overlaps{0};
+        std::mutex mu;
+        std::vector<std::size_t> seen;
+        for (int i = 0; i < 40; ++i) {
+            pool.submit(i % 2 == 0 ? a : b, [&](std::size_t worker) {
+                {
+                    std::lock_guard<std::mutex> lock(mu);
+                    seen.push_back(worker);
+                }
+                if (worker >= busy.size())
+                    return;
+                if (++busy[worker] != 1)
+                    ++overlaps;
+                std::this_thread::sleep_for(50us);
+                --busy[worker];
+            });
+        }
+        pool.drain();
+        ASSERT_EQ(seen.size(), 40u);
+        for (const std::size_t worker : seen) {
+            EXPECT_LT(worker, workers);
+            if (workers == 1) {
+                EXPECT_EQ(worker, 0u);
+            }
+        }
+        EXPECT_EQ(overlaps.load(), 0);
+    }
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #                             # the one-log stream tests, the AR over a
 #                             # growing log, every ConcurrentPipeline and
 #                             # FleetShip test, the fleet
-#                             # Drain/Abandon/Tenants tests and the
+#                             # Drain/Abandon/Tenants tests, the
 #                             # health-plane tests (the monitor thread
 #                             # writes the flight recorder that AR
-#                             # workers also write) repeated
-#                             # until-fail:20 under TSan.
+#                             # workers also write) and the AlarmChain
+#                             # and FairSharePool tests (per-worker
+#                             # live-AR slots) repeated until-fail:20
+#                             # under TSan.
 #   tools/check.sh tidy       # clang-tidy over src/ (skips if not installed)
 #   tools/check.sh fuzz       # libFuzzer smoke over tests/corpus (clang);
 #                             # falls back to corpus replay under gcc.
@@ -83,7 +85,7 @@ run_tsan() {
     # shows up as a rare flake: repeat the streaming, fleet, shutdown and
     # health-plane tests so a recurrence fails here.
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip|FleetHealth|FrameworkHealth|HealthMonitor' \
+        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip|FleetHealth|FrameworkHealth|HealthMonitor|AlarmChain|FairSharePool' \
         --repeat until-fail:20
 }
 
