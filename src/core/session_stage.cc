@@ -23,8 +23,8 @@ SessionStage::SessionStage(VmFactory factory, const FrameworkConfig& config,
         result_.detectors = config.detectors;
 
     if (log) {
-        // A shipped log is complete already: nothing to stream, nothing
-        // to arm.
+        // A shipped log is complete already: nothing to wait for,
+        // nothing to arm.
         result_.shipped_log = std::move(log);
         log_ = result_.shipped_log.get();
     } else {
@@ -40,16 +40,13 @@ SessionStage::SessionStage(VmFactory factory, const FrameworkConfig& config,
         // Streamed shape: the CR reads the recorder's log in place while
         // it grows. Serial shape: the same log, read once recording is
         // done.
-        if (config.pipeline == PipelineMode::kConcurrent) {
-            stream_ = std::make_unique<rnr::LogStream>();
-            result_.recorder->attach_stream(stream_.get());
-        }
+        concurrent_ = config.pipeline == PipelineMode::kConcurrent;
         log_ = &result_.recorder->log();
     }
 
     result_.cr_vm = factory();
     result_.cr = std::make_unique<replay::CheckpointReplayer>(
-        result_.cr_vm.get(), log_, config.cr, stream_.get());
+        result_.cr_vm.get(), log_, config.cr);
 }
 
 void
@@ -92,7 +89,7 @@ SessionStage::run()
         result_.cr_outcome = result_.cr->run();
     };
 
-    if (!stream_) {
+    if (!concurrent_) {
         // Serial or replay-only: the log is complete when the CR starts.
         if (result_.recorder)
             record();
@@ -103,6 +100,8 @@ SessionStage::run()
         // in place while it grows (Figure 1's arrow is a live log, not a
         // file handed over after the fact). The recorder never waits for
         // the CR, so a CR that stops or throws cannot park it.
+        rnr::InputLog& log = result_.recorder->log();
+        log.open();
         const std::string rec_thread =
             name_.empty() ? "recorder" : name_ + ".recorder";
         const std::string cr_thread = name_.empty() ? "cr" : name_ + ".cr";
@@ -112,10 +111,10 @@ SessionStage::run()
                 if (obs::Tracer::instance().enabled())
                     obs::Tracer::instance().attach_thread(rec_thread.c_str());
                 record();
-                stream_->close();
+                log.close();
             } catch (...) {
                 record_error = std::current_exception();
-                stream_->poison();
+                log.poison();
             }
         });
         std::thread cr_thread_obj([&] {
@@ -129,17 +128,14 @@ SessionStage::run()
         });
         record_thread.join();
         cr_thread_obj.join();
-        // The stream belongs to this stage; the recorder must not keep a
-        // pointer to it once the run is over.
-        result_.recorder->attach_stream(nullptr);
         disarm_detectors();
         if (record_error)
             std::rethrow_exception(record_error);
         if (cr_error)
             std::rethrow_exception(cr_error);
-        result_.channel_stats.consumer_waits = stream_->consumer_waits();
     }
 
+    result_.channel_stats.consumer_waits = log_->consumer_waits();
     result_.alarms_logged =
         log_->find_all(rnr::RecordType::kRasAlarm).size() +
         log_->find_all(rnr::RecordType::kDetectorAlarm).size();

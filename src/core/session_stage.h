@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/framework.h"
-#include "rnr/log_source.h"
 
 /**
  * @file
@@ -72,7 +71,7 @@ class SessionStage {
 
     /**
      * Ask a run() in progress to wind down: the recorder stops at its
-     * next exit boundary (which closes the stream), and the CR stops at
+     * next exit boundary (which closes the log), and the CR stops at
      * its next positional segment. Callable from any thread until
      * take_result().
      */
@@ -120,9 +119,10 @@ class SessionStage {
     bool detectors_armed_ = false;
     bool ran_ = false;
     bool stopped_ = false;
+    /** Record and replay on two threads over the open log (kConcurrent
+     *  with a recorder). */
+    bool concurrent_ = false;
 
-    /** Wakes the CR as the recorder appends (streamed shape; else null). */
-    std::unique_ptr<rnr::LogStream> stream_;
     /** The one log (recorder's or shipped). */
     const rnr::InputLog* log_ = nullptr;
     /** Components and outputs, handed over by take_result(). */

@@ -168,14 +168,16 @@ AlarmReplayer::analyze(std::size_t alarm_log_index)
 {
     target_index_ = alarm_log_index;
     reached_target_ = false;
-    if (!source_.await(alarm_log_index))
+    // Every record up to the alarm was published before this job
+    // existed, so the replay never waits on the log's end state.
+    if (alarm_log_index >= log_->size())
         panic("AlarmReplayer: the log holds no target alarm record");
     // The alarm record names the mode its return ran in, so it picks the
     // one analysis level that can classify it: a user-mode RAS alarm
     // needs user call/ret traced too (Section 4.6.2's deeper level).
     // The CPU reads the control at run time, so it is set after the
     // restore.
-    const rnr::LogRecord& record = source_.at(alarm_log_index);
+    const rnr::LogRecord& record = log_->at(alarm_log_index);
     if (record.type == rnr::RecordType::kRasAlarm &&
         !record.alarm.kernel_mode)
         vm_->cpu().vmcs().controls.trap_user_call_ret = true;

@@ -8,9 +8,8 @@ namespace rsafe::replay {
 using cpu::Costs;
 
 CheckpointReplayer::CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
-                                       const CrOptions& options,
-                                       rnr::LogStream* stream)
-    : rnr::Replayer(vm, log, 0, options.replay, stream),
+                                       const CrOptions& options)
+    : rnr::Replayer(vm, log, 0, options.replay),
       cr_options_(options), store_(options.store)
 {
     take_initial_checkpoint();

@@ -58,13 +58,12 @@ struct PendingAlarm {
 class CheckpointReplayer : public rnr::Replayer {
   public:
     /**
-     * Replay @p log in place from its start. With @p stream the CR
-     * consumes records on the fly while the recorder is still appending
-     * them (Figure 1's arrow); both must outlive the replayer.
+     * Replay @p log in place from its start; it must outlive the
+     * replayer. While @p log is open the CR consumes records on the fly
+     * as the recorder appends them (Figure 1's arrow).
      */
     CheckpointReplayer(hv::Vm* vm, const rnr::InputLog* log,
-                       const CrOptions& options,
-                       rnr::LogStream* stream = nullptr);
+                       const CrOptions& options);
 
     /** Checkpoints taken so far. */
     CheckpointStore& checkpoints() { return store_; }

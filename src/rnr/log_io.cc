@@ -1,8 +1,6 @@
 #include "rnr/log_io.h"
 
 #include <bit>
-#include <cstdio>
-#include <fstream>
 #include <new>
 #include <utility>
 
@@ -14,24 +12,6 @@ namespace rsafe::rnr {
 InputLog::~InputLog()
 {
     clear();
-}
-
-InputLog::InputLog(InputLog&& other) noexcept
-{
-    *this = std::move(other);
-}
-
-InputLog&
-InputLog::operator=(InputLog&& other) noexcept
-{
-    if (this == &other)
-        return *this;
-    clear();
-    segments_ = std::move(other.segments_);
-    size_.store(other.size_.exchange(0, std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    total_bytes_ = std::exchange(other.total_bytes_, 0);
-    return *this;
 }
 
 void
@@ -84,7 +64,55 @@ InputLog::append(LogRecord record)
     new (segments_[segment].get() + offset) LogRecord(std::move(record));
     // Publish: a reader that sees the new size sees the whole record.
     size_.store(index + 1, std::memory_order_release);
+    // Only the appending side changes the state of an open log, so a
+    // relaxed load suffices; a complete log has no reader to wake.
+    if (state_.load(std::memory_order_relaxed) == State::kOpen)
+        wake();
     return index;
+}
+
+void
+InputLog::wake()
+{
+    // await() sets waiting_ under mu_ after its last look at size(), so
+    // a record published before this lock is either seen there or finds
+    // waiting_ set here.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (waiting_)
+        cv_.notify_one();
+}
+
+void
+InputLog::end(State state)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (state_.load(std::memory_order_relaxed) != State::kPoisoned)
+        state_.store(state, std::memory_order_release);
+    cv_.notify_all();
+}
+
+bool
+InputLog::await(std::size_t index) const
+{
+    // The state is read before the size: once it says ended, the size
+    // read after it is final.
+    const auto settled = [&] {
+        return state_.load(std::memory_order_acquire) != State::kOpen ||
+               index < size();
+    };
+    if (!settled()) {
+        std::unique_lock<std::mutex> lock(mu_);
+        while (!settled()) {
+            consumer_waits_.fetch_add(1, std::memory_order_relaxed);
+            obs::Tracer::instance().instant("log.starved", "replay",
+                                            "index", index);
+            waiting_ = true;
+            cv_.wait(lock);
+            waiting_ = false;
+        }
+    }
+    // Closed or poisoned, the records already appended are still read.
+    return index < size();
 }
 
 const LogRecord&
@@ -173,66 +201,6 @@ InputLog::deserialize(const std::vector<std::uint8_t>& bytes, InputLog* out)
         return report.status;
     }
     return Status();
-}
-
-Status
-InputLog::save(const std::string& path) const
-{
-    const auto bytes = serialize();
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    if (!file)
-        return Status(StatusCode::kIoError,
-                      "InputLog::save: cannot open " + path);
-    file.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-    if (!file)
-        return Status(StatusCode::kIoError,
-                      "InputLog::save: write failed for " + path);
-    return Status();
-}
-
-namespace {
-
-/** Slurp @p path into @p bytes (kIoError on any file-level failure). */
-Status
-read_file(const std::string& path, std::vector<std::uint8_t>* bytes)
-{
-    std::ifstream file(path, std::ios::binary | std::ios::ate);
-    if (!file)
-        return Status(StatusCode::kIoError, "cannot open " + path);
-    const auto size = static_cast<std::size_t>(file.tellg());
-    file.seekg(0);
-    bytes->resize(size);
-    file.read(reinterpret_cast<char*>(bytes->data()),
-              static_cast<std::streamsize>(size));
-    if (!file)
-        return Status(StatusCode::kIoError, "read failed for " + path);
-    return Status();
-}
-
-}  // namespace
-
-Status
-InputLog::load(const std::string& path, InputLog* out)
-{
-    std::vector<std::uint8_t> bytes;
-    const Status io = read_file(path, &bytes);
-    if (!io.ok())
-        return io;
-    return deserialize(bytes, out);
-}
-
-wire::LoadReport
-InputLog::load_tolerant(const std::string& path, InputLog* out)
-{
-    std::vector<std::uint8_t> bytes;
-    const Status io = read_file(path, &bytes);
-    if (!io.ok()) {
-        wire::LoadReport report;
-        report.status = io;
-        return report;
-    }
-    return deserialize_tolerant(bytes, out);
 }
 
 }  // namespace rsafe::rnr

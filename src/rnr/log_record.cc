@@ -188,13 +188,6 @@ LogRecord::decode(const std::vector<std::uint8_t>& data, std::size_t* pos,
     return in.status();
 }
 
-bool
-LogRecord::deserialize(const std::vector<std::uint8_t>& data,
-                       std::size_t* pos, LogRecord* out)
-{
-    return decode(data, pos, out).ok();
-}
-
 std::string
 LogRecord::to_string() const
 {

@@ -91,10 +91,6 @@ struct LogRecord {
     static Status decode(const std::vector<std::uint8_t>& data,
                          std::size_t* pos, LogRecord* out);
 
-    /** Boolean convenience wrapper around decode(). */
-    static bool deserialize(const std::vector<std::uint8_t>& data,
-                            std::size_t* pos, LogRecord* out);
-
     /** One-line human-readable rendering (diagnostics, forensics). */
     std::string to_string() const;
 };

@@ -35,8 +35,6 @@ Recorder::charge_log_write(LogRecord record)
         Costs::kLogPer8Bytes * (record.serialized_size() / 8);
     vm_->cpu().add_cycles(cost);
     log_.append(std::move(record));
-    if (stream_ != nullptr)
-        stream_->notify();
     return cost;
 }
 

@@ -3,7 +3,6 @@
 
 #include "hv/hypervisor.h"
 #include "rnr/log_io.h"
-#include "rnr/log_source.h"
 
 /**
  * @file
@@ -69,11 +68,11 @@ class Recorder : public hv::Hypervisor {
     const InputLog& log() const { return log_; }
 
     /**
-     * notify() @p stream after every append, so a replayer awaiting the
-     * log on another thread wakes. The caller keeps ownership of the
-     * stream and close()s or poison()s it when the recording ends.
+     * The same log, for the session that open()s it before a replayer
+     * reads it on another thread and close()s or poison()s it when the
+     * recording ends.
      */
-    void attach_stream(LogStream* stream) { stream_ = stream; }
+    InputLog& log() { return log_; }
 
     /** Per-category overhead attribution (Figure 5b). */
     const RecordOverhead& overhead() const { return overhead_; }
@@ -120,7 +119,6 @@ class Recorder : public hv::Hypervisor {
 
     RecorderOptions rec_options_;
     InputLog log_;
-    LogStream* stream_ = nullptr;
     RecordOverhead overhead_;
     const core::DetectorSet* detectors_ = nullptr;
     bool alarm_stop_ = false;

@@ -9,13 +9,15 @@ namespace rsafe::rnr {
 using cpu::Costs;
 
 Replayer::Replayer(hv::Vm* vm, const InputLog* log, std::size_t start_pos,
-                   const ReplayOptions& options, LogStream* stream)
+                   const ReplayOptions& options)
     : hv::VmEnvBase(vm, options.manage_backras, options.whitelists),
-      source_(log, stream),
+      log_(log),
       cursor_(start_pos),
       options_(options),
       skid_rng_(options.seed)
 {
+    if (log_ == nullptr)
+        fatal("Replayer: null log");
     auto& cpu = vm_->cpu();
     cpu.vmcs().controls.exit_on_io = true;
     cpu.vmcs().controls.exit_on_rdtsc = true;
@@ -45,12 +47,12 @@ Replayer::is_positional(RecordType type) const
 std::size_t
 Replayer::next_positional()
 {
-    // Blocks (streaming source) until a positional record is visible or
-    // the producer finished: the replayer cannot arm its perf counter
+    // Blocks (open log) until a positional record is visible or the
+    // producer finished: the replayer cannot arm its perf counter
     // without knowing the next injection point, so the pipeline overlaps
     // at positional-segment granularity.
-    for (std::size_t i = cursor_; source_.await(i); ++i)
-        if (is_positional(source_.at(i).type))
+    for (std::size_t i = cursor_; log_->await(i); ++i)
+        if (is_positional(log_->at(i).type))
             return i;
     return kNoMore;
 }
@@ -58,7 +60,7 @@ Replayer::next_positional()
 void
 Replayer::sample_lag()
 {
-    const InstrCount produced = source_.producer_icount();
+    const InstrCount produced = log_->producer_icount();
     const InstrCount here = vm_->cpu().icount();
     const InstrCount lag = produced > here ? produced - here : 0;
     lag_.record(here, lag);
@@ -81,10 +83,10 @@ Replayer::divergence(const std::string& detail)
 const LogRecord&
 Replayer::expect_sync(RecordType type)
 {
-    if (!source_.await(cursor_))
+    if (!log_->await(cursor_))
         divergence(strcat_args("log exhausted, expected ",
                                record_type_name(type)));
-    const LogRecord& record = source_.at(cursor_);
+    const LogRecord& record = log_->at(cursor_);
     if (record.type != type)
         divergence(strcat_args("expected ", record_type_name(type), ", log has ",
                                record.to_string()));
@@ -139,8 +141,8 @@ Replayer::on_mmio_write(Addr addr, Word value)
     // NIC receive: the packet bytes come from the log, not from the
     // replica NIC (whose traffic generator is recording-side state).
     if (addr == dev::kMmioBase + dev::kNicRxBuf) {
-        if (source_.await(cursor_)) {
-            const LogRecord& record = source_.at(cursor_);
+        if (log_->await(cursor_)) {
+            const LogRecord& record = log_->at(cursor_);
             if (record.type == RecordType::kNicDma &&
                 record.icount == vm_->cpu().icount()) {
                 vm_->mem().write_block(record.addr, record.payload.data(),
@@ -264,23 +266,23 @@ Replayer::run()
             return ReplayOutcome::kStopRequested;
         const std::size_t pos = next_positional();
         if (pos == kNoMore) {
-            if (source_.aborted()) {
-                // The recorder died mid-stream (poisoned stream): the
-                // recording is invalid, stop where we are.
+            if (log_->aborted()) {
+                // The recorder died mid-recording (poisoned log): the
+                // recording is invalid, stop at what it had appended.
                 return ReplayOutcome::kLogAborted;
             }
             // No positional records left; consume any trailing
             // synchronous records (a recording stopped by an instruction
             // budget has no halt marker).
-            if (cursor_ < source_.visible()) {
+            if (cursor_ < log_->size()) {
                 const InstrCount last =
-                    source_.at(source_.visible() - 1).icount;
+                    log_->at(log_->size() - 1).icount;
                 cpu.run(~static_cast<Cycles>(0), last + 1);
             }
             hook_replay_end();
             return ReplayOutcome::kLogExhausted;
         }
-        const LogRecord& record = source_.at(pos);
+        const LogRecord& record = log_->at(pos);
 
         if (record.type == RecordType::kHalt) {
             const auto reason = cpu.run(~static_cast<Cycles>(0),

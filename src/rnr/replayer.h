@@ -8,7 +8,6 @@
 #include "hv/hypervisor.h"
 #include "obs/health_probe.h"
 #include "rnr/log_io.h"
-#include "rnr/log_source.h"
 #include "stats/stats.h"
 
 /**
@@ -61,7 +60,7 @@ enum class ReplayOutcome {
     kLogExhausted,  ///< ran out of log records (no halt marker)
     kStopRequested, ///< a hook asked to stop (e.g., alarm under analysis)
     kGuestFault,    ///< replayed guest faulted
-    kLogAborted,    ///< the producer poisoned the stream (recorder died)
+    kLogAborted,    ///< drained a poisoned log (the recorder died)
 };
 
 /**
@@ -113,14 +112,12 @@ class Replayer : public hv::VmEnvBase {
     /**
      * @param vm         the replay VM (fresh boot or checkpoint-restored).
      * @param log        the input log, read in place (must outlive the
-     *                   replayer).
+     *                   replayer); while it is open() another thread may
+     *                   still be appending to it (the streamed CR).
      * @param start_pos  log index to start consuming at (InputLogPtr).
-     * @param stream     non-null while another thread is still appending
-     *                   to @p log (the streamed CR); must outlive the
-     *                   replayer.
      */
     Replayer(hv::Vm* vm, const InputLog* log, std::size_t start_pos,
-             const ReplayOptions& options, LogStream* stream = nullptr);
+             const ReplayOptions& options);
 
     /** Replay until the log ends, the guest halts, or a hook stops us. */
     ReplayOutcome run();
@@ -128,9 +125,9 @@ class Replayer : public hv::VmEnvBase {
     /**
      * Ask a run() in progress to stop at the next positional-segment
      * boundary; run() returns kStopRequested. Callable from any thread
-     * (fleet shutdown). A replayer blocked in a streaming source's
-     * await() wakes only when the recorder appends or its stream is
-     * closed or poisoned — stop the recorder first.
+     * (fleet shutdown). A replayer blocked in an open log's await()
+     * wakes only when the recorder appends or the log is closed or
+     * poisoned — stop the recorder first.
      */
     void request_stop()
     {
@@ -146,8 +143,8 @@ class Replayer : public hv::VmEnvBase {
     /** @return the current log cursor (the InputLogPtr). */
     std::size_t log_pos() const { return cursor_; }
 
-    /** @return where this replayer's records come from. */
-    const InputLogSource& source() const { return source_; }
+    /** @return the log this replayer reads in place. */
+    const InputLog& log() const { return *log_; }
 
     /**
      * @return instructions-behind-the-recorder statistics. Only the
@@ -212,7 +209,7 @@ class Replayer : public hv::VmEnvBase {
     [[noreturn]] void divergence(const std::string& detail);
 
     /** The one log, read in place. */
-    InputLogSource source_;
+    const InputLog* log_;
     std::size_t cursor_;
     ReplayOptions options_;
     ReplayOverhead overhead_;
@@ -221,7 +218,7 @@ class Replayer : public hv::VmEnvBase {
     obs::HealthProbe* health_probe_ = nullptr;
 
   private:
-    /** next_positional() result when the stream ended first. */
+    /** next_positional() result when the log ended first. */
     static constexpr std::size_t kNoMore = ~static_cast<std::size_t>(0);
 
     bool is_positional(RecordType type) const;

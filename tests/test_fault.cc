@@ -21,10 +21,9 @@ using rnr::InputLog;
 using rnr::LogRecord;
 using rnr::RecordType;
 
-InputLog
-synthetic_log(std::size_t records)
+void
+synthetic_log(InputLog* log, std::size_t records)
 {
-    InputLog log;
     const int num_types = static_cast<int>(RecordType::kDetectorAlarm) + 1;
     for (std::size_t i = 0; i < records; ++i) {
         LogRecord record;
@@ -41,9 +40,8 @@ synthetic_log(std::size_t records)
         record.alarm.ret_pc = 0x2000 + i;
         if (record.type == RecordType::kNicDma)
             record.payload = {9, 8, 7};
-        log.append(std::move(record));
+        log->append(std::move(record));
     }
-    return log;
 }
 
 /** One matrix row: inject the fault, decode, check the verdict. */
@@ -53,7 +51,8 @@ class InjectionMatrix
 TEST_P(InjectionMatrix, DetectedAsItsOwnStatusCode)
 {
     const fault::FaultKind kind = GetParam();
-    const InputLog log = synthetic_log(10);  // one record of every type
+    InputLog log;
+    synthetic_log(&log, 10);  // one record of every type
     const auto intact = log.serialize();
 
     // Several seeds so the verdict does not depend on where the

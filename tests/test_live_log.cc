@@ -1,8 +1,8 @@
 /** @file Tests of the one input log read in place: InputLog's stable
- *  storage under a concurrent reader, LogStream's close/poison endings,
- *  InputLogSource with and without a stream, streamed sessions in which
- *  the CR reads the recorder's own log and can never block the
- *  recorder, and alarm replays over a log that is still growing. */
+ *  storage under a concurrent reader, its end state (open, closed,
+ *  poisoned) and wake protocol, streamed sessions in which the CR reads
+ *  the recorder's own log and can never block the recorder, and alarm
+ *  replays over a log that is still open, growing or poisoned. */
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/session_stage.h"
 #include "replay/checkpoint_replayer.h"
 #include "rnr/log_io.h"
-#include "rnr/log_source.h"
 #include "rnr/recorder.h"
 #include "stats/stats.h"
 #include "workloads/attack_mix.h"
@@ -28,9 +27,7 @@ namespace rsafe {
 namespace {
 
 using rnr::InputLog;
-using rnr::InputLogSource;
 using rnr::LogRecord;
-using rnr::LogStream;
 using rnr::RecordType;
 
 LogRecord
@@ -43,14 +40,12 @@ make_record(std::uint64_t i)
     return record;
 }
 
-/** Append @p count records to @p log, notifying @p stream. */
+/** Append @p count records to @p log. */
 void
-feed(InputLog* log, LogStream* stream, std::size_t count)
+feed(InputLog* log, std::size_t count)
 {
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i)
         log->append(make_record(log->size()));
-        stream->notify();
-    }
 }
 
 void
@@ -62,7 +57,7 @@ expect_same(const LogRecord& a, const LogRecord& b)
     EXPECT_EQ(ea, eb);
 }
 
-TEST(LogStream, RandomizedPacingStressSeesTheAppendedSequence)
+TEST(LiveLog, RandomizedPacingStressSeesTheAppendedSequence)
 {
     // Producer and reader run with independently randomized pacing; the
     // reader awaits record by record and must see exactly the appended
@@ -85,24 +80,22 @@ TEST(LogStream, RandomizedPacingStressSeesTheAppendedSequence)
         }
 
         InputLog log;
-        LogStream stream;
+        log.open();
         std::thread producer([&, seed = round_rng.next()] {
             Rng rng(seed);
             for (const LogRecord& record : reference) {
                 log.append(record);
-                stream.notify();
                 if (rng.chance(0.02))
                     std::this_thread::yield();
             }
-            stream.close();
+            log.close();
         });
 
-        InputLogSource source(&log, &stream);
         Rng reader_rng(round_rng.next());
         const LogRecord* early = nullptr;
         std::size_t index = 0;
-        for (; source.await(index); ++index) {
-            const LogRecord& record = source.at(index);
+        for (; log.await(index); ++index) {
+            const LogRecord& record = log.at(index);
             if (early == nullptr)
                 early = &record;
             ASSERT_EQ(record.icount, reference[index].icount)
@@ -115,8 +108,8 @@ TEST(LogStream, RandomizedPacingStressSeesTheAppendedSequence)
         producer.join();
 
         EXPECT_EQ(index, total) << "round " << round;
-        EXPECT_FALSE(source.aborted());
-        EXPECT_EQ(source.visible(), total);
+        EXPECT_FALSE(log.aborted());
+        EXPECT_EQ(log.size(), total);
         // The first record never moved and never changed while the log
         // grew by more than 10k records behind it.
         ASSERT_NE(early, nullptr);
@@ -127,7 +120,7 @@ TEST(LogStream, RandomizedPacingStressSeesTheAppendedSequence)
     }
 }
 
-TEST(LogStream, EveryAppendWakesAWaitingReader)
+TEST(LiveLog, EveryAppendWakesAWaitingReader)
 {
     // Lockstep: the producer appends record i only once the reader has
     // consumed record i - 1, and never closes until the end, so the
@@ -135,136 +128,144 @@ TEST(LogStream, EveryAppendWakesAWaitingReader)
     // this test instead of merely slowing it down.
     constexpr std::size_t kRecords = 2'000;
     InputLog log;
-    LogStream stream;
+    log.open();
     std::atomic<std::size_t> consumed{0};
     std::thread producer([&] {
         for (std::size_t i = 0; i < kRecords; ++i) {
             while (consumed.load(std::memory_order_acquire) < i)
                 std::this_thread::yield();
             log.append(make_record(i));
-            stream.notify();
         }
         while (consumed.load(std::memory_order_acquire) < kRecords)
             std::this_thread::yield();
-        stream.close();
+        log.close();
     });
-    InputLogSource source(&log, &stream);
     std::size_t index = 0;
-    for (; source.await(index); ++index) {
-        ASSERT_EQ(source.at(index).icount, index + 1);
+    for (; log.await(index); ++index) {
+        ASSERT_EQ(log.at(index).icount, index + 1);
         consumed.store(index + 1, std::memory_order_release);
     }
     producer.join();
     EXPECT_EQ(index, kRecords);
-    EXPECT_GT(stream.consumer_waits(), 0u);
+    EXPECT_GT(log.consumer_waits(), 0u);
 }
 
-TEST(LogStream, CloseDrainsEverythingThenEnds)
+TEST(LiveLog, CloseDrainsEverythingThenEnds)
 {
     InputLog log;
-    LogStream stream;
-    feed(&log, &stream, 10);
-    stream.close();
-
-    InputLogSource source(&log, &stream);
+    log.open();
+    feed(&log, 10);
+    log.close();
     for (std::size_t i = 0; i < 10; ++i)
-        ASSERT_TRUE(source.await(i));
-    EXPECT_FALSE(source.await(10));  // closed, not poisoned
-    EXPECT_FALSE(source.aborted());
-    EXPECT_EQ(source.visible(), 10u);
+        ASSERT_TRUE(log.await(i));
+    EXPECT_FALSE(log.await(10));  // closed, not poisoned
+    EXPECT_FALSE(log.aborted());
+    EXPECT_EQ(log.size(), 10u);
 
     // A reader already asleep past the end wakes on close.
     InputLog log2;
-    LogStream stream2;
-    feed(&log2, &stream2, 2);
+    log2.open();
+    feed(&log2, 2);
     bool got = true;
-    std::thread reader([&] { got = stream2.await(log2, 5); });
-    feed(&log2, &stream2, 2);  // 4 records: still short of index 5
-    stream2.close();
+    std::thread reader([&] { got = log2.await(5); });
+    feed(&log2, 2);  // 4 records: still short of index 5
+    log2.close();
     reader.join();
     EXPECT_FALSE(got);
-    EXPECT_FALSE(stream2.aborted());
+    EXPECT_FALSE(log2.aborted());
 }
 
-TEST(LogStream, PoisonEndsTheStreamAtOnce)
+TEST(LiveLog, PoisonDrainsThenEndsAndStaysAborted)
 {
     InputLog log;
-    LogStream stream;
-    feed(&log, &stream, 5);
-    stream.poison();
-    InputLogSource source(&log, &stream);
-    // An abort outranks records already appended.
-    EXPECT_FALSE(source.await(0));
-    EXPECT_FALSE(source.await(5));
-    EXPECT_TRUE(source.aborted());
-    stream.close();  // a later close does not clear the abort
-    EXPECT_TRUE(source.aborted());
+    log.open();
+    feed(&log, 5);
+    log.poison();
+    // Poison ends the log as close does: the records already appended
+    // are still read, and the end comes after them.
+    for (std::size_t i = 0; i < 5; ++i)
+        ASSERT_TRUE(log.await(i));
+    EXPECT_FALSE(log.await(5));
+    EXPECT_TRUE(log.aborted());
+    log.close();  // a later close does not clear the abort
+    EXPECT_TRUE(log.aborted());
+    EXPECT_FALSE(log.await(5));
 
-    // A reader asleep on an empty stream wakes on poison.
+    // A reader asleep on an empty open log wakes on poison.
     InputLog log2;
-    LogStream stream2;
+    log2.open();
     bool got = true;
-    std::thread reader([&] { got = stream2.await(log2, 0); });
-    stream2.poison();
+    std::thread reader([&] { got = log2.await(0); });
+    log2.poison();
     reader.join();
     EXPECT_FALSE(got);
-    EXPECT_TRUE(stream2.aborted());
+    EXPECT_TRUE(log2.aborted());
 }
 
-TEST(LogStream, CrOverAPoisonedStreamReportsLogAborted)
+TEST(LiveLog, CrDrainingAPoisonedLogReportsLogAborted)
 {
     auto profile = workloads::benchmark_profile("mysql");
-    profile.iterations_per_task = 20;
+    profile.iterations_per_task = 300;
     const auto factory = workloads::vm_factory(profile);
 
+    // A recording cut short (no halt marker) whose recorder then died:
+    // the CR replays every record it has and still reports the abort.
     auto recorded_vm = factory();
     rnr::Recorder recorder(recorded_vm.get(), rnr::RecorderOptions());
-    LogStream stream;
-    recorder.attach_stream(&stream);
-    recorder.run(~static_cast<InstrCount>(0));
-    recorder.attach_stream(nullptr);
-    ASSERT_GT(recorder.log().size(), 0u);
-    stream.poison();
+    recorder.log().open();
+    ASSERT_EQ(recorder.run(500'000), hv::RunResult::kInstrLimit);
+    recorder.log().poison();
+    const InputLog& log = recorder.log();
+    ASSERT_GT(log.size(), 0u);
+    ASSERT_NE(log.at(log.size() - 1).type, RecordType::kHalt);
 
     auto cr_vm = factory();
-    replay::CheckpointReplayer cr(cr_vm.get(), &recorder.log(),
-                                  replay::CrOptions(), &stream);
+    replay::CheckpointReplayer cr(cr_vm.get(), &log, replay::CrOptions());
     EXPECT_EQ(cr.run(), rnr::ReplayOutcome::kLogAborted);
+    // It drained the log: its cursor is past the last positional record.
+    std::size_t last_positional = 0;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const RecordType type = log.at(i).type;
+        if (type == RecordType::kIrqInject ||
+            type == RecordType::kDiskComplete ||
+            type == RecordType::kRasAlarm || type == RecordType::kRasEvict ||
+            type == RecordType::kDetectorAlarm) {
+            last_positional = i;
+        }
+    }
+    ASSERT_GT(last_positional, 0u);
+    EXPECT_EQ(cr.log_pos(), last_positional + 1);
 }
 
-TEST(LogStream, ALogWithoutAStreamNeverBlocks)
+TEST(LiveLog, ACompleteLogNeverBlocks)
 {
     InputLog empty;
-    InputLogSource empty_source(&empty);
-    EXPECT_FALSE(empty_source.await(0));
-    EXPECT_EQ(empty_source.producer_icount(), 0u);
+    EXPECT_FALSE(empty.await(0));
+    EXPECT_EQ(empty.producer_icount(), 0u);
 
     InputLog log;
     for (std::uint64_t i = 0; i < 3; ++i)
         log.append(make_record(i));
-    InputLogSource source(&log);
-    EXPECT_TRUE(source.await(2));
-    EXPECT_FALSE(source.await(3));
-    EXPECT_FALSE(source.await(1'000'000));
-    EXPECT_FALSE(source.aborted());
-    EXPECT_EQ(source.visible(), 3u);
+    EXPECT_TRUE(log.await(2));
+    EXPECT_FALSE(log.await(3));
+    EXPECT_FALSE(log.await(1'000'000));
+    EXPECT_FALSE(log.aborted());
+    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.consumer_waits(), 0u);
 }
 
-TEST(LogStream, ProducerIcountTracksTheNewestRecord)
+TEST(LiveLog, ProducerIcountTracksTheNewestRecord)
 {
     InputLog log;
-    LogStream stream;
-    // Built before any append, as a session builds its CR.
-    InputLogSource source(&log, &stream);
-    EXPECT_EQ(source.producer_icount(), 0u);
+    // Opened before any append, as a streamed session opens its log.
+    log.open();
+    EXPECT_EQ(log.producer_icount(), 0u);
     log.append(make_record(41));  // icount 42
-    stream.notify();
-    EXPECT_EQ(source.producer_icount(), 42u);
+    EXPECT_EQ(log.producer_icount(), 42u);
     log.append(make_record(99));  // icount 100
-    stream.notify();
-    EXPECT_EQ(source.producer_icount(), 100u);
-    stream.close();
-    EXPECT_EQ(source.producer_icount(), 100u);
+    EXPECT_EQ(log.producer_icount(), 100u);
+    log.close();
+    EXPECT_EQ(log.producer_icount(), 100u);
 }
 
 /** A streamed session over the VMs of @p factory. */
@@ -331,14 +332,50 @@ TEST(StreamedSession, CrReadsTheRecorderLogInPlace)
     const core::FrameworkResult result = stage->take_result();
     EXPECT_EQ(result.cr_outcome, rnr::ReplayOutcome::kFinished);
     const InputLog& log = result.recorder->log();
-    const InputLogSource& source = result.cr->source();
     ASSERT_GT(log.size(), 0u);
-    ASSERT_EQ(source.visible(), log.size());
-    // One copy of the log: the CR's records are the recorder's records.
-    for (std::size_t i = 0; i < log.size(); ++i)
-        ASSERT_EQ(&source.at(i), &log.at(i)) << "index " << i;
+    // One copy of the log: the CR reads the recorder's own log.
+    EXPECT_EQ(&result.cr->log(), &log);
     EXPECT_EQ(result.cr->log_pos(), log.size());
     EXPECT_EQ(result.cr_vm->state_hash(), result.recorded_vm->state_hash());
+}
+
+TEST(StreamedSession, ChannelStatsCountTheLogsConsumerWaits)
+{
+    auto stage = streamed_session(mysql(600));
+    stage->run();
+    const core::FrameworkResult result = stage->take_result();
+    EXPECT_EQ(result.cr_outcome, rnr::ReplayOutcome::kFinished);
+    // The session reports the waits its CR counted on the log itself,
+    // and the log is closed once the run is over.
+    const InputLog& log = result.recorder->log();
+    EXPECT_EQ(result.channel_stats.consumer_waits, log.consumer_waits());
+    EXPECT_EQ(result.channel_stats.producer_waits, 0u);
+    EXPECT_FALSE(log.aborted());
+    EXPECT_FALSE(log.await(log.size()));
+}
+
+/** @p got, the analysis of @p alarm over some log, equals the analysis
+ *  over the @p finished log. */
+void
+expect_same_verdict(const core::ArStage& stage,
+                    const replay::PendingAlarm& alarm,
+                    const InputLog& finished,
+                    const core::AlarmReplayResult& got)
+{
+    stats::StatRegistry stats;
+    const auto want = stage.analyze(alarm, finished, &stats);
+    const auto at = alarm.log_index;
+    EXPECT_EQ(got.log_index, want.log_index) << "alarm at " << at;
+    EXPECT_EQ(got.analysis.cause, want.analysis.cause) << "alarm at " << at;
+    EXPECT_EQ(got.analysis.is_attack, want.analysis.is_attack)
+        << "alarm at " << at;
+    EXPECT_EQ(got.analysis.report, want.analysis.report)
+        << "alarm at " << at;
+    EXPECT_EQ(got.analysis.forensic.serialize(),
+              want.analysis.forensic.serialize())
+        << "alarm at " << at;
+    EXPECT_EQ(got.analysis.analysis_cycles, want.analysis.analysis_cycles)
+        << "alarm at " << at;
 }
 
 TEST(ArOverAGrowingLog, VerdictsMatchTheFinishedLog)
@@ -361,27 +398,26 @@ TEST(ArOverAGrowingLog, VerdictsMatchTheFinishedLog)
                               result.detectors.get());
 
     InputLog growing;
-    LogStream stream;
+    growing.open();
     std::atomic<std::size_t> started{0};
     std::thread producer([&] {
         std::size_t next = 0;
         for (std::size_t i = 0; i < finished.size(); ++i) {
             growing.append(finished.at(i));
-            stream.notify();
             while (next < pending.size() && pending[next].log_index == i) {
                 ++next;
                 while (started.load(std::memory_order_acquire) < next)
                     std::this_thread::yield();
             }
         }
-        stream.close();
+        growing.close();
     });
 
     std::vector<core::AlarmReplayResult> live;
     std::size_t sizes_short_of_done = 0;
     for (std::size_t k = 0; k < pending.size(); ++k) {
         // The CR has read the alarm record before it queues the job.
-        const bool queued = stream.await(growing, pending[k].log_index);
+        const bool queued = growing.await(pending[k].log_index);
         started.store(k + 1, std::memory_order_release);
         if (!queued)
             break;
@@ -396,20 +432,57 @@ TEST(ArOverAGrowingLog, VerdictsMatchTheFinishedLog)
     // At least every analysis but the last ran before the log was whole.
     EXPECT_GE(sizes_short_of_done + 1, pending.size());
 
-    for (std::size_t k = 0; k < pending.size(); ++k) {
+    for (std::size_t k = 0; k < pending.size(); ++k)
+        expect_same_verdict(stage, pending[k], finished, live[k]);
+}
+
+/**
+ * Copy the attack mix's records up to and including its last pending
+ * alarm into a log that is opened first and then left open, or
+ * poisoned when @p poison, and classify every alarm over it. An AR that
+ * waited on the open log, or stopped at the poison, would hang or fail
+ * here; each must read only what was published and match the verdict
+ * over the complete log.
+ */
+void
+classify_over_an_unfinished_log(bool poison)
+{
+    workloads::AttackMixOptions options;
+    options.iterations_per_task = 600;
+    const auto factory = workloads::attack_mix(options).factory;
+    core::RnrSafeFramework framework(factory, core::FrameworkConfig{});
+    const auto result = framework.run();
+    const InputLog& finished = result.recorder->log();
+    const auto& pending = result.cr->pending_alarms();
+    ASSERT_FALSE(pending.empty());
+    const core::ArStage stage(factory, rnr::ReplayOptions{},
+                              result.detectors.get());
+
+    InputLog unfinished;
+    unfinished.open();
+    for (std::size_t i = 0; i <= pending.back().log_index; ++i)
+        unfinished.append(finished.at(i));
+    if (poison)
+        unfinished.poison();
+    ASSERT_LT(unfinished.size(), finished.size());
+
+    for (const replay::PendingAlarm& alarm : pending) {
         stats::StatRegistry stats;
-        const auto reference = stage.analyze(pending[k], finished, &stats);
-        const auto& got = live[k].analysis;
-        const auto& want = reference.analysis;
-        EXPECT_EQ(live[k].log_index, reference.log_index) << "alarm " << k;
-        EXPECT_EQ(got.cause, want.cause) << "alarm " << k;
-        EXPECT_EQ(got.is_attack, want.is_attack) << "alarm " << k;
-        EXPECT_EQ(got.report, want.report) << "alarm " << k;
-        EXPECT_EQ(got.forensic.serialize(), want.forensic.serialize())
-            << "alarm " << k;
-        EXPECT_EQ(got.analysis_cycles, want.analysis_cycles)
-            << "alarm " << k;
+        expect_same_verdict(stage, alarm, finished,
+                            stage.analyze(alarm, unfinished, &stats));
     }
+    EXPECT_EQ(unfinished.aborted(), poison);
+    EXPECT_EQ(unfinished.consumer_waits(), 0u);
+}
+
+TEST(ArOverAGrowingLog, AnOpenLogClassifiesAsTheCompleteLog)
+{
+    classify_over_an_unfinished_log(/*poison=*/false);
+}
+
+TEST(ArOverAGrowingLog, APoisonedLogClassifiesAsTheCompleteLog)
+{
+    classify_over_an_unfinished_log(/*poison=*/true);
 }
 
 }  // namespace

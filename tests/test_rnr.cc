@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "kernel/layout.h"
@@ -21,6 +25,23 @@ namespace k = rsafe::kernel;
 using rnr::InputLog;
 using rnr::LogRecord;
 using rnr::RecordType;
+
+/** Write @p bytes to the file @p path and read them back, as a log
+ *  shipped on disk travels; the file is removed again. */
+std::vector<std::uint8_t>
+through_file(const std::vector<std::uint8_t>& bytes, const std::string& path)
+{
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> back((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return back;
+}
 
 LogRecord
 sample_record(RecordType type)
@@ -57,7 +78,7 @@ TEST_P(RecordRoundTrip, SerializeDeserialize)
 
     std::size_t pos = 0;
     LogRecord out;
-    ASSERT_TRUE(LogRecord::deserialize(bytes, &pos, &out));
+    ASSERT_TRUE(LogRecord::decode(bytes, &pos, &out).ok());
     EXPECT_EQ(pos, bytes.size());
     EXPECT_EQ(out.type, in.type);
     EXPECT_EQ(out.icount, in.icount);
@@ -119,7 +140,7 @@ TEST(LogRecord, DeserializeRejectsTruncation)
                                         bytes.begin() + cut);
         std::size_t pos = 0;
         LogRecord out;
-        EXPECT_FALSE(LogRecord::deserialize(trunc, &pos, &out));
+        EXPECT_FALSE(LogRecord::decode(trunc, &pos, &out).ok());
     }
 }
 
@@ -129,7 +150,7 @@ TEST(LogRecord, DeserializeRejectsBadType)
     bytes[0] = 0x7f;
     std::size_t pos = 0;
     LogRecord out;
-    EXPECT_FALSE(LogRecord::deserialize(bytes, &pos, &out));
+    EXPECT_FALSE(LogRecord::decode(bytes, &pos, &out).ok());
 }
 
 TEST(InputLog, AppendFindAndByteAccounting)
@@ -176,13 +197,13 @@ TEST(InputLog, FileSaveLoadRoundTrip)
     InputLog log;
     log.append(sample_record(RecordType::kNicDma));
     log.append(sample_record(RecordType::kHalt));
-    const std::string path = "/tmp/rsafe_test_log.bin";
-    ASSERT_TRUE(log.save(path).ok());
+    const auto bytes = log.serialize();
+    const auto loaded_bytes = through_file(bytes, "/tmp/rsafe_test_log.bin");
+    EXPECT_EQ(loaded_bytes, bytes);
     InputLog loaded;
-    ASSERT_TRUE(InputLog::load(path, &loaded).ok());
+    ASSERT_TRUE(InputLog::deserialize(loaded_bytes, &loaded).ok());
     EXPECT_EQ(loaded.size(), 2u);
     EXPECT_EQ(loaded.at(0).payload, log.at(0).payload);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -354,11 +375,12 @@ TEST(LogPersistence, RecordedLogSurvivesDiskRoundTripAndReplays)
               hv::RunResult::kHalted);
 
     // Ship the log to the "replay machine" via the file format.
-    const std::string path = "/tmp/rsafe_e2e_log.bin";
-    ASSERT_TRUE(recorder.log().save(path).ok());
     InputLog shipped;
-    ASSERT_TRUE(InputLog::load(path, &shipped).ok());
-    std::remove(path.c_str());
+    ASSERT_TRUE(InputLog::deserialize(
+                    through_file(recorder.log().serialize(),
+                                 "/tmp/rsafe_e2e_log.bin"),
+                    &shipped)
+                    .ok());
     ASSERT_EQ(shipped.size(), recorder.log().size());
 
     auto rep_vm = factory();

@@ -103,9 +103,13 @@ TEST_P(GoldenCorpus, CheckedInBytesStillReplayToTheirDigest)
 
     // The checked-in bytes must load with the current parser — never
     // abort, never quietly change meaning.
+    std::ifstream in(golden_dir() + "/" + entry.file, std::ios::binary);
+    ASSERT_TRUE(in) << "cannot read " << entry.file;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
     rnr::InputLog log;
-    const Status status =
-        rnr::InputLog::load(golden_dir() + "/" + entry.file, &log);
+    const Status status = rnr::InputLog::deserialize(bytes, &log);
     ASSERT_TRUE(status.ok()) << status.to_string();
     ASSERT_EQ(log.size(), entry.records);
 

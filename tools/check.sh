@@ -85,7 +85,7 @@ run_tsan() {
     # shows up as a rare flake: repeat the streaming, fleet, shutdown and
     # health-plane tests so a recurrence fails here.
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-        -R 'LogStream|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip|FleetHealth|FrameworkHealth|HealthMonitor|AlarmChain|FairSharePool' \
+        -R 'LiveLog|StreamedSession|ArOverAGrowingLog|ConcurrentPipeline|Fleet\.(Drain|Abandon|Tenants)|FleetShip|FleetHealth|FrameworkHealth|HealthMonitor|AlarmChain|FairSharePool' \
         --repeat until-fail:20
 }
 
@@ -170,7 +170,7 @@ run_fleet() {
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-rel -j "$(nproc)" --target test_fleet \
         --target test_work_pool --target test_ckpt_store \
-        --target test_log_stream --target bench_fleet
+        --target test_live_log --target bench_fleet
     ./build-rel/tests/test_fleet
     # Shutdown races (a discard or abandon that fails to wake a waiter)
     # surface as flakes, not as deterministic failures: repeat every

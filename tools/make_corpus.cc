@@ -67,9 +67,10 @@ write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** A small log touching every record type (fuzz seed material). */
-rnr::InputLog
-sample_log()
+/** The wire image of a small log touching every record type (fuzz
+ *  seed material). */
+std::vector<std::uint8_t>
+sample_log_image()
 {
     rnr::InputLog log;
     for (int t = 0; t <= static_cast<int>(rnr::RecordType::kDetectorAlarm);
@@ -96,7 +97,7 @@ sample_log()
             record.payload = {1, 2, 3, 4, 5};
         log.append(std::move(record));
     }
-    return log;
+    return log.serialize();
 }
 
 /**
@@ -302,8 +303,7 @@ main(int argc, char** argv)
         fs::create_directories(root / sub);
 
     // ---- fuzz seeds -------------------------------------------------
-    const rnr::InputLog small = sample_log();
-    const auto small_image = small.serialize();
+    const auto small_image = sample_log_image();
     emit_fault_variants(root / "log", "records", small_image, 0x5EED0001);
     write_file(root / "log" / "empty.bin", rnr::InputLog().serialize());
 
